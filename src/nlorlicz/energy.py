@@ -6,8 +6,11 @@ Gauss tensor quadrature) and midpoint weights J(x_j - x_i) * h^(2N) for far
 pairs, plus the exterior weights Lambda(domain; x_i).  Weights are looked up
 from a canonical offset table, so w_ij = w_ji holds exactly.
 
-Energy and interaction sums run over dense numpy arrays with numpy's fixed
-pairwise reduction, so results do not depend on thread counts.
+Two functions make a full n x n pass over the pair differences: E_value and
+gradient_E.  The interaction form and the pointwise operator are derived from
+the gradient, which is exact because young.deriv is odd.  The pair sums run
+over dense numpy arrays with numpy's fixed pairwise reduction, so results do
+not depend on thread counts.
 """
 
 from __future__ import annotations
@@ -165,35 +168,6 @@ def E_value(asm: EnergyAssembly, u: GridFunction) -> float:
     return interior + ext
 
 
-def interaction(asm: EnergyAssembly, u: GridFunction, phi: GridFunction) -> float:
-    """First variation of the energy at u, paired against phi (linear in phi)."""
-    _check(asm, u)
-    _check(asm, phi)
-    v, w = u.values, phi.values
-    D = v[:, None] - v[None, :]
-    Dw = w[:, None] - w[None, :]
-    interior = 0.5 * float(np.sum(asm.young.deriv(D) * Dw * asm.weights))
-    ext = float(np.sum(asm.young.deriv(v) * w * asm.exterior)) * asm.h_pow_dim
-    return interior + ext
-
-
-def apply_operator(asm: EnergyAssembly, u: GridFunction) -> GridFunction:
-    """Pointwise discrete operator value at every node.
-
-    Satisfies the summation-by-parts identity
-    interaction(u, phi) = sum_i (Lu)_i phi_i h^N up to roundoff.
-    Unlike its continuum counterpart, whose pointwise meaning needs extra
-    regularity of u and a growth margin over the kernel singularity, the
-    discrete sum is always defined.
-    """
-    _check(asm, u)
-    v = u.values
-    D = v[:, None] - v[None, :]
-    row = np.sum(asm.young.deriv(D) * asm.weights, axis=1)
-    vals = row / asm.h_pow_dim + asm.young.deriv(v) * asm.exterior
-    return GridFunction(grid=asm.grid, values=vals)
-
-
 def gradient_E(asm: EnergyAssembly, u: GridFunction) -> GridFunction:
     """Exact gradient of E_value with respect to the node values."""
     _check(asm, u)
@@ -202,6 +176,30 @@ def gradient_E(asm: EnergyAssembly, u: GridFunction) -> GridFunction:
     row = np.sum(asm.young.deriv(D) * asm.weights, axis=1)
     vals = row + asm.young.deriv(v) * asm.exterior * asm.h_pow_dim
     return GridFunction(grid=asm.grid, values=vals)
+
+
+def interaction(asm: EnergyAssembly, u: GridFunction, phi: GridFunction) -> float:
+    """First variation of the energy at u, paired against phi (linear in phi).
+
+    The double-difference form
+    0.5 sum_ij deriv(u_i - u_j) (phi_i - phi_j) w_ij + sum_i deriv(u_i) phi_i Lambda_i h^N
+    equals gradient_E(u) . phi: deriv is odd, so the (i, j) and (j, i) terms
+    of the pair sum fold onto the row sums of the gradient.
+    """
+    _check(asm, phi)
+    return float(gradient_E(asm, u).values @ phi.values)
+
+
+def apply_operator(asm: EnergyAssembly, u: GridFunction) -> GridFunction:
+    """Pointwise discrete operator value at every node: gradient_E(u) / h^N.
+
+    Satisfies the summation-by-parts identity
+    interaction(u, phi) = sum_i (Lu)_i phi_i h^N, which holds because deriv
+    is odd (see interaction).  Unlike its continuum counterpart, whose
+    pointwise meaning needs extra regularity of u and a growth margin over
+    the kernel singularity, the discrete sum is always defined.
+    """
+    return GridFunction(grid=asm.grid, values=gradient_E(asm, u).values / asm.h_pow_dim)
 
 
 def luxemburg_norm_of(asm: EnergyAssembly, u: GridFunction,

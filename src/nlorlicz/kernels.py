@@ -291,75 +291,17 @@ def tail_integral(kern: Kernel, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _arcs_cos_le(u):
-    """{theta in [0,2pi): cos(theta) <= u} as a list of intervals."""
-    if u >= 1.0:
-        return [(0.0, 2.0 * np.pi)]
-    if u < -1.0:
-        return []
-    a = math.acos(u)
-    return [(a, 2.0 * np.pi - a)]
-
-
-def _arcs_cos_ge(v):
-    if v <= -1.0:
-        return [(0.0, 2.0 * np.pi)]
-    if v > 1.0:
-        return []
-    a = math.acos(v)
-    return [(0.0, a), (2.0 * np.pi - a, 2.0 * np.pi)]
-
-
-def _arcs_sin_le(u):
-    if u >= 1.0:
-        return [(0.0, 2.0 * np.pi)]
-    if u < -1.0:
-        return []
-    a = math.asin(u)  # in [-pi/2, pi/2]
-    # arc from pi - a to 2pi + a, wrapped
-    lo, hi = np.pi - a, 2.0 * np.pi + a
-    if hi <= 2.0 * np.pi:
-        return [(lo, hi)]
-    return [(lo, 2.0 * np.pi), (0.0, hi - 2.0 * np.pi)]
-
-
-def _arcs_sin_ge(v):
-    if v <= -1.0:
-        return [(0.0, 2.0 * np.pi)]
-    if v > 1.0:
-        return []
-    a = math.asin(v)
-    return [(a, np.pi - a)] if a >= 0.0 else [(0.0, np.pi - a), (2.0 * np.pi + a, 2.0 * np.pi)]
-
-
-def _intersect_arcs(lists):
-    """Intersection measure of several interval unions inside [0, 2pi)."""
-    current = [(0.0, 2.0 * np.pi)]
-    for arcs in lists:
-        nxt = []
-        for lo1, hi1 in current:
-            for lo2, hi2 in arcs:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if hi > lo:
-                    nxt.append((lo, hi))
-        current = nxt
-        if not current:
-            return 0.0
-    return sum(hi - lo for lo, hi in current)
-
-
 def _box_inside_angle(r, dists):
     """Angular measure of {theta: x + r e(theta) inside the box} given the
-    four signed side distances (left, right, down, up)."""
-    left, right, down, up = dists
-    return _intersect_arcs(
-        [
-            _arcs_cos_le(right / r),
-            _arcs_cos_ge(-left / r),
-            _arcs_sin_le(up / r),
-            _arcs_sin_ge(-down / r),
-        ]
-    )
+    four side distances (left, right, down, up).
+
+    Each side cuts off an arc of half-width acos(d/r).  Opposite sides' arcs
+    are disjoint and adjacent sides' arcs, whose centres are pi/2 apart,
+    overlap by max(0, a + b - pi/2), so inclusion-exclusion is exact."""
+    left, right, down, up = (math.acos(min(1.0, d / r)) for d in dists)
+    overlap = sum(max(0.0, a + b - 0.5 * np.pi)
+                  for a in (left, right) for b in (down, up))
+    return max(0.0, 2.0 * np.pi - 2.0 * (left + right + down + up) + overlap)
 
 
 def lambda_exterior(kern: Kernel, domain: DomainGrid, x) -> float:

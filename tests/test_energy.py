@@ -144,15 +144,28 @@ class TestFunctionals:
         richardson = (10.0 * d5 - d4) / 9.0
         assert richardson == pytest.approx(I, rel=1e-6)
 
-    def test_duality_to_roundoff(self, asm_sum):
-        hN = asm_sum.h_pow_dim
-        for seed in range(50):
-            u = random_function(asm_sum.grid, seed=seed)
-            phi = random_function(asm_sum.grid, seed=seed + 1000)
-            lhs = interaction(asm_sum, u, phi)
-            Lu = apply_operator(asm_sum, u)
-            rhs = float(Lu.values @ phi.values) * hN
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+    def test_duality_to_roundoff(self, g1d, frac05_1d):
+        # interaction is gradient_E . phi; check it against the double-difference
+        # form written out here, and against the operator
+        for family, params in [
+            ("power", {"p": 1.5}),
+            ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}),
+            ("log_perturbed", {"p": 2.0, "r": 1.0}),
+        ]:
+            asm = assemble(g1d, frac05_1d, make_young(family, **params))
+            hN = asm.h_pow_dim
+            deriv = asm.young.deriv
+            for seed in range(50):
+                u = random_function(asm.grid, seed=seed)
+                phi = random_function(asm.grid, seed=seed + 1000)
+                v, w = u.values, phi.values
+                pairs = deriv(v[:, None] - v[None, :]) * (w[:, None] - w[None, :])
+                explicit = (0.5 * float(np.sum(pairs * asm.weights))
+                            + float(np.sum(deriv(v) * w * asm.exterior)) * hN)
+                lhs = interaction(asm, u, phi)
+                assert lhs == pytest.approx(explicit, rel=1e-12, abs=1e-13), family
+                rhs = float(apply_operator(asm, u).values @ w) * hN
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13), family
 
     def test_operator_trivials(self, asm_quad):
         n = asm_quad.grid.n_nodes

@@ -12,7 +12,7 @@ from nlorlicz import (
     scaling_profile,
     tail_integral,
 )
-from nlorlicz.kernels import SPHERE_MEASURE, _shell_mass
+from nlorlicz.kernels import SPHERE_MEASURE, _box_inside_angle, _shell_mass
 
 
 class TestConstruction:
@@ -195,6 +195,22 @@ class TestLambdaExterior:
         ts = np.linspace(0.0, 0.4, 6)
         vals = [lambda_exterior(K, g, g.center + t * direction) for t in ts]
         assert np.all(np.diff(vals) > 0.0)
+
+    def test_box_inside_angle_against_sampling(self):
+        # count the points x + r e(theta) inside the unit box over a fine
+        # uniform angle grid; each arc endpoint costs at most one grid step
+        n = 200_000
+        theta = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+        c, s = np.cos(theta), np.sin(theta)
+        for x in ([0.3, 0.45], [0.12, 0.81], [0.66, 0.07], [0.5, 0.2]):
+            dists = (x[0], 1.0 - x[0], x[1], 1.0 - x[1])
+            far = max(np.hypot(a, b) for a in dists[:2] for b in dists[2:])
+            for r in np.linspace(min(dists), far, 9):
+                px, py = x[0] + r * c, x[1] + r * s
+                inside = (px > 0.0) & (px < 1.0) & (py > 0.0) & (py < 1.0)
+                sampled = 2.0 * np.pi * np.count_nonzero(inside) / n
+                assert _box_inside_angle(r, dists) == pytest.approx(
+                    sampled, abs=8 * 2.0 * np.pi / n)
 
     def test_rejects_exterior_point(self):
         K = make_kernel("fractional", dim=1, alpha=0.5)

@@ -175,6 +175,13 @@ class TestReactionConditions:
         assert rep["rho_clause2_ok"] is None
         assert not rep["rho_ok"]
 
+    def test_sub_constants_bound_reaction(self, y_p2):
+        reaction = power_reaction(1.5)
+        rep = check_reaction_conditions(y_p2, reaction)
+        t = np.logspace(1.0, 4.0, 60)
+        bound = rep["sub_c1"] + rep["sub_c2"] * y_p2.value(t) ** rep["sub_mu"]
+        assert np.all(reaction.f(t) <= bound * (1.0 + 1e-12))
+
 
 class TestSublinear:
     @pytest.mark.parametrize("m", [1.5, 1.8])
@@ -374,6 +381,29 @@ class TestMoser:
     def test_not_power_like_inapplicable(self, asm_sum):
         f = GridFunction(asm_sum.grid, np.ones(asm_sum.grid.n_nodes))
         assert not moser_integrability_report(asm_sum, f, m=3.0).applicable
+
+
+class TestEvaluationCounts:
+    def test_one_gradient_pass_per_iteration(self, asm16, monkeypatch):
+        import nlorlicz.solvers as solvers
+
+        calls = {"gradient_E": 0, "interaction": 0}
+
+        def counted(name):
+            fn = getattr(solvers, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, counted(name))
+        rep = solve_eigen(asm16)
+        assert rep.iterations > 2
+        assert calls["gradient_E"] <= rep.iterations + 2
+        solve_dirichlet(asm16, random_function(asm16.grid, seed=12))
+        assert calls["interaction"] == 0
 
 
 class TestReports:
