@@ -47,6 +47,7 @@ from .kernels import (
     Kernel,
     ScalingProfile,
     estimate_singularity_order,
+    exterior_weights,
     lambda_exterior,
     make_kernel,
     poincare_constant,

@@ -3,8 +3,11 @@
 The assembly precomputes pair weights w_ij = (cell average of the kernel
 over the offset cell) * h^(2N) for near pairs (offset below 3h, 5-point
 Gauss tensor quadrature) and midpoint weights J(x_j - x_i) * h^(2N) for far
-pairs, plus the exterior weights Lambda(domain; x_i).  Weights are looked up
-from a canonical offset table, so w_ij = w_ji holds exactly.
+pairs.  Weights are looked up from a canonical offset table, so w_ij = w_ji
+holds exactly.  The exterior weights Lambda(domain; x_i), which carry the
+zero condition on the complement, come from the ray formula (the integral
+over directions of the kernel mass beyond the boundary) in one vectorized
+pass over all nodes; see kernels.lambda_exterior.
 
 Two functions make a full n x n pass over the pair differences: E_value and
 gradient_E.  The interaction form and the pointwise operator are derived from
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .grid import DomainGrid, GridFunction
-from .kernels import Kernel, lambda_exterior, tail_integral, BALL_VOLUME
+from .kernels import Kernel, exterior_weights, tail_integral, BALL_VOLUME
 from .young import YoungFunction
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -80,20 +83,6 @@ def _offset_weight(kern: Kernel, offset: np.ndarray, h: float) -> float:
     return avg * hN * hN
 
 
-def _exterior_key(grid: DomainGrid, node: np.ndarray):
-    """Canonical symmetry key so Lambda is computed once per orbit."""
-    if grid.dim == 1:
-        a, b = grid.bounds
-        return tuple(sorted((node[0] - a, b - node[0])))
-    if grid.shape == "box":
-        a1, b1, a2, b2 = grid.bounds
-        pair1 = tuple(sorted((node[0] - a1, b1 - node[0])))
-        pair2 = tuple(sorted((node[1] - a2, b2 - node[1])))
-        return tuple(sorted((pair1, pair2)))
-    cx, cy, _ = grid.bounds
-    return (round(float(np.hypot(node[0] - cx, node[1] - cy)) / grid.spacing * 1e9),)
-
-
 def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
              pair_budget: int = PAIR_BUDGET) -> EnergyAssembly:
     """Build the dense pair-weight matrix and exterior weights.
@@ -135,15 +124,8 @@ def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
                 table[a * span + b] = _offset_weight(kern, np.array([a, b]), h)
         W = table[code]
     np.fill_diagonal(W, 0.0)
-
-    lam = np.empty(n)
-    cache = {}
-    for i, node in enumerate(grid.nodes):
-        key = _exterior_key(grid, node)
-        if key not in cache:
-            cache[key] = lambda_exterior(kern, grid, node)
-        lam[i] = cache[key]
-    return EnergyAssembly(grid=grid, kernel=kern, young=young, weights=W, exterior=lam)
+    return EnergyAssembly(grid=grid, kernel=kern, young=young, weights=W,
+                          exterior=exterior_weights(kern, grid))
 
 
 def _check(asm: EnergyAssembly, u: GridFunction):

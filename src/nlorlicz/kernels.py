@@ -1,11 +1,17 @@
 """Radial interaction kernels and their integral geometry.
 
 Builds the admissible kernel families (singular at the origin, integrable
-tail), evaluates the tail integral P(s), the exterior interaction
-Lambda(domain; x) for interval/box/ball domains, the explicit Poincare
-constant, the rescaling profile mu(lambda) with its one-sided derivative at
-1 (the nonexistence exponent), and a heuristic estimator of the singularity
-order for custom kernels.
+tail), evaluates the tail integral P(s) (the kernel mass beyond radius s,
+elementwise on arrays), the exterior interaction Lambda(domain; x) for
+interval/box/ball domains, the explicit Poincare constant, the rescaling
+profile mu(lambda) with its one-sided derivative at 1 (the nonexistence
+exponent), and a heuristic estimator of the singularity order for custom
+kernels.
+
+Lambda comes from the ray formula Lambda(x) = integral over directions theta
+of T(rho_x(theta)), with T = P / omega_N the mass per unit angle and
+rho_x(theta) the distance from x to the boundary along theta, evaluated at
+all nodes at once; see lambda_exterior.
 
 All kernels are radial: J(z) = profile(|z|), so J(z) = J(-z) holds exactly.
 """
@@ -13,12 +19,12 @@ All kernels are radial: J(z) = profile(|z|), so J(z) = J(-z) holds exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
+from scipy.special import beta as beta_fn, betainc
 
 from .errors import ValidationError
 from .grid import DomainGrid
@@ -27,6 +33,8 @@ from .grid import DomainGrid
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}
 # unit ball volume
 BALL_VOLUME = {1: 2.0, 2: np.pi}
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass(frozen=True)
@@ -269,21 +277,65 @@ def _check_custom_admissible(kern: Kernel):
         )
 
 
-def tail_integral(kern: Kernel, s: float) -> float:
-    """P(s): total kernel mass outside the ball of radius s, to ~1e-8 relative."""
-    if s <= 0.0:
+def _tail_closed_form(kern: Kernel, s: np.ndarray):
+    """P(s) / omega_N for the families with an elementary antiderivative of
+    J(r) r^(N-1), else None."""
+    p = kern.params
+    if kern.family == "fractional":
+        return s ** -p["alpha"] / p["alpha"]
+    if kern.family == "two_exponent":
+        a1, a2 = p["alpha_inner"], p["alpha_outer"]
+        inner = -np.log(s) if a1 == 0.0 else np.expm1(-a1 * np.log(s)) / a1
+        return np.where(s < 1.0, inner + 1.0 / a2, s ** -a2 / a2)
+    if kern.family == "log":
+        # t = log(2/r) turns the inner part into the integral of t^beta
+        beta, l2 = p["beta"], math.log(2.0)
+        L = np.log(2.0 / np.minimum(s, 1.0))
+        if beta == -1.0:
+            inner = np.log(L / l2)
+        else:
+            inner = (L ** (beta + 1.0) - l2 ** (beta + 1.0)) / (beta + 1.0)
+        return np.where(s <= 1.0, inner + l2 ** beta, l2 ** beta / s)
+    return None
+
+
+def _tail_stepped(kern: Kernel, s: np.ndarray) -> np.ndarray:
+    """P(s) / omega_N without a closed form: 10-point Gauss panels up to mid,
+    summed downward, plus adaptive quadrature beyond mid.  The knots are the
+    sorted s, the kernel breakpoints and a quarter-octave grid, so each panel
+    covers a smooth piece of the profile no wider than a factor 2^(1/4)."""
+    def density(r):
+        return kern.profile(r) * r ** (kern.dim - 1)
+
+    u, inv = np.unique(s.ravel(), return_inverse=True)
+    mid = max(2.0 * u[-1], 2.0, 2.0 * max(kern.breakpoints, default=0.0))
+    grid = u[0] * 2.0 ** (np.arange(math.ceil(4.0 * math.log2(mid / u[0]))) / 4.0)
+    knots = np.unique(np.concatenate([u, grid, kern.breakpoints, [mid]]))
+    knots = knots[(knots >= u[0]) & (knots <= mid)]
+    half = 0.5 * np.diff(knots)
+    r = (knots[:-1] + half)[:, None] + half[:, None] * _GL_X
+    beyond = np.append(np.cumsum((density(r) @ _GL_W * half)[::-1])[::-1], 0.0)
+    far, _ = quad(lambda r: float(density(np.array(r))), mid, np.inf,
+                  epsabs=1e-14, epsrel=1e-10, limit=400)
+    return (far + beyond[np.searchsorted(knots, u)])[inv].reshape(s.shape)
+
+
+def tail_integral(kern: Kernel, s):
+    """P(s): total kernel mass outside the ball of radius s, for a scalar s or
+    elementwise for an array.
+
+    Exact formulas for the fractional, two-exponent and log families; other
+    kernels use Gauss panels near s and adaptive quadrature far out, to
+    ~1e-10 relative.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0):
         raise ValidationError("tail integral needs s > 0")
-    omega = SPHERE_MEASURE[kern.dim]
-
-    def integrand(r):
-        return float(kern.profile(np.array(r))) * r ** (kern.dim - 1)
-
-    mid = max(2.0 * s, 2.0, max(kern.breakpoints, default=0.0) * 2.0)
-    pts = sorted(b for b in kern.breakpoints if s < b < mid)
-    near, _ = quad(integrand, s, mid, points=pts or None,
-                   epsabs=0.0, epsrel=1e-10, limit=400)
-    far, _ = quad(integrand, mid, np.inf, epsabs=1e-14, epsrel=1e-10, limit=400)
-    return omega * (near + far)
+    per_direction = _tail_closed_form(kern, s)
+    if per_direction is None:
+        per_direction = _tail_stepped(kern, s)
+    out = SPHERE_MEASURE[kern.dim] * per_direction
+    return float(out) if s.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -291,90 +343,116 @@ def tail_integral(kern: Kernel, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _box_inside_angle(r, dists):
-    """Angular measure of {theta: x + r e(theta) inside the box} given the
-    four side distances (left, right, down, up).
+def _graded_panels(length, first, cuts):
+    """10-point Gauss-Legendre nodes and weights on [0, length[i]] for each
+    row i.  Panel widths double away from 0, starting at first[i], the
+    distance of the integrand's nearest complex singularity from the real
+    line; rows also break at cuts[i, :], where the integrand has a kink."""
+    octaves = max(1, math.ceil(math.log2(np.max(length / first))) + 1)
+    knots = np.column_stack([np.zeros_like(length), first[:, None] * 2.0 ** np.arange(octaves),
+                             cuts, length])
+    knots = np.sort(np.minimum(knots, length[:, None]), axis=1)
+    half = 0.5 * np.diff(knots, axis=1)
+    t = (knots[:, :-1] + half)[..., None] + half[..., None] * _GL_X
+    w = half[..., None] * _GL_W
+    return t.reshape(len(length), -1), w.reshape(len(length), -1)
 
-    Each side cuts off an arc of half-width acos(d/r).  Opposite sides' arcs
-    are disjoint and adjacent sides' arcs, whose centres are pi/2 apart,
-    overlap by max(0, a + b - pi/2), so inclusion-exclusion is exact."""
-    left, right, down, up = (math.acos(min(1.0, d / r)) for d in dists)
-    overlap = sum(max(0.0, a + b - 0.5 * np.pi)
-                  for a in (left, right) for b in (down, up))
-    return max(0.0, 2.0 * np.pi - 2.0 * (left + right + down + up) + overlap)
+
+def _require_interior(dists):
+    if not np.all(dists > 0.0):
+        raise ValidationError("point is not interior")
+
+
+def _box_exterior(kern: Kernel, bounds, x: np.ndarray) -> np.ndarray:
+    """Sum over the four sides, each split at the foot of the perpendicular
+    from x.  A half-side at distance d that runs a length l from the foot is
+    seen from x over the angles phi in [0, atan(l/d)], along which rho =
+    d / cos(phi); in the side coordinate y = d tan(phi) its share is the
+    integral over [0, l] of T(sqrt(d^2 + y^2)) d / (d^2 + y^2) dy."""
+    a1, b1, a2, b2 = bounds
+    left, right, down, up = x[:, 0] - a1, b1 - x[:, 0], x[:, 1] - a2, b2 - x[:, 1]
+    d = np.stack([left, left, right, right, down, down, up, up])
+    l = np.stack([down, up, down, up, left, right, left, right])
+    _require_interior(d)
+    if kern.family == "fractional":
+        # T(rho) = rho^-alpha / alpha: the share is d^-alpha / alpha times the
+        # integral of cos^alpha over [0, atan(l/d)], an incomplete beta
+        # function in sin^2 = l^2 / (d^2 + l^2)
+        alpha = kern.params["alpha"]
+        q = 0.5 * (alpha + 1.0)
+        share = (d ** -alpha / alpha * 0.5 * beta_fn(0.5, q)
+                 * betainc(0.5, q, l * l / (d * d + l * l)))
+        return share.sum(axis=0)
+    d, l = d.ravel(), l.ravel()
+    far = np.hypot(d, l).max()
+    bps = np.array([b for b in kern.breakpoints if d.min() < b < far])
+    y, w = _graded_panels(l, d, np.sqrt(np.maximum(bps ** 2 - d[:, None] ** 2, 0.0)))
+    rho2 = d[:, None] ** 2 + y * y
+    T = tail_integral(kern, np.sqrt(rho2)) / SPHERE_MEASURE[2]
+    return np.sum(T * d[:, None] / rho2 * w, axis=1).reshape(8, -1).sum(axis=0)
+
+
+def _ball_exterior(kern: Kernel, bounds, x: np.ndarray) -> np.ndarray:
+    """Integral over the boundary angle psi in [0, pi], doubled by symmetry,
+    from the boundary point nearest x.  With r0 = |x - centre|, d = R - r0
+    and s = sin(psi/2), the ray to the boundary point at psi has length rho,
+    rho^2 = d^2 + 4 R r0 s^2, and subtends R (d + 2 r0 s^2) / rho^2 dpsi.
+    The pass runs once per distinct r0."""
+    cx, cy, R = bounds
+    r_all = np.hypot(x[:, 0] - cx, x[:, 1] - cy)
+    # mirror-image nodes differ in r0 by rounding only; give them one value
+    _, first, inv = np.unique(np.round(r_all / R, 12), return_index=True,
+                              return_inverse=True)
+    _require_interior(R - r_all)
+    r0 = r_all[first][:, None]
+    d = R - r0
+    bps = np.array([b for b in kern.breakpoints if d.min() < b < R + r0.max()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_cut = np.where(r0 > 0.0, (R * R + r0 ** 2 - bps ** 2) / (2.0 * R * r0), 1.0)
+    psi, w = _graded_panels(np.full(len(d), np.pi), d[:, 0] / R,
+                            np.arccos(np.clip(cos_cut, -1.0, 1.0)))
+    s2 = np.sin(0.5 * psi) ** 2
+    rho2 = d ** 2 + 4.0 * R * r0 * s2
+    T = tail_integral(kern, np.sqrt(rho2)) / SPHERE_MEASURE[2]
+    return 2.0 * np.sum(T * R * (d + 2.0 * r0 * s2) / rho2 * w, axis=1)[inv]
+
+
+def _exterior(kern: Kernel, domain: DomainGrid, x: np.ndarray) -> np.ndarray:
+    """Lambda at the points x of shape (m, dim); see lambda_exterior."""
+    if kern.dim != domain.dim:
+        raise ValidationError("kernel and domain dimensions differ")
+    if domain.dim == 1:
+        a, b = domain.bounds
+        d = np.stack([x[:, 0] - a, b - x[:, 0]])
+        _require_interior(d)
+        return 0.5 * tail_integral(kern, d).sum(axis=0)
+    if domain.shape == "box":
+        return _box_exterior(kern, domain.bounds, x)
+    if domain.shape == "ball":
+        return _ball_exterior(kern, domain.bounds, x)
+    raise ValidationError(f"unsupported 2D shape {domain.shape!r}")
+
+
+def exterior_weights(kern: Kernel, grid: DomainGrid) -> np.ndarray:
+    """Lambda(domain; x_i) at every node of the grid in one vectorized pass."""
+    return _exterior(kern, grid, grid.nodes)
 
 
 def lambda_exterior(kern: Kernel, domain: DomainGrid, x) -> float:
     """Exterior interaction at an interior point: integral of J(x - y) over
     the complement of the domain.
 
-    Decomposes as P(d) minus the kernel mass of the domain part outside the
-    inscribed ball at x, the latter by polar quadrature with exact angular
-    sections (box/ball) and breakpoints at the feature radii.
+    In polar coordinates about x it is the integral over directions theta of
+    T(rho_x(theta)): rho_x(theta) is the distance from x to the boundary
+    along theta and T(s) = P(s) / omega_N the kernel mass per unit angle
+    beyond radius s.  An interval gives 0.5 * (P(x - a) + P(b - x)).  A box
+    splits the directions at its corners into one range per side, in closed
+    form for the fractional kernel and by graded Gauss panels otherwise; a
+    ball uses graded Gauss panels over the boundary angle.  Panels also
+    split where rho crosses a kernel breakpoint.
     """
-    if kern.dim != domain.dim:
-        raise ValidationError("kernel and domain dimensions differ")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    if domain.dim == 1:
-        a, b = domain.bounds
-        if not (a < x[0] < b):
-            raise ValidationError("point is not interior")
-        return 0.5 * (tail_integral(kern, x[0] - a) + tail_integral(kern, b - x[0]))
-
-    if domain.shape == "ball":
-        cx, cy, R = domain.bounds
-        rho = math.hypot(x[0] - cx, x[1] - cy)
-        if rho >= R:
-            raise ValidationError("point is not interior")
-        if rho < 1e-14 * R:
-            return tail_integral(kern, R)
-        d, r_far = R - rho, R + rho
-
-        def angle_inside(r):
-            c = (rho * rho + r * r - R * R) / (2.0 * rho * r)
-            return 2.0 * math.acos(min(1.0, max(-1.0, c)))
-
-        feature = [d, r_far]
-    elif domain.shape == "box":
-        a1, b1, a2, b2 = domain.bounds
-        if not (a1 < x[0] < b1 and a2 < x[1] < b2):
-            raise ValidationError("point is not interior")
-        dists = (x[0] - a1, b1 - x[0], x[1] - a2, b2 - x[1])
-        corners = [
-            math.hypot(cx_ - x[0], cy_ - x[1])
-            for cx_ in (a1, b1)
-            for cy_ in (a2, b2)
-        ]
-        d = min(dists)
-        r_far = max(corners)
-
-        def angle_inside(r, dists=dists):
-            return _box_inside_angle(r, dists)
-
-        feature = sorted(set(list(dists) + corners))
-    else:
-        raise ValidationError(f"unsupported 2D shape {domain.shape!r}")
-
-    def integrand(r):
-        return float(kern.profile(np.array(r))) * r * angle_inside(r)
-
-    pts = sorted(
-        set(
-            [f for f in feature if d < f < r_far]
-            + [b for b in kern.breakpoints if d < b < r_far]
-        )
-    )
-    # near-corner points make nearly-degenerate panels between feature radii;
-    # the extrapolation then hits roundoff around 1e-7 relative, which is far
-    # below what the exterior weights need, so the tolerance warning is noise
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        inside_mass, _ = quad(
-            integrand, d, r_far, points=pts or None, epsabs=0.0, epsrel=1e-10,
-            limit=400,
-        )
-    return tail_integral(kern, d) - inside_mass
+    return float(_exterior(kern, domain, x[None, :])[0])
 
 
 def poincare_constant(kern: Kernel, domain: DomainGrid) -> float:

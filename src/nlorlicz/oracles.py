@@ -2,18 +2,23 @@
 
 Dense linear algebra for the quadratic case (direct solve and full
 eigendecomposition), a constrained-manifold ground-state computation for the
-superlinear problem, and a per-node quadrature consistency check of the
-assembled weights.  The acceptance suite diffs solver output against these.
+superlinear problem, a polar-quadrature route to the exterior weights, and a
+per-node quadrature consistency check of the assembled weights.  The
+acceptance suite diffs solver output against these.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from .energy import EnergyAssembly, E_value
 from .errors import ValidationError
-from .grid import GridFunction, bump, make_grid
-from .kernels import lambda_exterior
+from .grid import DomainGrid, GridFunction, bump, make_grid
+from .kernels import SPHERE_MEASURE, Kernel
 from .solvers import _descent
 
 
@@ -112,5 +117,82 @@ def node_mass_consistency(asm: EnergyAssembly, i: int):
         cell = make_grid(
             "box", 4, (node[0] - h / 2, node[0] + h / 2, node[1] - h / 2, node[1] + h / 2)
         )
-    reference = lambda_exterior(asm.kernel, cell, node)
+    reference = polar_lambda_exterior(asm.kernel, cell, node)
     return total, reference
+
+
+def _tail_quad(kern: Kernel, s: float) -> float:
+    """P(s), the kernel mass beyond radius s, by adaptive quadrature of the
+    radial mass density, to ~1e-10 relative."""
+    def integrand(r):
+        return float(kern.profile(np.array(r))) * r ** (kern.dim - 1)
+
+    mid = max(2.0 * s, 2.0, max(kern.breakpoints, default=0.0) * 2.0)
+    pts = sorted(b for b in kern.breakpoints if s < b < mid)
+    near, _ = quad(integrand, s, mid, points=pts or None,
+                   epsabs=0.0, epsrel=1e-10, limit=400)
+    far, _ = quad(integrand, mid, np.inf, epsabs=1e-14, epsrel=1e-10, limit=400)
+    return SPHERE_MEASURE[kern.dim] * (near + far)
+
+
+def _box_inside_angle(r, dists):
+    """Angular measure of {theta: x + r e(theta) inside the box} given the
+    four side distances (left, right, down, up).
+
+    Each side cuts off an arc of half-width acos(d/r).  Opposite sides' arcs
+    are disjoint and adjacent sides' arcs, whose centres are pi/2 apart,
+    overlap by max(0, a + b - pi/2), so inclusion-exclusion is exact."""
+    left, right, down, up = (math.acos(min(1.0, d / r)) for d in dists)
+    overlap = sum(max(0.0, a + b - 0.5 * np.pi)
+                  for a in (left, right) for b in (down, up))
+    return max(0.0, 2.0 * np.pi - 2.0 * (left + right + down + up) + overlap)
+
+
+def polar_lambda_exterior(kern: Kernel, domain: DomainGrid, x) -> float:
+    """Exterior weight at a point inside an interval or box by a route
+    independent of the production ray formula: P(d) by adaptive quadrature,
+    minus the kernel mass of the box part outside the inscribed ball at x,
+    the latter by polar quadrature with the exact inside angle and
+    breakpoints at the feature radii.  Accurate to about 1e-7 relative near
+    box corners.
+    """
+    if kern.dim != domain.dim:
+        raise ValidationError("kernel and domain dimensions differ")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+
+    if domain.dim == 1:
+        a, b = domain.bounds
+        if not (a < x[0] < b):
+            raise ValidationError("point is not interior")
+        return 0.5 * (_tail_quad(kern, x[0] - a) + _tail_quad(kern, b - x[0]))
+
+    if domain.shape != "box":
+        raise ValidationError(f"unsupported 2D shape {domain.shape!r}")
+    a1, b1, a2, b2 = domain.bounds
+    if not (a1 < x[0] < b1 and a2 < x[1] < b2):
+        raise ValidationError("point is not interior")
+    dists = (x[0] - a1, b1 - x[0], x[1] - a2, b2 - x[1])
+    corners = [math.hypot(cx - x[0], cy - x[1]) for cx in (a1, b1) for cy in (a2, b2)]
+    d = min(dists)
+    r_far = max(corners)
+    feature = sorted(set(list(dists) + corners))
+
+    def integrand(r):
+        return float(kern.profile(np.array(r))) * r * _box_inside_angle(r, dists)
+
+    pts = sorted(
+        set(
+            [f for f in feature if d < f < r_far]
+            + [b for b in kern.breakpoints if d < b < r_far]
+        )
+    )
+    # near-corner points make nearly-degenerate panels between feature radii;
+    # the extrapolation then hits roundoff around 1e-7 relative, which is far
+    # below what a consistency check needs, so the tolerance warning is noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        inside_mass, _ = quad(
+            integrand, d, r_far, points=pts or None, epsabs=0.0, epsrel=1e-10,
+            limit=400,
+        )
+    return _tail_quad(kern, d) - inside_mass

@@ -77,6 +77,22 @@ class TestAssembly:
         total, ref = node_mass_consistency(asm, g.n_nodes // 2)
         assert total == pytest.approx(ref, rel=1e-2)
 
+    def test_assembly_needs_no_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called during assembly")
+
+        monkeypatch.setattr("nlorlicz.kernels.quad", refuse)
+        Y = make_young("power", p=2.0)
+        for g, K in [
+            (make_grid("interval", 64, (-1.0, 1.0)), make_kernel("fractional", dim=1, alpha=0.5)),
+            (make_grid("interval", 64, (-1.0, 1.0)),
+             make_kernel("two_exponent", dim=1, alpha_inner=0.3, alpha_outer=0.9)),
+            (make_grid("box", 24, (-1.0, 1.0, -1.0, 1.0)),
+             make_kernel("fractional", dim=2, alpha=0.5)),
+            (make_grid("ball", 16, (0.0, 0.0, 1.0)), make_kernel("log", dim=2, beta=1.0)),
+        ]:
+            assert np.all(assemble(g, K, Y).exterior > 0.0)
+
     def test_exterior_weights_above_ball_bound(self, asm_quad):
         from nlorlicz.energy import poincare_lower_bound_ok
 

@@ -4,15 +4,19 @@ from scipy.integrate import dblquad, quad
 
 from nlorlicz import (
     ValidationError,
+    assemble,
     estimate_singularity_order,
+    exterior_weights,
     lambda_exterior,
     make_grid,
     make_kernel,
+    make_young,
     poincare_constant,
     scaling_profile,
     tail_integral,
 )
-from nlorlicz.kernels import SPHERE_MEASURE, _box_inside_angle, _shell_mass
+from nlorlicz.kernels import SPHERE_MEASURE, _shell_mass
+from nlorlicz.oracles import _box_inside_angle, _tail_quad
 
 
 class TestConstruction:
@@ -95,7 +99,33 @@ class TestTailIntegral:
         K = make_kernel("fractional", dim=dim, alpha=alpha)
         for s in (0.5, 1.0, 3.0):
             exact = SPHERE_MEASURE[dim] * s ** -alpha / alpha
-            assert tail_integral(K, s) == pytest.approx(exact, rel=1e-6)
+            assert tail_integral(K, s) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("family,params,dim", [
+        ("log", {"beta": 1.0}, 1), ("log", {"beta": 1.0}, 2),
+        ("log", {"beta": -0.5}, 1), ("log", {"beta": -0.5}, 2),
+        ("log", {"beta": -1.0}, 1), ("log", {"beta": -1.0}, 2),
+        ("two_exponent", {"alpha_inner": 0.3, "alpha_outer": 0.9}, 2),
+    ])
+    def test_closed_forms_against_quadrature(self, family, params, dim):
+        K = make_kernel(family, dim=dim, **params)
+        for s in (1e-3, 0.05, 0.5, 0.999, 1.0, 1.001, 3.0):
+            assert tail_integral(K, s) == pytest.approx(_tail_quad(K, s), rel=1e-9)
+
+    @pytest.mark.parametrize("family,params", [
+        ("fractional", {"alpha": 0.5}),
+        ("log", {"beta": -0.5}),
+        ("piecewise_dyadic", {"mu": 0.5}),
+    ])
+    def test_array_input(self, family, params):
+        # the dyadic kernel has no closed form: one Gauss-panel pass serves
+        # the whole array
+        K = make_kernel(family, dim=2, **params)
+        ss = np.array([[0.003, 0.02, 0.3], [0.7, 1.0, 4.0]])
+        vals = tail_integral(K, ss)
+        assert vals.shape == ss.shape
+        expected = [[tail_integral(K, float(s)) for s in row] for row in ss]
+        np.testing.assert_allclose(vals, expected, rtol=1e-9, atol=0.0)
 
     def test_two_exponent_closed_form(self):
         a1, a2 = 0.3, 0.9
@@ -115,6 +145,42 @@ class TestTailIntegral:
         K = make_kernel("fractional", dim=1, alpha=0.5)
         with pytest.raises(ValidationError):
             tail_integral(K, 0.0)
+
+
+def _box_side_reference(kern, bounds, x):
+    """Sum over the four sides of the ray integral of T(d / cos(phi)) over the
+    angles phi, measured from the side's normal, at which the ray leaves the
+    box through that side; T = P / (2 pi)."""
+    a1, b1, a2, b2 = bounds
+    left, right, down, up = x[0] - a1, b1 - x[0], x[1] - a2, b2 - x[1]
+    total = 0.0
+    for d, (lo, hi) in ((left, (down, up)), (right, (down, up)),
+                        (down, (left, right)), (up, (left, right))):
+        lo, hi = -np.arctan2(lo, d), np.arctan2(hi, d)
+        kinks = [s * np.arccos(d / b) for b in kern.breakpoints if b > d for s in (-1, 1)]
+        val, _ = quad(lambda phi: tail_integral(kern, d / np.cos(phi)) / (2.0 * np.pi),
+                      lo, hi, points=[k for k in kinks if lo < k < hi] or None,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        total += val
+    return total
+
+
+def _ball_ray_reference(kern, bounds, x):
+    """Integral of T(rho(theta)) over the ray angle theta from the outward
+    radial direction, by adaptive quadrature split at the tangent direction
+    and where rho crosses a kernel breakpoint."""
+    cx, cy, R = bounds
+    r0 = np.hypot(x[0] - cx, x[1] - cy)
+
+    def rho(theta):
+        return -r0 * np.cos(theta) + np.sqrt(R * R - (r0 * np.sin(theta)) ** 2)
+
+    kinks = [np.arccos(np.clip((R * R - r0 * r0 - b * b) / (2.0 * r0 * b), -1.0, 1.0))
+             for b in kern.breakpoints if R - r0 < b < R + r0]
+    val, _ = quad(lambda t: tail_integral(kern, rho(t)) / (2.0 * np.pi), 0.0, np.pi,
+                  points=sorted(set(kinks + [0.5 * np.pi])), epsabs=0.0,
+                  epsrel=1e-13, limit=200)
+    return 2.0 * val
 
 
 def _box_exterior_reference(kern, bounds, x):
@@ -142,18 +208,46 @@ class TestLambdaExterior:
         # unit interval around an interior point: exterior mass in closed form
         K = make_kernel("fractional", dim=1, alpha=0.5)
         g = make_grid("interval", 8, (-1.0, 1.0))
-        assert lambda_exterior(K, g, [0.0]) == pytest.approx(2.0 / 0.5, rel=1e-8)
+        assert lambda_exterior(K, g, [0.0]) == pytest.approx(2.0 / 0.5, rel=1e-12)
         x = 0.3
         exact = ((1.0 + x) ** -0.5 + (1.0 - x) ** -0.5) * 2.0 / 0.5 / 2.0 * 2.0
         # P(s)/2 per side with P(s) = 2 s^-a / a
         exact = (2.0 * (1.0 + x) ** -0.5 / 0.5 + 2.0 * (1.0 - x) ** -0.5 / 0.5) / 2.0
-        assert lambda_exterior(K, g, [x]) == pytest.approx(exact, rel=1e-8)
+        assert lambda_exterior(K, g, [x]) == pytest.approx(exact, rel=1e-12)
+        xs = g.nodes[:, 0]
+        exact = 2.0 * ((xs + 1.0) ** -0.5 + (1.0 - xs) ** -0.5)
+        np.testing.assert_allclose(exterior_weights(K, g), exact, rtol=1e-12, atol=0.0)
 
     def test_ball_center_equals_tail(self):
         K = make_kernel("fractional", dim=2, alpha=1.0)
         g = make_grid("ball", 8, (0.0, 0.0, 1.0))
         assert lambda_exterior(K, g, [0.0, 0.0]) == pytest.approx(
             tail_integral(K, 1.0), rel=1e-10)
+
+    def test_fractional_box_weights_match_side_quadrature(self):
+        # the assembled weights at all 576 nodes, near-corner nodes included
+        K = make_kernel("fractional", dim=2, alpha=0.5)
+        g = make_grid("box", 24, (-1.0, 1.0, -1.0, 1.0))
+        lam = assemble(g, K, make_young("power", p=2.0)).exterior
+        ref = [_box_side_reference(K, g.bounds, x) for x in g.nodes]
+        np.testing.assert_allclose(lam, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape,family,params", [
+        ("box", "two_exponent", {"alpha_inner": 0.3, "alpha_outer": 0.9}),
+        ("box", "log", {"beta": -1.0}),
+        ("ball", "fractional", {"alpha": 1.5}),
+        ("ball", "log", {"beta": 1.0}),
+        ("ball", "two_exponent", {"alpha_inner": 0.3, "alpha_outer": 0.9}),
+    ])
+    def test_weights_match_ray_quadrature(self, shape, family, params):
+        K = make_kernel(family, dim=2, **params)
+        if shape == "box":
+            g = make_grid("box", 10, (-1.0, 1.0, -1.0, 1.0))
+            ref = [_box_side_reference(K, g.bounds, x) for x in g.nodes]
+        else:
+            g = make_grid("ball", 12, (0.0, 0.0, 1.0))
+            ref = [_ball_ray_reference(K, g.bounds, x) for x in g.nodes]
+        np.testing.assert_allclose(exterior_weights(K, g), ref, rtol=1e-9, atol=0.0)
 
     def test_box_against_slab_decomposition(self):
         K = make_kernel("fractional", dim=2, alpha=1.0)
