@@ -116,14 +116,16 @@ class TestRun:
         assert main(["run", str(path)]) == 2
 
     def test_nonconvergence_exit_3_and_downgrade(self, tmp_path):
+        # p = 1.5 takes dozens of Newton steps, so one step cannot converge
+        young = {"family": "power", "p": 1.5}
         path, _ = write_config(
-            tmp_path,
+            tmp_path, young=young,
             problem={"type": "dirichlet", "data": {"kind": "random"}},
             solver={"max_iter": 1, "tol": 1e-14},
         )
         assert main(["run", str(path)]) == 3
         path2, _ = write_config(
-            tmp_path, name="c2.json",
+            tmp_path, name="c2.json", young=young,
             problem={"type": "dirichlet", "data": {"kind": "random"}},
             solver={"max_iter": 1, "tol": 1e-14, "allow_nonconverged": True},
         )
@@ -230,3 +232,29 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             digests.append((out / "battery.csv").read_bytes())
         assert digests[0] == digests[1]
+
+    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path):
+        # the Newton solve factors a dense matrix; LAPACK's Cholesky changes
+        # its last bits with the BLAS thread count at this size
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out_{threads}"
+            cfg = json.loads(json.dumps(BASE))
+            cfg["young"] = {"family": "power", "p": 1.5}
+            cfg["grid"] = {"shape": "interval", "n_per_axis": 256, "bounds": [-1.0, 1.0]}
+            cfg["problem"] = {"type": "dirichlet",
+                              "data": {"kind": "bump", "radius": 0.5, "height": 1.0}}
+            cfg["output_dir"] = str(out)
+            path = tmp_path / f"cfg_{threads}.json"
+            path.write_text(json.dumps(cfg))
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "nlorlicz.cli", "run", str(path)],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append([(out / name).read_bytes()
+                            for name in ("solution.csv", "report.json")])
+        assert json.loads(outputs[0][1])["converged"]
+        assert outputs[0] == outputs[1]

@@ -74,7 +74,6 @@ class TestDirichlet:
             assert rep.solution.values.min() >= -1e-10
 
     def test_singular_exponent_solves(self, g1d_small, frac05_1d):
-        # p = 1.5 sits exactly at the float64 residual floor eps^(p-1) ~ 1e-8
         asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.5))
         f = random_function(asm.grid, seed=8)
         rep = solve_dirichlet(asm, f, tol=2e-8, max_iter=30000)
@@ -83,14 +82,20 @@ class TestDirichlet:
 
     def test_far_subquadratic_reports_honest_nonconvergence(self, g1d_small,
                                                             frac05_1d):
-        # below p ~ 1.4 the max-norm residual floor is far above any usable
-        # tolerance; the report must say so while the weak residual is small
-        asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.2))
+        # a run cut short by max_iter must say so while its weak residual
+        # is already small
+        asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.5))
         f = random_function(asm.grid, seed=8)
-        rep = solve_dirichlet(asm, f, tol=1e-8, max_iter=1500)
+        rep = solve_dirichlet(asm, f, tol=1e-8, max_iter=8)
         assert not rep.converged
+        assert rep.iterations == 8
         assert rep.extras["weak_form_residual"] < 1e-2
         assert np.isfinite(rep.objective)
+        # far below quadratic growth the solve itself converges
+        asm12 = assemble(g1d_small, frac05_1d, make_young("power", p=1.2))
+        rep = solve_dirichlet(asm12, f, tol=1e-8, max_iter=1500)
+        assert rep.converged
+        assert rep.residual_inf <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
 
     def test_descent_monotone(self, asm16):
         # nonincreasing objective is part of the line-search contract
@@ -110,6 +115,108 @@ class TestDirichlet:
                                  lambda x, g: np.max(np.abs(g)) / hN < 1e-8, 5000)
         hist = info["objective_history"]
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+
+
+class TestRelaxedNewton:
+    @staticmethod
+    def _bump_problem(p, n):
+        from nlorlicz.grid import bump
+
+        grid = make_grid("interval", n, (-1.0, 1.0))
+        asm = assemble(grid, make_kernel("fractional", dim=1, alpha=0.5),
+                       make_young("power", p=p))
+        return asm, bump(grid, grid.center, 0.5 * grid.inradius, 1.0)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("p", [1.5, 1.7])
+    def test_singular_growth_converges(self, p, n):
+        asm, f = self._bump_problem(p, n)
+        rep = solve_dirichlet(asm, f)
+        assert rep.converged
+        assert rep.iterations < 100
+        assert rep.residual_inf <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
+        assert not rep.extras["line_search_failure"]
+
+    def test_relaxation_keeps_weights_finite(self):
+        # letting the relaxation reach 0 makes psi'' infinite at equal pairs
+        asm, f = self._bump_problem(1.3, 64)
+        rep = solve_dirichlet(asm, f)
+        assert np.all(np.isfinite(rep.solution.values))
+        assert np.isfinite(rep.objective)
+        assert rep.converged
+
+    def test_quadratic_is_one_step_of_the_dense_solve(self, asm_quad):
+        for seed in (1, 2):
+            f = random_function(asm_quad.grid, seed=seed)
+            rep = solve_dirichlet(asm_quad, f)
+            ref = dense_dirichlet_solve(asm_quad, f)
+            assert rep.converged
+            assert rep.iterations == 1
+            assert np.max(np.abs(rep.solution.values - ref.values)) < 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_objective_never_increases(self, p):
+        from nlorlicz.solvers import _relaxed_newton
+
+        asm, f = self._bump_problem(p, 64)
+        _, _, conv, info = _relaxed_newton(asm, f.values, 1e-8, 200)
+        hist = info["objective_history"]
+        assert conv and len(hist) > 5
+        # up to the rounding of the objective itself
+        ulp = 4.0 * np.finfo(float).eps
+        assert all(b <= a + ulp * abs(a) for a, b in zip(hist, hist[1:]))
+
+    def test_custom_young_without_second_derivative(self):
+        # the secant weight alone is a Kacanov iteration: slower, same limit
+        asm, f = self._bump_problem(2.5, 64)
+        custom = make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                            deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s))
+        assert custom.deriv2 is None
+        ref = solve_dirichlet(asm, f)
+        rep = solve_dirichlet(assemble(asm.grid, asm.kernel, custom), f)
+        assert ref.converged and rep.converged
+        assert rep.iterations > ref.iterations
+        scale = np.max(np.abs(ref.solution.values))
+        assert np.max(np.abs(rep.solution.values - ref.solution.values)) < 1e-6 * scale
+
+    def test_tiled_cholesky_solves(self):
+        from nlorlicz.linalg import cholesky_inplace, cholesky_solve
+
+        rng = np.random.default_rng(0)
+        for n in (1, 47, 48, 49, 200):
+            M = rng.standard_normal((n, n))
+            A = M @ M.T + n * np.eye(n)
+            b = rng.standard_normal(n)
+            L = A.copy()
+            x = cholesky_solve(L, cholesky_inplace(L), b)
+            assert np.allclose(np.tril(L) @ np.tril(L).T, A, rtol=0, atol=1e-10 * n)
+            assert np.max(np.abs(A @ x - b)) < 1e-10
+
+
+class TestDirichletRounding:
+    """Convergence must not hinge on the last bits of the data: the step test
+    stays decidable once the decrease of E falls below its rounding."""
+
+    @staticmethod
+    def _moser(n, p):
+        return assemble(make_grid("interval", n, (-1.0, 1.0)),
+                        make_kernel("fractional", dim=1, alpha=0.75),
+                        make_young("power", p=p))
+
+    @pytest.mark.parametrize("n, p", [(48, 2.0), (48, 3.0), (32, 3.0)])
+    def test_ulp_perturbed_exterior_weights_converge(self, n, p):
+        from dataclasses import replace
+
+        asm = self._moser(n, p)
+        for draw in range(5):
+            up = np.random.default_rng(draw).random(asm.grid.n_nodes) < 0.5
+            lam = np.where(up, np.nextafter(asm.exterior, np.inf),
+                           np.nextafter(asm.exterior, -np.inf))
+            perturbed = replace(asm, exterior=lam)
+            for level in (1.0, 8.0):
+                f = GridFunction(asm.grid, np.full(asm.grid.n_nodes, level))
+                rep = solve_dirichlet(perturbed, f, tol=1e-9, max_iter=3000)
+                assert rep.converged, (draw, level, rep.residual_inf)
 
 
 class TestUniquenessGap:
