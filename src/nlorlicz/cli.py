@@ -54,8 +54,7 @@ _YOUNG_KEYS = {"family", "p", "q", "r", "c", "terms"}
 _GRID_KEYS = {"shape", "n_per_axis", "bounds"}
 _PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
                  "inner", "r"}
-_SOLVER_KEYS = {"tol", "max_iter", "path_points", "allow_nonconverged",
-                "pair_budget"}
+_SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
 _PROBLEM_TYPES = {"dirichlet", "sublinear", "superlinear", "eigen", "battery",
                   "sweep"}
 
@@ -175,13 +174,19 @@ def _run_problem(cfg: dict, asm, ptype: str, problem: dict):
         return solve_sublinear(asm, power_reaction(float(problem["reaction_m"])),
                                tol=max(tol, 1e-8), max_iter=max_iter)
     if ptype == "superlinear":
-        return mountain_pass_search(
-            asm, power_reaction(float(problem["reaction_m"])),
-            path_points=int(solver.get("path_points", 33)),
-            tol=tol, max_iter=min(max_iter, 3000))
+        return mountain_pass_search(asm, power_reaction(float(problem["reaction_m"])),
+                                    tol=tol, max_iter=min(max_iter, 3000))
     if ptype == "eigen":
         return solve_eigen(asm, tol=tol, max_iter=max_iter)
     raise ValidationError(f"unhandled problem type {ptype!r}")
+
+
+def _pohozaev_fields(asm, problem: dict, rep) -> dict:
+    """Scaling-identity ratio and note of a reaction solve, for report.json
+    and sweep rows."""
+    check = pohozaev_check(asm, power_reaction(float(problem["reaction_m"])), rep.solution)
+    return {"pohozaev_ratio": check.ratio if check.applicable else None,
+            "pohozaev_note": check.note}
 
 
 def cmd_run(config_path: str) -> int:
@@ -216,10 +221,7 @@ def cmd_run(config_path: str) -> int:
     extra = {"problem_type": ptype,
              "poincare_constant": poincare_constant(asm.kernel, asm.grid)}
     if ptype in ("sublinear", "superlinear"):
-        check = pohozaev_check(asm, power_reaction(float(cfg["problem"]["reaction_m"])),
-                               rep.solution)
-        extra["pohozaev_ratio"] = check.ratio if check.applicable else None
-        extra["pohozaev_note"] = check.note
+        extra.update(_pohozaev_fields(asm, cfg["problem"], rep))
     _write(out / "solution.csv", to_csv(rep.solution))
     _write(out / "report.json", _report_json(cfg, asm, rep, extra))
     if not rep.converged and not cfg.get("solver", {}).get("allow_nonconverged"):
@@ -265,11 +267,8 @@ def _sweep_point(args):
         )
         if problem["type"] == "eigen":
             row["lambda1"] = rep.extras["lambda1"]
-        if problem["type"] in ("sublinear", "superlinear") and "reaction_m" in problem:
-            check = pohozaev_check(asm, power_reaction(float(problem["reaction_m"])),
-                                   rep.solution)
-            row["pohozaev_ratio"] = check.ratio if check.applicable else None
-            row["pohozaev_note"] = check.note
+        if problem["type"] in ("sublinear", "superlinear"):
+            row.update(_pohozaev_fields(asm, problem, rep))
     except NlorliczError as exc:
         row.update(error=f"{type(exc).__name__}: {exc}", converged=False)
     _write(point_path, json.dumps({k: v for k, v in row.items() if k != "recomputed"},

@@ -19,7 +19,6 @@ from .energy import EnergyAssembly, E_value
 from .errors import ValidationError
 from .grid import DomainGrid, GridFunction, bump, make_grid
 from .kernels import SPHERE_MEASURE, Kernel
-from .solvers import _descent
 
 
 def _require_quadratic(asm: EnergyAssembly):
@@ -59,8 +58,8 @@ def nehari_ground_state(asm: EnergyAssembly, m: float, max_iter: int = 4000):
     """Ground-state level of E(v) - sum (v+)^m / m via the scale-invariant
     quotient E(v) / Q(v)^(2/m); quadratic case, m > 2.
 
-    Independent of the path-deformation search: this minimizes over the
-    constraint manifold where the radial derivative vanishes."""
+    Independent of the mountain-pass search: this minimizes the quotient by
+    first-order descent (_descent), with no Newton matrix and no peaks."""
     _require_quadratic(asm)
     if m <= 2.0:
         raise ValidationError("ground-state oracle needs a superquadratic exponent")
@@ -96,6 +95,47 @@ def nehari_ground_state(asm: EnergyAssembly, m: float, max_iter: int = 4000):
     phi_min = phi(x)
     level = (1.0 - 2.0 / m) * 2.0 ** (2.0 / (m - 2.0)) * phi_min ** (m / (m - 2.0))
     return level, GridFunction(g, x)
+
+
+def _descent(value, gradient, x0, stop, max_iter):
+    """Monotone Barzilai-Borwein descent with Armijo backtracking.
+    Returns (x, iterations, converged, info)."""
+    x = np.array(x0, dtype=float)
+    f = value(x)
+    g = gradient(x)
+    gnorm2 = float(g @ g)
+    t_init = (1.0 + float(np.linalg.norm(x))) / (1.0 + math.sqrt(gnorm2))
+    t = t_init
+    cap_lo, cap_hi = 1e-6 * t_init, 1e2 * t_init
+    info = {"line_search_failure": False, "objective_history": [f]}
+    it = 0
+    while it < max_iter:
+        if stop(x, g):
+            return x, it, True, info
+        if gnorm2 == 0.0:
+            return x, it, True, info
+        trial = min(max(t, cap_lo), cap_hi)
+        accepted = False
+        for _ in range(70):
+            x_new = x - trial * g
+            f_new = value(x_new)
+            if f_new <= f - 1e-4 * trial * gnorm2:
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
+            info["line_search_failure"] = True
+            return x, it, False, info
+        g_new = gradient(x_new)
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        t = float(s @ s) / sy if sy > 1e-300 else trial * 2.0
+        x, f, g = x_new, f_new, g_new
+        gnorm2 = float(g @ g)
+        info["objective_history"].append(f)
+        it += 1
+    return x, it, stop(x, g), info
 
 
 def _quadratic_gradient(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:

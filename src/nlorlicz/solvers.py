@@ -2,20 +2,24 @@
 problems, plus the solution-quality reports (uniqueness certificate,
 nonexistence-exponent ratio, integrability scaling).
 
-The Dirichlet problem is solved by relaxed Newton steps on a dense weighted
-graph Laplacian (see solve_dirichlet).  The other solvers are first-order:
-Barzilai-Borwein steps safeguarded by a monotone Armijo backtracking line
-search.  The convergence metric is the pointwise operator residual (gradient
-max-norm divided by the cell volume), scaled by the data size.
+The Dirichlet, sublinear and superlinear problems share one step loop,
+_relaxed_newton: relaxed Newton steps on a dense weighted graph Laplacian
+with an Armijo line search.  The superlinear (mountain-pass) solve runs it on
+the peaks of rays, the local minimax method of Li and Zhou.  The eigenvalue
+solver takes Barzilai-Borwein steps on the constraint manifold.  The
+convergence metric is the pointwise operator residual (gradient max-norm
+divided by the cell volume), scaled by the data size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
@@ -52,7 +56,7 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "spec_version": 1,
             "objective": self.objective,
             "residual_inf": self.residual_inf,
@@ -66,7 +70,6 @@ class SolveReport:
                 if not isinstance(v, (GridFunction, np.ndarray))
             },
         }
-        return out
 
 
 @dataclass
@@ -98,52 +101,7 @@ def power_reaction(m: float) -> ReactionSpec:
 
 
 # ---------------------------------------------------------------------------
-# descent engine
-# ---------------------------------------------------------------------------
-
-
-def _descent(value, gradient, x0, stop, max_iter):
-    """Monotone BB descent.  Returns (x, iterations, converged, info)."""
-    x = np.array(x0, dtype=float)
-    f = value(x)
-    g = gradient(x)
-    gnorm2 = float(g @ g)
-    t_init = (1.0 + float(np.linalg.norm(x))) / (1.0 + math.sqrt(gnorm2))
-    t = t_init
-    cap_lo, cap_hi = 1e-6 * t_init, 1e2 * t_init
-    info = {"line_search_failure": False, "objective_history": [f]}
-    it = 0
-    while it < max_iter:
-        if stop(x, g):
-            return x, it, True, info
-        if gnorm2 == 0.0:
-            return x, it, True, info
-        trial = min(max(t, cap_lo), cap_hi)
-        accepted = False
-        for _ in range(70):
-            x_new = x - trial * g
-            f_new = value(x_new)
-            if f_new <= f - 1e-4 * trial * gnorm2:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            info["line_search_failure"] = True
-            return x, it, False, info
-        g_new = gradient(x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        t = float(s @ s) / sy if sy > 1e-300 else trial * 2.0
-        x, f, g = x_new, f_new, g_new
-        gnorm2 = float(g @ g)
-        info["objective_history"].append(f)
-        it += 1
-    return x, it, stop(x, g), info
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet problem with fixed data
+# relaxed Newton engine
 # ---------------------------------------------------------------------------
 
 # below this fraction of |objective| a predicted decrease puts the Armijo
@@ -187,31 +145,33 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     return H
 
 
-def _relaxed_newton(asm: EnergyAssembly, fv: np.ndarray, tol: float, max_iter: int):
-    """Minimize E(v) - <f, v> h^N from zero by relaxed Newton steps.
+def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
+                    retract=None):
+    """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
-    Returns (x, steps, converged, info) like _descent."""
-    hN = asm.h_pow_dim
-    grid = asm.grid
-    scale = 1.0 + float(np.max(np.abs(fv)))
+    Each step solves H d = -gradient(x) with H = _newton_matrix, the relaxed
+    curvature of E alone, which stays positive definite whatever the data or
+    reaction term adds.  eps starts at 1 and is halved after every step, down
+    to one ulp of max|x| or to where the weights would overflow.  An Armijo
+    search on value starts at the unit step; once the predicted decrease is
+    below the rounding of value, a step must lower max|gradient| instead.
+    With retract, each trial point x + t d is replaced by retract(x + t d)
+    (None rejects it).  The slope stays gradient . d, which is exact when
+    retract maximizes value and its first-order condition holds at x.
 
-    def value(x):
-        return E_value(asm, GridFunction(grid, x)) - float(fv @ x) * hN
-
-    def gradient(x):
-        return gradient_E(asm, GridFunction(grid, x)).values - fv * hN
-
-    x = np.zeros(grid.n_nodes)
+    Returns (x, steps, converged, info) with the objective history and
+    whether the line search failed."""
+    x = np.array(x0, dtype=float)
     J, g = value(x), gradient(x)
     eps = 1.0
     info = {"line_search_failure": False, "objective_history": [J]}
     it = 0
     while True:
-        gmax = float(np.max(np.abs(g)))
-        if gmax / hN <= tol * scale:
+        if stop(x, g):
             return x, it, True, info
         if it >= max_iter:
             return x, it, False, info
+        gmax = float(np.max(np.abs(g)))
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
         H = _newton_matrix(asm, x, eps)
@@ -221,8 +181,10 @@ def _relaxed_newton(asm: EnergyAssembly, fv: np.ndarray, tol: float, max_iter: i
         slope = float(g @ d)
         t = 1.0
         for _ in range(60):
-            x_new = x + t * d
-            if -t * slope > _ROUNDING * abs(J):
+            x_new = x + t * d if retract is None else retract(x + t * d)
+            if x_new is None:
+                pass  # the retract rejected the trial point
+            elif -t * slope > _ROUNDING * abs(J):
                 J_new = value(x_new)
                 if J_new <= J + 1e-4 * t * slope:
                     g_new = gradient(x_new)
@@ -246,6 +208,11 @@ def _relaxed_newton(asm: EnergyAssembly, fv: np.ndarray, tol: float, max_iter: i
             eps = half
 
 
+# ---------------------------------------------------------------------------
+# Dirichlet problem with fixed data
+# ---------------------------------------------------------------------------
+
+
 def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
                     max_iter: int = 20000) -> SolveReport:
     """Minimize the convex functional E(v) - <f, v> from the zero start.
@@ -255,28 +222,32 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     seeded coordinate directions, where the interaction form is the gradient
     entry at that node.
 
-    The method is a relaxed Newton iteration, after the relaxed Kacanov
-    iteration of Diening, Fornasier, Tomasi and Wank (Numer. Math. 145,
-    2020).  Each step solves H d = -(gradient of the objective), where H is
-    the weighted graph Laplacian with pair weights
-    w_ij * c(max(|u_i - u_j|, eps)) and the exterior diagonal
-    Lambda_i h^N c(max(|u_i|, eps)); c is the larger of psi'' and psi'(t)/t
-    (see _pair_curvature).  The relaxation eps starts at 1, is halved after
-    every step, and stops at one ulp of max|u| or where c would overflow.
-    The step length comes from an Armijo backtracking search on the
-    objective that starts at the unit step; once the predicted decrease is
-    below the rounding of the objective, a step is accepted when it lowers
-    max|gradient|.  The dense factorization is a tiled Cholesky whose bits
-    do not depend on the BLAS thread count (see nlorlicz.linalg).
+    The method is a relaxed Newton iteration (_relaxed_newton), after the
+    relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
+    (Numer. Math. 145, 2020), with the dense tiled Cholesky of
+    nlorlicz.linalg, whose bits do not depend on the BLAS thread count.
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim
+    grid = asm.grid
     fv = f.values
-    x, iters, conv, info = _relaxed_newton(asm, fv, tol, max_iter)
-    u = GridFunction(asm.grid, x)
+    scale = 1.0 + float(np.max(np.abs(fv)))
+
+    def value(x):
+        return E_value(asm, GridFunction(grid, x)) - float(fv @ x) * hN
+
+    def gradient(x):
+        return gradient_E(asm, GridFunction(grid, x)).values - fv * hN
+
+    def stop(x, g):
+        return float(np.max(np.abs(g))) / hN <= tol * scale
+
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(grid.n_nodes),
+                                           stop, max_iter)
+    u = GridFunction(grid, x)
     gE = gradient_E(asm, u).values
     resid = float(np.max(np.abs(gE / hN - fv)))
-    n = asm.grid.n_nodes
+    n = grid.n_nodes
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
     weak = float(np.max(np.abs(gE[nodes] - fv[nodes] * hN)))
     E = E_value(asm, u)
@@ -455,26 +426,13 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
     return GridFunction(g, b.values / norm)
 
 
-def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e-7,
-                    max_iter: int = 20000, start: Optional[GridFunction] = None) -> SolveReport:
-    """Minimize E(v) - integral of G(v) from a positive unit-norm bump.
-
-    Replaces the minimizer by its absolute value when that does not increase
-    the objective, and records the negative-level witness that certifies a
-    nontrivial solution in the lower range.  A collapse to zero is flagged
-    (it signals a failed growth condition, not a solver bug).
-    """
+def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
+    """value, gradient and stop rule of E(v) - sum G(v) h^N: converged when
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|)."""
     hN = asm.h_pow_dim
-    report_cond = check_reaction_conditions(
-        asm.young, reaction, dim=asm.grid.dim, alpha_order=asm.kernel.alpha_order
-    )
-    reaction.condition_report = report_cond
-
-    def potential(x):
-        return float(np.sum(reaction.G(x))) * hN
 
     def value(x):
-        return E_value(asm, GridFunction(asm.grid, x)) - potential(x)
+        return E_value(asm, GridFunction(asm.grid, x)) - float(np.sum(reaction.G(x))) * hN
 
     def gradient(x):
         return gradient_E(asm, GridFunction(asm.grid, x)).values - reaction.f(x) * hN
@@ -483,25 +441,35 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
         scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
+    return value, gradient, stop
+
+
+def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e-7,
+                    max_iter: int = 20000, start: Optional[GridFunction] = None) -> SolveReport:
+    """Minimize E(v) - integral of G(v) by relaxed Newton steps
+    (_relaxed_newton) from a positive unit-norm bump.
+
+    Replaces the minimizer by its absolute value when that does not increase
+    the objective, and records the negative-level witness that certifies a
+    nontrivial solution in the lower range.  A collapse to zero is flagged
+    (it signals a failed growth condition, not a solver bug).
+    ``iterations`` counts Newton steps.
+    """
+    report_cond = check_reaction_conditions(
+        asm.young, reaction, dim=asm.grid.dim, alpha_order=asm.kernel.alpha_order
+    )
+    reaction.condition_report = report_cond
+    value, gradient, stop = _reaction_objective(asm, reaction, tol)
     x0 = (start or _bump_start(asm)).values
-    # the objective is very flat near zero when the reaction exponent is close
-    # to the growth exponent; descending from the best point on the scaling
-    # ray of the start avoids stalling on that plateau
-    ray = np.logspace(-8.0, 2.0, 201)
-    ray_vals = [value(t * x0) for t in ray]
-    t_best = ray[int(np.argmin(ray_vals))]
-    if min(ray_vals) < value(x0):
-        x0 = t_best * x0
-    x, iters, conv, info = _descent(value, gradient, x0, stop, max_iter)
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter)
 
     u = GridFunction(asm.grid, x)
-    E = E_value(asm, u)
-    obj = E - potential(x)
+    obj = info["objective_history"][-1]
     u_abs = GridFunction(asm.grid, np.abs(x))
-    E_abs = E_value(asm, u_abs)
-    obj_abs = E_abs - potential(u_abs.values)
+    obj_abs = value(u_abs.values)
     if obj_abs <= obj + 1e-15 * (1.0 + abs(obj)):
-        u, E, obj = u_abs, E_abs, obj_abs
+        u, obj = u_abs, obj_abs
+    E = E_value(asm, u)
 
     fv = reaction.f(u.values)
     resid = float(np.max(np.abs(apply_operator(asm, u).values - fv)))
@@ -530,57 +498,70 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
-                         endpoint: Optional[GridFunction] = None,
-                         path_points: int = 33, tol: float = 1e-6,
-                         max_iter: int = 3000) -> SolveReport:
-    """Deform a discretized path from 0 to a negative-level endpoint and
-    drive its maximizer toward a critical point.
+def _ray_peak(gradient, y: np.ndarray) -> Optional[float]:
+    """The scale t > 0 where the objective peaks on the ray through y: the
+    root of t -> gradient(t y) . y where it changes sign from + to -,
+    bracketed by doubling or halving from t = 1 and refined by brentq.
+    None when 60 doublings or halvings find no sign change."""
 
-    The maximizer is pushed along the component of the negative gradient
-    transversal to the path, the path is re-spread by arclength, and neither
-    operation is allowed to raise the path maximum.  Convergence is heuristic
-    and reported as such.
+    @functools.lru_cache(maxsize=None)
+    def slope(t):
+        return float(gradient(t * y) @ y)
+
+    lo = hi = 1.0
+    rising = slope(1.0) > 0.0
+    for _ in range(60):
+        if rising:
+            lo, hi = hi, 2.0 * hi
+            if slope(hi) <= 0.0:
+                break
+        else:
+            lo, hi = 0.5 * lo, lo
+            if slope(lo) > 0.0:
+                break
+    else:
+        return None
+    return brentq(slope, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+
+
+def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
+                         endpoint: Optional[GridFunction] = None, tol: float = 1e-6,
+                         max_iter: int = 3000) -> SolveReport:
+    """Mountain-pass critical point between 0 and a negative-level endpoint,
+    by the local minimax method of Li and Zhou (SIAM J. Sci. Comput. 23,
+    2001): minimize over directions v the peak level max_t J(t v).
+
+    The iterate lives on the peaks of rays (_ray_peak).  Each step is a
+    relaxed Newton step (_relaxed_newton) whose trial points are moved back
+    to the peak of their ray, so the line search lowers the peak level.
+    There is no mountain-pass geometry when the endpoint's ray has no peak,
+    peaks beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
+    final peak level and ``eta_initial`` the level of the endpoint ray's
+    peak; ``iterations`` counts Newton steps.  Converged means
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|).
     """
-    hN = asm.h_pow_dim
     g = asm.grid
     reaction.condition_report = check_reaction_conditions(
         asm.young, reaction, dim=g.dim, alpha_order=asm.kernel.alpha_order
     )
-
-    def value(x):
-        return E_value(asm, GridFunction(g, x)) - float(np.sum(reaction.G(x))) * hN
-
-    def gradient(x):
-        return gradient_E(asm, GridFunction(g, x)).values - reaction.f(x) * hN
+    value, gradient, stop = _reaction_objective(asm, reaction, tol)
 
     if endpoint is None:
         base = bump(g, g.center, 0.6 * g.inradius, 1.0).values
-        lam = None
-        up, down = 1.0, 0.5
-        for _ in range(60):
-            if value(up * base) < 0.0:
-                lam = up
-                break
-            up *= 2.0
-        if lam is None:
-            # no negative level at large scales; scan down (degenerate geometry)
-            for _ in range(60):
-                if value(down * base) < 0.0:
-                    lam = down
-                    break
-                down *= 0.5
+        # the first doubling of the bump with a negative level; failing that,
+        # the first halving (degenerate geometry)
+        scales = [2.0 ** k for k in range(60)] + [0.5 ** k for k in range(1, 61)]
+        lam = next((s for s in scales if value(s * base) < 0.0), None)
         if lam is None:
             raise ValidationError("could not scale the bump to a negative level")
         endpoint = GridFunction(g, lam * base)
     if value(endpoint.values) >= 0.0:
         raise ValidationError("endpoint must have negative level")
 
-    ts = np.linspace(0.0, 1.0, path_points)
-    path = [t * endpoint.values for t in ts]
-    levels = np.array([value(x) for x in path])
-    barrier = float(levels[1:-1].max()) if path_points > 2 else 0.0
-    if barrier <= 1e-12:
+    t0 = _ray_peak(gradient, endpoint.values)
+    x0 = None if t0 is None or t0 >= 1.0 else t0 * endpoint.values
+    eta_initial = 0.0 if x0 is None else value(x0)
+    if eta_initial <= 1e-12:
         return SolveReport(
             solution=GridFunction(g, np.zeros(g.n_nodes)),
             objective=0.0,
@@ -589,154 +570,33 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
             converged=False,
             energy_E=0.0,
             integral_F=0.0,
-            extras={"problem": "superlinear", "no_mountain_geometry": True,
-                    "heuristic": True},
+            extras={"problem": "superlinear", "no_mountain_geometry": True},
         )
 
-    eta_initial = float(levels.max())
-    eta = eta_initial
-    it = 0
-    stall = 0
-    while it < max_iter:
-        k = 1 + int(np.argmax(levels[1:-1]))
-        x = path[k]
-        grad = gradient(x)
-        resid = float(np.max(np.abs(grad))) / hN
-        scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
-        if resid <= tol * scale or stall > 40:
-            break
-        tau = path[k + 1] - path[k - 1]
-        tt = float(tau @ tau)
-        d = -(grad - (float(grad @ tau) / tt) * tau) if tt > 0 else -grad
-        dn2 = float(d @ d)
-        if dn2 == 0.0:
-            d, dn2 = -grad, float(grad @ grad)
-        step = (1.0 + float(np.linalg.norm(x))) / (1.0 + math.sqrt(dn2))
-        accepted = False
-        for _ in range(60):
-            cand = x + step * d
-            if value(cand) < levels[k]:
-                accepted = True
-                break
-            step *= 0.5
-        if accepted:
-            path[k] = cand
-            levels[k] = value(cand)
-        # re-spread by arclength; keep only if it does not raise the maximum
-        new_path = _respread(path)
-        new_levels = np.array([value(x) for x in new_path])
-        if new_levels.max() <= levels.max() + 1e-15 * (1.0 + abs(eta)):
-            path, levels = new_path, new_levels
-        new_eta = float(levels.max())
-        stall = stall + 1 if new_eta > eta - 1e-10 * (1.0 + abs(eta)) else 0
-        eta = min(eta, new_eta)
-        if not accepted:
-            break
-        it += 1
+    def peak(y):
+        t = _ray_peak(gradient, y)
+        return None if t is None else t * y
 
-    # polish the path maximizer toward the nearby critical point by driving
-    # the squared gradient norm down (the deformation alone stalls at the
-    # path's sampling resolution)
-    k = 1 + int(np.argmax(levels[1:-1]))
-    x_best = _saddle_polish(value, gradient, path[k], tol * hN, 2000)
-    level_best = value(x_best)
-    if 0.2 * abs(levels[k]) <= abs(level_best) <= 5.0 * abs(levels[k]) + 1.0:
-        path[k] = x_best
-        levels[k] = level_best
-
-    u = GridFunction(g, path[k])
-    fv = reaction.f(u.values)
-    resid = float(np.max(np.abs(apply_operator(asm, u).values - fv)))
-    scale = 1.0 + float(np.max(np.abs(fv)))
-    conv = resid <= tol * scale
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
+                                           retract=peak)
+    u = GridFunction(g, x)
+    eta = info["objective_history"][-1]
     return SolveReport(
         solution=u,
-        objective=float(levels[k]),
-        residual_inf=resid,
-        iterations=it,
+        objective=eta,
+        residual_inf=float(np.max(np.abs(apply_operator(asm, u).values - reaction.f(x)))),
+        iterations=iters,
         converged=conv,
         energy_E=E_value(asm, u),
         integral_F=F_value(asm, u),
         extras={
             "problem": "superlinear",
-            "eta": float(levels[k]),
+            "eta": eta,
             "eta_initial": eta_initial,
-            "heuristic": True,
             "no_mountain_geometry": False,
+            "line_search_failure": info["line_search_failure"],
         },
     )
-
-
-def _saddle_polish(value, gradient, x0, grad_tol, max_iter):
-    """Minimize the squared gradient norm from a near-critical start.
-
-    The gradient of 0.5*|grad|^2 is the Hessian applied to the gradient,
-    approximated by a central difference of the gradient map.  Converges to
-    the nondegenerate critical point the deformation has bracketed."""
-    x = np.array(x0, dtype=float)
-    g = gradient(x)
-
-    def h(xx):
-        gg = gradient(xx)
-        return 0.5 * float(gg @ gg)
-
-    def grad_h(xx, gg):
-        nrm = float(np.linalg.norm(gg))
-        if nrm == 0.0:
-            return np.zeros_like(gg)
-        eps = 1e-6 * (1.0 + float(np.linalg.norm(xx))) / nrm
-        return (gradient(xx + eps * gg) - gradient(xx - eps * gg)) / (2.0 * eps)
-
-    hv = 0.5 * float(g @ g)
-    t = None
-    for _ in range(max_iter):
-        if float(np.max(np.abs(g))) <= grad_tol:
-            break
-        d = grad_h(x, g)
-        dn2 = float(d @ d)
-        if dn2 == 0.0:
-            break
-        if t is None:
-            t = hv / dn2
-        trial = t
-        accepted = False
-        for _ in range(60):
-            x_new = x - trial * d
-            h_new = h(x_new)
-            if h_new < hv:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-        d_new = grad_h(x_new, gradient(x_new))
-        s = x_new - x
-        y = d_new - d
-        sy = float(s @ y)
-        t = float(s @ s) / sy if sy > 1e-300 else trial * 2.0
-        x, hv = x_new, h_new
-        g = gradient(x)
-    return x
-
-
-def _respread(path):
-    """Piecewise-linear reparametrization to equal arclength spacing."""
-    pts = np.array(path)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0.0:
-        return path
-    targets = np.linspace(0.0, total, len(path))
-    out = [path[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while cum[j + 1] < t:
-            j += 1
-        w = (t - cum[j]) / (cum[j + 1] - cum[j]) if cum[j + 1] > cum[j] else 0.0
-        out.append((1.0 - w) * pts[j] + w * pts[j + 1])
-    out.append(path[-1])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,15 @@ class TestRun:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["extras"]["eta"] > 0.0
 
+    def test_path_points_is_an_unknown_key(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, problem={"type": "superlinear", "reaction_m": 4.0},
+            solver={"path_points": 33},
+        )
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "path_points" in capsys.readouterr().err
+
     def test_missing_reaction_exponent_exits_2(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "sublinear"})
         assert main(["run", str(path)]) == 2
@@ -233,17 +242,26 @@ class TestDeterminism:
             digests.append((out / "battery.csv").read_bytes())
         assert digests[0] == digests[1]
 
-    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path):
-        # the Newton solve factors a dense matrix; LAPACK's Cholesky changes
+    @pytest.mark.parametrize("young, problem", [
+        pytest.param({"family": "power", "p": 1.5},
+                     {"type": "dirichlet",
+                      "data": {"kind": "bump", "radius": 0.5, "height": 1.0}},
+                     id="dirichlet_p15"),
+        pytest.param({"family": "power", "p": 2.0},
+                     {"type": "superlinear", "reaction_m": 3.0},
+                     id="superlinear_m3"),
+    ])
+    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
+                                                           problem):
+        # the Newton solves factor a dense matrix; LAPACK's Cholesky changes
         # its last bits with the BLAS thread count at this size
         outputs = []
         for threads in ("1", "3"):
             out = tmp_path / f"out_{threads}"
             cfg = json.loads(json.dumps(BASE))
-            cfg["young"] = {"family": "power", "p": 1.5}
+            cfg["young"] = young
             cfg["grid"] = {"shape": "interval", "n_per_axis": 256, "bounds": [-1.0, 1.0]}
-            cfg["problem"] = {"type": "dirichlet",
-                              "data": {"kind": "bump", "radius": 0.5, "height": 1.0}}
+            cfg["problem"] = problem
             cfg["output_dir"] = str(out)
             path = tmp_path / f"cfg_{threads}.json"
             path.write_text(json.dumps(cfg))

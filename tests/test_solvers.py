@@ -99,7 +99,7 @@ class TestDirichlet:
 
     def test_descent_monotone(self, asm16):
         # nonincreasing objective is part of the line-search contract
-        from nlorlicz.solvers import _descent
+        from nlorlicz.oracles import _descent
         from nlorlicz.energy import E_value, gradient_E
 
         f = random_function(asm16.grid, seed=14).values
@@ -154,12 +154,42 @@ class TestRelaxedNewton:
             assert rep.iterations == 1
             assert np.max(np.abs(rep.solution.values - ref.values)) < 1e-12
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_objective_never_increases(self, p):
-        from nlorlicz.solvers import _relaxed_newton
+    @pytest.mark.parametrize("objective, p", [
+        pytest.param("dirichlet", 1.5, id="1.5"),
+        pytest.param("dirichlet", 3.0, id="3.0"),
+        pytest.param("sublinear", 1.5, id="sublinear-1.5"),
+        pytest.param("peak", 2.0, id="peak-2.0"),
+    ])
+    def test_objective_never_increases(self, objective, p):
+        # the Dirichlet objective, the sublinear objective (m = 1.2) and the
+        # mountain-pass peak level (m = 3) go through the same step loop
+        from nlorlicz.energy import E_value, gradient_E
+        from nlorlicz.solvers import _ray_peak, _reaction_objective, _relaxed_newton
 
         asm, f = self._bump_problem(p, 64)
-        _, _, conv, info = _relaxed_newton(asm, f.values, 1e-8, 200)
+        hN = asm.h_pow_dim
+        x0, retract = np.zeros(asm.grid.n_nodes), None
+        if objective == "dirichlet":
+            def value(x):
+                return E_value(asm, GridFunction(asm.grid, x)) - float(f.values @ x) * hN
+
+            def gradient(x):
+                return gradient_E(asm, GridFunction(asm.grid, x)).values - f.values * hN
+
+            def stop(x, g):
+                return np.max(np.abs(g)) / hN <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
+        else:
+            m = 1.2 if objective == "sublinear" else 3.0
+            value, gradient, stop = _reaction_objective(asm, power_reaction(m), 1e-8)
+            x0 = f.values
+        if objective == "peak":
+            def retract(y):
+                t = _ray_peak(gradient, y)
+                return None if t is None else t * y
+
+            x0 = retract(x0)
+        _, _, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, 200,
+                                           retract=retract)
         hist = info["objective_history"]
         assert conv and len(hist) > 5
         # up to the rounding of the objective itself
@@ -316,6 +346,14 @@ class TestSublinear:
         assert rep.objective == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(rep.solution.values)) < 1e-6
 
+    def test_singular_growth_converges(self, frac05_1d):
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d,
+                       make_young("power", p=1.5))
+        rep = solve_sublinear(asm, power_reaction(1.2), tol=1e-8)
+        assert rep.converged
+        assert rep.objective < 0.0
+        assert not rep.extras["line_search_failure"]
+
     def test_resolution_stability(self, frac05_1d, y_p2):
         levels = []
         for n in (64, 128):
@@ -339,7 +377,15 @@ class TestMountainPass:
         rep = mountain_pass_search(asm_mp, power_reaction(4.0), tol=1e-4,
                                    max_iter=200)
         assert rep.extras["eta"] <= rep.extras["eta_initial"] + 1e-12
-        assert rep.extras["heuristic"]
+
+    def test_singular_growth_converges(self, frac05_1d):
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d,
+                       make_young("power", p=1.5))
+        rep = mountain_pass_search(asm, power_reaction(2.5), tol=1e-6)
+        assert rep.converged
+        assert 0.0 < rep.extras["eta"] <= rep.extras["eta_initial"]
+        assert rep.residual_inf <= 1e-6 * (1.0 + np.max(np.abs(
+            power_reaction(2.5).f(rep.solution.values))))
 
     def test_sublinear_reaction_has_no_mountain(self, asm_mp):
         rep = mountain_pass_search(asm_mp, power_reaction(1.5), tol=1e-4,
@@ -491,10 +537,11 @@ class TestMoser:
 
 
 class TestEvaluationCounts:
-    def test_one_gradient_pass_per_iteration(self, asm16, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, names):
         import nlorlicz.solvers as solvers
 
-        calls = {"gradient_E": 0, "interaction": 0}
+        calls = dict.fromkeys(names, 0)
 
         def counted(name):
             fn = getattr(solvers, name)
@@ -506,11 +553,38 @@ class TestEvaluationCounts:
 
         for name in calls:
             monkeypatch.setattr(solvers, name, counted(name))
+        return calls
+
+    def test_one_gradient_pass_per_iteration(self, asm16, monkeypatch):
+        calls = self._count(monkeypatch, ("gradient_E", "interaction"))
         rep = solve_eigen(asm16)
         assert rep.iterations > 2
         assert calls["gradient_E"] <= rep.iterations + 2
         solve_dirichlet(asm16, random_function(asm16.grid, seed=12))
         assert calls["interaction"] == 0
+
+    def test_mountain_pass_gradient_passes(self, frac05_1d, y_p2, monkeypatch):
+        # the benchmark's superlinear config: 1D n = 128, alpha = 0.5, m = 3
+        asm = assemble(make_grid("interval", 128, (-1.0, 1.0)), frac05_1d, y_p2)
+        calls = self._count(monkeypatch, ("gradient_E",))
+        rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
+        assert rep.converged
+        assert calls["gradient_E"] < 1000
+
+
+class TestOracleIndependence:
+    def test_oracles_import_nothing_from_solvers(self):
+        import ast
+        import inspect
+
+        import nlorlicz.oracles
+
+        tree = ast.parse(inspect.getsource(nlorlicz.oracles))
+        imported = [node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+        assert not [name for name in imported if name and "solvers" in name]
 
 
 class TestReports:
