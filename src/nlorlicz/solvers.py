@@ -538,12 +538,18 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     peaks beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
     final peak level and ``eta_initial`` the level of the endpoint ray's
     peak; ``iterations`` counts Newton steps.  Converged means
-    max|Lu - f(u)| <= tol * (1 + max|f(u)|).
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|).  The extras carry the reaction's
+    condition report, and ``outside_admissible_range`` is set when its
+    subcritical clause fails (rho_clause2_ok is False): the run may then
+    converge to a critical point that is not the ground state.
     """
     g = asm.grid
-    reaction.condition_report = check_reaction_conditions(
+    report_cond = check_reaction_conditions(
         asm.young, reaction, dim=g.dim, alpha_order=asm.kernel.alpha_order
     )
+    reaction.condition_report = report_cond
+    admissibility = {"condition_report": report_cond,
+                     "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop = _reaction_objective(asm, reaction, tol)
 
     if endpoint is None:
@@ -570,7 +576,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
             converged=False,
             energy_E=0.0,
             integral_F=0.0,
-            extras={"problem": "superlinear", "no_mountain_geometry": True},
+            extras={"problem": "superlinear", "no_mountain_geometry": True, **admissibility},
         )
 
     def peak(y):
@@ -595,6 +601,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
             "eta_initial": eta_initial,
             "no_mountain_geometry": False,
             "line_search_failure": info["line_search_failure"],
+            **admissibility,
         },
     )
 
@@ -610,7 +617,8 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
 
     Each step moves against the component of the energy gradient tangent to
     the unit-modular constraint manifold, then renormalizes to F(v) = 1 by
-    bisection on the scale factor.  The reported eigenvalue uses the
+    the Luxemburg norm (closed form for pure powers, else bisection on the
+    scale factor).  The reported eigenvalue uses the
     interaction/derivative pairing (the Lagrange multiplier, equal to the
     tangent-projection coefficient at convergence), and the converged
     eigenfunction is reported with nonnegative sign.  Each iterate costs one

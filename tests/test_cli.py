@@ -242,25 +242,48 @@ class TestDeterminism:
             digests.append((out / "battery.csv").read_bytes())
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("young, problem", [
+    def test_matvec_bits_identical_across_blas_threads(self):
+        # a whole-matrix W @ x differs in its last bits between 1 and 2
+        # OpenBLAS threads at n = 1001; the panelled product must not
+        script = (
+            "import hashlib, numpy as np\n"
+            "from nlorlicz.linalg import matvec\n"
+            "rng = np.random.default_rng(0)\n"
+            "for shape in ((1001, 1001), (3, 20000)):\n"
+            "    A = rng.random(shape); x = rng.standard_normal(shape[1])\n"
+            "    print(hashlib.sha256(matvec(A, x).tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "3"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("young, problem, n", [
         pytest.param({"family": "power", "p": 1.5},
                      {"type": "dirichlet",
                       "data": {"kind": "bump", "radius": 0.5, "height": 1.0}},
-                     id="dirichlet_p15"),
+                     256, id="dirichlet_p15"),
         pytest.param({"family": "power", "p": 2.0},
                      {"type": "superlinear", "reaction_m": 3.0},
-                     id="superlinear_m3"),
+                     256, id="superlinear_m3"),
+        pytest.param({"family": "power", "p": 2.0}, {"type": "eigen"},
+                     512, id="eigen_p2"),
     ])
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
-                                                           problem):
+                                                           problem, n):
         # the Newton solves factor a dense matrix; LAPACK's Cholesky changes
-        # its last bits with the BLAS thread count at this size
+        # its last bits with the BLAS thread count at this size, and so does
+        # a whole-matrix GEMV, which the p = 2 energy pass would otherwise use
         outputs = []
         for threads in ("1", "3"):
             out = tmp_path / f"out_{threads}"
             cfg = json.loads(json.dumps(BASE))
             cfg["young"] = young
-            cfg["grid"] = {"shape": "interval", "n_per_axis": 256, "bounds": [-1.0, 1.0]}
+            cfg["grid"] = {"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]}
             cfg["problem"] = problem
             cfg["output_dir"] = str(out)
             path = tmp_path / f"cfg_{threads}.json"

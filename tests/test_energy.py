@@ -16,10 +16,10 @@ from nlorlicz import (
     make_kernel,
     make_young,
 )
-from nlorlicz.energy import F_of_gradient, central_gradient_norm
+from nlorlicz.energy import F_of_gradient, _pair_pass, central_gradient_norm
 from nlorlicz.grid import bump, random_function
 from nlorlicz.kernels import poincare_constant, tail_integral
-from nlorlicz.young import gamma_bounds, gamma_plus_deriv, sv_delta
+from nlorlicz.young import gamma_bounds, gamma_plus_deriv, luxemburg_norm, sv_delta
 
 
 def gf(asm, values):
@@ -215,6 +215,59 @@ class TestGradient:
         gu = gradient_E(asm_sum, u).values
         gm = gradient_E(asm_sum, gf(asm_sum, -u.values)).values
         assert np.array_equal(gu, -gm)
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("shape", ["interval", "box"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_laplacian_form_matches_double_sum(self, shape, alpha):
+        # the p = 2 pass takes the graph-Laplacian form; the elementwise
+        # double sum of the differences is the reference
+        if shape == "interval":
+            grid = make_grid("interval", 2048, (-1.0, 1.0))
+        else:
+            grid = make_grid("box", 40, (-1.0, 1.0, -1.0, 1.0))
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=alpha),
+                       make_young("power", p=2.0))
+        hN, W, lam = asm.h_pow_dim, asm.weights, asm.exterior
+        for u in (bump(grid, grid.center, 0.5 * grid.inradius, 1.0),
+                  random_function(grid, seed=3)):
+            x = u.values
+            D = x[:, None] - x[None, :]
+            E_ref = 0.5 * np.sum(D * D * W) + np.sum(x * x * lam) * hN
+            g_ref = 2.0 * np.sum(D * W, axis=1) + 2.0 * x * lam * hN
+            del D
+            assert abs(_pair_pass(asm, x, grad=False) - E_ref) <= 1e-11 * E_ref
+            g = _pair_pass(asm, x, grad=True)
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_no_n_by_n_temporaries(self, frac05_1d, p):
+        import tracemalloc
+
+        n = 1024
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       make_young("power", p=p))
+        u = random_function(asm.grid, seed=1)
+        for fn in (E_value, gradient_E):
+            tracemalloc.start()
+            try:
+                fn(asm, u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8, fn.__name__
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_power_luxemburg_closed_form(self, g1d, frac05_1d, p):
+        asm = assemble(g1d, frac05_1d, make_young("power", p=p))
+        for seed in range(5):
+            u = random_function(g1d, seed=seed, amplitude=3.0)
+            norm = luxemburg_norm_of(asm, u)
+            bisected = luxemburg_norm(
+                lambda k: F_value(asm, gf(asm, u.values / k)), rel_tol=1e-15)
+            assert norm == pytest.approx(bisected, rel=1e-13)
+            assert abs(F_value(asm, gf(asm, u.values / norm)) - 1.0) <= 4 * np.finfo(float).eps
 
 
 class TestInequalities:

@@ -209,6 +209,17 @@ class TestRelaxedNewton:
         scale = np.max(np.abs(ref.solution.values))
         assert np.max(np.abs(rep.solution.values - ref.solution.values)) < 1e-6 * scale
 
+    def test_matvec_panels(self):
+        from nlorlicz.linalg import matvec
+
+        rng = np.random.default_rng(1)
+        # whole-row panels, and single rows cut into column chunks
+        for shape in ((1, 1), (50, 1001), (5, 20000)):
+            A = rng.standard_normal(shape)
+            x = rng.standard_normal(shape[1])
+            ref = A @ x
+            assert np.max(np.abs(matvec(A, x) - ref)) <= 1e-13 * np.sum(np.abs(A) @ np.abs(x))
+
     def test_tiled_cholesky_solves(self):
         from nlorlicz.linalg import cholesky_inplace, cholesky_solve
 
@@ -386,6 +397,15 @@ class TestMountainPass:
         assert 0.0 < rep.extras["eta"] <= rep.extras["eta_initial"]
         assert rep.residual_inf <= 1e-6 * (1.0 + np.max(np.abs(
             power_reaction(2.5).f(rep.solution.values))))
+
+    def test_above_subcritical_cap_is_flagged(self, frac05_1d, y_p2):
+        # 1D, alpha = 0.5, p = 2: the subcritical cap on m is 1 * 2 / 0.5 = 4
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d, y_p2)
+        for m, outside in ((5.0, True), (3.0, False)):
+            rep = mountain_pass_search(asm, power_reaction(m), tol=1e-6)
+            assert rep.extras["outside_admissible_range"] is outside
+            assert rep.extras["condition_report"]["rho_clause2_ok"] is (not outside)
+            assert "condition_report" in rep.to_dict()["extras"]
 
     def test_sublinear_reaction_has_no_mountain(self, asm_mp):
         rep = mountain_pass_search(asm_mp, power_reaction(1.5), tol=1e-4,
@@ -585,6 +605,22 @@ class TestOracleIndependence:
         imported += [alias.name for node in ast.walk(tree)
                      if isinstance(node, ast.Import) for alias in node.names]
         assert not [name for name in imported if name and "solvers" in name]
+
+    def test_oracles_take_only_the_assembly_from_energy(self):
+        # the superlinear oracle check must not run the production pair pass
+        import ast
+        import inspect
+
+        import nlorlicz.oracles
+
+        tree = ast.parse(inspect.getsource(nlorlicz.oracles))
+        from_energy = [alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and node.module in ("energy", "nlorlicz.energy")
+                       for alias in node.names]
+        assert from_energy == ["EnergyAssembly"]
+        assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if "energy" in alias.name]
 
 
 class TestReports:
