@@ -166,7 +166,7 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     rounding _ROUNDING = 1e-10 that the Newton loop allows the objective.
     """
     young, W, hN = asm.young, asm.weights, asm.h_pow_dim
-    if young.family == "power" and young.p == 2.0:
+    if young.quadratic:
         r = asm.rowsum * x - matvec(W, x) + x * asm.exterior * hN
         return 2.0 * r if grad else float(np.sum(x * r))
     psi = young.deriv if grad else young.value

@@ -2,19 +2,19 @@
 problems, plus the solution-quality reports (uniqueness certificate,
 nonexistence-exponent ratio, integrability scaling).
 
-The Dirichlet, sublinear and superlinear problems share one step loop,
-_relaxed_newton: relaxed Newton steps on a dense weighted graph Laplacian
-with an Armijo line search.  The superlinear (mountain-pass) solve runs it on
-the peaks of rays, the local minimax method of Li and Zhou.  The eigenvalue
-solver takes Barzilai-Borwein steps on the constraint manifold.  The
-convergence metric is the pointwise operator residual (gradient max-norm
-divided by the cell volume), scaled by the data size.
+All four problems share one step loop, _relaxed_newton: relaxed Newton
+steps on a dense weighted graph Laplacian with an Armijo line search.  For
+quadratic psi that matrix is factored once per solve.  The superlinear
+(mountain-pass) solve runs the loop on the peaks of rays, the local minimax
+method of Li and Zhou, and the eigenvalue solve on the unit-modular set,
+with every trial point renormalized.  The convergence metric is the
+pointwise operator residual (gradient max-norm divided by the cell volume),
+scaled by the data size.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -157,7 +157,14 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     below the rounding of value, a step must lower max|gradient| instead.
     With retract, each trial point x + t d is replaced by retract(x + t d)
     (None rejects it).  The slope stays gradient . d, which is exact when
-    retract maximizes value and its first-order condition holds at x.
+    gradient is the gradient of value after retract (the eigen solve), or
+    when retract maximizes value and its first-order condition holds at x
+    (the mountain pass).
+
+    When psi is quadratic, H is the same at every x and eps, so it is built
+    and factored once and the factor is kept for the rest of this call.
+    Otherwise each step builds and factors a fresh H and frees it before the
+    energy passes of the line search.
 
     Returns (x, steps, converged, info) with the objective history and
     whether the line search failed."""
@@ -165,6 +172,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     J, g = value(x), gradient(x)
     eps = 1.0
     info = {"line_search_failure": False, "objective_history": [J]}
+    factor = None
     it = 0
     while True:
         if stop(x, g):
@@ -172,12 +180,15 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         if it >= max_iter:
             return x, it, False, info
         gmax = float(np.max(np.abs(g)))
-        # differences below one ulp of the iterate are rounding noise
-        eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-        H = _newton_matrix(asm, x, eps)
-        d = cholesky_solve(H, cholesky_inplace(H), -g)
-        # free the n x n buffer before the energy passes of the line search
-        del H
+        if factor is None:
+            # differences below one ulp of the iterate are rounding noise
+            eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
+            H = _newton_matrix(asm, x, eps)
+            factor = H, cholesky_inplace(H)
+            del H
+        d = cholesky_solve(*factor, -g)
+        if not asm.young.quadratic:
+            factor = None  # free the n x n buffer before the line search
         slope = float(g @ d)
         t = 1.0
         for _ in range(60):
@@ -613,18 +624,26 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
 
 def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
                 start: Optional[GridFunction] = None) -> SolveReport:
-    """Minimize the Rayleigh quotient E(v)/F(v) by normalized descent.
+    """Minimize the Rayleigh quotient E(v)/F(v) on the unit-modular set
+    F(v) = 1 by relaxed Newton steps (_relaxed_newton).
 
-    Each step moves against the component of the energy gradient tangent to
-    the unit-modular constraint manifold, then renormalizes to F(v) = 1 by
-    the Luxemburg norm (closed form for pure powers, else bisection on the
-    scale factor).  The reported eigenvalue uses the
-    interaction/derivative pairing (the Lagrange multiplier, equal to the
-    tangent-projection coefficient at convergence), and the converged
-    eigenfunction is reported with nonnegative sign.  Each iterate costs one
-    gradient pass: the interaction pairing is gradient_E(x) . x."""
+    Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
+    (closed form for pure powers, else bisection on the scale factor).  The
+    step gradient is r = gradient_E - lambda * gradient_F with the Lagrange
+    multiplier lambda = gradient_E . v / gradient_F . v: the projection of
+    gradient_E onto the tangent directions along v, which is the exact
+    gradient of E after renormalization.  Converged means
+    max|r| / h^N <= tol * (1 + |lambda| max|psi'(v)|).  With the relaxed
+    Hessian of E as the matrix the steps are preconditioned inverse
+    iteration (Knyazev and Neymeyr, Linear Algebra Appl. 358, 2003; Hein and
+    Buhler, NIPS 2010).  For quadratic psi the unit step is exact inverse
+    iteration, and the one factor serves the whole solve.  ``iterations``
+    counts Newton steps.  ``lambda_weak`` is the multiplier and ``lambda1``
+    = E/F; the eigenfunction is reported with nonnegative sign.  Each step
+    costs one gradient pass, which also yields lambda and the residual."""
     hN = asm.h_pow_dim
     g = asm.grid
+    state = {}
 
     def normalize(x):
         u = GridFunction(g, x)
@@ -633,71 +652,39 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
             raise ValidationError("eigen iteration collapsed to zero")
         return x / k
 
-    def eigen_state(x):
+    def value(x):
+        return E_value(asm, GridFunction(g, x))
+
+    def gradient(x):
         dpsi = asm.young.deriv(x)
         gE = gradient_E(asm, GridFunction(g, x)).values
         lam = float(gE @ x) / (float(dpsi @ x) * hN)
-        gF = dpsi * hN
-        resid = float(np.max(np.abs(gE - lam * gF))) / hN
-        # step direction: remove the component along the constraint normal
-        beta = float(gE @ gF) / float(gF @ gF)
-        return lam, gE - beta * gF, resid, dpsi
+        r = gE - lam * hN * dpsi
+        state.update(x=x, lam=lam, resid=float(np.max(np.abs(r))) / hN,
+                     scale=1.0 + abs(lam) * float(np.max(np.abs(dpsi))))
+        return r
 
-    x = normalize((start or _bump_start(asm)).values)
-    E = E_value(asm, GridFunction(g, x))
-    state = eigen_state(x)
-    lam_hist = []
-    oscillation = False
-    t = None
-    it = 0
-    converged = False
-    line_search_failure = False
-    while it < max_iter:
-        lam, d, resid, dpsi = state
-        scale = 1.0 + abs(lam) * float(np.max(np.abs(dpsi)))
-        lam_hist.append(lam)
-        if len(lam_hist) > 30 and lam_hist[-1] > lam_hist[-31] + 10.0 * tol * scale:
-            oscillation = True
-        if resid <= tol * scale:
-            converged = True
-            break
-        dn2 = float(d @ d)
-        if dn2 == 0.0:
-            converged = resid <= tol * scale
-            break
-        if t is None:
-            t = (1.0 + float(np.linalg.norm(x))) / (1.0 + math.sqrt(dn2))
-        accepted = False
-        trial = t
-        for _ in range(70):
-            x_new = normalize(x - trial * d)
-            E_new = E_value(asm, GridFunction(g, x_new))
-            if E_new <= E - 1e-4 * trial * dn2 or E_new < E:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            line_search_failure = True
-            break
-        s = x_new - x
-        state = eigen_state(x_new)
-        y = state[1] - d
-        sy = float(s @ y)
-        t = float(s @ s) / sy if sy > 1e-300 else trial * 2.0
-        x, E = x_new, E_new
-        it += 1
+    def stop(x, r):
+        # gradient(x) was the last gradient call: the loop calls stop on the
+        # point it has just accepted
+        return state["resid"] <= tol * state["scale"]
 
+    x0 = normalize((start or _bump_start(asm)).values)
+    x, iters, converged, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
+                                                retract=normalize)
+    if state["x"] is not x:
+        gradient(x)  # a failed line search left the state at a rejected trial
+    lam, resid = state["lam"], state["resid"]
     if float(np.sum(x)) < 0.0:
         x = -x
     u = GridFunction(g, x)
-    lam, _, resid, _ = eigen_state(x)
     E = E_value(asm, u)
     F = F_value(asm, u)
     return SolveReport(
         solution=u,
         objective=E / F,
         residual_inf=resid,
-        iterations=it,
+        iterations=iters,
         converged=converged,
         energy_E=E,
         integral_F=F,
@@ -706,8 +693,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
             "lambda1": E / F,
             "lambda_weak": lam,
             "min_value": float(np.min(x)),
-            "oscillation": oscillation,
-            "line_search_failure": line_search_failure,
+            "line_search_failure": info["line_search_failure"],
         },
     )
 

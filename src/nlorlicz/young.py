@@ -48,6 +48,13 @@ class YoungFunction:
     params: dict = field(default_factory=dict)
     deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    @property
+    def quadratic(self) -> bool:
+        """True for |s|^2, the one family member with constant second
+        derivative: the energy is then a quadratic form, and its Newton
+        matrix is the same at every point."""
+        return self.family == "power" and self.p == 2.0
+
     def ratio(self, s):
         """Growth ratio s*deriv(s)/value(s), defined for s != 0."""
         s = np.asarray(s, dtype=float)

@@ -272,6 +272,8 @@ class TestDeterminism:
                      256, id="superlinear_m3"),
         pytest.param({"family": "power", "p": 2.0}, {"type": "eigen"},
                      512, id="eigen_p2"),
+        pytest.param({"family": "power", "p": 1.5}, {"type": "eigen"},
+                     256, id="eigen_p15"),
     ])
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
                                                            problem, n):

@@ -454,6 +454,26 @@ class TestEigen:
         assert rep.extras["lambda1"] >= poincare_constant(asm.kernel, asm.grid)
         assert rep.extras["min_value"] >= -1e-10
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("p", [1.5, 1.7])
+    def test_singular_growth_converges(self, frac05_1d, p, n):
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       make_young("power", p=p))
+        rep = solve_eigen(asm)
+        assert rep.converged
+        assert rep.iterations < 100
+        assert not rep.extras["line_search_failure"]
+        assert rep.extras["min_value"] >= -1e-10
+        assert rep.extras["lambda1"] >= poincare_constant(asm.kernel, asm.grid)
+
+    def test_quadratic_matches_dense_to_rounding(self, asm_quad):
+        # the unit Newton step is exact inverse iteration at p = 2
+        rep = solve_eigen(asm_quad)
+        lam_ref, _ = dense_min_eigenvalue(asm_quad)
+        assert rep.converged
+        assert abs(rep.extras["lambda1"] - lam_ref) <= 1e-12
+        assert abs(rep.extras["lambda_weak"] - lam_ref) <= 1e-12
+
     def test_grid_refinement_stability(self, frac05_1d, y_p2):
         # the discrete eigenvalue moves by well under 5% between n and 2n
         # (it creeps slightly upward as the near-diagonal mass is refined)
@@ -590,6 +610,29 @@ class TestEvaluationCounts:
         rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
         assert rep.converged
         assert calls["gradient_E"] < 1000
+
+    def test_quadratic_matrix_factored_once(self, asm_quad, frac05_1d, monkeypatch):
+        # at p = 2 the Newton matrix does not depend on the iterate: one
+        # build and one factorization per solve, however many steps it takes
+        calls = self._count(monkeypatch, ("_newton_matrix", "cholesky_inplace"))
+        for solve in (lambda: solve_sublinear(asm_quad, power_reaction(1.5)),
+                      lambda: mountain_pass_search(asm_quad, power_reaction(3.0)),
+                      lambda: solve_eigen(asm_quad)):
+            calls.update(dict.fromkeys(calls, 0))
+            rep = solve()
+            assert rep.converged and rep.iterations > 1
+            assert calls == {"_newton_matrix": 1, "cholesky_inplace": 1}
+        # any other psi builds and factors a fresh matrix at every step
+        from nlorlicz.grid import bump
+
+        grid = asm_quad.grid
+        asm = assemble(grid, frac05_1d, make_young("power", p=1.5))
+        for solve in (lambda: solve_dirichlet(asm, bump(grid, grid.center, 0.5, 1.0)),
+                      lambda: solve_eigen(asm)):
+            calls.update(dict.fromkeys(calls, 0))
+            rep = solve()
+            assert rep.converged and rep.iterations > 1
+            assert calls == dict.fromkeys(calls, rep.iterations)
 
 
 class TestOracleIndependence:
