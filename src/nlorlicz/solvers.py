@@ -109,38 +109,31 @@ def power_reaction(m: float) -> ReactionSpec:
 _ROUNDING = 1e-10
 
 
-def _pair_curvature(young: YoungFunction, t: np.ndarray) -> np.ndarray:
-    """Newton-matrix weight at |difference| t > 0: the larger of the second
-    derivative and the Kacanov (secant) weight deriv(t)/t.
-
-    Where deriv is concave (growth below 2) the secant weight is the larger:
-    it contracts a near-zero difference in one step, where the plain Newton
-    weight maps t to -t (p = 1.5) or farther out (p < 1.5).  Where deriv is
-    convex the second derivative is the larger and the step is Newton's.
-    Young functions without a closed-form deriv2 use the secant weight."""
-    secant = young.deriv(t) / t
-    if young.deriv2 is None:
-        return secant
-    return np.maximum(young.deriv2(t), secant)
-
-
 def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     """Weighted graph Laplacian with pair weights w_ij * c(max(|x_i - x_j|, eps))
     plus the diagonal Lambda_i h^N c(max(|x_i|, eps)), where c is
-    _pair_curvature.  Built one row block at a time into a single n x n
-    buffer, so the temporaries stay at block x n."""
+    young.curvature.
+
+    |x_i - x_j| and w_ij are bitwise symmetric, so each row block k:e
+    evaluates c only on columns k:n and copies columns e:n into columns k:e
+    of the rows below: about n(n+1)/2 pairs instead of n^2, with the lower
+    half of each diagonal tile as the only repeats.  Rows k:e are then
+    complete and are summed whole, as a full-square build sums them, so H
+    has the same bits.  Built into a single n x n buffer, so the temporaries
+    stay at block x n."""
     n = x.shape[0]
     H = np.empty((n, n))
     diag = np.empty(n)
     for k in range(0, n, BLOCK):
         e = min(k + BLOCK, n)
-        t = np.abs(x[k:e, None] - x[None, :])
+        t = np.abs(x[k:e, None] - x[None, k:])
         np.maximum(t, eps, out=t)
         rows = H[k:e]
-        np.multiply(_pair_curvature(asm.young, t), asm.weights[k:e], out=rows)
+        np.multiply(asm.young.curvature(t), asm.weights[k:e, k:], out=rows[:, k:])
+        H[e:, k:e] = rows[:, e:].T
         diag[k:e] = rows.sum(axis=1)
         np.negative(rows, out=rows)
-    diag += _pair_curvature(asm.young, np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim
+    diag += asm.young.curvature(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim
     np.fill_diagonal(H, diag)
     return H
 
@@ -151,8 +144,12 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
 
     Each step solves H d = -gradient(x) with H = _newton_matrix, the relaxed
     curvature of E alone, which stays positive definite whatever the data or
-    reaction term adds.  eps starts at 1 and is halved after every step, down
-    to one ulp of max|x| or to where the weights would overflow.  An Armijo
+    reaction term adds.  Its pair weights are young.curvature, the larger of
+    psi'' and the secant weight psi'(t)/t: where psi' is concave (growth
+    below 2) the secant weight contracts a near-zero difference in one step,
+    where the plain Newton weight maps t to -t (p = 1.5) or farther out.
+    eps starts at 1 and is halved after every step, down to one ulp of
+    max|x| or to where the weights would overflow.  An Armijo
     search on value starts at the unit step; once the predicted decrease is
     below the rounding of value, a step must lower max|gradient| instead.
     With retract, each trial point x + t d is replaced by retract(x + t d)
@@ -215,7 +212,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         info["objective_history"].append(J)
         it += 1
         half = 0.5 * eps
-        if np.all(np.isfinite(_pair_curvature(asm.young, np.array([half])))):
+        if np.all(np.isfinite(asm.young.curvature(np.array([half])))):
             eps = half
 
 

@@ -36,12 +36,15 @@ class YoungFunction:
 
     ``value`` evaluates the function itself, ``deriv`` its first derivative
     (odd, nondecreasing), ``deriv2`` the second derivative when the family
-    has one in closed form.  ``q <= p`` are the tightest growth exponents:
-    ``q <= s*deriv(s)/value(s) <= p`` away from zero.
+    has one in closed form.  ``curvature`` is the relaxed-Newton pair weight
+    max(deriv2(t), deriv(t)/t), defined for t > 0 only; families without a
+    closed-form deriv2 use deriv(t)/t.  ``q <= p`` are the tightest growth
+    exponents: ``q <= s*deriv(s)/value(s) <= p`` away from zero.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray], np.ndarray]
     p: float
     q: float
     family: str
@@ -168,6 +171,9 @@ def make_young(family: str, **params) -> YoungFunction:
             value=lambda s, p=p: np.abs(s) ** p,
             deriv=lambda s, p=p: p * np.abs(s) ** (p - 1.0) * np.sign(s),
             deriv2=lambda s, p=p: p * (p - 1.0) * np.abs(s) ** (p - 2.0),
+            # deriv2 is the larger exactly when p >= 2; one pow either way
+            curvature=(lambda t, p=p: p * (p - 1.0) * t ** (p - 2.0)) if p >= 2.0
+            else (lambda t, p=p: p * t ** (p - 1.0) / t),
             p=p,
             q=p,
             family="power",
@@ -189,6 +195,17 @@ def make_young(family: str, **params) -> YoungFunction:
         t0 = _normalize_scale(raw)
         kt = ks * t0 ** ps
         kt = kt / kt.sum()  # exact value(1) = 1
+        c2 = kt * ps * (ps - 1.0)
+
+        def curvature(t, kt=kt, ps=ps, c2=c2):
+            # deriv(t)/t shares deriv2's powers t^(p_i - 2), and is never the
+            # larger when every p_i >= 2
+            tp = t[None] ** (ps - 2.0).reshape((-1,) + (1,) * np.ndim(t))
+            d2 = np.einsum("i,i...->...", c2, tp)
+            if ps.min() >= 2.0:
+                return d2
+            return np.maximum(d2, np.einsum("i,i...->...", kt * ps, tp))
+
         fn = YoungFunction(
             value=lambda s, kt=kt, ps=ps: np.einsum(
                 "i,i...->...", kt, np.abs(s)[None] ** ps.reshape((-1,) + (1,) * np.ndim(s))
@@ -199,11 +216,12 @@ def make_young(family: str, **params) -> YoungFunction:
                 kt * ps,
                 np.abs(s)[None] ** (ps - 1.0).reshape((-1,) + (1,) * np.ndim(s)),
             ),
-            deriv2=lambda s, kt=kt, ps=ps: np.einsum(
+            deriv2=lambda s, ps=ps, c2=c2: np.einsum(
                 "i,i...->...",
-                kt * ps * (ps - 1.0),
+                c2,
                 np.abs(s)[None] ** (ps - 2.0).reshape((-1,) + (1,) * np.ndim(s)),
             ),
+            curvature=curvature,
             p=float(ps.max()),
             q=float(ps.min()),
             family="power_sum",
@@ -227,21 +245,22 @@ def make_young(family: str, **params) -> YoungFunction:
 
         t0 = _normalize_scale(lambda t: float(raw(t)))
 
+        # at a = 0 the formulas below meet 0^(r-1) = inf (r < 1) and 0 * inf;
+        # those entries are replaced by the limit 0
         def value(s, t0=t0, c=c, p=p, r=r):
             a = t0 * np.abs(np.asarray(s, dtype=float))
-            out = np.zeros_like(a)
-            nz = a > 0.0
-            out[nz] = c * a[nz] ** p * np.log1p(a[nz]) ** r
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = c * a ** p * np.log1p(a) ** r
+            out = np.where(a > 0.0, out, 0.0)
             return out if out.ndim else float(out)
 
         def deriv(s, t0=t0, c=c, p=p, r=r):
             s = np.asarray(s, dtype=float)
             a = t0 * np.abs(s)
-            out = np.zeros_like(a)
-            nz = a > 0.0
-            an, L = a[nz], np.log1p(a[nz])
-            out[nz] = t0 * c * an ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * an / (1.0 + an))
-            out = out * np.sign(s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                L = np.log1p(a)
+                out = t0 * c * a ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * a / (1.0 + a))
+            out = np.where(a > 0.0, out, 0.0) * np.sign(s)
             return out if out.ndim else float(out)
 
         def deriv2(s, t0=t0, c=c, p=p, r=r):
@@ -263,10 +282,25 @@ def make_young(family: str, **params) -> YoungFunction:
             )
             return out if out.ndim else float(out)
 
+        def curvature(t, t0=t0, c=c, p=p, r=r):
+            # deriv2's expression, and deriv(t)/t from the same two powers:
+            # deriv(t)/t = t0^2 c a^(p-2) (p L + r g) L^(r-2) L
+            a = t0 * t
+            L = np.log1p(a)
+            a1 = 1.0 + a
+            g = a / a1
+            A = t0 ** 2 * c * a ** (p - 2.0)
+            Lr = L ** (r - 2.0)
+            pL, rg = p * L, r * g
+            pLrg = pL + rg
+            d2 = A * Lr * ((p - 1.0) * L * pLrg + rg * (pL + (r - 1.0) * g) + r * L * g / a1)
+            return np.maximum(d2, A * pLrg * (Lr * L))
+
         fn = YoungFunction(
             value=value,
             deriv=deriv,
             deriv2=deriv2,
+            curvature=curvature,
             # ratio(s) = p + r * h(s) with h decreasing from 1 to 0, so the
             # tightest constants are the two limits
             p=max(p, p + r),
@@ -290,10 +324,17 @@ def make_young(family: str, **params) -> YoungFunction:
             raise ValidationError(
                 f"violates q > 1: sampled lower growth ratio is {r.min():.6g}"
             )
+        if deriv2 is None:
+            def curvature(t):
+                return deriv(t) / t
+        else:
+            def curvature(t):
+                return np.maximum(deriv2(t), deriv(t) / t)
         fn = YoungFunction(
             value=value,
             deriv=deriv,
             deriv2=deriv2,
+            curvature=curvature,
             p=p_est,
             q=q_est,
             family="custom",
@@ -466,21 +507,38 @@ def _deriv_inverse(fn: YoungFunction, t, iters=80):
 def complementary(fn: YoungFunction) -> ComplementaryFunction:
     """Conjugate Young function, argument-rescaled so that phi(1) = 1.
 
-    The raw conjugate is evaluated through the Legendre identity
-    phi_raw(b) = a*b - value(a) at a = deriv^{-1}(|b|), with the inverse
-    derivative obtained by monotone bisection (80 iterations).
+    For a pure power |s|^p the conjugate is closed-form:
+    phi_raw(b) = (p-1) (|b|/p)^(p/(p-1)), deriv^{-1}(t) = (|t|/p)^(1/(p-1)),
+    and the rescale is p (p-1)^(-(p-1)/p).  Otherwise the raw conjugate is
+    evaluated through the Legendre identity phi_raw(b) = a*b - value(a) at
+    a = deriv^{-1}(|b|), with the inverse derivative obtained by monotone
+    bisection (80 iterations), and the rescale by root finding.
     """
+    if fn.family == "power":
+        p = fn.p
 
-    def phi_raw(b):
-        b = np.asarray(b, dtype=float)
-        scalar = b.ndim == 0
-        ab = np.atleast_1d(np.abs(b)).astype(float)
-        a = _deriv_inverse(fn, ab)
-        out = a * ab - fn.value(a)
-        out = np.maximum(out, 0.0)
-        return float(out[0]) if scalar else out.reshape(np.shape(b))
+        def phi_raw(b):
+            out = (p - 1.0) * (np.abs(np.asarray(b, dtype=float)) / p) ** (p / (p - 1.0))
+            return out if out.ndim else float(out)
 
-    b0 = _normalize_scale(lambda t: float(phi_raw(t)))
+        def deriv_inverse(t):
+            return (np.abs(np.asarray(t, dtype=float)) / p) ** (1.0 / (p - 1.0))
+
+        b0 = p * (p - 1.0) ** (-(p - 1.0) / p)
+    else:
+        def phi_raw(b):
+            b = np.asarray(b, dtype=float)
+            scalar = b.ndim == 0
+            ab = np.atleast_1d(np.abs(b)).astype(float)
+            a = _deriv_inverse(fn, ab)
+            out = a * ab - fn.value(a)
+            out = np.maximum(out, 0.0)
+            return float(out[0]) if scalar else out.reshape(np.shape(b))
+
+        def deriv_inverse(t):
+            return _deriv_inverse(fn, t)
+
+        b0 = _normalize_scale(lambda t: float(phi_raw(t)))
 
     def phi(b):
         return phi_raw(np.asarray(b, dtype=float) * b0)
@@ -491,7 +549,7 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
         p_conj=fn.p / (fn.p - 1.0),
         q_conj=fn.q / (fn.q - 1.0),
         arg_scale=b0,
-        deriv_inverse=lambda t: _deriv_inverse(fn, t),
+        deriv_inverse=deriv_inverse,
     )
 
 

@@ -274,6 +274,10 @@ class TestDeterminism:
                      512, id="eigen_p2"),
         pytest.param({"family": "power", "p": 1.5}, {"type": "eigen"},
                      256, id="eigen_p15"),
+        pytest.param({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                     {"type": "dirichlet",
+                      "data": {"kind": "bump", "radius": 0.5, "height": 1.0}},
+                     256, id="dirichlet_log"),
     ])
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
                                                            problem, n):

@@ -234,6 +234,98 @@ class TestRelaxedNewton:
             assert np.max(np.abs(A @ x - b)) < 1e-10
 
 
+def _power_25(deriv2):
+    extra = {"deriv2": lambda s: 3.75 * np.abs(s) ** 0.5} if deriv2 else {}
+    return make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                      deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s), **extra)
+
+
+class TestNewtonMatrix:
+    """The relaxed-Newton matrix: young.curvature, evaluated on one triangle
+    of the pairs and mirrored."""
+
+    @pytest.mark.parametrize("young", [
+        *(pytest.param(make_young("power", p=p), id=f"power-{p}")
+          for p in (1.05, 1.5, 2.0, 3.0)),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]),
+                     id="power_sum-2+4"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 1.5), (0.5, 3.0)]),
+                     id="power_sum-1.5+3"),
+        *(pytest.param(make_young("log_perturbed", p=p, r=r), id=f"log_perturbed-{p}-{r}")
+          for p, r in ((2.0, 1.0), (1.5, 1.0), (3.0, -0.5))),
+        pytest.param(_power_25(deriv2=False), id="custom"),
+        pytest.param(_power_25(deriv2=True), id="custom-deriv2"),
+    ])
+    def test_curvature_is_max_of_deriv2_and_secant(self, young):
+        t = np.logspace(-12.0, 6.0, 1001)
+        ref = young.deriv(t) / t
+        if young.deriv2 is not None:
+            ref = np.maximum(young.deriv2(t), ref)
+        assert np.all(np.abs(young.curvature(t) - ref) <= 4 * np.spacing(ref))
+
+    def test_curvature_on_one_triangle(self, frac05_1d):
+        from dataclasses import replace
+
+        from nlorlicz.linalg import BLOCK
+        from nlorlicz.solvers import _newton_matrix
+
+        n = 200
+        young = make_young("power", p=1.5)
+        sizes = []
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return young.curvature(t)
+
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       replace(young, curvature=counted))
+        _newton_matrix(asm, random_function(asm.grid, seed=3).values, 1e-3)
+        # the upper triangle, the lower halves of the diagonal tiles and the
+        # n exterior terms; a full-square build passes n^2 + n
+        tiles = [min(BLOCK, n - k) for k in range(0, n, BLOCK)]
+        assert sum(sizes) <= n * (n + 1) // 2 + sum(b * (b - 1) // 2 for b in tiles) + n
+
+    @pytest.mark.parametrize("family, params", [
+        pytest.param("power", {"p": 1.5}, id="power-1.5"),
+        pytest.param("log_perturbed", {"p": 2.0, "r": 1.0}, id="log_perturbed-2-1"),
+    ])
+    def test_bits_of_the_full_square_build(self, frac05_1d, family, params):
+        from nlorlicz.solvers import _newton_matrix
+
+        n, eps = 200, 1e-3
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       make_young(family, **params))
+        young = asm.young
+        x = random_function(asm.grid, seed=4).values
+        x[::7] = x[0]  # equal pairs, which sit on the eps floor
+
+        def c(t):
+            return np.maximum(young.deriv2(t), young.deriv(t) / t)
+
+        Wc = c(np.maximum(np.abs(x[:, None] - x[None, :]), eps)) * asm.weights
+        ref = -Wc
+        np.fill_diagonal(ref, Wc.sum(axis=1)
+                         + c(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim)
+        assert _newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
+
+    def test_no_temporaries_beyond_the_matrix(self, frac05_1d):
+        import tracemalloc
+
+        from nlorlicz.solvers import _newton_matrix
+
+        n = 1024
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       make_young("log_perturbed", p=2.0, r=1.0))
+        x = random_function(asm.grid, seed=1).values
+        tracemalloc.start()
+        try:
+            _newton_matrix(asm, x, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8  # H itself, plus 8 MB
+
+
 class TestDirichletRounding:
     """Convergence must not hinge on the last bits of the data: the step test
     stays decidable once the decrease of E falls below its rounding."""

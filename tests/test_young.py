@@ -69,6 +69,21 @@ class TestConstruction:
         assert r.min() > fn.q
         assert r.max() < fn.p
 
+    @pytest.mark.parametrize("r", [-0.5, 1.0])
+    def test_log_perturbed_zero_without_warning(self, r):
+        # at r < 1 the closed forms meet 0^(r-1) = inf at the origin
+        import warnings
+
+        fn = make_young("log_perturbed", p=2.0, r=r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn.value(np.array(0.0)) == 0.0
+            assert fn.deriv(np.array(0.0)) == 0.0
+            s = np.array([-1.0, -0.0, 0.0, 0.5])
+            v, d = fn.value(s), fn.deriv(s)
+        assert np.array_equal(v[1:3], [0.0, 0.0]) and np.array_equal(d[1:3], [0.0, 0.0])
+        assert np.all(v[[0, 3]] > 0.0) and d[0] < 0.0 < d[3]
+
     def test_rejections_name_the_condition(self):
         with pytest.raises(ValidationError, match="q > 1"):
             make_young("power", p=1.0)
@@ -181,6 +196,39 @@ class TestComplementary:
         assert conj.q_conj == pytest.approx(pc)
         b = np.linspace(0.2, 4.0, 9)
         assert np.allclose(conj.phi(b), b ** pc, rtol=1e-9)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    def test_power_closed_form_matches_bisection(self, p):
+        from nlorlicz.young import _deriv_inverse, _normalize_scale
+
+        fn = make_young("power", p=p)
+        conj = complementary(fn)
+        b = np.logspace(-3.0, 3.0, 200)
+
+        def legendre(b):
+            a = _deriv_inverse(fn, b)
+            return a * b - fn.value(a)
+
+        ref = legendre(b)
+        assert np.all(np.abs(conj.phi_raw(b) - ref) <= 1e-13 * ref)
+        b0 = _normalize_scale(lambda t: float(legendre(np.array([t]))[0]))
+        assert conj.arg_scale == pytest.approx(b0, rel=1e-13)
+        assert conj.phi(1.0) == pytest.approx(1.0, rel=1e-14)
+        a = conj.deriv_inverse(b)
+        assert np.allclose(fn.deriv(a), b, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_power_conjugate_needs_no_root_finding(self, p, monkeypatch):
+        import nlorlicz.young
+
+        fn = make_young("power", p=p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(nlorlicz.young, "brentq", refuse)
+        conj = complementary(fn)
+        assert conj.phi_raw(np.array(2.0)) > 0.0
 
     def test_young_inequality_with_equality_witness(self):
         fn = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
