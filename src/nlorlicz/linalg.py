@@ -1,5 +1,4 @@
-"""Tiled dense Cholesky factorization and matrix-vector product with
-thread-count-independent bits.
+"""Tiled dense Cholesky factorization with thread-count-independent bits.
 
 LAPACK's ``potrf`` splits its work by the number of BLAS threads, so its
 factor (and every solve built on it) changes in the last bits when the
@@ -10,12 +9,6 @@ and the same matrix gives the same factor at every thread count.  Small
 calls also spare the cost of waking BLAS threads, which on a busy 2-core
 host made a 512 x 512 factorization with whole-panel products take 60 ms
 at 2 threads against 7 ms at 1.
-
-The same holds for GEMV: a threaded product splits the output rows between
-threads, and a row's bits depend on where the split falls (the kernels
-treat rows in groups, with a separate path for the remainder).  A
-whole-matrix ``W @ x`` gave different bits at 1 and 2 threads for n = 1001,
-2050 and 3001 (OpenBLAS 0.3.31).  matvec keeps every GEMV below the cutoff.
 """
 
 from __future__ import annotations
@@ -24,10 +17,6 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 BLOCK = 48
-
-# OpenBLAS runs a GEMV on one thread when m * n < 2304 * GEMM_MULTITHREAD_THRESHOLD,
-# which is 9216 at the default threshold of 4
-_GEMV_ENTRIES = 9215
 
 
 def _tiles(n: int) -> list[tuple[int, int]]:
@@ -75,15 +64,3 @@ def cholesky_solve(L: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> 
         x[k:e] = inverses[a].T @ x[k:e]
     return x
 
-
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x from GEMVs on panels of at most 9215 entries: whole rows while
-    n <= 9215, else single rows cut into column chunks summed in order."""
-    m, n = A.shape
-    rows = max(1, _GEMV_ENTRIES // n)
-    cols = _GEMV_ENTRIES // rows
-    y = np.zeros(m)
-    for j in range(0, n, cols):
-        for k in range(0, m, rows):
-            y[k:k + rows] += A[k:k + rows, j:j + cols] @ x[j:j + cols]
-    return y

@@ -506,15 +506,12 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-def _ray_peak(gradient, y: np.ndarray) -> Optional[float]:
-    """The scale t > 0 where the objective peaks on the ray through y: the
-    root of t -> gradient(t y) . y where it changes sign from + to -,
-    bracketed by doubling or halving from t = 1 and refined by brentq.
-    None when 60 doublings or halvings find no sign change."""
-
-    @functools.lru_cache(maxsize=None)
-    def slope(t):
-        return float(gradient(t * y) @ y)
+def _ray_peak(slope) -> Optional[float]:
+    """The scale t > 0 where the objective peaks on a ray: the root of its
+    slope t -> d/dt J(t y) where it changes sign from + to -, bracketed by
+    doubling or halving from t = 1 and refined by brentq.  None when 60
+    doublings or halvings find no sign change."""
+    slope = functools.lru_cache(maxsize=None)(slope)
 
     lo = hi = 1.0
     rising = slope(1.0) > 0.0
@@ -542,8 +539,10 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     The iterate lives on the peaks of rays (_ray_peak).  Each step is a
     relaxed Newton step (_relaxed_newton) whose trial points are moved back
     to the peak of their ray, so the line search lowers the peak level.
-    There is no mountain-pass geometry when the endpoint's ray has no peak,
-    peaks beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
+    For the power family E is p-homogeneous, so a ray's slope costs one
+    gradient pass however many scales the peak search tries.  There is no
+    mountain-pass geometry when the endpoint's ray has no peak, peaks
+    beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
     final peak level and ``eta_initial`` the level of the endpoint ray's
     peak; ``iterations`` counts Newton steps.  Converged means
     max|Lu - f(u)| <= tol * (1 + max|f(u)|).  The extras carry the reaction's
@@ -559,6 +558,16 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     admissibility = {"condition_report": report_cond,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop = _reaction_objective(asm, reaction, tol)
+    hN = asm.h_pow_dim
+
+    def ray_slope(y):
+        # E is p-homogeneous for the power family, so gradient_E(t y) . y =
+        # t^(p-1) gradient_E(y) . y and only the reaction term depends on t
+        if asm.young.family == "power":
+            p = asm.young.p
+            gy = float(gradient_E(asm, GridFunction(g, y)).values @ y)
+            return lambda t: t ** (p - 1.0) * gy - float(reaction.f(t * y) @ y) * hN
+        return lambda t: float(gradient(t * y) @ y)
 
     if endpoint is None:
         base = bump(g, g.center, 0.6 * g.inradius, 1.0).values
@@ -572,7 +581,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     if value(endpoint.values) >= 0.0:
         raise ValidationError("endpoint must have negative level")
 
-    t0 = _ray_peak(gradient, endpoint.values)
+    t0 = _ray_peak(ray_slope(endpoint.values))
     x0 = None if t0 is None or t0 >= 1.0 else t0 * endpoint.values
     eta_initial = 0.0 if x0 is None else value(x0)
     if eta_initial <= 1e-12:
@@ -588,7 +597,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
         )
 
     def peak(y):
-        t = _ray_peak(gradient, y)
+        t = _ray_peak(ray_slope(y))
         return None if t is None else t * y
 
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,

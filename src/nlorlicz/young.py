@@ -481,9 +481,15 @@ def sv_delta(fn: YoungFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _deriv_inverse(fn: YoungFunction, t, iters=80):
-    """Inverse of the (strictly increasing) derivative, by vectorized bisection."""
+def _deriv_inverse(fn: YoungFunction, t, iters=64):
+    """Inverse of the (strictly increasing) derivative, by vectorized bisection.
+
+    Each root is bracketed in [a/2, a] by doubling or halving a from 1, then
+    bisected at geometric midpoints, so the result carries relative (not
+    absolute) accuracy however small it is; 0 where t <= 0.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    pos = t > 0.0
     hi = np.ones_like(t)
     for _ in range(600):
         need = fn.deriv(hi) < t
@@ -495,13 +501,19 @@ def _deriv_inverse(fn: YoungFunction, t, iters=80):
                 "derivative appears bounded; cannot invert (excluded for the "
                 "admissible Young class, which has unbounded odd derivative)"
             )
-    lo = np.zeros_like(t)
+    lo = 0.5 * hi
+    for _ in range(1100):
+        need = pos & (fn.deriv(lo) >= t)
+        if not need.any():
+            break
+        lo[need] *= 0.5
+    hi = np.minimum(hi, 2.0 * lo)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+        mid = np.sqrt(lo) * np.sqrt(hi)
         below = fn.deriv(mid) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.where(pos, np.sqrt(lo) * np.sqrt(hi), 0.0)
 
 
 def complementary(fn: YoungFunction) -> ComplementaryFunction:
@@ -512,7 +524,8 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
     and the rescale is p (p-1)^(-(p-1)/p).  Otherwise the raw conjugate is
     evaluated through the Legendre identity phi_raw(b) = a*b - value(a) at
     a = deriv^{-1}(|b|), with the inverse derivative obtained by monotone
-    bisection (80 iterations), and the rescale by root finding.
+    bisection on geometric midpoints (_deriv_inverse), and the rescale by
+    root finding.
     """
     if fn.family == "power":
         p = fn.p

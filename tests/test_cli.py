@@ -242,16 +242,20 @@ class TestDeterminism:
             digests.append((out / "battery.csv").read_bytes())
         assert digests[0] == digests[1]
 
-    def test_matvec_bits_identical_across_blas_threads(self):
-        # a whole-matrix W @ x differs in its last bits between 1 and 2
-        # OpenBLAS threads at n = 1001; the panelled product must not
+    def test_convolution_bits_identical_across_blas_threads(self):
+        # the p = 2 pair pass computes W @ x by FFT; its bits must not
+        # depend on the BLAS thread count
         script = (
             "import hashlib, numpy as np\n"
-            "from nlorlicz.linalg import matvec\n"
-            "rng = np.random.default_rng(0)\n"
-            "for shape in ((1001, 1001), (3, 20000)):\n"
-            "    A = rng.random(shape); x = rng.standard_normal(shape[1])\n"
-            "    print(hashlib.sha256(matvec(A, x).tobytes()).hexdigest())\n"
+            "from nlorlicz import assemble, make_grid, make_kernel, make_young\n"
+            "from nlorlicz.energy import _stencil_product\n"
+            "for shape, n, bounds in (('interval', 1001, (-1.0, 1.0)),\n"
+            "                         ('ball', 24, (0.0, 0.0, 1.0))):\n"
+            "    grid = make_grid(shape, n, bounds)\n"
+            "    asm = assemble(grid, make_kernel('fractional', dim=grid.dim, alpha=0.5),\n"
+            "                   make_young('power', p=2.0))\n"
+            "    x = np.random.default_rng(0).standard_normal(grid.n_nodes)\n"
+            "    print(hashlib.sha256(_stencil_product(asm, x).tobytes()).hexdigest())\n"
         )
         digests = []
         for threads in ("1", "3"):
@@ -282,8 +286,7 @@ class TestDeterminism:
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
                                                            problem, n):
         # the Newton solves factor a dense matrix; LAPACK's Cholesky changes
-        # its last bits with the BLAS thread count at this size, and so does
-        # a whole-matrix GEMV, which the p = 2 energy pass would otherwise use
+        # its last bits with the BLAS thread count at this size
         outputs = []
         for threads in ("1", "3"):
             out = tmp_path / f"out_{threads}"

@@ -16,7 +16,8 @@ from nlorlicz import (
     make_kernel,
     make_young,
 )
-from nlorlicz.energy import F_of_gradient, _pair_pass, central_gradient_norm
+from nlorlicz.energy import (F_of_gradient, _pair_pass, _stencil_product,
+                             central_gradient_norm)
 from nlorlicz.grid import bump, random_function
 from nlorlicz.kernels import poincare_constant, tail_integral
 from nlorlicz.young import gamma_bounds, gamma_plus_deriv, luxemburg_norm, sv_delta
@@ -218,15 +219,17 @@ class TestGradient:
 
 
 class TestPairPass:
-    @pytest.mark.parametrize("shape", ["interval", "box"])
+    @pytest.mark.parametrize("shape", ["interval", "box", "ball"])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_laplacian_form_matches_double_sum(self, shape, alpha):
         # the p = 2 pass takes the graph-Laplacian form; the elementwise
         # double sum of the differences is the reference
         if shape == "interval":
             grid = make_grid("interval", 2048, (-1.0, 1.0))
-        else:
+        elif shape == "box":
             grid = make_grid("box", 40, (-1.0, 1.0, -1.0, 1.0))
+        else:
+            grid = make_grid("ball", 24, (0.0, 0.0, 1.0))
         asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=alpha),
                        make_young("power", p=2.0))
         hN, W, lam = asm.h_pow_dim, asm.weights, asm.exterior
@@ -240,6 +243,39 @@ class TestPairPass:
             assert abs(_pair_pass(asm, x, grad=False) - E_ref) <= 1e-11 * E_ref
             g = _pair_pass(asm, x, grad=True)
             assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(("interval", 127, (-1.0, 1.0)), id="interval-127"),
+        pytest.param(("interval", 128, (-1.0, 1.0)), id="interval-128"),
+        pytest.param(("interval", 1001, (-1.0, 1.0)), id="interval-1001"),
+        pytest.param(("box", 24, (-1.0, 1.0, -1.0, 1.0)), id="box-24"),
+        pytest.param(("box", 40, (-1.0, 1.0, -1.0, 1.0)), id="box-40"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), id="ball-24"),
+    ])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_convolution_matches_dense_product(self, grid, alpha):
+        # W @ x by FFT of the offset stencil; the ball leaves holes in its
+        # bounding lattice
+        grid = make_grid(*grid)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=alpha),
+                       make_young("power", p=2.0))
+        W = asm.weights
+        for seed in (0, 1):
+            x = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+            err = np.abs(_stencil_product(asm, x) - (W * x).sum(axis=1))
+            assert np.all(err <= 1e-13 * (np.abs(W) @ np.abs(x)))
+
+    def test_stencil_built_only_by_the_quadratic_pass(self, frac05_1d):
+        grid = make_grid("interval", 64, (-1.0, 1.0))
+        asm = assemble(grid, frac05_1d, make_young("power", p=1.5))
+        u = random_function(grid, seed=2)
+        E_value(asm, u)
+        gradient_E(asm, u)
+        assert "stencil" not in vars(asm)
+        quad = assemble(grid, frac05_1d, make_young("power", p=2.0))
+        assert "stencil" not in vars(quad)
+        E_value(quad, u)
+        assert "stencil" in vars(quad)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_no_n_by_n_temporaries(self, frac05_1d, p):

@@ -184,7 +184,7 @@ class TestRelaxedNewton:
             x0 = f.values
         if objective == "peak":
             def retract(y):
-                t = _ray_peak(gradient, y)
+                t = _ray_peak(lambda t: float(gradient(t * y) @ y))
                 return None if t is None else t * y
 
             x0 = retract(x0)
@@ -208,17 +208,6 @@ class TestRelaxedNewton:
         assert rep.iterations > ref.iterations
         scale = np.max(np.abs(ref.solution.values))
         assert np.max(np.abs(rep.solution.values - ref.solution.values)) < 1e-6 * scale
-
-    def test_matvec_panels(self):
-        from nlorlicz.linalg import matvec
-
-        rng = np.random.default_rng(1)
-        # whole-row panels, and single rows cut into column chunks
-        for shape in ((1, 1), (50, 1001), (5, 20000)):
-            A = rng.standard_normal(shape)
-            x = rng.standard_normal(shape[1])
-            ref = A @ x
-            assert np.max(np.abs(matvec(A, x) - ref)) <= 1e-13 * np.sum(np.abs(A) @ np.abs(x))
 
     def test_tiled_cholesky_solves(self):
         from nlorlicz.linalg import cholesky_inplace, cholesky_solve
@@ -701,7 +690,7 @@ class TestEvaluationCounts:
         calls = self._count(monkeypatch, ("gradient_E",))
         rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
         assert rep.converged
-        assert calls["gradient_E"] < 1000
+        assert calls["gradient_E"] < 200
 
     def test_quadratic_matrix_factored_once(self, asm_quad, frac05_1d, monkeypatch):
         # at p = 2 the Newton matrix does not depend on the iterate: one

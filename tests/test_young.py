@@ -217,6 +217,18 @@ class TestComplementary:
         a = conj.deriv_inverse(b)
         assert np.allclose(fn.deriv(a), b, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("fn", [
+        pytest.param(make_young("power_sum", terms=[(0.5, 1.2), (0.5, 2.0)]), id="sum-1.2-2"),
+        pytest.param(make_young("log_perturbed", p=1.1, r=0.5), id="log-1.1-0.5"),
+    ])
+    def test_deriv_inverse_relative_accuracy(self, fn):
+        # small inverses keep their relative accuracy: bisection on an
+        # absolute interval left the power sum 9.4x off at t = 1e-6
+        from nlorlicz.young import _deriv_inverse
+
+        t = np.logspace(-12.0, 6.0, 1001)
+        assert np.max(np.abs(fn.deriv(_deriv_inverse(fn, t)) / t - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_power_conjugate_needs_no_root_finding(self, p, monkeypatch):
         import nlorlicz.young
