@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import assemble
+from .energy import PAIR_BUDGET, assemble
 from .errors import NlorliczError, ValidationError
 from .grid import GridFunction, bump, make_grid, random_function, to_csv
 from .harness import CorpusSpec, battery_csv, config_digest, run_battery
@@ -130,7 +130,7 @@ def _build(cfg: dict):
     yng = make_young(yfam, **yspec)
     bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
     g = make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
-    budget = int(cfg.get("solver", {}).get("pair_budget", 10**8))
+    budget = int(cfg.get("solver", {}).get("pair_budget", PAIR_BUDGET))
     return assemble(g, kern, yng, pair_budget=budget)
 
 
@@ -328,7 +328,7 @@ def cmd_oracle(config_path: str) -> int:
     total, reference = node_mass_consistency(asm, asm.grid.n_nodes // 2)
     doc["node_mass_total"] = total
     doc["node_mass_reference"] = reference
-    if asm.young.family == "power" and abs(asm.young.p - 2.0) < 1e-12:
+    if asm.young.quadratic:
         lam, vec = dense_min_eigenvalue(asm)
         doc["lambda1_dense"] = lam
         _write(out / "oracle_eigenfunction.csv", to_csv(vec))

@@ -3,11 +3,14 @@
 The assembly precomputes pair weights w_ij = (cell average of the kernel
 over the offset cell) * h^(2N) for near pairs (offset below 3h, 5-point
 Gauss tensor quadrature) and midpoint weights J(x_j - x_i) * h^(2N) for far
-pairs.  Weights are looked up from a canonical offset table, so w_ij = w_ji
-holds exactly.  The exterior weights Lambda(domain; x_i), which carry the
-zero condition on the complement, come from the ray formula (the integral
-over directions of the kernel mass beyond the boundary) in one vectorized
-pass over all nodes; see kernels.lambda_exterior.
+pairs.  A pair weight depends only on the |lattice offset| along each
+axis, so the assembly computes each sorted offset's weight once into one
+array of shape (m,) * N indexed by those |offsets|
+(EnergyAssembly.offset_weights).  W and the FFT stencil are gathers from
+it, so w_ij = w_ji holds exactly.  The exterior weights Lambda(domain; x_i),
+which carry the zero condition on the complement, come from the ray formula
+(the integral over directions of the kernel mass beyond the boundary) in
+one vectorized pass over all nodes; see kernels.lambda_exterior.
 
 E_value and gradient_E are thin calls to one pair pass, _pair_pass.  It walks
 row blocks of linalg.BLOCK rows, so its temporaries are BLOCK x n and never
@@ -25,6 +28,7 @@ the gradient, which is exact because young.deriv is odd.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +52,9 @@ class EnergyAssembly:
     grid: DomainGrid
     kernel: Kernel
     young: YoungFunction
-    weights: np.ndarray   # (n, n) symmetric, zero diagonal
-    exterior: np.ndarray  # (n,) Lambda at each node
-    table: np.ndarray     # pair weight by offset: table[lo * span + hi], where
-    span: int             # lo <= hi are the |offsets| per axis (lo = 0 in 1D)
+    weights: np.ndarray         # (n, n) symmetric, zero diagonal
+    exterior: np.ndarray        # (n,) Lambda at each node
+    offset_weights: np.ndarray  # (m,) * N: pair weight at |offset| (|d_1|, ..., |d_N|)
 
     @property
     def h_pow_dim(self) -> float:
@@ -71,44 +74,29 @@ class EnergyAssembly:
 
         Each axis is padded from m lattice cells to at least 2m - 1, so the
         circular convolution never wraps an offset onto another.  The
-        stencil is read from the offset table in O(padded lattice size);
-        the stencil is even, so its transform is real.
+        stencil folds the padded lattice onto offset_weights: a padded cell
+        takes the weight of its per-axis |offset|, or 0 where that offset
+        reaches past the nodes' extent on some axis.  The stencil is even,
+        so its transform is real.
         """
         lat = _lattice_coords(self.grid)
         ext = lat.max(axis=0) + 1
         shape = tuple(fft.next_fast_len(2 * int(m) - 1, real=True) for m in ext)
-        # |offset| of each padded cell along each axis; the cells that no
-        # pair of nodes reaches keep weight 0
         offs = [np.minimum(np.arange(L), L - np.arange(L)) for L in shape]
-        if self.grid.dim == 1:
-            reached = offs[0] < ext[0]
-            code = offs[0]
-        else:
-            reached = np.logical_and.outer(offs[0] < ext[0], offs[1] < ext[1])
-            code = (np.minimum.outer(offs[0], offs[1]) * self.span
-                    + np.maximum.outer(offs[0], offs[1]))
-        stencil = np.zeros(shape)
-        stencil[reached] = self.table[code[reached]]
+        # offsets that no pair of nodes reaches read the appended zero
+        weights = np.pad(self.offset_weights, (0, 1))
+        stencil = weights[np.ix_(*[np.where(o < m, o, -1) for o, m in zip(offs, ext)])]
         return np.ravel_multi_index(tuple(lat.T), shape), shape, fft.rfftn(stencil).real
 
 
 def _lattice_coords(grid: DomainGrid) -> np.ndarray:
-    """Integer lattice indices of the nodes (cell-centered)."""
-    if grid.dim == 1:
-        a, _ = grid.bounds
-        origin = np.array([a])
-    elif grid.shape == "box":
-        a1, _, a2, _ = grid.bounds
-        origin = np.array([a1, a2])
-    else:
-        cx, cy, R = grid.bounds
-        origin = np.array([cx - R, cy - R])
-    lat = np.rint((grid.nodes - origin) / grid.spacing - 0.5).astype(np.int64)
-    return lat
+    """Integer lattice indices of the nodes, counted from 0 on each axis."""
+    lower = grid.nodes.min(axis=0)
+    return np.rint((grid.nodes - lower) / grid.spacing).astype(np.int64)
 
 
 def _offset_weight(kern: Kernel, offset: np.ndarray, h: float) -> float:
-    """Pair weight for one lattice offset (canonical, nonzero)."""
+    """Pair weight for one nonzero lattice |offset|, given sorted."""
     delta = offset * h
     dist = float(np.linalg.norm(delta))
     hN = h ** len(offset)
@@ -142,35 +130,20 @@ def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
             f"assembly needs {n_pairs:.3g} pairs, budget is {pair_budget:.3g}; "
             "lower the resolution or raise the budget explicitly"
         )
-    h = grid.spacing
-    lat = _lattice_coords(grid)
-
-    if grid.dim == 1:
-        d = np.abs(lat[:, 0][:, None] - lat[:, 0][None, :])
-        maxd = int(d.max())
-        span = maxd + 1
-        table = np.zeros(span)
-        for k in range(1, span):
-            table[k] = _offset_weight(kern, np.array([k]), h)
-        W = table[d]
-    else:
-        d1 = np.abs(lat[:, 0][:, None] - lat[:, 0][None, :])
-        d2 = np.abs(lat[:, 1][:, None] - lat[:, 1][None, :])
-        lo = np.minimum(d1, d2)
-        hi = np.maximum(d1, d2)
-        span = int(hi.max()) + 1
-        code = lo.astype(np.int64) * span + hi.astype(np.int64)
-        table = np.full(span * span, -1.0)
-        for a in range(span):
-            for b in range(a, span):
-                if a == 0 and b == 0:
-                    table[0] = 0.0
-                    continue
-                table[a * span + b] = _offset_weight(kern, np.array([a, b]), h)
-        W = table[code]
-    np.fill_diagonal(W, 0.0)
+    lat = _lattice_coords(grid).T
+    m, dim = int(lat.max()) + 1, grid.dim
+    # weights of the sorted offsets, then each |offset| vector reads the
+    # weight of its sorted permutation
+    sorted_weights = np.zeros((m,) * dim)
+    for offset in itertools.combinations_with_replacement(range(m), dim):
+        if any(offset):
+            sorted_weights[offset] = _offset_weight(kern, np.array(offset), grid.spacing)
+    offset_weights = sorted_weights[tuple(np.sort(np.indices((m,) * dim), axis=0))]
+    W = np.empty((n, n))
+    for k in range(0, n, BLOCK):
+        W[k:k + BLOCK] = offset_weights[tuple(np.abs(lat[:, k:k + BLOCK, None] - lat[:, None]))]
     return EnergyAssembly(grid=grid, kernel=kern, young=young, weights=W,
-                          exterior=exterior_weights(kern, grid), table=table, span=span)
+                          exterior=exterior_weights(kern, grid), offset_weights=offset_weights)
 
 
 def _check(asm: EnergyAssembly, u: GridFunction):
@@ -299,18 +272,12 @@ def luxemburg_norm_of(asm: EnergyAssembly, u: GridFunction,
 @functools.lru_cache(maxsize=32)
 def _neighbor_indices(grid: DomainGrid):
     """Per-axis neighbor index arrays; -1 where the neighbor is exterior."""
-    lat = _lattice_coords(grid)
-    index = {tuple(c): i for i, c in enumerate(lat)}
-    n = grid.n_nodes
-    plus = np.full((n, grid.dim), -1, dtype=np.int64)
-    minus = np.full((n, grid.dim), -1, dtype=np.int64)
-    for i, c in enumerate(lat):
-        for ax in range(grid.dim):
-            cp = list(c)
-            cp[ax] += 1
-            plus[i, ax] = index.get(tuple(cp), -1)
-            cp[ax] -= 2
-            minus[i, ax] = index.get(tuple(cp), -1)
+    lat = _lattice_coords(grid) + 1
+    index = np.full(tuple(lat.max(axis=0) + 2), -1, dtype=np.int64)
+    index[tuple(lat.T)] = np.arange(grid.n_nodes)
+    steps = np.eye(grid.dim, dtype=np.int64)
+    plus = np.stack([index[tuple((lat + e).T)] for e in steps], axis=1)
+    minus = np.stack([index[tuple((lat - e).T)] for e in steps], axis=1)
     return plus, minus
 
 

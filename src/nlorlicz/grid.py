@@ -97,6 +97,13 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
+def _cell_centres(lower: tuple, h: float, n_per_axis: int) -> np.ndarray:
+    """Centres of the n_per_axis^N cells of side h above the lower corner,
+    row-major over axis indices."""
+    cells = np.indices((n_per_axis,) * len(lower)).reshape(len(lower), -1)
+    return np.ascontiguousarray((np.array(lower)[:, None] + h * (cells + 0.5)).T)
+
+
 def make_grid(shape: str, n_per_axis: int, bounds: Optional[tuple] = None) -> DomainGrid:
     """Build a cell-centered grid.
 
@@ -107,58 +114,37 @@ def make_grid(shape: str, n_per_axis: int, bounds: Optional[tuple] = None) -> Do
     if n_per_axis < 4:
         raise ValidationError("need at least 4 nodes per axis")
     if shape == "interval":
-        a, b = bounds if bounds is not None else (-1.0, 1.0)
+        bounds = a, b = bounds if bounds is not None else (-1.0, 1.0)
         if not b > a:
             raise ValidationError("degenerate interval")
-        h = (b - a) / n_per_axis
-        xs = a + h * (np.arange(n_per_axis) + 0.5)
-        return DomainGrid(
-            dim=1,
-            shape=shape,
-            bounds=(float(a), float(b)),
-            n_per_axis=n_per_axis,
-            spacing=h,
-            nodes=xs.reshape(-1, 1),
-        )
-    if shape == "box":
-        a1, b1, a2, b2 = bounds if bounds is not None else (0.0, 1.0, 0.0, 1.0)
+        h, lower = (b - a) / n_per_axis, (a,)
+    elif shape == "box":
+        bounds = a1, b1, a2, b2 = bounds if bounds is not None else (0.0, 1.0, 0.0, 1.0)
         if not (b1 > a1 and b2 > a2):
             raise ValidationError("degenerate box")
         if abs((b1 - a1) - (b2 - a2)) > 1e-12 * (b1 - a1):
-            # one spacing h for both axes keeps the pair-weight table exact
+            # one spacing h for both axes keeps the pair weights a function
+            # of the lattice offset
             raise ValidationError("box must be square (uniform spacing on both axes)")
-        h = (b1 - a1) / n_per_axis
-        x1 = a1 + h * (np.arange(n_per_axis) + 0.5)
-        x2 = a2 + h * (np.arange(n_per_axis) + 0.5)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        nodes = np.column_stack([X1.ravel(), X2.ravel()])
-        return DomainGrid(
-            dim=2,
-            shape=shape,
-            bounds=(float(a1), float(b1), float(a2), float(b2)),
-            n_per_axis=n_per_axis,
-            spacing=h,
-            nodes=nodes,
-        )
-    if shape == "ball":
-        cx, cy, radius = bounds if bounds is not None else (0.0, 0.0, 1.0)
+        h, lower = (b1 - a1) / n_per_axis, (a1, a2)
+    elif shape == "ball":
+        bounds = cx, cy, radius = bounds if bounds is not None else (0.0, 0.0, 1.0)
         if radius <= 0.0:
             raise ValidationError("degenerate ball")
-        h = 2.0 * radius / n_per_axis
-        x1 = cx - radius + h * (np.arange(n_per_axis) + 0.5)
-        x2 = cy - radius + h * (np.arange(n_per_axis) + 0.5)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        nodes = np.column_stack([X1.ravel(), X2.ravel()])
-        inside = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) < radius
-        return DomainGrid(
-            dim=2,
-            shape=shape,
-            bounds=(float(cx), float(cy), float(radius)),
-            n_per_axis=n_per_axis,
-            spacing=h,
-            nodes=nodes[inside],
-        )
-    raise ValidationError(f"unknown grid shape {shape!r}")
+        h, lower = 2.0 * radius / n_per_axis, (cx - radius, cy - radius)
+    else:
+        raise ValidationError(f"unknown grid shape {shape!r}")
+    nodes = _cell_centres(lower, h, n_per_axis)
+    if shape == "ball":
+        nodes = nodes[np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) < radius]
+    return DomainGrid(
+        dim=len(lower),
+        shape=shape,
+        bounds=tuple(float(v) for v in bounds),
+        n_per_axis=n_per_axis,
+        spacing=h,
+        nodes=nodes,
+    )
 
 
 def decreasing_rearrangement(u: GridFunction) -> GridFunction:

@@ -51,6 +51,7 @@ def cholesky_inplace(A: np.ndarray) -> list[np.ndarray]:
 
 def cholesky_solve(L: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b with the factor from cholesky_inplace."""
+    # Not one whole-factor trsv: it sums in another order, so every solve's bits would move.
     tiles = _tiles(b.shape[0])
     x = np.array(b, dtype=float)
     for a, (k, e) in enumerate(tiles):

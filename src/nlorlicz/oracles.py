@@ -22,7 +22,7 @@ from .kernels import SPHERE_MEASURE, Kernel
 
 
 def _require_quadratic(asm: EnergyAssembly):
-    if not (asm.young.family == "power" and abs(asm.young.p - 2.0) < 1e-12):
+    if not asm.young.quadratic:
         raise ValidationError("dense oracle is defined for the quadratic case only")
 
 

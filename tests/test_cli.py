@@ -72,6 +72,17 @@ class TestRun:
             orc["lambda1_dense"], rel=1e-6)
         assert (out / "solution.csv").read_text().startswith("x,y,value")
 
+    def test_oracle_note_outside_the_quadratic_case(self, tmp_path):
+        # the oracle command takes "quadratic" from the Young function, as
+        # the solvers do: p = 2 + 1e-13 gets the note and no dense results
+        path, _ = write_config(tmp_path, young={"family": "power", "p": 2.0 + 1e-13})
+        assert main(["oracle", str(path)]) == 0
+        out = tmp_path / "out"
+        orc = json.loads((out / "oracle.json").read_text())
+        assert orc["note"] == "dense oracles are available for the quadratic case only"
+        assert "lambda1_dense" not in orc
+        assert not (out / "oracle_eigenfunction.csv").exists()
+
     def test_battery_run_and_schema(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "battery", "trials": 20})
         assert main(["run", str(path)]) == 0

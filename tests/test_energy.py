@@ -100,6 +100,66 @@ class TestAssembly:
         assert poincare_lower_bound_ok(asm_quad)
 
 
+class TestOffsetWeights:
+    GRIDS = [("interval", 9, (-1.0, 1.0)), ("interval", 16, (0.0, 3.0)),
+             ("box", 6, (-1.0, 1.0, -1.0, 1.0)), ("box", 7, (0.0, 1.0, 0.0, 1.0)),
+             ("ball", 8, (0.0, 0.0, 1.0)), ("ball", 9, (0.3, -0.2, 0.7))]
+
+    @staticmethod
+    def _lattice(grid):
+        # offsets from the first node, in cells
+        return np.rint((grid.nodes - grid.nodes[0]) / grid.spacing).astype(np.int64)
+
+    @pytest.mark.parametrize("spec", GRIDS, ids=lambda s: f"{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("family,kw", [("fractional", {"alpha": 0.5}),
+                                           ("log", {"beta": 1.0})])
+    def test_every_weight_is_the_sorted_offset_weight(self, spec, family, kw):
+        from nlorlicz.energy import _offset_weight
+
+        grid = make_grid(*spec)
+        kern = make_kernel(family, dim=grid.dim, **kw)
+        W = assemble(grid, kern, make_young("power", p=2.0)).weights
+        lat = self._lattice(grid)
+        for i in range(grid.n_nodes):
+            for j in range(grid.n_nodes):
+                d = np.sort(np.abs(lat[i] - lat[j]))
+                ref = _offset_weight(kern, d, grid.spacing) if d.any() else 0.0
+                assert W[i, j] == ref, (i, j)
+
+    @pytest.mark.parametrize("spec", [("ball", 24, (0.0, 0.0, 1.0)),
+                                      ("box", 7, (0.0, 1.0, 0.0, 1.0)),
+                                      ("interval", 10, (-1.0, 1.0))],
+                             ids=["ball-24", "box-7", "interval-10"])
+    def test_neighbor_indices_match_a_dict_lookup(self, spec):
+        from nlorlicz.energy import _neighbor_indices
+
+        grid = make_grid(*spec)
+        lat = self._lattice(grid)
+        index = {tuple(c): i for i, c in enumerate(lat)}
+        plus, minus = _neighbor_indices(grid)
+        for i, c in enumerate(lat):
+            for ax in range(grid.dim):
+                step = np.eye(grid.dim, dtype=np.int64)[ax]
+                assert plus[i, ax] == index.get(tuple(c + step), -1)
+                assert minus[i, ax] == index.get(tuple(c - step), -1)
+        assert (plus == -1).sum() == (minus == -1).sum() > 0
+
+    def test_assembly_allocates_no_n_by_n_index_arrays(self):
+        import tracemalloc
+
+        grid = make_grid("box", 40, (-1.0, 1.0, -1.0, 1.0))
+        kern = make_kernel("fractional", dim=2, alpha=0.5)
+        n = grid.n_nodes
+        tracemalloc.start()
+        try:
+            asm = assemble(grid, kern, make_young("power", p=2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert asm.weights.shape == (n, n)
+        assert peak < 2 * n * n * 8
+
+
 class TestFunctionals:
     def test_f_trivials(self, asm_quad):
         zero = gf(asm_quad, np.zeros(asm_quad.grid.n_nodes))

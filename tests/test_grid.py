@@ -29,6 +29,14 @@ class TestMakeGrid:
         assert np.allclose(g.nodes[0], [0.125, 0.125])
         assert np.allclose(g.nodes[1], [0.125, 0.375])
 
+    def test_ball_is_the_box_lattice_inside_the_ball(self):
+        for n in (8, 17, 24):
+            ball = make_grid("ball", n, (0.0, 0.0, 1.0))
+            box = make_grid("box", n, (-1.0, 1.0, -1.0, 1.0))
+            assert ball.spacing == box.spacing
+            inside = np.hypot(box.nodes[:, 0], box.nodes[:, 1]) < 1.0
+            assert np.array_equal(ball.nodes, box.nodes[inside])
+
     def test_ball_count_tracks_area(self):
         g = make_grid("ball", 8, (0.0, 0.0, 1.0))
         assert g.n_nodes == 52  # centers inside the disk; ~pi/4 * 64

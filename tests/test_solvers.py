@@ -747,6 +747,20 @@ class TestOracleIndependence:
                     for alias in node.names if "energy" in alias.name]
 
 
+    def test_oracles_share_the_production_quadratic_test(self, frac05_1d):
+        # p = 2 + 1e-13 is not quadratic for the solvers, so the dense
+        # oracles must refuse it as well
+        from nlorlicz import ValidationError
+
+        young = make_young("power", p=2.0 + 1e-13)
+        assert not young.quadratic
+        asm = assemble(make_grid("interval", 16, (-1.0, 1.0)), frac05_1d, young)
+        with pytest.raises(ValidationError, match="quadratic case only"):
+            dense_min_eigenvalue(asm)
+        with pytest.raises(ValidationError, match="quadratic case only"):
+            dense_dirichlet_solve(asm, random_function(asm.grid, seed=1))
+
+
 class TestReports:
     def test_solve_report_serializes(self, asm16):
         rep = solve_dirichlet(asm16, random_function(asm16.grid, seed=5))
