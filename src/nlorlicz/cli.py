@@ -244,9 +244,11 @@ def _sweep_point(args):
         raise ValidationError(f"unknown sweep parameter {parameter!r}")
     point_cfg["problem"] = problem
     asm = _build(point_cfg)
+    # config_digest covers the kernel, Young function, grid and seed; the
+    # point's problem and the solver section decide the rest of its row
     digest = hashlib.sha256(
-        json.dumps([parameter, value, config_digest(asm, int(cfg.get("seed", 0)))],
-                   sort_keys=True).encode()
+        json.dumps([parameter, value, config_digest(asm, int(cfg.get("seed", 0))),
+                    problem, cfg.get("solver", {})], sort_keys=True).encode()
     ).hexdigest()[:12]
     point_path = Path(out_dir) / f"point_{digest}.json"
     if point_path.exists():

@@ -148,10 +148,15 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     psi'' and the secant weight psi'(t)/t: where psi' is concave (growth
     below 2) the secant weight contracts a near-zero difference in one step,
     where the plain Newton weight maps t to -t (p = 1.5) or farther out.
-    eps starts at 1 and is halved after every step, down to one ulp of
-    max|x| or to where the weights would overflow.  An Armijo
-    search on value starts at the unit step; once the predicted decrease is
-    below the rounding of value, a step must lower max|gradient| instead.
+    eps starts at 1 and follows the iterate: after a step accepted at unit
+    length it becomes min(eps/2, max|x|), since no pair difference exceeds
+    2 max|x| and a wider relaxation only moves H off the curvature at x
+    (above quadratic growth it stiffens H and shortens the steps); after a
+    backtracked step it is halved.  It stays above one ulp of max|x|
+    and above where the weights would overflow.  An Armijo search on value
+    starts at the unit step; once the predicted decrease is below the
+    rounding of value, a step must lower the Euclidean norm of gradient
+    instead, which no single node's rounding can hold at a short step.
     With retract, each trial point x + t d is replaced by retract(x + t d)
     (None rejects it).  The slope stays gradient . d, which is exact when
     gradient is the gradient of value after retract (the eigen solve), or
@@ -176,7 +181,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
             return x, it, True, info
         if it >= max_iter:
             return x, it, False, info
-        gmax = float(np.max(np.abs(g)))
+        g_sq = float(np.sum(g * g))
         if factor is None:
             # differences below one ulp of the iterate are rounding noise
             eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
@@ -199,9 +204,9 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                     break
             else:
                 # the Armijo margin is lost in the rounding of the energy:
-                # judge the step by the gradient instead
+                # judge the step by the gradient's Euclidean norm instead
                 g_new = gradient(x_new)
-                if float(np.max(np.abs(g_new))) < gmax:
+                if float(np.sum(g_new * g_new)) < g_sq:
                     J_new = value(x_new)
                     break
             t *= 0.5
@@ -211,9 +216,10 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         x, J, g = x_new, J_new, g_new
         info["objective_history"].append(J)
         it += 1
-        half = 0.5 * eps
-        if np.all(np.isfinite(asm.young.curvature(np.array([half])))):
-            eps = half
+        size = float(np.max(np.abs(x)))
+        nxt = min(0.5 * eps, size) if t == 1.0 and size > 0.0 else 0.5 * eps
+        if np.all(np.isfinite(asm.young.curvature(np.array([nxt])))):
+            eps = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +240,9 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
     (Numer. Math. 145, 2020), with the dense tiled Cholesky of
     nlorlicz.linalg, whose bits do not depend on the BLAS thread count.
+    After every full step the relaxation eps of the pair differences is
+    capped at max|u|, so the steps do not wait for eps to reach the
+    solution's scale.
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim

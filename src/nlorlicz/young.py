@@ -141,6 +141,8 @@ def _validate(fn: YoungFunction, tol=1e-9):
         raise ValidationError("violates normalization value(1) = 1")
     if np.any(np.abs(fn.value(-s) - v) > tol * (1.0 + v)):
         raise ValidationError("violates symmetry value(-s) = value(s)")
+    if np.any(np.abs(fn.deriv(-s) + d) > tol * (1.0 + np.abs(d))):
+        raise ValidationError("violates symmetry deriv(-s) = -deriv(s)")
     if np.any(np.diff(d) < -tol * (1.0 + d[1:])):
         raise ValidationError("violates convexity: derivative not nondecreasing")
     r = s * d / v

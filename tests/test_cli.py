@@ -200,6 +200,26 @@ class TestSweep:
         lam = [float(l.split(",")[8]) for l in lines[1:]]
         assert lam[0] > 0.0 and lam[1] > 0.0
 
+    def test_resume_keys_on_inner_problem_and_solver(self, tmp_path):
+        # points of another inner problem or other solver settings in the
+        # same output_dir must not be loaded as finished
+        sweep = {"type": "sweep", "parameter": "kernel_alpha", "values": [0.4, 0.6]}
+        out = tmp_path / "out"
+        path, _ = write_config(tmp_path, "dirichlet.json",
+                               problem=dict(sweep, inner={"type": "dirichlet"}))
+        assert main(["sweep", str(path)]) == 0
+        path, _ = write_config(tmp_path, "eigen.json",
+                               problem=dict(sweep, inner={"type": "eigen"}))
+        assert main(["sweep", str(path)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        lam = [float(l.split(",")[8]) for l in lines[1:]]
+        assert lam[0] > 0.0 and lam[1] > 0.0
+        assert len(list(out.glob("point_*.json"))) == 4
+        path, _ = write_config(tmp_path, "eigen_tol.json", solver={"tol": 1e-6},
+                               problem=dict(sweep, inner={"type": "eigen"}))
+        assert main(["sweep", str(path)]) == 0
+        assert len(list(out.glob("point_*.json"))) == 6
+
     def test_empty_values_rejected(self, tmp_path):
         path, _ = write_config(
             tmp_path,

@@ -304,6 +304,40 @@ class TestPairPass:
             g = _pair_pass(asm, x, grad=True)
             assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
 
+    @pytest.mark.parametrize("shape", [
+        pytest.param(("interval", 300, (-1.0, 1.0)), id="interval-300"),
+        pytest.param(("box", 20, (-1.0, 1.0, -1.0, 1.0)), id="box-20"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), id="ball-24"),
+    ])
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=1.5), id="power-1.5"),
+        pytest.param(make_young("power", p=3.0), id="power-3"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]),
+                     id="power_sum-2+4"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log_perturbed-2-1"),
+        pytest.param(make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                                deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s)),
+                     id="custom-2.5"),
+    ])
+    def test_one_triangle_matches_full_square(self, shape, young):
+        # the pass evaluates psi on the pairs of one triangle; the reference
+        # is the elementwise double sum over the whole square
+        grid = make_grid(*shape)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5), young)
+        hN, W, lam = asm.h_pow_dim, asm.weights, asm.exterior
+        for u in (bump(grid, grid.center, 0.5 * grid.inradius, 1.0),
+                  random_function(grid, seed=4)):
+            x = u.values
+            D = x[:, None] - x[None, :]
+            E_ref = 0.5 * np.sum(young.value(D) * W) + np.sum(young.value(x) * lam) * hN
+            terms = young.deriv(D) * W
+            g_ref = terms.sum(axis=1) + young.deriv(x) * lam * hN
+            g_abs = np.abs(terms).sum(axis=1) + np.abs(young.deriv(x)) * lam * hN
+            del D, terms
+            assert abs(_pair_pass(asm, x, grad=False) - E_ref) <= 1e-13 * E_ref
+            g = _pair_pass(asm, x, grad=True)
+            assert np.all(np.abs(g - g_ref) <= 1e-13 * g_abs)
+
     @pytest.mark.parametrize("grid", [
         pytest.param(("interval", 127, (-1.0, 1.0)), id="interval-127"),
         pytest.param(("interval", 128, (-1.0, 1.0)), id="interval-128"),

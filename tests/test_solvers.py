@@ -341,6 +341,72 @@ class TestDirichletRounding:
                 assert rep.converged, (draw, level, rep.residual_inf)
 
 
+class TestStepCounts:
+    """Newton steps per solve on the bump problem of TestRelaxedNewton
+    (fractional kernel, alpha = 0.5)."""
+
+    @staticmethod
+    def _asm(young, n):
+        return assemble(make_grid("interval", n, (-1.0, 1.0)),
+                        make_kernel("fractional", dim=1, alpha=0.5), young)
+
+    @staticmethod
+    def _bump(asm):
+        from nlorlicz.grid import bump
+
+        g = asm.grid
+        return bump(g, g.center, 0.5 * g.inradius, 1.0)
+
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log_perturbed-2-1"),
+        pytest.param(make_young("power", p=3.0), id="power-3"),
+    ])
+    def test_superquadratic_within_seven_steps(self, young):
+        # eps drops to the solution's scale after the first full steps
+        # instead of halving from 1 (11 steps)
+        asm = self._asm(young, 256)
+        rep = solve_dirichlet(asm, self._bump(asm))
+        assert rep.converged
+        assert rep.iterations <= 7
+
+    @pytest.mark.parametrize("problem, p, n, steps", [
+        ("dirichlet", 1.5, 64, 57),
+        ("dirichlet", 1.7, 256, 38),
+        ("eigen", 4.0, 64, 179),
+        ("mountain_pass", 1.5, 64, 135),
+    ])
+    def test_counts_do_not_rise(self, problem, p, n, steps):
+        asm = self._asm(make_young("power", p=p), n)
+        if problem == "dirichlet":
+            rep = solve_dirichlet(asm, self._bump(asm))
+        elif problem == "eigen":
+            rep = solve_eigen(asm)
+        else:
+            rep = mountain_pass_search(asm, power_reaction(2.5), tol=1e-6)
+        assert rep.converged
+        assert rep.iterations <= steps
+
+    def test_p11_count_does_not_hinge_on_the_last_bit(self):
+        # p = 1.1 ends in the gradient-judged line search, where a single
+        # node's rounding must not hold the steps short
+        asm = self._asm(make_young("power", p=1.1), 64)
+        f = self._bump(asm).values
+        for k in range(3):
+            rep = solve_dirichlet(asm, GridFunction(asm.grid, f * (1.0 + k * 2.0 ** -52)))
+            assert rep.converged
+            assert rep.iterations <= 238, k
+
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=1.5), id="power-1.5"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log_perturbed-2-1"),
+    ])
+    def test_zero_data_returns_at_once(self, young):
+        asm = self._asm(young, 64)
+        rep = solve_dirichlet(asm, GridFunction(asm.grid, np.zeros(asm.grid.n_nodes)))
+        assert rep.converged and rep.iterations == 0
+        assert not np.any(rep.solution.values)
+
+
 class TestUniquenessGap:
     def test_identical_solutions(self, asm16):
         u = random_function(asm16.grid, seed=1)

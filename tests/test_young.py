@@ -105,6 +105,16 @@ class TestConstruction:
         assert fn.q <= 2.5 <= fn.p
         assert fn.p <= 2.5 * 1.02
 
+    def test_custom_rejects_a_derivative_that_is_not_odd(self):
+        # |s|^1.5 without the sign is even: the pair passes and the
+        # interaction form need psi' odd
+        with pytest.raises(ValidationError, match=r"deriv\(-s\) = -deriv\(s\)"):
+            make_young(
+                "custom",
+                value=lambda s: np.abs(s) ** 2.5,
+                deriv=lambda s: 2.5 * np.abs(s) ** 1.5,
+            )
+
     def test_custom_rejects_sublinear_growth(self):
         with pytest.raises(ValidationError, match="q > 1"):
             make_young(
