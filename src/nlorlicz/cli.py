@@ -28,7 +28,7 @@ from . import __version__
 from .energy import PAIR_BUDGET, assemble
 from .errors import NlorliczError, ValidationError
 from .grid import GridFunction, bump, make_grid, random_function, to_csv
-from .harness import CorpusSpec, battery_csv, config_digest, run_battery
+from .harness import CorpusSpec, battery_csv, config_digest, parts_digest, run_battery
 from .kernels import make_kernel, poincare_constant
 from .oracles import (
     dense_dirichlet_solve,
@@ -118,7 +118,8 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _build(cfg: dict):
+def _parts(cfg: dict):
+    """The kernel, Young function and grid of a config, not yet assembled."""
     kspec = dict(cfg["kernel"])
     yspec = dict(cfg["young"])
     gspec = dict(cfg["grid"])
@@ -129,7 +130,11 @@ def _build(cfg: dict):
         yspec["terms"] = [tuple(t) for t in yspec["terms"]]
     yng = make_young(yfam, **yspec)
     bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
-    g = make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
+    return kern, yng, make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
+
+
+def _build(cfg: dict):
+    kern, yng, g = _parts(cfg)
     budget = int(cfg.get("solver", {}).get("pair_budget", PAIR_BUDGET))
     return assemble(g, kern, yng, pair_budget=budget)
 
@@ -243,11 +248,11 @@ def _sweep_point(args):
     else:
         raise ValidationError(f"unknown sweep parameter {parameter!r}")
     point_cfg["problem"] = problem
-    asm = _build(point_cfg)
-    # config_digest covers the kernel, Young function, grid and seed; the
-    # point's problem and the solver section decide the rest of its row
+    # the config digest covers the kernel, Young function, grid and seed; the
+    # point's problem and the solver section decide the rest of its row.  A
+    # finished point is found without assembling W and Lambda.
     digest = hashlib.sha256(
-        json.dumps([parameter, value, config_digest(asm, int(cfg.get("seed", 0))),
+        json.dumps([parameter, value, parts_digest(*_parts(point_cfg), int(cfg.get("seed", 0))),
                     problem, cfg.get("solver", {})], sort_keys=True).encode()
     ).hexdigest()[:12]
     point_path = Path(out_dir) / f"point_{digest}.json"
@@ -256,6 +261,7 @@ def _sweep_point(args):
         row["recomputed"] = False
         return index, row
 
+    asm = _build(point_cfg)
     row = {"spec_version": SPEC_VERSION, "parameter": parameter, "value": value,
            "index": index, "digest": digest, "recomputed": True}
     try:

@@ -108,12 +108,16 @@ class PropertyResult:
 
 
 def config_digest(asm: EnergyAssembly, seed: int) -> str:
+    return parts_digest(asm.kernel, asm.young, asm.grid, seed)
+
+
+def parts_digest(kernel, young, grid, seed: int) -> str:
+    """config_digest of an assembly of these parts, without assembling."""
     blob = json.dumps(
         {
-            "kernel": [asm.kernel.family, asm.kernel.dim,
-                       sorted(asm.kernel.params.items())],
-            "young": [asm.young.family, sorted(map(repr, asm.young.params.items()))],
-            "grid": [asm.grid.shape, asm.grid.bounds, asm.grid.n_per_axis],
+            "kernel": [kernel.family, kernel.dim, sorted(kernel.params.items())],
+            "young": [young.family, sorted(map(repr, young.params.items()))],
+            "grid": [grid.shape, grid.bounds, grid.n_per_axis],
             "seed": seed,
         },
         sort_keys=True,

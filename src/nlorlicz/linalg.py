@@ -1,44 +1,43 @@
-"""Tiled dense Cholesky factorization with thread-count-independent bits.
+"""Dense Cholesky factorization and solve with thread-count-independent bits.
 
 LAPACK's ``potrf`` splits its work by the number of BLAS threads, so its
 factor (and every solve built on it) changes in the last bits when the
 thread count changes.  Here the matrix is cut into BLOCK x BLOCK tiles and
-every BLAS call works on single tiles: a 48^3 product is below OpenBLAS's
-threading cutoff (m*n*k < 262144 for GEMM), so each call runs on one thread
-and the same matrix gives the same factor at every thread count.  Small
-calls also spare the cost of waking BLAS threads, which on a busy 2-core
-host made a 512 x 512 factorization with whole-panel products take 60 ms
-at 2 threads against 7 ms at 1.
+every BLAS call of the factorization works on single tiles: a 48^3 product
+is below OpenBLAS's threading cutoff (m*n*k < 262144 for GEMM), so each
+call runs on one thread and the same matrix gives the same factor at every
+thread count.  Small calls also spare the cost of waking BLAS threads, which
+on a busy 2-core host made a 512 x 512 factorization with whole-panel
+products take 60 ms at 2 threads against 7 ms at 1.
+
+The solve is two BLAS ``dtrsv`` sweeps over the whole factor.  OpenBLAS
+does not thread ``trsv``, so its bits do not depend on the thread count
+either.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrtri
 
 BLOCK = 48
 
 
-def _tiles(n: int) -> list[tuple[int, int]]:
-    return [(k, min(k + BLOCK, n)) for k in range(0, n, BLOCK)]
-
-
-def cholesky_inplace(A: np.ndarray) -> list[np.ndarray]:
-    """Overwrite the lower triangle of the symmetric positive definite matrix
-    A with its Cholesky factor L (A = L L^T); the strict upper triangle is
-    left as scratch.  Returns the inverses of L's diagonal tiles, which
-    cholesky_solve needs.
+def cholesky_inplace(A: np.ndarray) -> None:
+    """Overwrite the lower triangle of the symmetric positive definite
+    C-ordered matrix A with its Cholesky factor L (A = L L^T); the strict
+    upper triangle is left as scratch.
 
     Raises numpy.linalg.LinAlgError when A is not numerically positive
     definite.
     """
-    tiles = _tiles(A.shape[0])
-    inverses = []
+    n = A.shape[0]
+    tiles = [(k, min(k + BLOCK, n)) for k in range(0, n, BLOCK)]
     for a, (k, e) in enumerate(tiles):
         L11 = np.linalg.cholesky(A[k:e, k:e])
         A[k:e, k:e] = L11
         inv = dtrtri(L11, lower=1)[0]
-        inverses.append(inv)
         below = tiles[a + 1:]
         for i, ie in below:
             A[i:ie, k:e] = A[i:ie, k:e] @ inv.T
@@ -46,22 +45,12 @@ def cholesky_inplace(A: np.ndarray) -> list[np.ndarray]:
             panel = A[i:ie, k:e]
             for j, je in below[:b + 1]:
                 A[i:ie, j:je] -= panel @ A[j:je, k:e].T
-    return inverses
 
 
-def cholesky_solve(L: np.ndarray, inverses: list[np.ndarray], b: np.ndarray) -> np.ndarray:
+def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b with the factor from cholesky_inplace."""
-    # Not one whole-factor trsv: it sums in another order, so every solve's bits would move.
-    tiles = _tiles(b.shape[0])
-    x = np.array(b, dtype=float)
-    for a, (k, e) in enumerate(tiles):
-        for j, je in tiles[:a]:
-            x[k:e] -= L[k:e, j:je] @ x[j:je]
-        x[k:e] = inverses[a] @ x[k:e]
-    for a in reversed(range(len(tiles))):
-        k, e = tiles[a]
-        for i, ie in tiles[a + 1:]:
-            x[k:e] -= L[i:ie, k:e].T @ x[i:ie]
-        x[k:e] = inverses[a].T @ x[k:e]
-    return x
-
+    # L.T is an F-ordered view whose upper triangle is L^T; passing L itself
+    # would make the BLAS wrapper copy the whole C-ordered factor
+    U = L.T
+    y = dtrsv(U, b, lower=0, trans=1)
+    return dtrsv(U, y, lower=0, overwrite_x=1)

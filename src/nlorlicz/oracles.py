@@ -43,11 +43,8 @@ def dense_dirichlet_solve(asm: EnergyAssembly, f: GridFunction) -> GridFunction:
 def dense_min_eigenvalue(asm: EnergyAssembly):
     """Smallest eigenvalue/vector of the symmetric quadratic-case operator,
     normalized so the eigenvector has unit modular."""
-    _require_quadratic(asm)
-    W = asm.weights
-    D = np.diag(W.sum(axis=1))
-    M = (D - W) / asm.h_pow_dim + np.diag(asm.exterior)
-    vals, vecs = np.linalg.eigh(M)
+    # halving the exact doubling of operator_matrix gives eigh the same bits
+    vals, vecs = np.linalg.eigh(operator_matrix(asm) / 2.0)
     v = vecs[:, 0]
     v = v * np.sign(v.sum() or 1.0)
     v = v / np.sqrt(np.sum(v * v) * asm.h_pow_dim)

@@ -174,7 +174,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     J, g = value(x), gradient(x)
     eps = 1.0
     info = {"line_search_failure": False, "objective_history": [J]}
-    factor = None
+    L = None
     it = 0
     while True:
         if stop(x, g):
@@ -182,15 +182,14 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         if it >= max_iter:
             return x, it, False, info
         g_sq = float(np.sum(g * g))
-        if factor is None:
+        if L is None:
             # differences below one ulp of the iterate are rounding noise
             eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-            H = _newton_matrix(asm, x, eps)
-            factor = H, cholesky_inplace(H)
-            del H
-        d = cholesky_solve(*factor, -g)
+            L = _newton_matrix(asm, x, eps)
+            cholesky_inplace(L)
+        d = cholesky_solve(L, -g)
         if not asm.young.quadratic:
-            factor = None  # free the n x n buffer before the line search
+            L = None  # free the n x n buffer before the line search
         slope = float(g @ d)
         t = 1.0
         for _ in range(60):
@@ -238,8 +237,10 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
 
     The method is a relaxed Newton iteration (_relaxed_newton), after the
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
-    (Numer. Math. 145, 2020), with the dense tiled Cholesky of
-    nlorlicz.linalg, whose bits do not depend on the BLAS thread count.
+    (Numer. Math. 145, 2020).  The dense Newton matrix is factored by the
+    tiled Cholesky of nlorlicz.linalg, and each step solves by two
+    whole-factor triangular sweeps; the bits of neither depend on the BLAS
+    thread count.
     After every full step the relaxation eps of the pair differences is
     capped at max|u|, so the steps do not wait for eps to reach the
     solution's scale.

@@ -402,10 +402,7 @@ def gamma_bounds(fn: YoungFunction, s: float) -> tuple[float, float]:
     """
     if s <= 0.0:
         raise ValidationError("characteristic bounds need s > 0")
-    if fn.family == "power":
-        v = s ** fn.p
-        return v, v
-    if fn.family == "power_sum":
+    if fn.family in ("power", "power_sum"):
         lo, hi = s ** fn.q, s ** fn.p
         return min(lo, hi), max(lo, hi)
     gm = _char_extremum(fn.value, s, maximize=False)
@@ -417,10 +414,7 @@ def gamma_bounds_deriv(fn: YoungFunction, s: float) -> tuple[float, float]:
     """Characteristic bounds of the *derivative* of the Young function."""
     if s <= 0.0:
         raise ValidationError("characteristic bounds need s > 0")
-    if fn.family == "power":
-        v = s ** (fn.p - 1.0)
-        return v, v
-    if fn.family == "power_sum":
+    if fn.family in ("power", "power_sum"):
         lo, hi = s ** (fn.q - 1.0), s ** (fn.p - 1.0)
         return min(lo, hi), max(lo, hi)
     gm = _char_extremum(fn.deriv, s, maximize=False)
@@ -434,9 +428,7 @@ def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     out = np.zeros_like(s)
-    if fn.family == "power":
-        out[s > 0] = s[s > 0] ** (fn.p - 1.0)
-    elif fn.family == "power_sum":
+    if fn.family in ("power", "power_sum"):
         sp = s[s > 0]
         out[s > 0] = np.maximum(sp ** (fn.q - 1.0), sp ** (fn.p - 1.0))
     else:

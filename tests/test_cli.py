@@ -18,6 +18,14 @@ BASE = {
 }
 
 
+_DIRICHLET_BUMP = {"type": "dirichlet", "data": {"kind": "bump", "radius": 0.5, "height": 1.0}}
+
+
+def _sections(young, problem, n):
+    grid = {"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]}
+    return {"young": young, "problem": problem, "grid": grid}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     for key, value in overrides.items():
@@ -172,6 +180,33 @@ class TestSweep:
         assert {p.name: p.stat().st_mtime_ns for p in points} == stamps
         assert (out / "sweep.csv").read_text().strip().splitlines() == lines
 
+    def test_resume_does_not_assemble_finished_points(self, tmp_path, monkeypatch):
+        import nlorlicz.cli as cli
+
+        values = [1.5, 1.8]
+        path, cfg = write_config(
+            tmp_path,
+            grid={"shape": "interval", "n_per_axis": 24, "bounds": [-1.0, 1.0]},
+            problem={"type": "sweep", "parameter": "reaction_m",
+                     "values": values, "inner": {"type": "sublinear"}},
+        )
+        assert main(["sweep", str(path)]) == 0
+        out = tmp_path / "out"
+        lines = (out / "sweep.csv").read_text()
+        # the point names of earlier releases, so their sweeps still resume
+        assert sorted(p.name for p in out.glob("point_*.json")) == [
+            "point_7c0b60abed1a.json", "point_be1629d2eca4.json"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a finished point was assembled")
+
+        monkeypatch.setattr(cli, "assemble", refuse)
+        rows = [cli._sweep_point((cfg, "reaction_m", v, i, str(out)))[1]
+                for i, v in enumerate(values)]
+        assert [row["recomputed"] for row in rows] == [False, False]
+        assert main(["sweep", str(path)]) == 0
+        assert (out / "sweep.csv").read_text() == lines
+
     def test_sweep_row_content(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -297,34 +332,38 @@ class TestDeterminism:
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("young, problem, n", [
-        pytest.param({"family": "power", "p": 1.5},
-                     {"type": "dirichlet",
-                      "data": {"kind": "bump", "radius": 0.5, "height": 1.0}},
-                     256, id="dirichlet_p15"),
-        pytest.param({"family": "power", "p": 2.0},
-                     {"type": "superlinear", "reaction_m": 3.0},
-                     256, id="superlinear_m3"),
-        pytest.param({"family": "power", "p": 2.0}, {"type": "eigen"},
-                     512, id="eigen_p2"),
-        pytest.param({"family": "power", "p": 1.5}, {"type": "eigen"},
-                     256, id="eigen_p15"),
-        pytest.param({"family": "log_perturbed", "p": 2.0, "r": 1.0},
-                     {"type": "dirichlet",
-                      "data": {"kind": "bump", "radius": 0.5, "height": 1.0}},
-                     256, id="dirichlet_log"),
+    @pytest.mark.parametrize("sections", [
+        pytest.param(_sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 256),
+                     id="dirichlet_p15"),
+        pytest.param(_sections({"family": "power", "p": 2.0},
+                               {"type": "superlinear", "reaction_m": 3.0}, 256),
+                     id="superlinear_m3"),
+        pytest.param(_sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 512),
+                     id="eigen_p2"),
+        pytest.param(_sections({"family": "power", "p": 1.5}, {"type": "eigen"}, 256),
+                     id="eigen_p15"),
+        pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                               _DIRICHLET_BUMP, 256),
+                     id="dirichlet_log"),
+        # the benchmark's 2D solve: log kernel on the 24-ball
+        pytest.param({"kernel": {"family": "log", "beta": 1.0},
+                      "young": {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
+                      "grid": {"shape": "ball", "n_per_axis": 24, "bounds": [0.0, 0.0, 1.0]},
+                      "problem": _DIRICHLET_BUMP},
+                     id="dirichlet_ball"),
+        # kept-factor solves at the largest size the tests run
+        pytest.param(_sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 2048),
+                     id="eigen_p2_2048"),
     ])
-    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, young,
-                                                           problem, n):
-        # the Newton solves factor a dense matrix; LAPACK's Cholesky changes
-        # its last bits with the BLAS thread count at this size
+    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, sections):
+        # the Newton solves factor a dense matrix and solve with the whole
+        # factor; LAPACK's Cholesky changes its last bits with the BLAS
+        # thread count at these sizes
         outputs = []
         for threads in ("1", "3"):
             out = tmp_path / f"out_{threads}"
             cfg = json.loads(json.dumps(BASE))
-            cfg["young"] = young
-            cfg["grid"] = {"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]}
-            cfg["problem"] = problem
+            cfg.update(sections)
             cfg["output_dir"] = str(out)
             path = tmp_path / f"cfg_{threads}.json"
             path.write_text(json.dumps(cfg))

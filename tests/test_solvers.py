@@ -218,9 +218,30 @@ class TestRelaxedNewton:
             A = M @ M.T + n * np.eye(n)
             b = rng.standard_normal(n)
             L = A.copy()
-            x = cholesky_solve(L, cholesky_inplace(L), b)
+            cholesky_inplace(L)
+            x = cholesky_solve(L, b)
             assert np.allclose(np.tril(L) @ np.tril(L).T, A, rtol=0, atol=1e-10 * n)
             assert np.max(np.abs(A @ x - b)) < 1e-10
+
+    def test_cholesky_solve_does_not_copy_the_factor(self):
+        import tracemalloc
+
+        from nlorlicz.linalg import cholesky_inplace, cholesky_solve
+
+        n = 1024
+        rng = np.random.default_rng(1)
+        L = np.eye(n) + 1e-3 * rng.standard_normal((n, n))
+        L = L @ L.T
+        cholesky_inplace(L)
+        b = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            x = cholesky_solve(L, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(x))
+        assert peak < n * n * 8 / 8
 
 
 def _power_25(deriv2):

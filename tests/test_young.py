@@ -132,6 +132,16 @@ class TestGammaBounds:
             assert gm == pytest.approx(s ** 2.5, rel=1e-12)
             assert gp == pytest.approx(s ** 2.5, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0])
+    def test_pure_power_bounds_are_exact_powers(self, p):
+        fn = make_young("power", p=p)
+        s = np.array([1e-6, 0.3, 1.0, 2.0, 7.0, 1e6])
+        for x in s:
+            assert gamma_bounds(fn, x) == (x ** p, x ** p)
+            assert gamma_bounds_deriv(fn, x) == (x ** (p - 1.0), x ** (p - 1.0))
+        assert np.array_equal(gamma_plus_deriv(fn, np.append(s, 0.0)),
+                              np.append(s ** (p - 1.0), 0.0))
+
     @pytest.mark.parametrize("fn", FAMILIES, ids=lambda f: f"{f.family}-p{f.p:.3g}")
     def test_identity_at_one(self, fn):
         gm, gp = gamma_bounds(fn, 1.0)
