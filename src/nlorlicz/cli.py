@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -382,7 +383,9 @@ def cmd_schema_check(directory: str) -> int:
     return 2 if problems else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nlorlicz",
         description="Nonlocal Orlicz-growth energies: solvers and inequality battery",
@@ -393,7 +396,11 @@ def main(argv=None) -> int:
         sp.add_argument("config")
     sp = sub.add_parser("schema-check")
     sp.add_argument("directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args.config)

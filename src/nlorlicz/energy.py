@@ -160,12 +160,18 @@ def F_value(asm: EnergyAssembly, u: GridFunction) -> float:
     return float(np.sum(asm.young.value(u.values)) * asm.h_pow_dim)
 
 
-def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:
-    """W @ x as the convolution of x with the offset stencil, by FFT."""
-    index, shape, transform = asm.stencil
+def _lattice_filter(asm: EnergyAssembly, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """x scattered onto the padded lattice of asm.stencil (zero off the
+    domain), multiplied by symbol in frequency space, gathered back."""
+    index, shape, _ = asm.stencil
     lattice = np.zeros(shape)
     lattice.reshape(-1)[index] = x
-    return fft.irfftn(fft.rfftn(lattice) * transform, s=shape).reshape(-1)[index]
+    return fft.irfftn(fft.rfftn(lattice) * symbol, s=shape).reshape(-1)[index]
+
+
+def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:
+    """W @ x as the convolution of x with the offset stencil, by FFT."""
+    return _lattice_filter(asm, x, asm.stencil[2])
 
 
 def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):

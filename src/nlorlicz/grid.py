@@ -193,12 +193,10 @@ def indicator_function(grid: DomainGrid, seed: int, fraction: float = 0.3,
 def to_csv(u: GridFunction) -> str:
     """Serialize in the documented row-major CSV layout."""
     g = u.grid
-    header = "x,value" if g.dim == 1 else "x,y,value"
-    lines = [header]
-    for node, v in zip(g.nodes, u.values):
-        coords = ",".join(f"{c:.17g}" for c in node)
-        lines.append(f"{coords},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    header = "x,value\n" if g.dim == 1 else "x,y,value\n"
+    row = ",".join(["%.17g"] * (g.dim + 1)) + "\n"
+    table = np.column_stack([g.nodes, u.values])
+    return header + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def from_csv(grid: DomainGrid, text: str) -> GridFunction:

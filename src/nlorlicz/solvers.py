@@ -4,7 +4,10 @@ nonexistence-exponent ratio, integrability scaling).
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search.  For
-quadratic psi that matrix is factored once per solve.  The superlinear
+quadratic psi that matrix is factored once per solve.  From 256 nodes up,
+at growth q >= 2, a step whose factor would serve that one step only is
+solved by conjugate gradients instead, preconditioned by the circulant of
+the offset stencil.  The superlinear
 (mountain-pass) solve runs the loop on the peaks of rays, the local minimax
 method of Li and Zhou, and the eigenvalue solve on the unit-modular set,
 with every trial point renormalized.  The convergence metric is the
@@ -23,6 +26,8 @@ from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
+    _lattice_filter,
+    _stencil_product,
     E_value,
     F_value,
     apply_operator,
@@ -33,7 +38,7 @@ from .energy import (
 from .errors import ValidationError
 from .grid import GridFunction, bump
 from .kernels import scaling_profile
-from .linalg import BLOCK, cholesky_inplace, cholesky_solve
+from .linalg import BLOCK, cholesky_inplace, cholesky_solve, matvec
 from .young import (
     YoungFunction,
     calibrate_singular_constant,
@@ -107,6 +112,20 @@ def power_reaction(m: float) -> ReactionSpec:
 # below this fraction of |objective| a predicted decrease puts the Armijo
 # margin (1e-4 of it) within a few dozen ulps of the objective
 _ROUNDING = 1e-10
+# a Newton matrix used for one solve only is solved by preconditioned CG
+# from this many nodes and this lower growth exponent up; below either the
+# dense factor was faster (the measured crossovers are in CHANGES.md)
+_PCG_MIN_NODES = 256
+_PCG_MIN_GROWTH = 2.0
+# relative residual of the CG solve of a quadratic step, which is exact
+# Newton, and the floor of the forcing term of the others
+_PCG_RTOL = 1e-13
+_FORCING_CAP = 0.01
+
+
+def _quadratic_diagonal(asm: EnergyAssembly) -> np.ndarray:
+    """rowsum + Lambda h^N: half the diagonal of the quadratic Newton matrix."""
+    return asm.rowsum + asm.exterior * asm.h_pow_dim
 
 
 def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
@@ -120,7 +139,15 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     half of each diagonal tile as the only repeats.  Rows k:e are then
     complete and are summed whole, as a full-square build sums them, so H
     has the same bits.  Built into a single n x n buffer, so the temporaries
-    stay at block x n."""
+    stay at block x n.
+
+    For quadratic psi c is 2 everywhere, so H is read off W: -2W with the
+    diagonal 2 (rowsum + Lambda h^N).  Doubling is exact, so these are the
+    bits of the curvature build."""
+    if asm.young.quadratic:
+        H = -2.0 * asm.weights
+        np.fill_diagonal(H, 2.0 * _quadratic_diagonal(asm))
+        return H
     n = x.shape[0]
     H = np.empty((n, n))
     diag = np.empty(n)
@@ -136,6 +163,76 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     diag += asm.young.curvature(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim
     np.fill_diagonal(H, diag)
     return H
+
+
+def _circulant(asm: EnergyAssembly):
+    """The circulant preconditioner's scale 2 max d0 and inverse symbol.
+
+    C is the circulant on asm.stencil's padded lattice with symbol
+    2 (max d0 - s^), where d0 = _quadratic_diagonal and s^ is the stencil's
+    transform (Chan and Ng, SIAM Review 38, 1996): the quadratic Newton
+    matrix 2 (diag(d0) - W) with its diagonal raised to the largest entry
+    and its rows extended over the whole lattice.  The symbol's least value
+    was at least 1.2e-3 of 2 max d0 for every kernel family on intervals,
+    boxes and balls; where it is not positive, C is no preconditioner and
+    the result is None."""
+    top = 2.0 * float(np.max(_quadratic_diagonal(asm)))
+    symbol = top - 2.0 * asm.stencil[2]
+    return (top, 1.0 / symbol) if np.all(symbol > 0.0) else None
+
+
+def _pcg(apply, b: np.ndarray, precondition, rtol: float) -> np.ndarray:
+    """Preconditioned conjugate gradients for H d = b from d = 0, with
+    apply(v) = H v for symmetric positive definite H: stops when
+    ||b - H d||_2 <= rtol ||b||_2, or after b.size steps.
+
+    Every iterate minimizes d.Hd/2 - b.d over a subspace that holds it, so
+    b.d = d.Hd > 0: each one is a descent direction, however early the
+    solve stops.  Every dot product is np.sum(x * y), a reduction in a fixed
+    order, so the bits do not depend on thread counts."""
+    d = np.zeros_like(b)
+    r = b.copy()
+    p = z = precondition(r)
+    rz = float(np.sum(r * z))
+    goal = rtol * rtol * float(np.sum(b * b))
+    for _ in range(b.size):
+        q = apply(p)
+        a = rz / float(np.sum(p * q))
+        d += a * p
+        r -= a * q
+        if float(np.sum(r * r)) <= goal:
+            break
+        z = precondition(r)
+        rz, rz_old = float(np.sum(r * z)), rz
+        p = z + (rz / rz_old) * p
+    return d
+
+
+def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
+                  circulant, rtol: float) -> np.ndarray:
+    """The Newton direction -H^-1 g by _pcg, with H = _newton_matrix.
+
+    For quadratic psi H v = 2 (d0 v - W v) with W v by FFT
+    (_stencil_product), and no n x n matrix is built; otherwise H is built
+    and applied by linalg.matvec, whose bits do not depend on the BLAS
+    thread count, and freed on return.  The preconditioner is S C^-1 S with
+    C from _circulant and S = sqrt(2 max d0 / diag H), which gives S H S the
+    diagonal of C."""
+    top, inverse = circulant
+    if asm.young.quadratic:
+        d0 = _quadratic_diagonal(asm)
+        diag = 2.0 * d0
+
+        def apply(v):
+            return 2.0 * (d0 * v - _stencil_product(asm, v))
+    else:
+        H = _newton_matrix(asm, x, eps)
+        diag = H.diagonal()
+
+        def apply(v):
+            return matvec(H, v)
+    s = np.sqrt(top / diag)
+    return _pcg(apply, -g, lambda r: s * _lattice_filter(asm, s * r, inverse), rtol)
 
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
@@ -168,12 +265,28 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     Otherwise each step builds and factors a fresh H and frees it before the
     energy passes of the line search.
 
+    A factor that would serve a single solve is skipped from _PCG_MIN_NODES
+    nodes and growth q >= _PCG_MIN_GROWTH up: those steps solve by
+    preconditioned CG (_cg_direction).  For quadratic psi that is the first
+    step, solved to a relative residual of _PCG_RTOL without building H; a
+    second step builds and factors H as above.  Otherwise every step builds
+    H and solves inexactly, to the Eisenstat-Walker forcing term
+    ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
+    1996); any CG iterate is a descent direction, so the line search is the
+    same.  Below growth 2 the CG steps made a p = 1.5 solve about 3 times
+    slower, and below 256 nodes they were no faster than the factor.
+
     Returns (x, steps, converged, info) with the objective history and
     whether the line search failed."""
     x = np.array(x0, dtype=float)
     J, g = value(x), gradient(x)
     eps = 1.0
     info = {"line_search_failure": False, "objective_history": [J]}
+    quadratic = asm.young.quadratic
+    circulant = None
+    if x.size >= _PCG_MIN_NODES and asm.young.q >= _PCG_MIN_GROWTH:
+        circulant = _circulant(asm)
+    g0_sq = float(np.sum(g * g))
     L = None
     it = 0
     while True:
@@ -185,11 +298,16 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         if L is None:
             # differences below one ulp of the iterate are rounding noise
             eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-            L = _newton_matrix(asm, x, eps)
-            cholesky_inplace(L)
-        d = cholesky_solve(L, -g)
-        if not asm.young.quadratic:
-            L = None  # free the n x n buffer before the line search
+            if circulant is None or (quadratic and it > 0):
+                L = _newton_matrix(asm, x, eps)
+                cholesky_inplace(L)
+        if L is None:
+            forcing = 0.0 if quadratic else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
+            d = _cg_direction(asm, x, eps, g, circulant, max(_PCG_RTOL, forcing))
+        else:
+            d = cholesky_solve(L, -g)
+            if not quadratic:
+                L = None  # free the n x n buffer before the line search
         slope = float(g @ d)
         t = 1.0
         for _ in range(60):
@@ -237,10 +355,14 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
 
     The method is a relaxed Newton iteration (_relaxed_newton), after the
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
-    (Numer. Math. 145, 2020).  The dense Newton matrix is factored by the
-    tiled Cholesky of nlorlicz.linalg, and each step solves by two
-    whole-factor triangular sweeps; the bits of neither depend on the BLAS
-    thread count.
+    (Numer. Math. 145, 2020).  Each step is solved once, so from 256 nodes
+    up, at growth q >= 2, it runs preconditioned CG with an FFT circulant
+    preconditioner: the quadratic problem in one step without an n x n
+    matrix, the others on the built matrix with an Eisenstat-Walker forcing
+    term.  Below either bound the dense Newton matrix is factored by the
+    tiled Cholesky of nlorlicz.linalg and solved by two whole-factor
+    triangular sweeps.  The bits of neither path depend on the BLAS thread
+    count.
     After every full step the relaxation eps of the pair differences is
     capped at max|u|, so the steps do not wait for eps to reach the
     solution's scale.
@@ -250,12 +372,16 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     grid = asm.grid
     fv = f.values
     scale = 1.0 + float(np.max(np.abs(fv)))
+    # the last E and gradient_E passes, with the iterate they were taken at
+    last = {}
 
     def value(x):
-        return E_value(asm, GridFunction(grid, x)) - float(fv @ x) * hN
+        last["E"] = x, E_value(asm, GridFunction(grid, x))
+        return last["E"][1] - float(fv @ x) * hN
 
     def gradient(x):
-        return gradient_E(asm, GridFunction(grid, x)).values - fv * hN
+        last["gE"] = x, gradient_E(asm, GridFunction(grid, x)).values
+        return last["gE"][1] - fv * hN
 
     def stop(x, g):
         return float(np.max(np.abs(g))) / hN <= tol * scale
@@ -263,12 +389,17 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(grid.n_nodes),
                                            stop, max_iter)
     u = GridFunction(grid, x)
-    gE = gradient_E(asm, u).values
+    # the loop's passes at x, unless a failed line search took others since
+    at, gE = last["gE"]
+    if at is not x:
+        gE = gradient_E(asm, u).values
+    at, E = last["E"]
+    if at is not x:
+        E = E_value(asm, u)
     resid = float(np.max(np.abs(gE / hN - fv)))
     n = grid.n_nodes
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
     weak = float(np.max(np.abs(gE[nodes] - fv[nodes] * hN)))
-    E = E_value(asm, u)
     return SolveReport(
         solution=u,
         objective=E - float(fv @ x) * hN,

@@ -131,3 +131,19 @@ class TestGenerators:
         assert text.splitlines()[0] == "x,y,value"
         back = from_csv(g, text)
         assert np.array_equal(back.values, u.values)
+
+    @pytest.mark.parametrize("shape, n, bounds", [
+        ("interval", 512, (-1.0, 1.0)),
+        ("box", 24, (-1.0, 1.0, -1.0, 1.0)),
+        ("ball", 24, (0.0, 0.0, 1.0)),
+    ])
+    def test_csv_bytes_of_the_per_node_format(self, shape, n, bounds):
+        g = make_grid(shape, n, bounds)
+        u = random_function(g, seed=5)
+        u.values[:3] = (-0.0, 1e-300, -2.5e17)
+
+        lines = ["x,value" if g.dim == 1 else "x,y,value"]
+        for node, v in zip(g.nodes, u.values):
+            coords = ",".join(f"{c:.17g}" for c in node)
+            lines.append(f"{coords},{v:.17g}")
+        assert to_csv(u) == "\n".join(lines) + "\n"

@@ -297,6 +297,8 @@ class TestNewtonMatrix:
 
     @pytest.mark.parametrize("family, params", [
         pytest.param("power", {"p": 1.5}, id="power-1.5"),
+        # read off W, with no curvature evaluated
+        pytest.param("power", {"p": 2.0}, id="power-2"),
         pytest.param("log_perturbed", {"p": 2.0, "r": 1.0}, id="log_perturbed-2-1"),
     ])
     def test_bits_of_the_full_square_build(self, frac05_1d, family, params):
@@ -334,6 +336,103 @@ class TestNewtonMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * n * n * 8  # H itself, plus 8 MB
+
+
+class TestConjugateGradientSteps:
+    """Newton steps by preconditioned CG: from 256 nodes and growth 2 up,
+    wherever the dense factor would serve one solve only."""
+
+    @staticmethod
+    def _count_factors(monkeypatch):
+        import nlorlicz.solvers as solvers
+        from nlorlicz.linalg import cholesky_inplace
+
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape[0])
+            return cholesky_inplace(A)
+
+        monkeypatch.setattr(solvers, "cholesky_inplace", counted)
+        return calls
+
+    @staticmethod
+    def _bump(grid):
+        from nlorlicz.grid import bump
+
+        return bump(grid, grid.center, 0.5 * grid.inradius, 1.0)
+
+    @pytest.mark.parametrize("grid, kernel, young", [
+        pytest.param(("interval", 512, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     ("log_perturbed", {"p": 2.0, "r": 1.0}), id="log_perturbed-512"),
+        pytest.param(("interval", 256, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     ("power", {"p": 3.0}), id="power-3-256"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), ("log", {"beta": 1.0}),
+                     ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), id="power_sum-ball"),
+    ])
+    def test_matches_the_dense_path(self, monkeypatch, grid, kernel, young):
+        import nlorlicz.solvers as solvers
+
+        g = make_grid(*grid)
+        asm = assemble(g, make_kernel(kernel[0], dim=g.dim, **kernel[1]),
+                       make_young(young[0], **young[1]))
+        f = self._bump(g)
+        calls = self._count_factors(monkeypatch)
+        rep = solve_dirichlet(asm, f)
+        assert rep.converged and calls == []
+        monkeypatch.setattr(solvers, "_PCG_MIN_NODES", g.n_nodes + 1)
+        ref = solve_dirichlet(asm, f)
+        assert ref.converged and len(calls) == ref.iterations
+        scale = np.max(np.abs(ref.solution.values))
+        assert np.max(np.abs(rep.solution.values - ref.solution.values)) < 1e-8 * scale
+
+    def test_quadratic_matches_the_dense_solve_at_2048(self, frac05_1d, y_p2):
+        asm = assemble(make_grid("interval", 2048, (-1.0, 1.0)), frac05_1d, y_p2)
+        f = self._bump(asm.grid)
+        rep = solve_dirichlet(asm, f)
+        ref = dense_dirichlet_solve(asm, f).values
+        assert rep.converged and rep.iterations == 1
+        assert np.max(np.abs(rep.solution.values - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_factor_only_where_it_serves(self, frac05_1d, y_p2, monkeypatch):
+        import nlorlicz.solvers as solvers
+
+        def refuse(A):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(solvers, "cholesky_inplace", refuse)
+        for n in (256, 301):
+            asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, y_p2)
+            rep = solve_dirichlet(asm, self._bump(asm.grid))
+            assert rep.converged and rep.iterations == 1
+        # a second quadratic step builds and factors the matrix once
+        calls = self._count_factors(monkeypatch)
+        rep = solve_sublinear(asm, power_reaction(1.5))
+        assert rep.converged and rep.iterations > 2 and calls == [301]
+        # below growth 2 every step factors
+        calls.clear()
+        asm = assemble(make_grid("interval", 512, (-1.0, 1.0)), frac05_1d,
+                       make_young("power", p=1.5))
+        rep = solve_dirichlet(asm, self._bump(asm.grid), max_iter=2)
+        assert rep.iterations == 2 and calls == [512, 512]
+
+    def test_no_circulant_without_a_positive_symbol(self, frac05_1d, y_p2, monkeypatch):
+        # a stencil whose transform exceeds the largest diagonal gives no
+        # SPD circulant: the steps are factored instead
+        from dataclasses import replace
+
+        import nlorlicz.solvers as solvers
+
+        asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
+        index, shape, transform = asm.stencil
+        assert solvers._circulant(asm) is not None
+        steep = replace(asm)
+        steep.__dict__["stencil"] = (index, shape, 2.0 * transform)
+        assert solvers._circulant(steep) is None
+        monkeypatch.setattr(solvers, "_circulant", lambda asm: None)
+        calls = self._count_factors(monkeypatch)
+        rep = solve_dirichlet(asm, self._bump(asm.grid))
+        assert rep.converged and calls == [256]
 
 
 class TestDirichletRounding:
