@@ -6,8 +6,10 @@ Gauss tensor quadrature) and midpoint weights J(x_j - x_i) * h^(2N) for far
 pairs.  A pair weight depends only on the |lattice offset| along each
 axis, so the assembly computes each sorted offset's weight once into one
 array of shape (m,) * N indexed by those |offsets|
-(EnergyAssembly.offset_weights).  W and the FFT stencil are gathers from
-it, so w_ij = w_ji holds exactly.  The exterior weights Lambda(domain; x_i),
+(EnergyAssembly.offset_weights), as one vectorized table with a fixed number
+of kernel profile calls whatever the grid size.  W and the FFT stencil are
+gathers from it, so w_ij = w_ji holds exactly; W is filled by row blocks
+through one flat index into the table.  The exterior weights Lambda(domain; x_i),
 which carry the zero condition on the complement, come from the ray formula
 (the integral over directions of the kernel mass beyond the boundary) in
 one vectorized pass over all nodes; see kernels.lambda_exterior.
@@ -31,7 +33,6 @@ the gradient, which is exact because young.deriv is odd.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ def _lattice_coords(grid: DomainGrid) -> np.ndarray:
 
 
 def _offset_weight(kern: Kernel, offset: np.ndarray, h: float) -> float:
-    """Pair weight for one nonzero lattice |offset|, given sorted."""
+    """Pair weight for one nonzero lattice |offset|, given sorted: the scalar
+    form of the rules in _offset_weights."""
     delta = offset * h
     dist = float(np.linalg.norm(delta))
     hN = h ** len(offset)
@@ -118,11 +120,50 @@ def _offset_weight(kern: Kernel, offset: np.ndarray, h: float) -> float:
     return avg * hN * hN
 
 
+def _offset_weights(kern: Kernel, m: int, dim: int, h: float) -> np.ndarray:
+    """Pair weights of every lattice |offset| below m on each axis, as an
+    array of shape (m,) * dim; zero at the zero offset.
+
+    The sorted nonzero offsets are weighed as one (k, dim) array, and every
+    offset then reads the weight of its sorted permutation.  The far pairs
+    take one profile call on all their distances; in 1D so do the near
+    pairs' 5-point rules.  The at most five near offsets in 2D keep the
+    scalar rule (_offset_weight), whose matrix products a stacked form does
+    not reproduce bit for bit.  Each weight has the bits of _offset_weight
+    wherever the kernel profile gives an array the bits it gives a 0-d
+    input."""
+    indices = np.indices((m,) * dim)
+    lattice = indices.reshape(dim, -1).T
+    offsets = lattice[np.all(np.diff(lattice, axis=1) >= 0, axis=1)][1:]
+    delta = offsets * h
+    # row by row the dot product of np.linalg.norm, so the distances keep its bits
+    dist = np.sqrt((delta[:, None, :] @ delta[:, :, None]).reshape(-1))
+    hN = h ** dim
+    weights = np.empty(len(offsets))
+    far = dist >= 3.0 * h
+    weights[far] = kern.profile(dist[far]) * hN * hN
+    near = np.flatnonzero(~far)
+    if dim == 1:
+        z = delta[near] + 0.5 * h * _GL5_X
+        weights[near] = np.sum(_GL5_W * kern.profile(np.abs(z)), axis=1) * 0.5 * hN * hN
+    else:
+        weights[near] = [_offset_weight(kern, offsets[i], h) for i in near]
+    table = np.zeros((m,) * dim)
+    table[tuple(offsets.T)] = weights
+    return table[tuple(np.sort(indices, axis=0))]
+
+
 def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
              pair_budget: int = PAIR_BUDGET) -> EnergyAssembly:
-    """Build the dense pair-weight matrix and exterior weights.
+    """Build the offset weights, the dense pair-weight matrix and the
+    exterior weights.
 
-    Refuses assemblies whose pair count exceeds the budget.
+    The offset weights take a fixed number of kernel profile calls, however
+    large the grid (_offset_weights).  W is filled by row blocks, each one
+    np.take from the flattened offset weights at the flat index
+    sum_a |l_ia - l_ja| m^(N-1-a) of the pairs' lattice offsets, so its
+    temporaries are BLOCK x n.  Refuses assemblies whose pair count exceeds
+    the budget before anything is allocated.
     """
     if kern.dim != grid.dim:
         raise ValidationError("kernel and grid dimensions differ")
@@ -135,16 +176,17 @@ def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
         )
     lat = _lattice_coords(grid).T
     m, dim = int(lat.max()) + 1, grid.dim
-    # weights of the sorted offsets, then each |offset| vector reads the
-    # weight of its sorted permutation
-    sorted_weights = np.zeros((m,) * dim)
-    for offset in itertools.combinations_with_replacement(range(m), dim):
-        if any(offset):
-            sorted_weights[offset] = _offset_weight(kern, np.array(offset), grid.spacing)
-    offset_weights = sorted_weights[tuple(np.sort(np.indices((m,) * dim), axis=0))]
+    offset_weights = _offset_weights(kern, m, dim, grid.spacing)
+    flat = offset_weights.reshape(-1)
+    # |l_i m^a - l_j m^a| = |l_i - l_j| m^a: the strides go on the coordinates
+    lat = lat * (m ** np.arange(dim - 1, -1, -1))[:, None]
     W = np.empty((n, n))
     for k in range(0, n, BLOCK):
-        W[k:k + BLOCK] = offset_weights[tuple(np.abs(lat[:, k:k + BLOCK, None] - lat[:, None]))]
+        index = np.abs(lat[0, k:k + BLOCK, None] - lat[0])
+        for coord in lat[1:]:
+            step = coord[k:k + BLOCK, None] - coord
+            index += np.abs(step, out=step)
+        np.take(flat, index, out=W[k:k + BLOCK], mode="clip")
     return EnergyAssembly(grid=grid, kernel=kern, young=young, weights=W,
                           exterior=exterior_weights(kern, grid), offset_weights=offset_weights)
 

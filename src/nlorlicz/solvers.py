@@ -236,7 +236,7 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
 
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
-                    retract=None):
+                    retract=None, one_step: bool = False):
     """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
     Each step solves H d = -gradient(x) with H = _newton_matrix, the relaxed
@@ -267,9 +267,13 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
 
     A factor that would serve a single solve is skipped from _PCG_MIN_NODES
     nodes and growth q >= _PCG_MIN_GROWTH up: those steps solve by
-    preconditioned CG (_cg_direction).  For quadratic psi that is the first
-    step, solved to a relative residual of _PCG_RTOL without building H; a
-    second step builds and factors H as above.  Otherwise every step builds
+    preconditioned CG (_cg_direction).  For quadratic psi that is the one
+    step of a caller that sets one_step, whose objective is then quadratic
+    (E minus a linear term), so its exact Newton step is the solution: it is
+    solved to a relative residual of _PCG_RTOL without building H, and a
+    second step, should the stop rule ask for one, builds and factors H as
+    above.  Without one_step a quadratic solve factors H at its first step
+    and keeps the factor.  Otherwise every step builds
     H and solves inexactly, to the Eisenstat-Walker forcing term
     ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
     1996); any CG iterate is a descent direction, so the line search is the
@@ -284,7 +288,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     info = {"line_search_failure": False, "objective_history": [J]}
     quadratic = asm.young.quadratic
     circulant = None
-    if x.size >= _PCG_MIN_NODES and asm.young.q >= _PCG_MIN_GROWTH:
+    if (x.size >= _PCG_MIN_NODES and asm.young.q >= _PCG_MIN_GROWTH
+            and (one_step or not quadratic)):
         circulant = _circulant(asm)
     g0_sq = float(np.sum(g * g))
     L = None
@@ -387,7 +392,7 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(grid.n_nodes),
-                                           stop, max_iter)
+                                           stop, max_iter, one_step=True)
     u = GridFunction(grid, x)
     # the loop's passes at x, unless a failed line search took others since
     at, gE = last["gE"]
@@ -681,7 +686,9 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     relaxed Newton step (_relaxed_newton) whose trial points are moved back
     to the peak of their ray, so the line search lowers the peak level.
     For the power family E is p-homogeneous, so a ray's slope costs one
-    gradient pass however many scales the peak search tries.  There is no
+    gradient pass however many scales the peak search tries, and that pass
+    also gives E and its gradient at the peak: gradient_E(t y) =
+    t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p.  There is no
     mountain-pass geometry when the endpoint's ray has no peak, peaks
     beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
     final peak level and ``eta_initial`` the level of the endpoint ray's
@@ -700,15 +707,36 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop = _reaction_objective(asm, reaction, tol)
     hN = asm.h_pow_dim
+    homogeneous, p = asm.young.family == "power", asm.young.p
+    # the last ray: its peak scale t and point x = t y; for the power family
+    # also gradient_E(y) and gradient_E(y) . y
+    ray = {"x": None}
 
     def ray_slope(y):
-        # E is p-homogeneous for the power family, so gradient_E(t y) . y =
-        # t^(p-1) gradient_E(y) . y and only the reaction term depends on t
-        if asm.young.family == "power":
-            p = asm.young.p
-            gy = float(gradient_E(asm, GridFunction(g, y)).values @ y)
+        # E is p-homogeneous for the power family, so gradient_E(t y) =
+        # t^(p-1) gradient_E(y) and only the reaction term depends on t
+        if homogeneous:
+            gE = gradient_E(asm, GridFunction(g, y)).values
+            gy = float(gE @ y)
+            ray.update(gE=gE, gy=gy)
             return lambda t: t ** (p - 1.0) * gy - float(reaction.f(t * y) @ y) * hN
         return lambda t: float(gradient(t * y) @ y)
+
+    def peak(y):
+        t = _ray_peak(ray_slope(y))
+        ray.update(t=t, x=None if t is None else t * y)
+        return ray["x"]
+
+    def peak_value(x):
+        # at a ray's peak E(t y) = t^p E(y) = t^p gradient_E(y) . y / p (Euler)
+        if not homogeneous or x is not ray["x"]:
+            return value(x)
+        return ray["t"] ** p * ray["gy"] / p - float(np.sum(reaction.G(x))) * hN
+
+    def peak_gradient(x):
+        if not homogeneous or x is not ray["x"]:
+            return gradient(x)
+        return ray["t"] ** (p - 1.0) * ray["gE"] - reaction.f(x) * hN
 
     if endpoint is None:
         base = bump(g, g.center, 0.6 * g.inradius, 1.0).values
@@ -722,9 +750,10 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     if value(endpoint.values) >= 0.0:
         raise ValidationError("endpoint must have negative level")
 
-    t0 = _ray_peak(ray_slope(endpoint.values))
-    x0 = None if t0 is None or t0 >= 1.0 else t0 * endpoint.values
-    eta_initial = 0.0 if x0 is None else value(x0)
+    x0 = peak(endpoint.values)
+    if x0 is not None and ray["t"] >= 1.0:
+        x0 = None
+    eta_initial = 0.0 if x0 is None else peak_value(x0)
     if eta_initial <= 1e-12:
         return SolveReport(
             solution=GridFunction(g, np.zeros(g.n_nodes)),
@@ -737,12 +766,8 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
             extras={"problem": "superlinear", "no_mountain_geometry": True, **admissibility},
         )
 
-    def peak(y):
-        t = _ray_peak(ray_slope(y))
-        return None if t is None else t * y
-
-    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
-                                           retract=peak)
+    x, iters, conv, info = _relaxed_newton(asm, peak_value, peak_gradient, x0, stop,
+                                           max_iter, retract=peak)
     u = GridFunction(g, x)
     eta = info["objective_history"][-1]
     return SolveReport(

@@ -112,7 +112,9 @@ class TestOffsetWeights:
 
     @pytest.mark.parametrize("spec", GRIDS, ids=lambda s: f"{s[0]}-{s[1]}")
     @pytest.mark.parametrize("family,kw", [("fractional", {"alpha": 0.5}),
-                                           ("log", {"beta": 1.0})])
+                                           ("log", {"beta": 1.0}),
+                                           ("two_exponent",
+                                            {"alpha_inner": 0.3, "alpha_outer": 0.9})])
     def test_every_weight_is_the_sorted_offset_weight(self, spec, family, kw):
         from nlorlicz.energy import _offset_weight
 
@@ -125,6 +127,45 @@ class TestOffsetWeights:
                 d = np.sort(np.abs(lat[i] - lat[j]))
                 ref = _offset_weight(kern, d, grid.spacing) if d.any() else 0.0
                 assert W[i, j] == ref, (i, j)
+
+    @pytest.mark.parametrize("spec", GRIDS + [("interval", 512, (-1.0, 1.0)),
+                                              ("box", 24, (-1.0, 1.0, -1.0, 1.0))],
+                             ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_dyadic_weights_within_two_ulps_of_the_scalar_rule(self, spec):
+        # the dyadic profile rounds some powers differently on arrays and on
+        # 0-d inputs: up to 2 ulps in the weights at 1D n = 512 and on the
+        # 24^2 box, none on the smaller grids
+        from nlorlicz.energy import _offset_weight
+
+        grid = make_grid(*spec)
+        kern = make_kernel("piecewise_dyadic", dim=grid.dim, mu=0.5)
+        table = assemble(grid, kern, make_young("power", p=2.0)).offset_weights
+        ref = np.zeros_like(table)
+        for offset in np.ndindex(table.shape):
+            if any(offset):
+                ref[offset] = _offset_weight(kern, np.sort(offset), grid.spacing)
+        np.testing.assert_array_max_ulp(table, ref, maxulp=2)
+
+    def test_profile_calls_do_not_grow_with_the_grid(self):
+        # the offset table calls the kernel profile a fixed number of times
+        Y = make_young("power", p=2.0)
+        for shape, sizes, bounds in [("interval", (64, 512), (-1.0, 1.0)),
+                                     ("box", (8, 24), (-1.0, 1.0, -1.0, 1.0))]:
+            dim = 1 if shape == "interval" else 2
+            calls = []
+
+            def profile(r, N=dim):
+                calls.append(1)
+                return np.asarray(r, dtype=float) ** (-N - 0.5)
+
+            kern = make_kernel("custom_radial", dim=dim, profile=profile)
+            counts = []
+            for n in sizes:
+                grid = make_grid(shape, n, bounds)
+                calls.clear()
+                assemble(grid, kern, Y)
+                counts.append(len(calls))
+            assert counts[0] == counts[1], (shape, counts)
 
     @pytest.mark.parametrize("spec", [("ball", 24, (0.0, 0.0, 1.0)),
                                       ("box", 7, (0.0, 1.0, 0.0, 1.0)),

@@ -405,7 +405,7 @@ class TestConjugateGradientSteps:
             asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, y_p2)
             rep = solve_dirichlet(asm, self._bump(asm.grid))
             assert rep.converged and rep.iterations == 1
-        # a second quadratic step builds and factors the matrix once
+        # a multi-step quadratic solve factors the matrix once
         calls = self._count_factors(monkeypatch)
         rep = solve_sublinear(asm, power_reaction(1.5))
         assert rep.converged and rep.iterations > 2 and calls == [301]
@@ -415,6 +415,25 @@ class TestConjugateGradientSteps:
                        make_young("power", p=1.5))
         rep = solve_dirichlet(asm, self._bump(asm.grid), max_iter=2)
         assert rep.iterations == 2 and calls == [512, 512]
+
+    def test_multi_step_quadratic_solves_factor_at_the_first_step(self, frac05_1d, y_p2,
+                                                                  monkeypatch):
+        # only the one-step quadratic Dirichlet solve runs CG: the eigen and
+        # sublinear solves factor H at their first step and keep the factor
+        import nlorlicz.solvers as solvers
+
+        def refuse(*args):
+            raise AssertionError("CG step")
+
+        monkeypatch.setattr(solvers, "_pcg", refuse)
+        calls = self._count_factors(monkeypatch)
+        asm = assemble(make_grid("interval", 512, (-1.0, 1.0)), frac05_1d, y_p2)
+        rep = solve_eigen(asm)
+        assert rep.converged and rep.iterations > 1 and calls == [512]
+        calls.clear()
+        asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
+        rep = solve_sublinear(asm, power_reaction(1.5))
+        assert rep.converged and rep.iterations > 1 and calls == [256]
 
     def test_no_circulant_without_a_positive_symbol(self, frac05_1d, y_p2, monkeypatch):
         # a stencil whose transform exceeds the largest diagonal gives no
@@ -877,6 +896,15 @@ class TestEvaluationCounts:
         rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
         assert rep.converged
         assert calls["gradient_E"] < 200
+
+    def test_mountain_pass_reuses_the_ray_pass(self, frac05_1d, y_p2, monkeypatch):
+        # for the power family E and its gradient at a ray's peak follow from
+        # the ray's one gradient pass, so the loop makes no passes of its own
+        asm = assemble(make_grid("interval", 128, (-1.0, 1.0)), frac05_1d, y_p2)
+        calls = self._count(monkeypatch, ("gradient_E", "E_value"))
+        rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
+        assert rep.converged and abs(rep.iterations - 52) <= 3
+        assert calls["gradient_E"] <= 60 and calls["E_value"] <= 15
 
     def test_quadratic_matrix_factored_once(self, asm_quad, frac05_1d, monkeypatch):
         # at p = 2 the Newton matrix does not depend on the iterate: one
