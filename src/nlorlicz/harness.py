@@ -487,6 +487,13 @@ def sobolev_embedding_check(asm: EnergyAssembly, r: float, spec: CorpusSpec,
                    extras={"constant": C, "probe_ratios": ratios, "r": r})
 
 
+def _prop_sobolev_r_star(asm, spec, rng, digest, tol):
+    alpha, N = asm.kernel.alpha_order, asm.grid.dim
+    if alpha is None or alpha >= N:
+        return _skip("sobolev_r_star", digest, tol, "condition (alpha) fails")
+    return sobolev_embedding_check(asm, N / (N - alpha), spec, digest, tol)
+
+
 def _prop_pohozaev(asm, spec, rng, digest, tol):
     if asm.young.family != "power":
         return _skip("pohozaev", digest, tol, "needs a pure-power nonlinearity")
@@ -522,6 +529,7 @@ _PROPERTY_RUNNERS = {
     "symmetrization": _prop_symmetrization,
     "gradient_bound": _prop_gradient_bound,
     "interpolation": _prop_interpolation,
+    "sobolev_r_star": _prop_sobolev_r_star,
     "pohozaev": _prop_pohozaev,
 }
 
@@ -542,17 +550,7 @@ def run_battery(asm: EnergyAssembly, spec: Optional[CorpusSpec] = None,
         tol = tols[name]
         rng = np.random.default_rng([spec.seed, idx])
         try:
-            if name == "sobolev_r_star":
-                alpha = asm.kernel.alpha_order
-                N = asm.grid.dim
-                if alpha is None or alpha >= N:
-                    results.append(_skip(name, digest, tol, "condition (alpha) fails"))
-                else:
-                    results.append(
-                        sobolev_embedding_check(asm, N / (N - alpha), spec, digest, tol)
-                    )
-            else:
-                results.append(_PROPERTY_RUNNERS[name](asm, spec, rng, digest, tol))
+            results.append(_PROPERTY_RUNNERS[name](asm, spec, rng, digest, tol))
         except Exception as exc:  # never abort the battery
             results.append(
                 PropertyResult(

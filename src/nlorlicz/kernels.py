@@ -90,13 +90,16 @@ def _dyadic_profile(mu: float, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     tail_c = 2.0 ** (dim + mu)  # profile(1/2)
 
     def profile(r, mu=mu, dim=dim, tail_c=tail_c):
-        r = np.asarray(r, dtype=float)
+        # on arrays only: a numpy scalar's ** rounds unlike the array ufunc
+        scalar = np.ndim(r) == 0
+        r = np.atleast_1d(np.asarray(r, dtype=float))
         with np.errstate(divide="ignore"):
             octave = np.floor(-np.log2(np.where(r > 0, r, 1.0)))
         strong = (octave % 2 == 1) & (r <= 0.5)
         out = np.where(strong, r ** (-dim - mu), r ** (-dim * 1.0))
         tail = tail_c * (2.0 * r) ** (-(dim + 1.0))
-        return np.where(r > 0.5, tail, out)
+        out = np.where(r > 0.5, tail, out)
+        return float(out[0]) if scalar else out
 
     return profile
 

@@ -1,11 +1,5 @@
-"""Dense Cholesky factorization, solve and matrix-vector product with
-thread-count-independent bits.
-
-The relaxed Newton loop factors its matrix only where the factor is used
-more than once, or where conjugate gradients lost to it: every step below
-256 nodes or below growth 2, and the kept factor of a quadratic solve
-from its second step on.  Its other steps run conjugate gradients, which
-apply a built non-quadratic matrix through matvec.
+"""Dense Cholesky factorization and solve with thread-count-independent
+bits.
 
 LAPACK's ``potrf`` splits its work by the number of BLAS threads, so its
 factor (and every solve built on it) changes in the last bits when the
@@ -20,10 +14,6 @@ products take 60 ms at 2 threads against 7 ms at 1.
 The solve is two BLAS ``dtrsv`` sweeps over the whole factor.  OpenBLAS
 does not thread ``trsv``, so its bits do not depend on the thread count
 either.
-
-A whole-matrix GEMV is threaded, and ``H @ v`` for a square H of order
-700, 1001, 1500, 2050 or 3001 gave other bits at 2 and 3 OpenBLAS threads
-than at 1 (OpenBLAS 0.3.31); matvec keeps every GEMV below the cutoff.
 """
 
 from __future__ import annotations
@@ -33,8 +23,6 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrtri
 
 BLOCK = 48
-# OpenBLAS threads a GEMV from m * n = 2304 * 4 entries up
-_GEMV_ENTRIES = 9215
 
 
 def cholesky_inplace(A: np.ndarray) -> None:
@@ -58,20 +46,6 @@ def cholesky_inplace(A: np.ndarray) -> None:
             panel = A[i:ie, k:e]
             for j, je in below[:b + 1]:
                 A[i:ie, j:je] -= panel @ A[j:je, k:e].T
-
-
-def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x from GEMVs on panels of fewer than 9216 entries, which OpenBLAS
-    runs on one thread: whole rows while they fit, else single rows cut
-    into column chunks summed in order."""
-    m, n = A.shape
-    rows = max(1, _GEMV_ENTRIES // n)
-    cols = _GEMV_ENTRIES // rows
-    y = np.zeros(m)
-    for j in range(0, n, cols):
-        for k in range(0, m, rows):
-            y[k:k + rows] += A[k:k + rows, j:j + cols] @ x[j:j + cols]
-    return y
 
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,16 +3,13 @@ problems, plus the solution-quality reports (uniqueness certificate,
 nonexistence-exponent ratio, integrability scaling).
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
-steps on a dense weighted graph Laplacian with an Armijo line search.  For
-quadratic psi that matrix is factored once per solve.  From 256 nodes up,
-at growth q >= 2, a step whose factor would serve that one step only is
-solved by conjugate gradients instead, preconditioned by the circulant of
-the offset stencil.  The superlinear
-(mountain-pass) solve runs the loop on the peaks of rays, the local minimax
-method of Li and Zhou, and the eigenvalue solve on the unit-modular set,
-with every trial point renormalized.  The convergence metric is the
-pointwise operator residual (gradient max-norm divided by the cell volume),
-scaled by the data size.
+steps on a dense weighted graph Laplacian with an Armijo line search, each
+step solved by a dense factor or by conjugate gradients as _relaxed_newton
+describes.  The superlinear (mountain-pass) solve runs the loop on the
+peaks of rays, the local minimax method of Li and Zhou, and the eigenvalue
+solve on the unit-modular set, with every trial point renormalized.  The
+convergence metric is the pointwise operator residual (gradient max-norm
+divided by the cell volume), scaled by the data size.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .energy import (
 from .errors import ValidationError
 from .grid import GridFunction, bump
 from .kernels import scaling_profile
-from .linalg import BLOCK, cholesky_inplace, cholesky_solve, matvec
+from .linalg import BLOCK, cholesky_inplace, cholesky_solve
 from .young import (
     YoungFunction,
     calibrate_singular_constant,
@@ -112,9 +109,8 @@ def power_reaction(m: float) -> ReactionSpec:
 # below this fraction of |objective| a predicted decrease puts the Armijo
 # margin (1e-4 of it) within a few dozen ulps of the objective
 _ROUNDING = 1e-10
-# a Newton matrix used for one solve only is solved by preconditioned CG
-# from this many nodes and this lower growth exponent up; below either the
-# dense factor was faster (the measured crossovers are in CHANGES.md)
+# the CG step solve's bounds (_relaxed_newton); the measured crossovers are
+# in CHANGES.md
 _PCG_MIN_NODES = 256
 _PCG_MIN_GROWTH = 2.0
 # relative residual of the CG solve of a quadratic step, which is exact
@@ -214,10 +210,12 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
 
     For quadratic psi H v = 2 (d0 v - W v) with W v by FFT
     (_stencil_product), and no n x n matrix is built; otherwise H is built
-    and applied by linalg.matvec, whose bits do not depend on the BLAS
-    thread count, and freed on return.  The preconditioner is S C^-1 S with
-    C from _circulant and S = sqrt(2 max d0 / diag H), which gives S H S the
-    diagonal of C."""
+    and freed on return.  A built H is applied by np.einsum with its default
+    optimize=False, which runs numpy's own loop and never calls BLAS.  So it
+    starts no threads, and its bits do not depend on the BLAS thread count:
+    a BLAS H @ v of order 700 gave other bits at 2 and 3 OpenBLAS threads
+    than at 1.  The preconditioner is S C^-1 S with C from _circulant and
+    S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C."""
     top, inverse = circulant
     if asm.young.quadratic:
         d0 = _quadratic_diagonal(asm)
@@ -230,7 +228,7 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
         diag = H.diagonal()
 
         def apply(v):
-            return matvec(H, v)
+            return np.einsum("ij,j->i", H, v)
     s = np.sqrt(top / diag)
     return _pcg(apply, -g, lambda r: s * _lattice_filter(asm, s * r, inverse), rtol)
 
@@ -260,25 +258,25 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     when retract maximizes value and its first-order condition holds at x
     (the mountain pass).
 
-    When psi is quadratic, H is the same at every x and eps, so it is built
-    and factored once and the factor is kept for the rest of this call.
-    Otherwise each step builds and factors a fresh H and frees it before the
-    energy passes of the line search.
-
-    A factor that would serve a single solve is skipped from _PCG_MIN_NODES
-    nodes and growth q >= _PCG_MIN_GROWTH up: those steps solve by
-    preconditioned CG (_cg_direction).  For quadratic psi that is the one
-    step of a caller that sets one_step, whose objective is then quadratic
-    (E minus a linear term), so its exact Newton step is the solution: it is
-    solved to a relative residual of _PCG_RTOL without building H, and a
-    second step, should the stop rule ask for one, builds and factors H as
-    above.  Without one_step a quadratic solve factors H at its first step
-    and keeps the factor.  Otherwise every step builds
-    H and solves inexactly, to the Eisenstat-Walker forcing term
+    The step solver is chosen once, before the first step, and kept for
+    every step.  Preconditioned CG (_cg_direction, with the circulant of
+    _circulant) runs from _PCG_MIN_NODES nodes and growth q >=
+    _PCG_MIN_GROWTH up, where the circulant exists and a factor would serve
+    a single solve: psi is not quadratic, or the caller sets one_step.
+    Below growth 2 the CG steps made a p = 1.5 solve about 3 times slower,
+    and below 256 nodes they were no faster than the factor.  With one_step
+    and quadratic psi the objective is quadratic (E minus a linear term), so
+    the exact Newton step is the solution: each step is solved to a
+    relative residual of _PCG_RTOL without building H.  Otherwise every CG
+    step builds H and solves inexactly, to the Eisenstat-Walker forcing term
     ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
     1996); any CG iterate is a descent direction, so the line search is the
-    same.  Below growth 2 the CG steps made a p = 1.5 solve about 3 times
-    slower, and below 256 nodes they were no faster than the factor.
+    same.  Every other solve runs on the tiled Cholesky factor of H.  When
+    psi is quadratic, H is the same at every x and eps, so it is built and
+    factored once and the factor is kept for the rest of this call.
+    Otherwise each step builds and factors a fresh H and frees it before the
+    energy passes of the line search.  The bits of neither solver depend on
+    the BLAS thread count.
 
     Returns (x, steps, converged, info) with the objective history and
     whether the line search failed."""
@@ -300,16 +298,15 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         if it >= max_iter:
             return x, it, False, info
         g_sq = float(np.sum(g * g))
-        if L is None:
-            # differences below one ulp of the iterate are rounding noise
-            eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-            if circulant is None or (quadratic and it > 0):
-                L = _newton_matrix(asm, x, eps)
-                cholesky_inplace(L)
-        if L is None:
+        # differences below one ulp of the iterate are rounding noise
+        eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
+        if circulant is not None:
             forcing = 0.0 if quadratic else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
             d = _cg_direction(asm, x, eps, g, circulant, max(_PCG_RTOL, forcing))
         else:
+            if L is None:
+                L = _newton_matrix(asm, x, eps)
+                cholesky_inplace(L)
             d = cholesky_solve(L, -g)
             if not quadratic:
                 L = None  # free the n x n buffer before the line search
@@ -360,17 +357,11 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
 
     The method is a relaxed Newton iteration (_relaxed_newton), after the
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
-    (Numer. Math. 145, 2020).  Each step is solved once, so from 256 nodes
-    up, at growth q >= 2, it runs preconditioned CG with an FFT circulant
-    preconditioner: the quadratic problem in one step without an n x n
-    matrix, the others on the built matrix with an Eisenstat-Walker forcing
-    term.  Below either bound the dense Newton matrix is factored by the
-    tiled Cholesky of nlorlicz.linalg and solved by two whole-factor
-    triangular sweeps.  The bits of neither path depend on the BLAS thread
-    count.
-    After every full step the relaxation eps of the pair differences is
-    capped at max|u|, so the steps do not wait for eps to reach the
-    solution's scale.
+    (Numer. Math. 145, 2020), which picks its step solver as it describes;
+    the objective is quadratic when psi is, so a CG solve of the quadratic
+    problem takes one step.  After every full step the relaxation eps of the
+    pair differences is capped at max|u|, so the steps do not wait for eps
+    to reach the solution's scale.
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim

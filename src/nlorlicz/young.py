@@ -197,32 +197,26 @@ def make_young(family: str, **params) -> YoungFunction:
         t0 = _normalize_scale(raw)
         kt = ks * t0 ** ps
         kt = kt / kt.sum()  # exact value(1) = 1
-        c2 = kt * ps * (ps - 1.0)
+        c1, c2 = kt * ps, kt * ps * (ps - 1.0)
 
-        def curvature(t, kt=kt, ps=ps, c2=c2):
+        def powers(t, shift, ps=ps):
+            # t^(p_i - shift) along a new leading axis, one row per term
+            return t[None] ** (ps - shift).reshape((-1,) + (1,) * np.ndim(t))
+
+        def curvature(t, c1=c1, c2=c2, ps=ps):
             # deriv(t)/t shares deriv2's powers t^(p_i - 2), and is never the
             # larger when every p_i >= 2
-            tp = t[None] ** (ps - 2.0).reshape((-1,) + (1,) * np.ndim(t))
+            tp = powers(t, 2.0)
             d2 = np.einsum("i,i...->...", c2, tp)
             if ps.min() >= 2.0:
                 return d2
-            return np.maximum(d2, np.einsum("i,i...->...", kt * ps, tp))
+            return np.maximum(d2, np.einsum("i,i...->...", c1, tp))
 
         fn = YoungFunction(
-            value=lambda s, kt=kt, ps=ps: np.einsum(
-                "i,i...->...", kt, np.abs(s)[None] ** ps.reshape((-1,) + (1,) * np.ndim(s))
-            ),
-            deriv=lambda s, kt=kt, ps=ps: np.sign(s)
-            * np.einsum(
-                "i,i...->...",
-                kt * ps,
-                np.abs(s)[None] ** (ps - 1.0).reshape((-1,) + (1,) * np.ndim(s)),
-            ),
-            deriv2=lambda s, ps=ps, c2=c2: np.einsum(
-                "i,i...->...",
-                c2,
-                np.abs(s)[None] ** (ps - 2.0).reshape((-1,) + (1,) * np.ndim(s)),
-            ),
+            value=lambda s, kt=kt: np.einsum("i,i...->...", kt, powers(np.abs(s), 0.0)),
+            deriv=lambda s, c1=c1: np.sign(s)
+            * np.einsum("i,i...->...", c1, powers(np.abs(s), 1.0)),
+            deriv2=lambda s, c2=c2: np.einsum("i,i...->...", c2, powers(np.abs(s), 2.0)),
             curvature=curvature,
             p=float(ps.max()),
             q=float(ps.min()),
@@ -265,29 +259,9 @@ def make_young(family: str, **params) -> YoungFunction:
             out = np.where(a > 0.0, out, 0.0) * np.sign(s)
             return out if out.ndim else float(out)
 
-        def deriv2(s, t0=t0, c=c, p=p, r=r):
-            a = t0 * np.abs(np.asarray(s, dtype=float))
-            out = np.zeros_like(a)
-            nz = a > 0.0
-            an, L = a[nz], np.log1p(a[nz])
-            g = an / (1.0 + an)
-            out[nz] = (
-                t0 ** 2
-                * c
-                * an ** (p - 2.0)
-                * L ** (r - 2.0)
-                * (
-                    (p - 1.0) * L * (p * L + r * g)
-                    + r * g * (p * L + (r - 1.0) * g)
-                    + r * L * g / (1.0 + an)
-                )
-            )
-            return out if out.ndim else float(out)
-
-        def curvature(t, t0=t0, c=c, p=p, r=r):
-            # deriv2's expression, and deriv(t)/t from the same two powers:
+        def curvature_pair(a, t0=t0, c=c, p=p, r=r):
+            # deriv2 and deriv(t)/t at a = t0 t > 0, from the same two powers:
             # deriv(t)/t = t0^2 c a^(p-2) (p L + r g) L^(r-2) L
-            a = t0 * t
             L = np.log1p(a)
             a1 = 1.0 + a
             g = a / a1
@@ -296,7 +270,17 @@ def make_young(family: str, **params) -> YoungFunction:
             pL, rg = p * L, r * g
             pLrg = pL + rg
             d2 = A * Lr * ((p - 1.0) * L * pLrg + rg * (pL + (r - 1.0) * g) + r * L * g / a1)
-            return np.maximum(d2, A * pLrg * (Lr * L))
+            return d2, A * pLrg * (Lr * L)
+
+        def deriv2(s, t0=t0):
+            a = t0 * np.abs(np.asarray(s, dtype=float))
+            out = np.zeros_like(a)
+            nz = a > 0.0
+            out[nz] = curvature_pair(a[nz])[0]
+            return out if out.ndim else float(out)
+
+        def curvature(t, t0=t0):
+            return np.maximum(*curvature_pair(t0 * t))
 
         fn = YoungFunction(
             value=value,
@@ -393,6 +377,17 @@ def _char_extremum(g, s: float, maximize: bool) -> float:
     return best
 
 
+def _gamma_pair(fn: YoungFunction, s: float, deriv: bool) -> tuple[float, float]:
+    """(gamma-(s), gamma+(s)) of fn.value, or of fn.deriv when deriv is set."""
+    if s <= 0.0:
+        raise ValidationError("characteristic bounds need s > 0")
+    g, shift = (fn.deriv, 1.0) if deriv else (fn.value, 0.0)
+    if fn.family in ("power", "power_sum"):
+        lo, hi = s ** (fn.q - shift), s ** (fn.p - shift)
+        return min(lo, hi), max(lo, hi)
+    return _char_extremum(g, s, maximize=False), _char_extremum(g, s, maximize=True)
+
+
 def gamma_bounds(fn: YoungFunction, s: float) -> tuple[float, float]:
     """Characteristic bounds (gamma-(s), gamma+(s)) of the Young function.
 
@@ -400,26 +395,12 @@ def gamma_bounds(fn: YoungFunction, s: float) -> tuple[float, float]:
     x-range); computed by scanning a 64-per-decade log grid with
     golden-section refinement otherwise.
     """
-    if s <= 0.0:
-        raise ValidationError("characteristic bounds need s > 0")
-    if fn.family in ("power", "power_sum"):
-        lo, hi = s ** fn.q, s ** fn.p
-        return min(lo, hi), max(lo, hi)
-    gm = _char_extremum(fn.value, s, maximize=False)
-    gp = _char_extremum(fn.value, s, maximize=True)
-    return gm, gp
+    return _gamma_pair(fn, s, deriv=False)
 
 
 def gamma_bounds_deriv(fn: YoungFunction, s: float) -> tuple[float, float]:
     """Characteristic bounds of the *derivative* of the Young function."""
-    if s <= 0.0:
-        raise ValidationError("characteristic bounds need s > 0")
-    if fn.family in ("power", "power_sum"):
-        lo, hi = s ** (fn.q - 1.0), s ** (fn.p - 1.0)
-        return min(lo, hi), max(lo, hi)
-    gm = _char_extremum(fn.deriv, s, maximize=False)
-    gp = _char_extremum(fn.deriv, s, maximize=True)
-    return gm, gp
+    return _gamma_pair(fn, s, deriv=True)
 
 
 def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:

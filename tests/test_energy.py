@@ -110,41 +110,29 @@ class TestOffsetWeights:
         # offsets from the first node, in cells
         return np.rint((grid.nodes - grid.nodes[0]) / grid.spacing).astype(np.int64)
 
-    @pytest.mark.parametrize("spec", GRIDS, ids=lambda s: f"{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("spec", GRIDS + [("interval", 512, (-1.0, 1.0)),
+                                              ("box", 24, (-1.0, 1.0, -1.0, 1.0))],
+                             ids=lambda s: f"{s[0]}-{s[1]}")
     @pytest.mark.parametrize("family,kw", [("fractional", {"alpha": 0.5}),
                                            ("log", {"beta": 1.0}),
                                            ("two_exponent",
-                                            {"alpha_inner": 0.3, "alpha_outer": 0.9})])
+                                            {"alpha_inner": 0.3, "alpha_outer": 0.9}),
+                                           ("piecewise_dyadic", {"mu": 0.5})])
     def test_every_weight_is_the_sorted_offset_weight(self, spec, family, kw):
         from nlorlicz.energy import _offset_weight
 
         grid = make_grid(*spec)
         kern = make_kernel(family, dim=grid.dim, **kw)
-        W = assemble(grid, kern, make_young("power", p=2.0)).weights
-        lat = self._lattice(grid)
-        for i in range(grid.n_nodes):
-            for j in range(grid.n_nodes):
-                d = np.sort(np.abs(lat[i] - lat[j]))
-                ref = _offset_weight(kern, d, grid.spacing) if d.any() else 0.0
-                assert W[i, j] == ref, (i, j)
-
-    @pytest.mark.parametrize("spec", GRIDS + [("interval", 512, (-1.0, 1.0)),
-                                              ("box", 24, (-1.0, 1.0, -1.0, 1.0))],
-                             ids=lambda s: f"{s[0]}-{s[1]}")
-    def test_dyadic_weights_within_two_ulps_of_the_scalar_rule(self, spec):
-        # the dyadic profile rounds some powers differently on arrays and on
-        # 0-d inputs: up to 2 ulps in the weights at 1D n = 512 and on the
-        # 24^2 box, none on the smaller grids
-        from nlorlicz.energy import _offset_weight
-
-        grid = make_grid(*spec)
-        kern = make_kernel("piecewise_dyadic", dim=grid.dim, mu=0.5)
-        table = assemble(grid, kern, make_young("power", p=2.0)).offset_weights
-        ref = np.zeros_like(table)
-        for offset in np.ndindex(table.shape):
+        asm = assemble(grid, kern, make_young("power", p=2.0))
+        # the scalar rule at every sorted offset, one call each
+        ref = np.zeros_like(asm.offset_weights)
+        for offset in np.ndindex(ref.shape):
             if any(offset):
                 ref[offset] = _offset_weight(kern, np.sort(offset), grid.spacing)
-        np.testing.assert_array_max_ulp(table, ref, maxulp=2)
+        np.testing.assert_array_equal(asm.offset_weights, ref)
+        lat = self._lattice(grid)
+        delta = np.abs(lat[:, None, :] - lat[None, :, :])
+        np.testing.assert_array_equal(asm.weights, ref[tuple(np.moveaxis(delta, -1, 0))])
 
     def test_profile_calls_do_not_grow_with_the_grid(self):
         # the offset table calls the kernel profile a fixed number of times

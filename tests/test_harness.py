@@ -41,6 +41,10 @@ class TestBattery:
         assert set(BATTERY_MANIFEST) == expected
         assert len(BATTERY_MANIFEST) == len(expected)
         assert [r.name for r in battery_ref] == list(BATTERY_MANIFEST)
+        # every property runs through the one runner table
+        from nlorlicz.harness import _PROPERTY_RUNNERS
+
+        assert set(_PROPERTY_RUNNERS) == set(BATTERY_MANIFEST)
 
     def test_deterministic_bit_identical(self, asm_ref, battery_ref):
         again = run_battery(asm_ref, CorpusSpec(seed=0, trials=60, pair_samples=4000))

@@ -416,6 +416,19 @@ class TestConjugateGradientSteps:
         rep = solve_dirichlet(asm, self._bump(asm.grid), max_iter=2)
         assert rep.iterations == 2 and calls == [512, 512]
 
+    def test_one_step_solve_keeps_cg_at_its_second_step(self, frac05_1d, y_p2, monkeypatch):
+        # the step solver is chosen once: a quadratic Dirichlet solve whose
+        # stop rule asks for a second step runs that step by CG too
+        import nlorlicz.solvers as solvers
+
+        def refuse(A):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(solvers, "cholesky_inplace", refuse)
+        asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
+        rep = solve_dirichlet(asm, self._bump(asm.grid), tol=1e-15, max_iter=4)
+        assert rep.converged and rep.iterations >= 2
+
     def test_multi_step_quadratic_solves_factor_at_the_first_step(self, frac05_1d, y_p2,
                                                                   monkeypatch):
         # only the one-step quadratic Dirichlet solve runs CG: the eigen and
