@@ -23,7 +23,10 @@ from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
+    _binomial,
     _lattice_filter,
+    _powers,
+    _powers_product,
     _stencil_product,
     E_value,
     F_value,
@@ -124,10 +127,19 @@ def _quadratic_diagonal(asm: EnergyAssembly) -> np.ndarray:
     return asm.rowsum + asm.exterior * asm.h_pow_dim
 
 
+def _curvature_shift(young: YoungFunction, eps: float) -> float:
+    """c(eps) - c(0) for the even polynomial psi of young.even_terms, where
+    c is young.curvature."""
+    return sum(c * d * (d - 1) * eps ** (d - 2) for d, c in young.even_terms if d > 2)
+
+
 def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     """Weighted graph Laplacian with pair weights w_ij * c(max(|x_i - x_j|, eps))
     plus the diagonal Lambda_i h^N c(max(|x_i|, eps)), where c is
-    young.curvature.
+    young.curvature.  For the even polynomial psi of young.even_terms the
+    relaxed weight is c(t) + c(eps) - c(0) instead: a polynomial in t,
+    between c(max(t, eps)) and twice that, which _even_newton_product
+    applies with no matrix.
 
     |x_i - x_j| and w_ij are bitwise symmetric, so each row block k:e
     evaluates c only on columns k:n and copies columns e:n into columns k:e
@@ -140,25 +152,57 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     For quadratic psi c is 2 everywhere, so H is read off W: -2W with the
     diagonal 2 (rowsum + Lambda h^N).  Doubling is exact, so these are the
     bits of the curvature build."""
-    if asm.young.quadratic:
+    young = asm.young
+    if young.quadratic:
         H = -2.0 * asm.weights
         np.fill_diagonal(H, 2.0 * _quadratic_diagonal(asm))
         return H
+    if young.even_terms is None:
+        def relaxed(t):
+            return young.curvature(np.maximum(t, eps, out=t))
+    else:
+        shift = _curvature_shift(young, eps)
+
+        def relaxed(t):
+            return young.curvature(t) + shift
     n = x.shape[0]
     H = np.empty((n, n))
     diag = np.empty(n)
     for k in range(0, n, BLOCK):
         e = min(k + BLOCK, n)
-        t = np.abs(x[k:e, None] - x[None, k:])
-        np.maximum(t, eps, out=t)
         rows = H[k:e]
-        np.multiply(asm.young.curvature(t), asm.weights[k:e, k:], out=rows[:, k:])
+        np.multiply(relaxed(np.abs(x[k:e, None] - x[None, k:])), asm.weights[k:e, k:],
+                    out=rows[:, k:])
         H[e:, k:e] = rows[:, e:].T
         diag[k:e] = rows.sum(axis=1)
         np.negative(rows, out=rows)
-    diag += asm.young.curvature(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim
+    diag += relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim
     np.fill_diagonal(H, diag)
     return H
+
+
+def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, eps: float):
+    """(diag H, v -> H v) for H = _newton_matrix at an even polynomial psi,
+    with no n x n matrix.
+
+    The relaxed weight r(t) is a polynomial in t = z_i - z_j, with z = x -
+    mean(x).  By the binomial theorem (energy._binomial) sum_j w_ij r(t) v_j
+    = sum_b P_b W (z^b v), with P_b a polynomial in z, and the pair part of
+    diag H is the same sum at v = 1.  So a product is one batched stencil
+    product of v, z v, ..., z^M v (M the degree of r), and the diagonal is
+    read off rowsum and W z, ..., W z^M."""
+    young = asm.young
+    shift = _curvature_shift(young, eps)
+    T = _binomial(tuple((d - 2, c * d * (d - 1)) for d, c in young.even_terms))
+    zp = _powers(x - x.sum() / x.size, len(T) - 1)
+    P = np.einsum("be,en->bn", T, zp)
+    P[0] += shift
+    ext = (young.curvature(np.abs(x)) + shift) * asm.exterior * asm.h_pow_dim
+    diag = np.einsum("bn,bn->n", P, _powers_product(asm, zp, len(T) - 1)) + ext
+
+    def apply(v):
+        return diag * v - np.einsum("bn,bn->n", P, _stencil_product(asm, zp * v))
+    return diag, apply
 
 
 def _circulant(asm: EnergyAssembly):
@@ -209,12 +253,13 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
     """The Newton direction -H^-1 g by _pcg, with H = _newton_matrix.
 
     For quadratic psi H v = 2 (d0 v - W v) with W v by FFT
-    (_stencil_product), and no n x n matrix is built; otherwise H is built
-    and freed on return.  A built H is applied by np.einsum with its default
-    optimize=False, which runs numpy's own loop and never calls BLAS.  So it
-    starts no threads, and its bits do not depend on the BLAS thread count:
-    a BLAS H @ v of order 700 gave other bits at 2 and 3 OpenBLAS threads
-    than at 1.  The preconditioner is S C^-1 S with C from _circulant and
+    (_stencil_product), and for an even polynomial psi H v comes from
+    _even_newton_product: neither builds an n x n matrix.  Otherwise H is
+    built and freed on return.  A built H is applied by np.einsum with its
+    default optimize=False, which runs numpy's own loop and never calls
+    BLAS.  So it starts no threads, and its bits do not depend on the BLAS
+    thread count: a BLAS H @ v of order 700 gave other bits at 2 and 3
+    OpenBLAS threads than at 1.  The preconditioner is S C^-1 S with C from _circulant and
     S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C."""
     top, inverse = circulant
     if asm.young.quadratic:
@@ -223,6 +268,8 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
 
         def apply(v):
             return 2.0 * (d0 * v - _stencil_product(asm, v))
+    elif asm.young.even_terms is not None:
+        diag, apply = _even_newton_product(asm, x, eps)
     else:
         H = _newton_matrix(asm, x, eps)
         diag = H.diagonal()
@@ -268,12 +315,15 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     and quadratic psi the objective is quadratic (E minus a linear term), so
     the exact Newton step is the solution: each step is solved to a
     relative residual of _PCG_RTOL without building H.  Otherwise every CG
-    step builds H and solves inexactly, to the Eisenstat-Walker forcing term
+    step solves inexactly, to the Eisenstat-Walker forcing term
     ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
     1996); any CG iterate is a descent direction, so the line search is the
-    same.  Every other solve runs on the tiled Cholesky factor of H.  When
-    psi is quadratic, H is the same at every x and eps, so it is built and
-    factored once and the factor is kept for the rest of this call.
+    same.  It builds H, except for the even polynomial psi of
+    young.even_terms, whose H v is a few convolutions
+    (_even_newton_product).  Every other solve runs on the tiled Cholesky
+    factor of H.  When psi is quadratic, H is the same at every x and eps,
+    so it is built and factored once and the factor is kept for the rest of
+    this call.
     Otherwise each step builds and factors a fresh H and frees it before the
     energy passes of the line search.  The bits of neither solver depend on
     the BLAS thread count.
@@ -803,10 +853,13 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     iteration, and the one factor serves the whole solve.  ``iterations``
     counts Newton steps.  ``lambda_weak`` is the multiplier and ``lambda1``
     = E/F; the eigenfunction is reported with nonnegative sign.  Each step
-    costs one gradient pass, which also yields lambda and the residual."""
+    costs one gradient pass, which also yields lambda and the residual, and
+    the report reuses the loop's last energy pass."""
     hN = asm.h_pow_dim
     g = asm.grid
     state = {}
+    # the last E_value pass, with the iterate it was taken at
+    last = {}
 
     def normalize(x):
         u = GridFunction(g, x)
@@ -816,7 +869,8 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
         return x / k
 
     def value(x):
-        return E_value(asm, GridFunction(g, x))
+        last["E"] = x, E_value(asm, GridFunction(g, x))
+        return last["E"][1]
 
     def gradient(x):
         dpsi = asm.young.deriv(x)
@@ -838,10 +892,14 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     if state["x"] is not x:
         gradient(x)  # a failed line search left the state at a rejected trial
     lam, resid = state["lam"], state["resid"]
+    # the loop's pass at x, unless a failed line search took others since;
+    # E is even, so the pass also holds at -x
+    at, E = last["E"]
+    if at is not x:
+        E = E_value(asm, GridFunction(g, x))
     if float(np.sum(x)) < 0.0:
         x = -x
     u = GridFunction(g, x)
-    E = E_value(asm, u)
     F = F_value(asm, u)
     return SolveReport(
         solution=u,

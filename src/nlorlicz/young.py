@@ -40,6 +40,10 @@ class YoungFunction:
     max(deriv2(t), deriv(t)/t), defined for t > 0 only; families without a
     closed-form deriv2 use deriv(t)/t.  ``q <= p`` are the tightest growth
     exponents: ``q <= s*deriv(s)/value(s) <= p`` away from zero.
+    ``even_terms`` holds the (degree, coefficient) pairs of value when it is
+    a polynomial sum of c |s|^d with every degree d in {2, 4, 6}, other than
+    the quadratic |s|^2, and is None otherwise: the pair passes and the
+    Newton product are then exact convolutions (energy._pair_pass).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -50,6 +54,7 @@ class YoungFunction:
     family: str
     params: dict = field(default_factory=dict)
     deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    even_terms: Optional[tuple] = None
 
     @property
     def quadratic(self) -> bool:
@@ -128,6 +133,21 @@ def _normalize_scale(raw_value, lo=1e-8, hi=1e8):
     return brentq(lambda t: raw_value(t) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
+# the degrees whose binomial expansion (energy._pair_pass) keeps the
+# gradient well inside 1e-10 of max|gradient| of the triangle pass: 2.4e-11
+# at degree 6, against 5.4e-11 and 9.4e-11 at degrees 8 and 10
+_EVEN_DEGREES = (2.0, 4.0, 6.0)
+
+
+def _even_terms(terms) -> Optional[tuple]:
+    """((degree, coefficient), ...) with integer degrees when every degree
+    is in _EVEN_DEGREES, else None."""
+    terms = tuple(terms)
+    if all(d in _EVEN_DEGREES for d, _ in terms):
+        return tuple((int(d), c) for d, c in terms)
+    return None
+
+
 def _validate(fn: YoungFunction, tol=1e-9):
     """Construction-time checks of the growth-class membership on a sample grid."""
     s = _CHECK_GRID
@@ -180,6 +200,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=p,
             family="power",
             params={"p": p},
+            even_terms=_even_terms([(p, 1.0)]) if p != 2.0 else None,
         )
 
     elif family == "power_sum":
@@ -222,6 +243,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=float(ps.min()),
             family="power_sum",
             params={"terms": tuple(zip(ks.tolist(), ps.tolist())), "arg_scale": t0},
+            even_terms=_even_terms(zip(ps.tolist(), kt.tolist())),
         )
 
     elif family == "log_perturbed":

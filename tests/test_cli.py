@@ -365,6 +365,10 @@ class TestDeterminism:
         pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
                                _DIRICHLET_BUMP, 700),
                      id="dirichlet_log_700"),
+        # matrix-free CG steps for an even polynomial psi: batched FFTs
+        pytest.param(_sections({"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
+                               _DIRICHLET_BUMP, 512),
+                     id="dirichlet_power_sum_512"),
     ])
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, sections):
         # the Newton solves factor a dense matrix and solve with the whole

@@ -16,7 +16,7 @@ from nlorlicz import (
     make_kernel,
     make_young,
 )
-from nlorlicz.energy import (F_of_gradient, _pair_pass, _stencil_product,
+from nlorlicz.energy import (F_of_gradient, _lattice_filter, _pair_pass, _stencil_product,
                              central_gradient_norm)
 from nlorlicz.grid import bump, random_function
 from nlorlicz.kernels import poincare_constant, tail_integral
@@ -427,6 +427,53 @@ class TestPairPass:
                 lambda k: F_value(asm, gf(asm, u.values / k)), rel_tol=1e-15)
             assert norm == pytest.approx(bisected, rel=1e-13)
             assert abs(F_value(asm, gf(asm, u.values / norm)) - 1.0) <= 4 * np.finfo(float).eps
+
+
+EVEN_YOUNG = [
+    pytest.param(make_young("power", p=4.0), id="power-4"),
+    pytest.param(make_young("power", p=6.0), id="power-6"),
+    pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]), id="power_sum-2+4"),
+]
+
+
+class TestEvenPowerPass:
+    """E and its gradient for an even polynomial psi (young.even_terms) from
+    W z^j by FFT, against the triangle pass with that route switched off."""
+
+    @pytest.mark.parametrize("grid, kernel", [
+        pytest.param(("interval", 16, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-16"),
+        pytest.param(("interval", 64, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-64"),
+        pytest.param(("box", 16, (0.0, 1.0, 0.0, 1.0)), ("fractional", {"alpha": 1.0}),
+                     id="box-16"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), ("log", {"beta": 1.0}), id="ball-24"),
+        pytest.param(("interval", 2048, (-1.0, 1.0)), ("fractional", {"alpha": 1.5}),
+                     id="interval-2048-alpha-1.5"),
+    ])
+    @pytest.mark.parametrize("young", EVEN_YOUNG)
+    def test_matches_the_triangle_pass(self, grid, kernel, young):
+        from dataclasses import replace
+
+        grid = make_grid(*grid)
+        asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
+        off = replace(asm, young=replace(young, even_terms=None))
+        b = bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values
+        for x in (b, b + 0.3, random_function(grid, seed=5).values):
+            E_ref = _pair_pass(off, x, grad=False)
+            assert abs(_pair_pass(asm, x, grad=False) - E_ref) <= 1e-11 * E_ref
+            g_ref = _pair_pass(off, x, grad=True)
+            g = _pair_pass(asm, x, grad=True)
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+    def test_batched_filter_has_the_bits_of_single_calls(self):
+        for grid in (make_grid("interval", 1024, (-1.0, 1.0)),
+                     make_grid("ball", 24, (0.0, 0.0, 1.0))):
+            asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                           make_young("power", p=2.0))
+            xs = np.random.default_rng(7).standard_normal((3, grid.n_nodes))
+            batch = _lattice_filter(asm, xs, asm.stencil[2])
+            assert batch.tobytes() == np.array([_stencil_product(asm, x) for x in xs]).tobytes()
 
 
 class TestInequalities:

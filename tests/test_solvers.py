@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlorlicz import (
+    E_value,
     GridFunction,
     ReactionSpec,
     assemble,
@@ -320,6 +321,57 @@ class TestNewtonMatrix:
                          + c(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim)
         assert _newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("grid, kernel", [
+        pytest.param(("interval", 16, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-16"),
+        pytest.param(("interval", 64, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-64"),
+        pytest.param(("box", 16, (0.0, 1.0, 0.0, 1.0)), ("fractional", {"alpha": 1.0}),
+                     id="box-16"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), ("log", {"beta": 1.0}), id="ball-24"),
+    ])
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=4.0), id="power-4"),
+        pytest.param(make_young("power", p=6.0), id="power-6"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]),
+                     id="power_sum-2+4"),
+    ])
+    def test_matrix_free_product_of_even_powers(self, grid, kernel, young):
+        # the relaxed weight c(t) + c(eps) - c(0) is a polynomial in t, so
+        # H v needs no matrix
+        from nlorlicz.grid import bump
+        from nlorlicz.solvers import _even_newton_product, _newton_matrix
+
+        grid = make_grid(*grid)
+        asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
+        b = bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values
+        v = random_function(grid, seed=8).values
+        for x in (b, b + 0.3, random_function(grid, seed=9).values):
+            for eps in (1.0, 1e-3, 1e-9):
+                H = _newton_matrix(asm, x, eps)
+                diag, apply = _even_newton_product(asm, x, eps)
+                ref = H @ v
+                assert np.max(np.abs(apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.allclose(diag, H.diagonal(), rtol=1e-12, atol=0.0)
+
+    def test_even_powers_relax_by_a_polynomial(self, frac05_1d):
+        from nlorlicz.solvers import _newton_matrix
+
+        young = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d, young)
+        x = random_function(asm.grid, seed=10).values
+        eps = 0.3
+        t = np.abs(x[:, None] - x[None, :])
+        c = young.curvature
+        relaxed = c(t) + c(np.array(eps)) - c(np.array(0.0))
+        H = _newton_matrix(asm, x, eps)
+        off = ~np.eye(x.size, dtype=bool)
+        assert np.allclose(-H[off], (relaxed * asm.weights)[off], rtol=1e-14, atol=0.0)
+        # between the weights c(max(t, eps)) of the other psi and twice them
+        lower = c(np.maximum(t, eps))
+        assert np.all(relaxed >= lower * (1.0 - 1e-15))
+        assert np.all(relaxed <= 2.0 * lower)
+
     def test_no_temporaries_beyond_the_matrix(self, frac05_1d):
         import tracemalloc
 
@@ -447,6 +499,34 @@ class TestConjugateGradientSteps:
         asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
         rep = solve_sublinear(asm, power_reaction(1.5))
         assert rep.converged and rep.iterations > 1 and calls == [256]
+
+    def test_even_powers_step_without_a_matrix(self, frac05_1d, monkeypatch):
+        # from 256 nodes up a power-sum 2 + 4 solve runs matrix-free CG
+        # steps: no Newton matrix, and psi on no array of pair-block size
+        from dataclasses import replace
+
+        import nlorlicz.solvers as solvers
+
+        young = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
+        sizes = []
+
+        def counted(fn):
+            def wrapper(t):
+                sizes.append(np.size(t))
+                return fn(t)
+            return wrapper
+
+        def refuse(*args):
+            raise AssertionError("built the Newton matrix")
+
+        monkeypatch.setattr(solvers, "_newton_matrix", refuse)
+        n = 256
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+                       replace(young, value=counted(young.value), deriv=counted(young.deriv),
+                               curvature=counted(young.curvature)))
+        rep = solve_dirichlet(asm, self._bump(asm.grid))
+        assert rep.converged and rep.iterations > 1
+        assert max(sizes) <= n
 
     def test_no_circulant_without_a_positive_symbol(self, frac05_1d, y_p2, monkeypatch):
         # a stencil whose transform exceeds the largest diagonal gives no
@@ -901,6 +981,33 @@ class TestEvaluationCounts:
         assert calls["gradient_E"] <= rep.iterations + 2
         solve_dirichlet(asm16, random_function(asm16.grid, seed=12))
         assert calls["interaction"] == 0
+
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=2.0), id="power-2"),
+        pytest.param(make_young("power", p=1.5), id="power-1.5"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]),
+                     id="power_sum-2+4"),
+    ])
+    def test_eigen_reuses_the_last_energy_pass(self, frac05_1d, young, monkeypatch):
+        # the report's E is the loop's last accepted pass, taken at the
+        # returned point or at its negative (E is even): no pass repeats one
+        import nlorlicz.solvers as solvers
+
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d, young)
+        points = []
+
+        def recorded(asm, u):
+            points.append(u.values.copy())
+            return E_value(asm, u)
+
+        monkeypatch.setattr(solvers, "E_value", recorded)
+        rep = solve_eigen(asm)
+        assert rep.converged and rep.iterations > 1
+        x = rep.solution.values
+        assert np.array_equal(points[-1], x) or np.array_equal(points[-1], -x)
+        keys = {min(p.tobytes(), (-p).tobytes()) for p in points}
+        assert len(keys) == len(points)
+        assert rep.energy_E == E_value(asm, rep.solution)
 
     def test_mountain_pass_gradient_passes(self, frac05_1d, y_p2, monkeypatch):
         # the benchmark's superlinear config: 1D n = 128, alpha = 0.5, m = 3

@@ -61,6 +61,28 @@ class TestConstruction:
             expected = (2 * s**2 + 4 * s**4) / (s**2 + s**4)
             assert fn.ratio(np.array(s)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("family, params, terms", [
+        ("power", {"p": 4.0}, ((4, 1.0),)),
+        ("power", {"p": 6.0}, ((6, 1.0),)),
+        # |s|^2 keeps its own quadratic pass
+        ("power", {"p": 2.0}, None),
+        ("power", {"p": 3.0}, None),
+        ("power", {"p": 8.0}, None),
+        ("power_sum", {"terms": [(1.0, 2.0), (1.0, 6.0)]}, (2, 6)),
+        ("power_sum", {"terms": [(0.5, 2.0), (0.5, 3.0)]}, None),
+        ("power_sum", {"terms": [(0.5, 4.0), (0.5, 8.0)]}, None),
+        ("log_perturbed", {"p": 2.0, "r": 1.0}, None),
+    ])
+    def test_even_terms(self, family, params, terms):
+        fn = make_young(family, **params)
+        if terms is None or family == "power":
+            assert fn.even_terms == terms
+            return
+        assert tuple(d for d, _ in fn.even_terms) == terms
+        s = np.linspace(-3.0, 3.0, 61)
+        poly = sum(c * s ** d for d, c in fn.even_terms)
+        assert np.allclose(poly, fn.value(s), rtol=1e-14, atol=0.0)
+
     def test_log_perturbed_bounds(self):
         fn = make_young("log_perturbed", p=2.0, r=-0.5)
         assert fn.q == pytest.approx(1.5)
