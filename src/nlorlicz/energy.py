@@ -26,10 +26,10 @@ lattice offset of x_i and x_j, W @ x is a discrete convolution with the
 offset stencil, and the pass computes it by FFT on the bounding lattice,
 zero-padded so that no offset wraps around (EnergyAssembly.stencil).  For
 the even polynomial Young functions (young.even_terms) the pass is a few
-such convolutions, of the powers of x - mean(x).  The FFT runs on one
-thread, so in every case the results do not depend on thread counts.  The
-interaction form and the pointwise operator are derived from the gradient,
-which is exact because young.deriv is odd.
+such convolutions, of the powers of x - mean(x), from _EVEN_MIN_NODES
+nodes up.  The FFT runs on one thread, so in every case the results do not
+depend on thread counts.  The interaction form and the pointwise operator
+are derived from the gradient, which is exact because young.deriv is odd.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .young import YoungFunction
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
 PAIR_BUDGET = int(1e8)
+
+# from this many nodes up an even polynomial psi takes the FFT route of
+# _pair_pass; below it the triangle pass is the faster
+_EVEN_MIN_NODES = 100
 
 
 @dataclass(frozen=True)
@@ -308,9 +312,11 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     max|gradient|, both worst at p = 6 and alpha = 1.5; at degrees 8 and
     10 the gradient reached 5.4e-11 and 9.4e-11, so they keep the triangle
     pass.  At n = 2048 one energy and one gradient pass take about 2.5 ms,
-    against 45 ms for the triangle pass; below about 100 nodes the FFT's
-    fixed cost makes the route the slower one (70 against 45 microseconds
-    at n = 64).
+    against 45 ms for the triangle pass.  The FFT has a fixed cost of about
+    0.2 ms for the pair, so below _EVEN_MIN_NODES nodes the triangle pass
+    runs instead: at p = 6 the two met near 96 nodes on intervals, and at
+    64 nodes (1D, and the 8 x 8 box) the FFT route was the slower by 4 to
+    50%.
     """
     young, W, hN = asm.young, asm.weights, asm.h_pow_dim
     if young.quadratic:
@@ -318,7 +324,7 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
         Lz = asm.rowsum * z - _stencil_product(asm, z)
         ext = x * asm.exterior * hN
         return 2.0 * (Lz + ext) if grad else float(np.sum(z * Lz) + np.sum(x * ext))
-    if young.even_terms is not None:
+    if young.even_terms is not None and x.size >= _EVEN_MIN_NODES:
         if grad:
             T = _binomial(tuple((d - 1, c * d) for d, c in young.even_terms))
         else:
@@ -339,6 +345,31 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     if grad:
         return rows + young.deriv(x) * asm.exterior * hN
     return 0.5 * float(np.sum(rows)) + float(np.sum(young.value(x) * asm.exterior)) * hN
+
+
+def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, shift: float):
+    """(diag H, v -> H v) with no n x n matrix, for the weighted graph
+    Laplacian H at an even polynomial psi (young.even_terms) whose pair
+    weights are w_ij (c(|x_i - x_j|) + shift) and whose diagonal adds
+    Lambda_i h^N (c(|x_i|) + shift), with c = young.curvature.
+
+    The weight r(t) = c(t) + shift is a polynomial in t = z_i - z_j, with
+    z = x - mean(x).  By the binomial theorem (_binomial) sum_j w_ij r(t) v_j
+    = sum_b P_b W (z^b v), with P_b a polynomial in z, and the pair part of
+    diag H is the same sum at v = 1.  So a product is one batched stencil
+    product of v, z v, ..., z^M v (M the degree of r), and the diagonal is
+    read off rowsum and W z, ..., W z^M."""
+    young = asm.young
+    T = _binomial(tuple((d - 2, c * d * (d - 1)) for d, c in young.even_terms))
+    zp = _powers(x - x.sum() / x.size, len(T) - 1)
+    P = np.einsum("be,en->bn", T, zp)
+    P[0] += shift
+    ext = (young.curvature(np.abs(x)) + shift) * asm.exterior * asm.h_pow_dim
+    diag = np.einsum("bn,bn->n", P, _powers_product(asm, zp, len(T) - 1)) + ext
+
+    def apply(v):
+        return diag * v - np.einsum("bn,bn->n", P, _stencil_product(asm, zp * v))
+    return diag, apply
 
 
 def E_value(asm: EnergyAssembly, u: GridFunction) -> float:

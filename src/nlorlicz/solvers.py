@@ -23,10 +23,8 @@ from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
-    _binomial,
+    _even_newton_product,
     _lattice_filter,
-    _powers,
-    _powers_product,
     _stencil_product,
     E_value,
     F_value,
@@ -138,7 +136,7 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     plus the diagonal Lambda_i h^N c(max(|x_i|, eps)), where c is
     young.curvature.  For the even polynomial psi of young.even_terms the
     relaxed weight is c(t) + c(eps) - c(0) instead: a polynomial in t,
-    between c(max(t, eps)) and twice that, which _even_newton_product
+    between c(max(t, eps)) and twice that, which energy._even_newton_product
     applies with no matrix.
 
     |x_i - x_j| and w_ij are bitwise symmetric, so each row block k:e
@@ -179,30 +177,6 @@ def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray
     diag += relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim
     np.fill_diagonal(H, diag)
     return H
-
-
-def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, eps: float):
-    """(diag H, v -> H v) for H = _newton_matrix at an even polynomial psi,
-    with no n x n matrix.
-
-    The relaxed weight r(t) is a polynomial in t = z_i - z_j, with z = x -
-    mean(x).  By the binomial theorem (energy._binomial) sum_j w_ij r(t) v_j
-    = sum_b P_b W (z^b v), with P_b a polynomial in z, and the pair part of
-    diag H is the same sum at v = 1.  So a product is one batched stencil
-    product of v, z v, ..., z^M v (M the degree of r), and the diagonal is
-    read off rowsum and W z, ..., W z^M."""
-    young = asm.young
-    shift = _curvature_shift(young, eps)
-    T = _binomial(tuple((d - 2, c * d * (d - 1)) for d, c in young.even_terms))
-    zp = _powers(x - x.sum() / x.size, len(T) - 1)
-    P = np.einsum("be,en->bn", T, zp)
-    P[0] += shift
-    ext = (young.curvature(np.abs(x)) + shift) * asm.exterior * asm.h_pow_dim
-    diag = np.einsum("bn,bn->n", P, _powers_product(asm, zp, len(T) - 1)) + ext
-
-    def apply(v):
-        return diag * v - np.einsum("bn,bn->n", P, _stencil_product(asm, zp * v))
-    return diag, apply
 
 
 def _circulant(asm: EnergyAssembly):
@@ -254,7 +228,7 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
 
     For quadratic psi H v = 2 (d0 v - W v) with W v by FFT
     (_stencil_product), and for an even polynomial psi H v comes from
-    _even_newton_product: neither builds an n x n matrix.  Otherwise H is
+    energy._even_newton_product: neither builds an n x n matrix.  Otherwise H is
     built and freed on return.  A built H is applied by np.einsum with its
     default optimize=False, which runs numpy's own loop and never calls
     BLAS.  So it starts no threads, and its bits do not depend on the BLAS
@@ -269,7 +243,7 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
         def apply(v):
             return 2.0 * (d0 * v - _stencil_product(asm, v))
     elif asm.young.even_terms is not None:
-        diag, apply = _even_newton_product(asm, x, eps)
+        diag, apply = _even_newton_product(asm, x, _curvature_shift(asm.young, eps))
     else:
         H = _newton_matrix(asm, x, eps)
         diag = H.diagonal()
@@ -320,7 +294,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     1996); any CG iterate is a descent direction, so the line search is the
     same.  It builds H, except for the even polynomial psi of
     young.even_terms, whose H v is a few convolutions
-    (_even_newton_product).  Every other solve runs on the tiled Cholesky
+    (energy._even_newton_product).  Every other solve runs on the tiled Cholesky
     factor of H.  When psi is quadratic, H is the same at every x and eps,
     so it is built and factored once and the factor is kept for the rest of
     this call.

@@ -41,8 +41,8 @@ class YoungFunction:
     closed-form deriv2 use deriv(t)/t.  ``q <= p`` are the tightest growth
     exponents: ``q <= s*deriv(s)/value(s) <= p`` away from zero.
     ``even_terms`` holds the (degree, coefficient) pairs of value when it is
-    a polynomial sum of c |s|^d with every degree d in {2, 4, 6}, other than
-    the quadratic |s|^2, and is None otherwise: the pair passes and the
+    a polynomial sum of c |s|^d with every degree d in {2, 4, 6} and some
+    degree above 2, and is None otherwise: the pair passes and the
     Newton product are then exact convolutions (energy._pair_pass).
     """
 
@@ -141,9 +141,10 @@ _EVEN_DEGREES = (2.0, 4.0, 6.0)
 
 def _even_terms(terms) -> Optional[tuple]:
     """((degree, coefficient), ...) with integer degrees when every degree
-    is in _EVEN_DEGREES, else None."""
+    is in _EVEN_DEGREES and one exceeds 2, else None: a sum of c |s|^2 alone
+    keeps the triangle pass, as |s|^2 keeps its own."""
     terms = tuple(terms)
-    if all(d in _EVEN_DEGREES for d, _ in terms):
+    if all(d in _EVEN_DEGREES for d, _ in terms) and max(d for d, _ in terms) > 2.0:
         return tuple((int(d), c) for d, c in terms)
     return None
 
@@ -200,7 +201,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=p,
             family="power",
             params={"p": p},
-            even_terms=_even_terms([(p, 1.0)]) if p != 2.0 else None,
+            even_terms=_even_terms([(p, 1.0)]),
         )
 
     elif family == "power_sum":

@@ -452,9 +452,10 @@ class TestEvenPowerPass:
                      id="interval-2048-alpha-1.5"),
     ])
     @pytest.mark.parametrize("young", EVEN_YOUNG)
-    def test_matches_the_triangle_pass(self, grid, kernel, young):
+    def test_matches_the_triangle_pass(self, grid, kernel, young, monkeypatch):
         from dataclasses import replace
 
+        monkeypatch.setattr("nlorlicz.energy._EVEN_MIN_NODES", 0)
         grid = make_grid(*grid)
         asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
         off = replace(asm, young=replace(young, even_terms=None))
@@ -465,6 +466,22 @@ class TestEvenPowerPass:
             g_ref = _pair_pass(off, x, grad=True)
             g = _pair_pass(asm, x, grad=True)
             assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("young", EVEN_YOUNG)
+    def test_triangle_pass_below_the_node_threshold(self, young):
+        # below _EVEN_MIN_NODES the FFT's fixed cost outweighs the pairs
+        from dataclasses import replace
+
+        from nlorlicz.energy import _EVEN_MIN_NODES
+
+        for n in (_EVEN_MIN_NODES - 1, _EVEN_MIN_NODES):
+            grid = make_grid("interval", n, (-1.0, 1.0))
+            asm = assemble(grid, make_kernel("fractional", dim=1, alpha=0.5), young)
+            off = replace(asm, young=replace(young, even_terms=None))
+            x = random_function(grid, seed=5).values
+            same = [np.array_equal(_pair_pass(asm, x, grad), _pair_pass(off, x, grad))
+                    for grad in (False, True)]
+            assert same == [n < _EVEN_MIN_NODES] * 2
 
     def test_batched_filter_has_the_bits_of_single_calls(self):
         for grid in (make_grid("interval", 1024, (-1.0, 1.0)),

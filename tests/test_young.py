@@ -69,6 +69,8 @@ class TestConstruction:
         ("power", {"p": 3.0}, None),
         ("power", {"p": 8.0}, None),
         ("power_sum", {"terms": [(1.0, 2.0), (1.0, 6.0)]}, (2, 6)),
+        # a sum of |s|^2 alone is quadratic, as |s|^2 is
+        ("power_sum", {"terms": [(1.0, 2.0)]}, None),
         ("power_sum", {"terms": [(0.5, 2.0), (0.5, 3.0)]}, None),
         ("power_sum", {"terms": [(0.5, 4.0), (0.5, 8.0)]}, None),
         ("log_perturbed", {"p": 2.0, "r": 1.0}, None),
