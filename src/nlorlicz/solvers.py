@@ -110,6 +110,9 @@ def power_reaction(m: float) -> ReactionSpec:
 # below this fraction of |objective| a predicted decrease puts the Armijo
 # margin (1e-4 of it) within a few dozen ulps of the objective
 _ROUNDING = 1e-10
+# eps's factor after a step accepted at unit length; a shortened step halves
+# it (_relaxed_newton).  The sweep that chose it is in CHANGES.md
+_EPS_DECAY = 0.125
 # the CG step solve's bounds (_relaxed_newton); the measured crossovers are
 # in CHANGES.md
 _PCG_MIN_NODES = 256
@@ -264,15 +267,21 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     psi'' and the secant weight psi'(t)/t: where psi' is concave (growth
     below 2) the secant weight contracts a near-zero difference in one step,
     where the plain Newton weight maps t to -t (p = 1.5) or farther out.
-    eps starts at 1 and follows the iterate: after a step accepted at unit
-    length it becomes min(eps/2, max|x|), since no pair difference exceeds
-    2 max|x| and a wider relaxation only moves H off the curvature at x
-    (above quadratic growth it stiffens H and shortens the steps); after a
-    backtracked step it is halved.  It stays above one ulp of max|x|
-    and above where the weights would overflow.  An Armijo search on value
-    starts at the unit step; once the predicted decrease is below the
-    rounding of value, a step must lower the Euclidean norm of gradient
-    instead, which no single node's rounding can hold at a short step.
+    eps starts at 1 and follows the iterate: after every accepted step it
+    becomes min(kappa eps, max|x|), with kappa = _EPS_DECAY after a step at
+    unit length and 1/2 after a shortened one.  No pair difference exceeds
+    2 max|x|, and a wider relaxation only moves H off the curvature at x
+    (above quadratic growth it stiffens H and shortens the steps); the
+    relaxed Kacanov scheme asks only that eps decrease.  It stays above one
+    ulp of max|x| and above where the weights would overflow.  Below growth
+    2 the residual then falls by a steady factor of about 2 - p per step,
+    whatever eps is: for |s|^p the secant weight is 1/(p - 1) times psi'',
+    so a step goes p - 1 of the Newton step.  The remaining steps scale as
+    log(tol) / log(2 - p): p = 1.1 takes about 170 at 1D n = 64.  An Armijo
+    search on value starts at the unit step; once the predicted decrease is
+    below the rounding of value, a step must lower the Euclidean norm of
+    gradient instead, which no single node's rounding can hold at a short
+    step.
     With retract, each trial point x + t d is replaced by retract(x + t d)
     (None rejects it).  The slope stays gradient . d, which is exact when
     gradient is the gradient of value after retract (the eigen solve), or
@@ -360,7 +369,9 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         info["objective_history"].append(J)
         it += 1
         size = float(np.max(np.abs(x)))
-        nxt = min(0.5 * eps, size) if t == 1.0 and size > 0.0 else 0.5 * eps
+        nxt = (_EPS_DECAY if t == 1.0 else 0.5) * eps
+        if size > 0.0:
+            nxt = min(nxt, size)
         if np.all(np.isfinite(asm.young.curvature(np.array([nxt])))):
             eps = nxt
 
@@ -383,9 +394,10 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
     (Numer. Math. 145, 2020), which picks its step solver as it describes;
     the objective is quadratic when psi is, so a CG solve of the quadratic
-    problem takes one step.  After every full step the relaxation eps of the
-    pair differences is capped at max|u|, so the steps do not wait for eps
-    to reach the solution's scale.
+    problem takes one step.  After every step the relaxation eps of the
+    pair differences falls by 1/8 (1/2 after a shortened step) and is capped
+    at max|u|, so the steps do not wait for eps to reach the solution's
+    scale.
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim

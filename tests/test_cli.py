@@ -342,6 +342,9 @@ class TestDeterminism:
                      id="eigen_p2"),
         pytest.param(_sections({"family": "power", "p": 1.5}, {"type": "eigen"}, 256),
                      id="eigen_p15"),
+        # growth below 2 factors a fresh matrix at every step
+        pytest.param(_sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 512),
+                     id="dirichlet_p15_512"),
         pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
                                _DIRICHLET_BUMP, 256),
                      id="dirichlet_log"),
