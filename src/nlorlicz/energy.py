@@ -20,7 +20,7 @@ n x n, and every sum runs in a fixed order.  young.value is even and
 young.deriv odd (make_young checks both), so the pass evaluates them on one
 triangle of the pairs only: a block's column sums give the rows below it
 their terms, with the gradient's sign flipped.  For the
-quadratic Young function (power, p = 2) the energy is a quadratic form in
+quadratic Young function (young.quadratic) the energy is a quadratic form in
 the graph Laplacian diag(rowsum W) - W.  Since w_ij depends only on the
 lattice offset of x_i and x_j, W @ x is a discrete convolution with the
 offset stencil, and the pass computes it by FFT on the bounding lattice,
@@ -243,6 +243,8 @@ def _powers(z: np.ndarray, top: int) -> np.ndarray:
 def _powers_product(asm: EnergyAssembly, zp: np.ndarray, k: int) -> np.ndarray:
     """W @ z^j for j = 0..k, from the powers zp[j] = z^j: rowsum for j = 0,
     the rest by one batched stencil product."""
+    if k == 0:
+        return asm.rowsum[None]
     return np.vstack([asm.rowsum, _stencil_product(asm, zp[1:k + 1])])
 
 
@@ -413,13 +415,13 @@ def luxemburg_norm_of(asm: EnergyAssembly, u: GridFunction,
                       rel_tol: float = 1e-10) -> float:
     """Luxemburg norm of a grid function under the assembly's Young function.
 
-    For the power family F(u/k) = k^(-p) F(u), so the norm is F(u)^(1/p) and
-    rel_tol is unused; the other families bisect on k."""
+    For homogeneous psi (p = q) F(u/k) = k^(-p) F(u), so the norm is
+    F(u)^(1/p) and rel_tol is unused; otherwise it bisects on k."""
     from .young import luxemburg_norm
 
     if not np.any(u.values):
         return 0.0
-    if asm.young.family == "power":
+    if asm.young.homogeneous:
         return F_value(asm, u) ** (1.0 / asm.young.p)
     return luxemburg_norm(
         lambda k: F_value(asm, GridFunction(asm.grid, u.values / k)),

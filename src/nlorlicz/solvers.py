@@ -25,7 +25,6 @@ from .energy import (
     EnergyAssembly,
     _even_newton_product,
     _lattice_filter,
-    _stencil_product,
     E_value,
     F_value,
     apply_operator,
@@ -229,23 +228,17 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
                   circulant, rtol: float) -> np.ndarray:
     """The Newton direction -H^-1 g by _pcg, with H = _newton_matrix.
 
-    For quadratic psi H v = 2 (d0 v - W v) with W v by FFT
-    (_stencil_product), and for an even polynomial psi H v comes from
-    energy._even_newton_product: neither builds an n x n matrix.  Otherwise H is
-    built and freed on return.  A built H is applied by np.einsum with its
+    For a polynomial psi (young.even_terms, |s|^2 included) H v comes from
+    energy._even_newton_product, with no n x n matrix; at degree 2 that is
+    2 (d0 v - W v) with W v by FFT.  Otherwise H is built and freed on
+    return.  A built H is applied by np.einsum with its
     default optimize=False, which runs numpy's own loop and never calls
     BLAS.  So it starts no threads, and its bits do not depend on the BLAS
     thread count: a BLAS H @ v of order 700 gave other bits at 2 and 3
     OpenBLAS threads than at 1.  The preconditioner is S C^-1 S with C from _circulant and
     S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C."""
     top, inverse = circulant
-    if asm.young.quadratic:
-        d0 = _quadratic_diagonal(asm)
-        diag = 2.0 * d0
-
-        def apply(v):
-            return 2.0 * (d0 * v - _stencil_product(asm, v))
-    elif asm.young.even_terms is not None:
+    if asm.young.even_terms is not None:
         diag, apply = _even_newton_product(asm, x, _curvature_shift(asm.young, eps))
     else:
         H = _newton_matrix(asm, x, eps)
@@ -301,8 +294,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     step solves inexactly, to the Eisenstat-Walker forcing term
     ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
     1996); any CG iterate is a descent direction, so the line search is the
-    same.  It builds H, except for the even polynomial psi of
-    young.even_terms, whose H v is a few convolutions
+    same.  It builds H, except for the polynomial psi of young.even_terms,
+    |s|^2 included, whose H v is a few convolutions
     (energy._even_newton_product).  Every other solve runs on the tiled Cholesky
     factor of H.  When psi is quadratic, H is the same at every x and eps,
     so it is built and factored once and the factor is kept for the rest of
@@ -712,7 +705,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     The iterate lives on the peaks of rays (_ray_peak).  Each step is a
     relaxed Newton step (_relaxed_newton) whose trial points are moved back
     to the peak of their ray, so the line search lowers the peak level.
-    For the power family E is p-homogeneous, so a ray's slope costs one
+    For homogeneous psi (p = q) E is p-homogeneous, so a ray's slope costs one
     gradient pass however many scales the peak search tries, and that pass
     also gives E and its gradient at the peak: gradient_E(t y) =
     t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p.  There is no
@@ -734,13 +727,13 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop = _reaction_objective(asm, reaction, tol)
     hN = asm.h_pow_dim
-    homogeneous, p = asm.young.family == "power", asm.young.p
-    # the last ray: its peak scale t and point x = t y; for the power family
+    homogeneous, p = asm.young.homogeneous, asm.young.p
+    # the last ray: its peak scale t and point x = t y; for homogeneous psi
     # also gradient_E(y) and gradient_E(y) . y
     ray = {"x": None}
 
     def ray_slope(y):
-        # E is p-homogeneous for the power family, so gradient_E(t y) =
+        # E is p-homogeneous for homogeneous psi, so gradient_E(t y) =
         # t^(p-1) gradient_E(y) and only the reaction term depends on t
         if homogeneous:
             gE = gradient_E(asm, GridFunction(g, y)).values
@@ -827,7 +820,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     F(v) = 1 by relaxed Newton steps (_relaxed_newton).
 
     Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
-    (closed form for pure powers, else bisection on the scale factor).  The
+    (closed form when p = q, else bisection on the scale factor).  The
     step gradient is r = gradient_E - lambda * gradient_F with the Lagrange
     multiplier lambda = gradient_E . v / gradient_F . v: the projection of
     gradient_E onto the tangent directions along v, which is the exact

@@ -41,9 +41,11 @@ class YoungFunction:
     closed-form deriv2 use deriv(t)/t.  ``q <= p`` are the tightest growth
     exponents: ``q <= s*deriv(s)/value(s) <= p`` away from zero.
     ``even_terms`` holds the (degree, coefficient) pairs of value when it is
-    a polynomial sum of c |s|^d with every degree d in {2, 4, 6} and some
-    degree above 2, and is None otherwise: the pair passes and the
-    Newton product are then exact convolutions (energy._pair_pass).
+    a polynomial sum of c |s|^d with every degree d in {2, 4, 6}, and is
+    None otherwise: the pair passes and the Newton product are then exact
+    convolutions (energy._pair_pass).  ``quadratic`` (every degree of
+    even_terms is 2) and ``homogeneous`` (p == q) are read off these
+    fields, not off ``family``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -58,10 +60,17 @@ class YoungFunction:
 
     @property
     def quadratic(self) -> bool:
-        """True for |s|^2, the one family member with constant second
-        derivative: the energy is then a quadratic form, and its Newton
+        """True when value is |s|^2, however spelled: every degree of
+        even_terms is 2, and value(1) = 1 makes the coefficients sum to 1 up
+        to rounding.  The energy is then a quadratic form, and its Newton
         matrix is the same at every point."""
-        return self.family == "power" and self.p == 2.0
+        return self.even_terms is not None and all(d == 2 for d, _ in self.even_terms)
+
+    @property
+    def homogeneous(self) -> bool:
+        """True when value is p-homogeneous, value(t s) = t^p value(s): the
+        growth exponents meet, p == q."""
+        return self.p == self.q
 
     def ratio(self, s):
         """Growth ratio s*deriv(s)/value(s), defined for s != 0."""
@@ -141,10 +150,9 @@ _EVEN_DEGREES = (2.0, 4.0, 6.0)
 
 def _even_terms(terms) -> Optional[tuple]:
     """((degree, coefficient), ...) with integer degrees when every degree
-    is in _EVEN_DEGREES and one exceeds 2, else None: a sum of c |s|^2 alone
-    keeps the triangle pass, as |s|^2 keeps its own."""
+    is in _EVEN_DEGREES, else None."""
     terms = tuple(terms)
-    if all(d in _EVEN_DEGREES for d, _ in terms) and max(d for d, _ in terms) > 2.0:
+    if all(d in _EVEN_DEGREES for d, _ in terms):
         return tuple((int(d), c) for d, c in terms)
     return None
 
@@ -362,42 +370,42 @@ def make_young(family: str, **params) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
-def _refine_extremum(ratio_of_logx, t_lo, t_hi, maximize, iters=60):
-    """Golden-section search on log-x for the bracketed interior extremum."""
+def _grid_extremum(vals, f, maximize: bool) -> float:
+    """Extremum of a map on x > 0 from its values vals on _CHAR_GRID: the
+    grid's best, refined by golden-section search on log-x, with f the map
+    as a function of log x, between the grid's neighbours of an interior
+    extremum."""
+    idx = int(np.argmax(vals) if maximize else np.argmin(vals))
+    best = float(vals[idx])
+    if not 0 < idx < len(vals) - 1:
+        return best
+    t = np.log(_CHAR_GRID)
     sgn = -1.0 if maximize else 1.0
-    a, b = t_lo, t_hi
+    a, b = t[idx - 1], t[idx + 1]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = sgn * ratio_of_logx(x1)
-    f2 = sgn * ratio_of_logx(x2)
-    for _ in range(iters):
+    f1 = sgn * f(x1)
+    f2 = sgn * f(x2)
+    for _ in range(60):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = sgn * ratio_of_logx(x1)
+            f1 = sgn * f(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = sgn * ratio_of_logx(x2)
-    return sgn * min(f1, f2)
+            f2 = sgn * f(x2)
+    refined = sgn * min(f1, f2)
+    return max(best, refined) if maximize else min(best, refined)
 
 
 def _char_extremum(g, s: float, maximize: bool) -> float:
     """inf or sup over x > 0 of g(s*x)/g(x), by log-grid scan plus refinement."""
-    x = _CHAR_GRID
-    vals = g(s * x) / g(x)
-    idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-    best = float(vals[idx])
-    if 0 < idx < len(x) - 1:
-        t = np.log(x)
+    def f(tt):
+        xx = np.exp(tt)
+        return float(g(np.array(s * xx)) / g(np.array(xx)))
 
-        def f(tt):
-            xx = np.exp(tt)
-            return float(g(np.array(s * xx)) / g(np.array(xx)))
-
-        best_ref = _refine_extremum(f, t[idx - 1], t[idx + 1], maximize)
-        best = max(best, best_ref) if maximize else min(best, best_ref)
-    return best
+    return _grid_extremum(g(s * _CHAR_GRID) / g(_CHAR_GRID), f, maximize)
 
 
 def _gamma_pair(fn: YoungFunction, s: float, deriv: bool) -> tuple[float, float]:
@@ -459,19 +467,13 @@ def sv_delta(fn: YoungFunction) -> float:
     """
     if fn.family == "power":
         return fn.p
+
+    def f(tt):
+        x = float(np.exp(tt))
+        return float(fn.deriv(np.array(x))) / gamma_plus_deriv(fn, x)
+
     s = _CHAR_GRID
-    vals = fn.deriv(s) / gamma_plus_deriv(fn, s)
-    idx = int(np.argmin(vals))
-    best = float(vals[idx])
-    if 0 < idx < len(s) - 1:
-        t = np.log(s)
-
-        def f(tt):
-            x = float(np.exp(tt))
-            return float(fn.deriv(np.array(x))) / gamma_plus_deriv(fn, x)
-
-        best = min(best, _refine_extremum(f, t[idx - 1], t[idx + 1], maximize=False))
-    return best
+    return _grid_extremum(fn.deriv(s) / gamma_plus_deriv(fn, s), f, maximize=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nlorlicz import assemble, make_grid, make_kernel, make_young
+
+# pyproject's pythonpath puts src on this process's path; the tests that
+# run `python -m nlorlicz.cli` in a subprocess need it in the environment
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,18 @@ class TestRun:
         assert "lambda1_dense" not in orc
         assert not (out / "oracle_eigenfunction.csv").exists()
 
+    def test_oracle_takes_quadratic_psi_however_spelled(self, tmp_path):
+        # |s|^2 written as a power sum is quadratic: the dense eigenvalue is
+        # that of p = 2
+        lams = []
+        for name, young in (("sum", {"family": "power_sum", "terms": [[1.0, 2.0]]}),
+                            ("power", {"family": "power", "p": 2.0})):
+            path, _ = write_config(tmp_path, name=f"{name}.json", young=young,
+                                     output_dir=str(tmp_path / name))
+            assert main(["oracle", str(path)]) == 0
+            lams.append(json.loads((tmp_path / name / "oracle.json").read_text())["lambda1_dense"])
+        assert lams[0] == lams[1]
+
     def test_battery_run_and_schema(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "battery", "trials": 20})
         assert main(["run", str(path)]) == 0
@@ -372,6 +384,10 @@ class TestDeterminism:
         pytest.param(_sections({"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
                                _DIRICHLET_BUMP, 512),
                      id="dirichlet_power_sum_512"),
+        # |s|^2 spelled as a power sum: the quadratic one-step CG solve
+        pytest.param(_sections({"family": "power_sum", "terms": [[1.0, 2.0]]},
+                               _DIRICHLET_BUMP, 512),
+                     id="dirichlet_power_sum_p2_512"),
     ])
     def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, sections):
         # the Newton solves factor a dense matrix and solve with the whole

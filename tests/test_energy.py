@@ -492,6 +492,33 @@ class TestEvenPowerPass:
             batch = _lattice_filter(asm, xs, asm.stencil[2])
             assert batch.tobytes() == np.array([_stencil_product(asm, x) for x in xs]).tobytes()
 
+    @pytest.mark.parametrize("grid, kernel", [
+        pytest.param(("interval", 256, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-256"),
+        pytest.param(("interval", 512, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="interval-512"),
+        pytest.param(("box", 24, (-1.0, 1.0, -1.0, 1.0)), ("fractional", {"alpha": 0.5}),
+                     id="box-24"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), ("log", {"beta": 1.0}), id="ball-24"),
+    ])
+    def test_degree_two_newton_product_is_exact(self, grid, kernel):
+        # at p = 2 the polynomial product is the quadratic Newton product
+        # 2 (d0 v - W v), d0 = rowsum + Lambda h^N, bit for bit
+        from nlorlicz.energy import _even_newton_product, _powers, _powers_product
+        from nlorlicz.solvers import _curvature_shift
+
+        grid = make_grid(*grid)
+        young = make_young("power", p=2.0)
+        asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
+        rng = np.random.default_rng(3)
+        x, v = rng.standard_normal((2, grid.n_nodes))
+        diag, apply = _even_newton_product(asm, x, _curvature_shift(young, 0.25))
+        d0 = asm.rowsum + asm.exterior * asm.h_pow_dim
+        assert diag.tobytes() == (2.0 * d0).tobytes()
+        assert apply(v).tobytes() == (2.0 * (d0 * v - _stencil_product(asm, v))).tobytes()
+        rows = _powers_product(asm, _powers(x, 0), 0)
+        assert rows.shape == (1, grid.n_nodes) and rows[0].tobytes() == asm.rowsum.tobytes()
+
 
 class TestInequalities:
     def test_kato_simple(self, asm_sum):

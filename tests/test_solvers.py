@@ -7,6 +7,7 @@ from nlorlicz import (
     ReactionSpec,
     assemble,
     check_reaction_conditions,
+    gradient_E,
     make_grid,
     make_kernel,
     make_young,
@@ -568,25 +569,30 @@ class TestConjugateGradientSteps:
         assert rep.converged and rep.iterations > 1
         assert max(sizes) <= n
 
-    def test_quadratic_power_sum_keeps_the_built_matrix(self, frac05_1d, monkeypatch):
-        # a sum of |s|^2 terms alone has no even_terms: its CG steps apply
-        # a built H, as at the parent, rather than a product of degree 0
+    def test_quadratic_power_sum_runs_as_p2(self, frac05_1d, monkeypatch):
+        # |s|^2 spelled as a power sum is quadratic: its Dirichlet solve runs
+        # matrix-free CG, its eigen solve takes the closed-form norm, and
+        # both solutions are those of p = 2
         import nlorlicz.solvers as solvers
+        import nlorlicz.young as young_module
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or bisected")
+
+        grid = make_grid("interval", 512, (-1.0, 1.0))
         young = make_young("power_sum", terms=[(1.0, 2.0)])
-        assert young.even_terms is None and not young.quadratic
-        built = []
-        newton_matrix = solvers._newton_matrix
-
-        def counted(*args):
-            built.append(args[1].size)
-            return newton_matrix(*args)
-
-        monkeypatch.setattr(solvers, "_newton_matrix", counted)
-        asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, young)
-        rep = solve_dirichlet(asm, self._bump(asm.grid))
-        assert rep.converged and rep.iterations > 1
-        assert built == [256] * rep.iterations
+        assert young.quadratic and young.homogeneous
+        asm = assemble(grid, frac05_1d, young)
+        ref = assemble(grid, frac05_1d, make_young("power", p=2.0))
+        monkeypatch.setattr(solvers, "_newton_matrix", refuse)
+        rep, rep2 = (solve_dirichlet(a, self._bump(grid)) for a in (asm, ref))
+        monkeypatch.undo()
+        monkeypatch.setattr(young_module, "luxemburg_norm", refuse)
+        eig, eig2 = solve_eigen(asm), solve_eigen(ref)
+        for a, b in ((rep, rep2), (eig, eig2)):
+            assert a.converged and a.iterations == b.iterations
+            u, u2 = a.solution.values, b.solution.values
+            assert np.max(np.abs(u - u2)) <= 1e-14 * np.max(np.abs(u2))
 
     def test_no_circulant_without_a_positive_symbol(self, frac05_1d, y_p2, monkeypatch):
         # a stencil whose transform exceeds the largest diagonal gives no
@@ -928,6 +934,46 @@ class TestEigen:
             asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, y_p2)
             lams.append(solve_eigen(asm).extras["lambda1"])
         assert abs(lams[1] - lams[0]) < 0.05 * lams[0]
+
+
+class TestHomogeneousSpellings:
+    """|s|^3 spelled as an equal power sum or as a log perturbation with
+    r = 0 is homogeneous (p = q), and the solvers treat it as |s|^3."""
+
+    @pytest.mark.parametrize("spelling", [
+        ("power_sum", {"terms": [(0.5, 3.0), (0.5, 3.0)]}),
+        ("log_perturbed", {"p": 3.0, "r": 0.0}),
+    ])
+    def test_solves_match_the_power(self, frac05_1d, spelling, monkeypatch):
+        import nlorlicz.solvers as solvers
+        import nlorlicz.young as young_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bisected the Luxemburg norm")
+
+        monkeypatch.setattr(young_module, "luxemburg_norm", refuse)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gradient_E(*args)
+
+        monkeypatch.setattr(solvers, "gradient_E", counted)
+        grid = make_grid("interval", 128, (-1.0, 1.0))
+        runs = []
+        for young in (make_young(*spelling[:1], **spelling[1]), make_young("power", p=3.0)):
+            assert young.homogeneous
+            asm = assemble(grid, frac05_1d, young)
+            calls.clear()
+            mp = mountain_pass_search(asm, power_reaction(4.0), tol=1e-6)
+            runs.append((len(calls), mp, solve_eigen(asm)))
+        (n_grad, *reps), (n_grad3, *reps3) = runs
+        assert n_grad == n_grad3
+        for rep, rep3 in zip(reps, reps3):
+            assert rep.converged and rep.iterations == rep3.iterations
+            u, u3 = rep.solution.values, rep3.solution.values
+            assert np.max(np.abs(u - u3)) <= 1e-12 * np.max(np.abs(u3))
+            assert rep.objective == pytest.approx(rep3.objective, rel=1e-12)
 
 
 class TestPohozaev:

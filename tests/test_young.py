@@ -64,13 +64,13 @@ class TestConstruction:
     @pytest.mark.parametrize("family, params, terms", [
         ("power", {"p": 4.0}, ((4, 1.0),)),
         ("power", {"p": 6.0}, ((6, 1.0),)),
-        # |s|^2 keeps its own quadratic pass
-        ("power", {"p": 2.0}, None),
+        # |s|^2 is the polynomial of degree 2, however it is spelled
+        ("power", {"p": 2.0}, ((2, 1.0),)),
         ("power", {"p": 3.0}, None),
         ("power", {"p": 8.0}, None),
         ("power_sum", {"terms": [(1.0, 2.0), (1.0, 6.0)]}, (2, 6)),
-        # a sum of |s|^2 alone is quadratic, as |s|^2 is
-        ("power_sum", {"terms": [(1.0, 2.0)]}, None),
+        ("power_sum", {"terms": [(1.0, 2.0)]}, (2,)),
+        ("power_sum", {"terms": [(0.5, 2.0), (0.5, 2.0)]}, (2, 2)),
         ("power_sum", {"terms": [(0.5, 2.0), (0.5, 3.0)]}, None),
         ("power_sum", {"terms": [(0.5, 4.0), (0.5, 8.0)]}, None),
         ("log_perturbed", {"p": 2.0, "r": 1.0}, None),
@@ -84,6 +84,23 @@ class TestConstruction:
         s = np.linspace(-3.0, 3.0, 61)
         poly = sum(c * s ** d for d, c in fn.even_terms)
         assert np.allclose(poly, fn.value(s), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("family, params, quadratic, homogeneous", [
+        ("power", {"p": 2.0}, True, True),
+        ("power_sum", {"terms": [(1.0, 2.0)]}, True, True),
+        ("power_sum", {"terms": [(0.3, 2.0), (0.7, 2.0)]}, True, True),
+        ("power", {"p": 2.0 + 1e-13}, False, True),
+        ("power", {"p": 4.0}, False, True),
+        ("power_sum", {"terms": [(0.5, 3.0), (0.5, 3.0)]}, False, True),
+        ("log_perturbed", {"p": 3.0, "r": 0.0}, False, True),
+        ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}, False, False),
+        ("log_perturbed", {"p": 2.0, "r": 1.0}, False, False),
+    ])
+    def test_structure_is_read_off_the_function(self, family, params, quadratic,
+                                                homogeneous):
+        # quadratic and homogeneous depend on what psi is, not on its family
+        fn = make_young(family, **params)
+        assert (fn.quadratic, fn.homogeneous) == (quadratic, homogeneous)
 
     def test_log_perturbed_bounds(self):
         fn = make_young("log_perturbed", p=2.0, r=-0.5)
