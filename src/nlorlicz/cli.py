@@ -50,8 +50,10 @@ SPEC_VERSION = 1
 
 _TOP_KEYS = {"spec_version", "kernel", "young", "grid", "problem", "solver",
              "seed", "output_dir"}
-_KERNEL_KEYS = {"family", "alpha", "alpha_inner", "alpha_outer", "beta", "mu"}
-_YOUNG_KEYS = {"family", "p", "q", "r", "c", "terms"}
+# the keys each family reads, besides "family"
+_KERNEL_KEYS = {"fractional": {"alpha"}, "two_exponent": {"alpha_inner", "alpha_outer"},
+                "log": {"beta"}, "piecewise_dyadic": {"mu"}}
+_YOUNG_KEYS = {"power": {"p"}, "power_sum": {"terms"}, "log_perturbed": {"p", "r", "c"}}
 _GRID_KEYS = {"shape", "n_per_axis", "bounds"}
 _PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
                  "inner", "r"}
@@ -87,8 +89,11 @@ def load_config(path: str) -> dict:
             raise ValidationError(f"config is missing the {key!r} section")
     if cfg.get("spec_version", SPEC_VERSION) != SPEC_VERSION:
         raise ValidationError(f"unsupported spec_version {cfg['spec_version']}")
-    _check_keys(cfg["kernel"], _KERNEL_KEYS, "kernel")
-    _check_keys(cfg["young"], _YOUNG_KEYS, "young")
+    for key, families in (("kernel", _KERNEL_KEYS), ("young", _YOUNG_KEYS)):
+        family = cfg[key].get("family")
+        if not isinstance(family, str) or family not in families:
+            raise ValidationError(f"unknown {key} family {family!r}")
+        _check_keys(cfg[key], {"family"} | families[family], f"{key} ({family})")
     _check_keys(cfg["grid"], _GRID_KEYS, "grid")
     _check_keys(cfg["problem"], _PROBLEM_KEYS, "problem")
     _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
@@ -126,10 +131,7 @@ def _parts(cfg: dict):
     gspec = dict(cfg["grid"])
     grid_dim = 1 if gspec["shape"] == "interval" else 2
     kern = make_kernel(kspec.pop("family"), dim=grid_dim, **kspec)
-    yfam = yspec.pop("family")
-    if yfam == "power_sum":
-        yspec["terms"] = [tuple(t) for t in yspec["terms"]]
-    yng = make_young(yfam, **yspec)
+    yng = make_young(yspec.pop("family"), **yspec)
     bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
     return kern, yng, make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
 

@@ -226,9 +226,9 @@ def _prop_kato_pointwise(asm, spec, rng, digest, tol):
     # multiplicative bound would need the lower characteristic instead, and
     # nodes dominated by negative-difference terms can genuinely violate the
     # stated constant (seen for strongly non-homogeneous nonlinearities).
-    # The integral inequalities are exact for every family; this one is
-    # asserted for pure powers and reported otherwise.
-    report_only = asm.young.family != "power"
+    # The integral inequalities are exact for every psi; this one is
+    # asserted for homogeneous psi (p = q) and reported otherwise.
+    report_only = not asm.young.homogeneous
     note = ("" if not report_only else
             "upper-characteristic pointwise bound guaranteed only for "
             "homogeneous derivatives; reported")
@@ -290,7 +290,7 @@ def _prop_stroock_varopoulos(asm, spec, rng, digest, tol):
 
 
 def _prop_sv_power(asm, spec, rng, digest, tol):
-    if asm.young.family != "power":
+    if not asm.young.homogeneous:
         return _skip("sv_power", digest, tol, "needs a pure-power nonlinearity")
     p = asm.young.p
     margins = []
@@ -495,7 +495,7 @@ def _prop_sobolev_r_star(asm, spec, rng, digest, tol):
 
 
 def _prop_pohozaev(asm, spec, rng, digest, tol):
-    if asm.young.family != "power":
+    if not asm.young.homogeneous:
         return _skip("pohozaev", digest, tol, "needs a pure-power nonlinearity")
     m = asm.young.p - 0.3
     if m <= 1.0:

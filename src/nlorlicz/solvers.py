@@ -496,8 +496,8 @@ def check_reaction_conditions(young: YoungFunction, reaction: ReactionSpec,
     conditions on the reaction.
 
     Reports the fitted exponents and constants per clause plus pass flags.
-    For power reactions with a pure-power Young function, cross-checks the
-    analytic ranges: the lower condition holds iff m < p, the intermediate
+    For power reactions with a homogeneous Young function (p = q), cross-checks
+    the analytic ranges: the lower condition holds iff m < p, the intermediate
     ones with rate m iff p < m < dim*q/(dim - alpha).
     """
     p, q = young.p, young.q
@@ -579,7 +579,7 @@ def check_reaction_conditions(young: YoungFunction, reaction: ReactionSpec,
         and report.get("rho_clause3_ok")
     )
 
-    if reaction.name == "power" and young.family == "power":
+    if reaction.name == "power" and young.homogeneous:
         m = reaction.params["m"]
         report["power_cross_check"] = {"m": m, "sub_expected": m < p}
         if dim is not None and alpha_order is not None and alpha_order < dim:
@@ -919,9 +919,9 @@ def pohozaev_check(asm: EnergyAssembly, reaction: ReactionSpec,
     """Ratio of the two sides of the scaling (nonexistence) inequality for a
     computed solution: sum u f(u) against (N p / (N - delta)) sum G(u).
 
-    Only meaningful for pure-power Young functions and kernels with a finite
-    rescaling supremum; those failures are reported, not raised."""
-    if asm.young.family != "power":
+    Only meaningful for homogeneous Young functions (p = q) and kernels with a
+    finite rescaling supremum; those failures are reported, not raised."""
+    if not asm.young.homogeneous:
         return PohozaevReport(False, "inapplicable: Young function is not a pure power")
     prof = scaling_profile(asm.kernel)
     if not prof.finite:

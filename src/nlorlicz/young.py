@@ -29,6 +29,11 @@ _CHAR_GRID = np.logspace(-6.0, 6.0, 64 * 12 + 1)
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# the degrees whose binomial expansion (energy._pair_pass) keeps the
+# gradient well inside 1e-10 of max|gradient| of the triangle pass: 2.4e-11
+# at degree 6, against 5.4e-11 and 9.4e-11 at degrees 8 and 10
+_EVEN_DEGREES = (2.0, 4.0, 6.0)
+
 
 @dataclass(frozen=True)
 class YoungFunction:
@@ -40,12 +45,13 @@ class YoungFunction:
     max(deriv2(t), deriv(t)/t), defined for t > 0 only; families without a
     closed-form deriv2 use deriv(t)/t.  ``q <= p`` are the tightest growth
     exponents: ``q <= s*deriv(s)/value(s) <= p`` away from zero.
-    ``even_terms`` holds the (degree, coefficient) pairs of value when it is
-    a polynomial sum of c |s|^d with every degree d in {2, 4, 6}, and is
-    None otherwise: the pair passes and the Newton product are then exact
-    convolutions (energy._pair_pass).  ``quadratic`` (every degree of
-    even_terms is 2) and ``homogeneous`` (p == q) are read off these
-    fields, not off ``family``.
+    ``power_terms`` holds the (degree, coefficient) pairs of value when it
+    is a sum of c |s|^d, and is None otherwise; the characteristic bounds
+    are then exact powers.  ``even_terms`` is power_terms when every degree
+    is in {2, 4, 6}: the pair passes and the Newton product are then exact
+    convolutions (energy._pair_pass).  ``quadratic`` (every degree is 2)
+    and ``homogeneous`` (p == q, value = |s|^p) are read off these fields
+    and select every closed form; ``family`` is a label only.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -56,15 +62,23 @@ class YoungFunction:
     family: str
     params: dict = field(default_factory=dict)
     deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    even_terms: Optional[tuple] = None
+    power_terms: Optional[tuple] = None
+
+    @functools.cached_property
+    def even_terms(self) -> Optional[tuple]:
+        """power_terms with integer degrees when every degree is in
+        _EVEN_DEGREES, else None."""
+        if self.power_terms is None or any(d not in _EVEN_DEGREES for d, _ in self.power_terms):
+            return None
+        return tuple((int(d), c) for d, c in self.power_terms)
 
     @property
     def quadratic(self) -> bool:
         """True when value is |s|^2, however spelled: every degree of
-        even_terms is 2, and value(1) = 1 makes the coefficients sum to 1 up
+        power_terms is 2, and value(1) = 1 makes the coefficients sum to 1 up
         to rounding.  The energy is then a quadratic form, and its Newton
         matrix is the same at every point."""
-        return self.even_terms is not None and all(d == 2 for d, _ in self.even_terms)
+        return self.power_terms is not None and all(d == 2 for d, _ in self.power_terms)
 
     @property
     def homogeneous(self) -> bool:
@@ -142,21 +156,6 @@ def _normalize_scale(raw_value, lo=1e-8, hi=1e8):
     return brentq(lambda t: raw_value(t) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
-# the degrees whose binomial expansion (energy._pair_pass) keeps the
-# gradient well inside 1e-10 of max|gradient| of the triangle pass: 2.4e-11
-# at degree 6, against 5.4e-11 and 9.4e-11 at degrees 8 and 10
-_EVEN_DEGREES = (2.0, 4.0, 6.0)
-
-
-def _even_terms(terms) -> Optional[tuple]:
-    """((degree, coefficient), ...) with integer degrees when every degree
-    is in _EVEN_DEGREES, else None."""
-    terms = tuple(terms)
-    if all(d in _EVEN_DEGREES for d, _ in terms):
-        return tuple((int(d), c) for d, c in terms)
-    return None
-
-
 def _validate(fn: YoungFunction, tol=1e-9):
     """Construction-time checks of the growth-class membership on a sample grid."""
     s = _CHECK_GRID
@@ -209,7 +208,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=p,
             family="power",
             params={"p": p},
-            even_terms=_even_terms([(p, 1.0)]),
+            power_terms=((p, 1.0),),
         )
 
     elif family == "power_sum":
@@ -252,7 +251,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=float(ps.min()),
             family="power_sum",
             params={"terms": tuple(zip(ks.tolist(), ps.tolist())), "arg_scale": t0},
-            even_terms=_even_terms(zip(ps.tolist(), kt.tolist())),
+            power_terms=tuple(zip(ps.tolist(), kt.tolist())),
         )
 
     elif family == "log_perturbed":
@@ -413,7 +412,7 @@ def _gamma_pair(fn: YoungFunction, s: float, deriv: bool) -> tuple[float, float]
     if s <= 0.0:
         raise ValidationError("characteristic bounds need s > 0")
     g, shift = (fn.deriv, 1.0) if deriv else (fn.value, 0.0)
-    if fn.family in ("power", "power_sum"):
+    if fn.power_terms is not None:
         lo, hi = s ** (fn.q - shift), s ** (fn.p - shift)
         return min(lo, hi), max(lo, hi)
     return _char_extremum(g, s, maximize=False), _char_extremum(g, s, maximize=True)
@@ -422,8 +421,8 @@ def _gamma_pair(fn: YoungFunction, s: float, deriv: bool) -> tuple[float, float]
 def gamma_bounds(fn: YoungFunction, s: float) -> tuple[float, float]:
     """Characteristic bounds (gamma-(s), gamma+(s)) of the Young function.
 
-    Exact for the power families (the extremes sit at the ends of the
-    x-range); computed by scanning a 64-per-decade log grid with
+    Exact powers of s when value is a sum of powers (the extremes sit at the
+    ends of the x-range); computed by scanning a 64-per-decade log grid with
     golden-section refinement otherwise.
     """
     return _gamma_pair(fn, s, deriv=False)
@@ -440,7 +439,7 @@ def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     out = np.zeros_like(s)
-    if fn.family in ("power", "power_sum"):
+    if fn.power_terms is not None:
         sp = s[s > 0]
         out[s > 0] = np.maximum(sp ** (fn.q - 1.0), sp ** (fn.p - 1.0))
     else:
@@ -462,10 +461,10 @@ def sv_delta(fn: YoungFunction) -> float:
     """inf over s > 0 of deriv(s)/gamma+_deriv(s), sampled on the log grid.
 
     This is the coefficient entering the generalized Stroock-Varopoulos
-    inequality; it equals p for a pure power and min(k_1 p_1, k_M p_M) for a
-    sum of powers.
+    inequality; it is p, exactly, for homogeneous value |s|^p, and
+    min(k_1 p_1, k_M p_M) for a sum of powers.
     """
-    if fn.family == "power":
+    if fn.homogeneous:
         return fn.p
 
     def f(tt):
@@ -519,7 +518,7 @@ def _deriv_inverse(fn: YoungFunction, t, iters=64):
 def complementary(fn: YoungFunction) -> ComplementaryFunction:
     """Conjugate Young function, argument-rescaled so that phi(1) = 1.
 
-    For a pure power |s|^p the conjugate is closed-form:
+    For homogeneous value |s|^p the conjugate is closed-form:
     phi_raw(b) = (p-1) (|b|/p)^(p/(p-1)), deriv^{-1}(t) = (|t|/p)^(1/(p-1)),
     and the rescale is p (p-1)^(-(p-1)/p).  Otherwise the raw conjugate is
     evaluated through the Legendre identity phi_raw(b) = a*b - value(a) at
@@ -527,7 +526,7 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
     bisection on geometric midpoints (_deriv_inverse), and the rescale by
     root finding.
     """
-    if fn.family == "power":
+    if fn.homogeneous:
         p = fn.p
 
         def phi_raw(b):

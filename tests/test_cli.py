@@ -151,6 +151,26 @@ class TestRun:
         assert not (tmp_path / "out").exists()
         assert "path_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, spec, key", [
+        # q is read by no family: this config would otherwise run as p = 2
+        ("young", {"family": "power", "p": 2.0, "q": 3.0}, "q"),
+        ("young", {"family": "power", "p": 2.0, "r": 1.0}, "r"),
+        ("young", {"family": "power_sum", "terms": [[1.0, 2.0]], "p": 2.0}, "p"),
+        ("kernel", {"family": "log", "beta": 1.0, "alpha": 0.5}, "alpha"),
+        ("kernel", {"family": "fractional", "alpha": 0.5, "mu": 1.0}, "mu"),
+    ])
+    def test_key_of_another_family_is_unknown(self, tmp_path, capsys, section, spec, key):
+        path, _ = write_config(tmp_path, **{section: spec})
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["young", "kernel"])
+    def test_unknown_family_exits_2(self, tmp_path, capsys, section):
+        path, _ = write_config(tmp_path, **{section: {"family": "no_such_family"}})
+        assert main(["run", str(path)]) == 2
+        assert "no_such_family" in capsys.readouterr().err
+
     def test_missing_reaction_exponent_exits_2(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "sublinear"})
         assert main(["run", str(path)]) == 2

@@ -458,7 +458,7 @@ class TestEvenPowerPass:
         monkeypatch.setattr("nlorlicz.energy._EVEN_MIN_NODES", 0)
         grid = make_grid(*grid)
         asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
-        off = replace(asm, young=replace(young, even_terms=None))
+        off = replace(asm, young=replace(young, power_terms=None))
         b = bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values
         for x in (b, b + 0.3, random_function(grid, seed=5).values):
             E_ref = _pair_pass(off, x, grad=False)
@@ -477,7 +477,7 @@ class TestEvenPowerPass:
         for n in (_EVEN_MIN_NODES - 1, _EVEN_MIN_NODES):
             grid = make_grid("interval", n, (-1.0, 1.0))
             asm = assemble(grid, make_kernel("fractional", dim=1, alpha=0.5), young)
-            off = replace(asm, young=replace(young, even_terms=None))
+            off = replace(asm, young=replace(young, power_terms=None))
             x = random_function(grid, seed=5).values
             same = [np.array_equal(_pair_pass(asm, x, grad), _pair_pass(off, x, grad))
                     for grad in (False, True)]

@@ -1,14 +1,23 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from nlorlicz import (
+    CorpusSpec,
     ValidationError,
+    assemble,
+    bump,
+    check_reaction_conditions,
     clarkson_gap,
     complementary,
     gamma_bounds,
     gamma_bounds_deriv,
     luxemburg_norm,
     make_young,
+    pohozaev_check,
+    power_reaction,
+    run_battery,
     sv_delta,
 )
 from nlorlicz.young import clarkson_conditions, gamma_plus_deriv
@@ -23,6 +32,9 @@ FAMILIES = [
     make_young("power_sum", terms=[(1.0, 1.7), (2.0, 2.5), (0.3, 3.0)]),
     make_young("log_perturbed", p=2.0, r=-0.5),
     make_young("log_perturbed", p=2.0, r=1.0),
+    # |s|^3 spelled as a one-term power sum and as a log perturbation with r = 0
+    pytest.param(make_young("power_sum", terms=[(1.0, 3.0)]), id="power_sum-p3-one-term"),
+    pytest.param(make_young("log_perturbed", p=3.0, r=0.0), id="log_perturbed-p3-r0"),
 ]
 
 
@@ -419,3 +431,44 @@ class TestSvDelta:
         kt = fn.params["terms"]
         expected = min(k * p for k, p in (kt[0], kt[-1]))
         assert sv_delta(fn) == pytest.approx(expected, rel=1e-6)
+
+
+class TestRespelledPower:
+    """|s|^3 spelled as a one-term power sum, or as p = 3 under another
+    family label, gets every closed form of the power family and the same
+    battery, reaction cross-check and scaling check."""
+
+    @pytest.fixture(params=["power_sum", "relabelled"])
+    def fn(self, request):
+        if request.param == "power_sum":
+            return make_young("power_sum", terms=[[1, 3]])
+        return replace(make_young("power", p=3.0), family="relabelled")
+
+    def test_closed_forms(self, fn, monkeypatch):
+        import nlorlicz.young as young_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverted the derivative by bisection")
+
+        power = make_young("power", p=3.0)
+        b = np.linspace(0.0, 5.0, 10001)
+        monkeypatch.setattr(young_module, "_deriv_inverse", refuse)
+        assert np.array_equal(complementary(fn).phi(b), complementary(power).phi(b))
+        assert sv_delta(fn) == 3.0
+        for s in (0.3, 1.0, 7.0):
+            assert gamma_bounds(fn, s) == gamma_bounds(power, s)
+            assert gamma_bounds_deriv(fn, s) == gamma_bounds_deriv(power, s)
+
+    def test_reaction_checks_and_battery(self, fn, g1d_small, frac05_1d):
+        power = make_young("power", p=3.0)
+        cross = [check_reaction_conditions(y, power_reaction(4.0), dim=1, alpha_order=0.5)
+                 .get("power_cross_check") for y in (fn, power)]
+        assert cross[0] is not None and cross[0] == cross[1]
+        asms = [assemble(g1d_small, frac05_1d, y) for y in (fn, power)]
+        u = bump(g1d_small, g1d_small.center, 0.5, 1.0)
+        checks = [pohozaev_check(asm, power_reaction(2.5), u) for asm in asms]
+        assert checks[0].applicable and checks[0] == checks[1]
+        spec = CorpusSpec(seed=3, trials=8, pair_samples=500)
+        rows = [[repr({**asdict(r), "config_digest": None}) for r in run_battery(asm, spec)]
+                for asm in asms]
+        assert rows[0] == rows[1]
