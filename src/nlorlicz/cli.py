@@ -55,6 +55,10 @@ _KERNEL_KEYS = {"fractional": {"alpha"}, "two_exponent": {"alpha_inner", "alpha_
                 "log": {"beta"}, "piecewise_dyadic": {"mu"}}
 _YOUNG_KEYS = {"power": {"p"}, "power_sum": {"terms"}, "log_perturbed": {"p", "r", "c"}}
 _GRID_KEYS = {"shape", "n_per_axis", "bounds"}
+# the keys a section must give: every key its family reads but log_perturbed's
+# c (default 1), and a grid's shape and size (bounds have defaults)
+_REQUIRED_KEYS = {**_KERNEL_KEYS, **_YOUNG_KEYS, "log_perturbed": {"p", "r"},
+                  "grid": {"shape", "n_per_axis"}}
 _PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
                  "inner", "r"}
 _SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
@@ -67,10 +71,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _check_keys(section: dict, allowed: set, where: str):
+def _check_keys(section: dict, allowed: set, where: str, required: set = frozenset()):
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise ValidationError(f"missing keys in {where}: {sorted(missing)}")
 
 
 def load_config(path: str) -> dict:
@@ -93,8 +100,11 @@ def load_config(path: str) -> dict:
         family = cfg[key].get("family")
         if not isinstance(family, str) or family not in families:
             raise ValidationError(f"unknown {key} family {family!r}")
-        _check_keys(cfg[key], {"family"} | families[family], f"{key} ({family})")
-    _check_keys(cfg["grid"], _GRID_KEYS, "grid")
+        required = _REQUIRED_KEYS[family]
+        if cfg["problem"].get("parameter") == "kernel_alpha":
+            required = required - {"alpha"}  # each sweep point sets it
+        _check_keys(cfg[key], {"family"} | families[family], f"{key} ({family})", required)
+    _check_keys(cfg["grid"], _GRID_KEYS, "grid", _REQUIRED_KEYS["grid"])
     _check_keys(cfg["problem"], _PROBLEM_KEYS, "problem")
     _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
     ptype = cfg["problem"].get("type")

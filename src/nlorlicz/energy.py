@@ -14,7 +14,10 @@ which carry the zero condition on the complement, come from the ray formula
 (the integral over directions of the kernel mass beyond the boundary) in
 one vectorized pass over all nodes; see kernels.lambda_exterior.
 
-E_value and gradient_E are thin calls to one pair pass, _pair_pass.  It walks
+E_value and gradient_E are thin calls to one pair pass, _pair_pass.  The
+pass also takes a stack (k, n) of node vectors, as the battery evaluates its
+corpora: the quadratic route filters the whole stack with one FFT pair, the
+others run row by row, and each row keeps the bits of its own call.  It walks
 row blocks of linalg.BLOCK rows, so its temporaries are BLOCK x n and never
 n x n, and every sum runs in a fixed order.  young.value is even and
 young.deriv odd (make_young checks both), so the pass evaluates them on one
@@ -222,7 +225,7 @@ def _lattice_filter(asm: EnergyAssembly, x: np.ndarray, symbol: np.ndarray) -> n
     # s runs the transforms along the last len(s) axes; a single vector
     # skips the argument, whose handling costs microseconds per call
     spectrum = fft.rfftn(lattice.reshape(lead + shape), s=shape if lead else None) * symbol
-    return fft.irfftn(spectrum, s=shape).reshape(lead + (-1,)).T[index].T
+    return fft.irfftn(spectrum, s=shape).reshape(lattice.shape).T[index].T
 
 
 def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:
@@ -270,6 +273,12 @@ def _binomial(poly: tuple, fold: bool = False) -> np.ndarray:
 
 def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     """The energy at the node values x, or its gradient when grad is set.
+
+    x is one vector (n,), which gives a float or an (n,) gradient, or a
+    stack (k, n), which gives k energies or a (k, n) stack of gradients.
+    Each row has the bits of its own call.  The quadratic route takes the
+    stack through one batched stencil product; the other routes run row
+    by row.
 
     In general the pair sums run over row blocks k:e of BLOCK rows.  Each
     block calls young.value (or young.deriv) on the differences against
@@ -322,10 +331,16 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     """
     young, W, hN = asm.young, asm.weights, asm.h_pow_dim
     if young.quadratic:
-        z = x - x.sum() / x.size
+        z = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
         Lz = asm.rowsum * z - _stencil_product(asm, z)
         ext = x * asm.exterior * hN
-        return 2.0 * (Lz + ext) if grad else float(np.sum(z * Lz) + np.sum(x * ext))
+        if grad:
+            return 2.0 * (Lz + ext)
+        E = np.sum(z * Lz, axis=-1) + np.sum(x * ext, axis=-1)
+        return E if x.ndim > 1 else float(E)
+    if x.ndim > 1:
+        rows = [_pair_pass(asm, row, grad) for row in x]
+        return np.reshape(rows, x.shape if grad else len(x))
     if young.even_terms is not None and x.size >= _EVEN_MIN_NODES:
         if grad:
             T = _binomial(tuple((d - 1, c * d) for d, c in young.even_terms))
@@ -446,22 +461,21 @@ def _neighbor_indices(grid: DomainGrid):
     return plus, minus
 
 
-def central_gradient_norm(u: GridFunction) -> np.ndarray:
-    """Euclidean norm of the central-difference gradient, zero exterior."""
-    grid = u.grid
+def central_gradient_norm(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of the central-difference gradient of the node values
+    v, zero exterior; for a stack (k, n), of each row."""
     plus, minus = _neighbor_indices(grid)
-    v = u.values
-    comps = np.zeros((grid.n_nodes, grid.dim))
+    comps = np.zeros(v.shape + (grid.dim,))
     for ax in range(grid.dim):
-        up = np.where(plus[:, ax] >= 0, v[plus[:, ax]], 0.0)
-        um = np.where(minus[:, ax] >= 0, v[minus[:, ax]], 0.0)
-        comps[:, ax] = (up - um) / (2.0 * grid.spacing)
-    return np.linalg.norm(comps, axis=1)
+        up = np.where(plus[:, ax] >= 0, v[..., plus[:, ax]], 0.0)
+        um = np.where(minus[:, ax] >= 0, v[..., minus[:, ax]], 0.0)
+        comps[..., ax] = (up - um) / (2.0 * grid.spacing)
+    return np.linalg.norm(comps, axis=-1)
 
 
 def F_of_gradient(asm: EnergyAssembly, u: GridFunction) -> float:
     """Modular of the central-difference gradient magnitude."""
-    g = central_gradient_norm(u)
+    g = central_gradient_norm(u.grid, u.values)
     return float(np.sum(asm.young.value(g)) * asm.h_pow_dim)
 
 

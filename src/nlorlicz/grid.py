@@ -166,10 +166,15 @@ def decreasing_rearrangement(u: GridFunction) -> GridFunction:
 
 def bump(grid: DomainGrid, center, radius: float, height: float) -> GridFunction:
     """Smooth compactly supported bump with a raised-cosine profile."""
+    return GridFunction(grid=grid, values=bump_values(grid, center, radius, height))
+
+
+def bump_values(grid: DomainGrid, center, radius, height) -> np.ndarray:
+    """The node values of bump; radius and height may be (k, 1) columns,
+    which give k bumps about one center as the rows of a (k, n) stack."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     r = np.linalg.norm(grid.nodes - center, axis=1)
-    vals = np.where(r < radius, height * np.cos(0.5 * np.pi * r / radius) ** 2, 0.0)
-    return GridFunction(grid=grid, values=vals)
+    return np.where(r < radius, height * np.cos(0.5 * np.pi * r / radius) ** 2, 0.0)
 
 
 def random_function(grid: DomainGrid, seed: int, amplitude: float = 1.0) -> GridFunction:

@@ -434,7 +434,8 @@ def gamma_bounds_deriv(fn: YoungFunction, s: float) -> tuple[float, float]:
 
 
 def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:
-    """Vectorized gamma+ of the derivative; gamma+(0) = 0 by continuity."""
+    """Vectorized gamma+ of the derivative, for s of any shape; gamma+(0) = 0
+    by continuity."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
@@ -443,7 +444,7 @@ def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:
         sp = s[s > 0]
         out[s > 0] = np.maximum(sp ** (fn.q - 1.0), sp ** (fn.p - 1.0))
     else:
-        for i in np.nonzero(s > 0)[0]:
+        for i in zip(*np.nonzero(s > 0)):
             out[i] = _char_extremum(fn.deriv, float(s[i]), maximize=True)
     return float(out[0]) if scalar else out
 

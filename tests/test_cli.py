@@ -171,6 +171,28 @@ class TestRun:
         assert main(["run", str(path)]) == 2
         assert "no_such_family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, spec, key", [
+        ("kernel", {"family": "fractional"}, "alpha"),
+        ("kernel", {"family": "two_exponent", "alpha_inner": 0.3}, "alpha_outer"),
+        ("kernel", {"family": "log"}, "beta"),
+        ("young", {"family": "power"}, "p"),
+        ("young", {"family": "power_sum"}, "terms"),
+        ("young", {"family": "log_perturbed", "p": 2.0}, "r"),
+        ("grid", {"shape": "interval", "bounds": [-1.0, 1.0]}, "n_per_axis"),
+        ("grid", {"n_per_axis": 16}, "shape"),
+    ])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, section, spec, key):
+        path, _ = write_config(tmp_path, **{section: spec})
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_optional_keys_may_be_left_out(self, tmp_path):
+        # log_perturbed's c defaults to 1 and the grid's bounds to the unit domain
+        path, _ = write_config(tmp_path, young={"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                               grid={"shape": "interval", "n_per_axis": 16})
+        assert main(["run", str(path)]) == 0
+
     def test_missing_reaction_exponent_exits_2(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "sublinear"})
         assert main(["run", str(path)]) == 2
@@ -266,6 +288,15 @@ class TestSweep:
         assert len(lines) == 3
         lam = [float(l.split(",")[8]) for l in lines[1:]]
         assert lam[0] > 0.0 and lam[1] > 0.0
+
+    def test_kernel_alpha_sweep_needs_no_base_alpha(self, tmp_path):
+        # every point sets alpha, so the kernel section may leave it out
+        path, _ = write_config(
+            tmp_path, kernel={"family": "fractional"},
+            problem={"type": "sweep", "parameter": "kernel_alpha",
+                     "values": [0.4], "inner": {"type": "eigen"}},
+        )
+        assert main(["sweep", str(path)]) == 0
 
     def test_resume_keys_on_inner_problem_and_solver(self, tmp_path):
         # points of another inner problem or other solver settings in the

@@ -520,6 +520,54 @@ class TestEvenPowerPass:
         assert rows.shape == (1, grid.n_nodes) and rows[0].tobytes() == asm.rowsum.tobytes()
 
 
+class TestStackedPairPass:
+    """_pair_pass on a (k, n) stack gives, row for row and bit for bit, the
+    k single calls, on every route."""
+
+    @pytest.fixture(scope="class")
+    def ball(self):
+        return make_grid("ball", 16, (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("grid, young, route", [
+        ("g1d", ("power", {"p": 2.0}), "quadratic"),
+        ("g2d_box", ("power", {"p": 2.0}), "quadratic"),
+        ("ball", ("power", {"p": 2.0}), "quadratic"),
+        ("g2d_box", ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), "even"),
+        ("ball", ("power", {"p": 4.0}), "even"),
+        ("g1d", ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), "triangle"),
+        ("g1d", ("power", {"p": 1.5}), "triangle"),
+        ("g1d_small", ("log_perturbed", {"p": 2.0, "r": 1.0}), "triangle"),
+    ])
+    def test_rows_have_the_bits_of_single_calls(self, request, monkeypatch, grid, young,
+                                                route):
+        from nlorlicz import energy
+
+        grid = request.getfixturevalue(grid)
+        young = make_young(young[0], **young[1])
+        kern = make_kernel("fractional", dim=grid.dim, alpha=0.5)
+        if grid.shape == "ball":
+            kern = make_kernel("log", dim=2, beta=1.0)
+        asm = assemble(grid, kern, young)
+        even = young.even_terms is not None and grid.n_nodes >= energy._EVEN_MIN_NODES
+        assert route == ("quadratic" if young.quadratic else "even" if even else "triangle")
+        rng = np.random.default_rng(11)
+        xs = np.vstack([rng.uniform(-1.0, 1.0, (3, grid.n_nodes)),
+                        bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values])
+        calls = []
+        filt = energy._lattice_filter
+        monkeypatch.setattr(energy, "_lattice_filter", lambda *a: calls.append(1) or filt(*a))
+        E = _pair_pass(asm, xs, grad=False)
+        G = _pair_pass(asm, xs, grad=True)
+        if route == "quadratic":
+            assert len(calls) == 2  # one filter pair for each whole stack
+        assert E.shape == (len(xs),) and G.shape == xs.shape
+        assert E.tolist() == [_pair_pass(asm, x, grad=False) for x in xs]
+        assert G.tobytes() == np.array([_pair_pass(asm, x, grad=True) for x in xs]).tobytes()
+        empty = np.empty((0, grid.n_nodes))
+        assert _pair_pass(asm, empty, False).shape == (0,)
+        assert _pair_pass(asm, empty, True).shape == empty.shape
+
+
 class TestInequalities:
     def test_kato_simple(self, asm_sum):
         for seed in range(200):
@@ -645,7 +693,7 @@ class TestDiscreteGradientHelper:
     def test_central_difference_on_linear_function(self):
         g = make_grid("interval", 16, (0.0, 1.0))
         u = GridFunction(g, 3.0 * g.nodes.ravel())
-        gn = central_gradient_norm(u)
+        gn = central_gradient_norm(g, u.values)
         # interior nodes see the exact slope; the two boundary nodes see the
         # zero exterior
         assert np.allclose(gn[1:-1], 3.0)

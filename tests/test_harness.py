@@ -50,6 +50,54 @@ class TestBattery:
         again = run_battery(asm_ref, CorpusSpec(seed=0, trials=60, pair_samples=4000))
         assert battery_csv(again) == battery_csv(battery_ref)
 
+    @pytest.mark.parametrize("young, grid", [
+        (("power", {"p": 2.0}), "g2d_box"),
+        (("log_perturbed", {"p": 1.8, "r": -0.2}), "g1d_small"),
+    ], ids=["box-p2", "interval-log-perturbed"])
+    def test_stacks_match_single_function_calls(self, request, monkeypatch, young, grid):
+        # the battery evaluates each corpus as a stack; the reference takes
+        # every function through E_value or gradient_E on its own
+        import json
+
+        import nlorlicz.harness as hz
+        from nlorlicz import E_value, F_value, GridFunction, gradient_E, interaction
+
+        grid = request.getfixturevalue(grid)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                       make_young(young[0], **young[1]))
+        spec = CorpusSpec(seed=5, trials=10, pair_samples=500)
+        margins = []  # every margin, not only each property's worst
+        result = hz._result
+
+        def recorded(name, trials, m, *args, **kwargs):
+            margins.append(np.asarray(m, dtype=float).tobytes())
+            return result(name, trials, m, *args, **kwargs)
+
+        monkeypatch.setattr(hz, "_result", recorded)
+
+        def tables():
+            margins.clear()
+            results = run_battery(asm, spec)
+            assert not any(r.note.startswith("error") for r in results)
+            return battery_csv(results), json.dumps([vars(r) for r in results],
+                                                    sort_keys=True, default=repr), list(margins)
+
+        stacked = tables()
+        # the row-wise pairings and modulars keep the bits of the single calls
+        U = np.random.default_rng(1).uniform(-1.0, 1.0, (4, grid.n_nodes))
+        fs = [GridFunction(asm.grid, u) for u in U]
+        assert hz._dots(hz._pair_pass(asm, U, True), U[::-1]).tolist() == [
+            interaction(asm, u, v) for u, v in zip(fs, fs[::-1])]
+        assert hz._modular(asm, U).tolist() == [F_value(asm, u) for u in fs]
+
+        def one_at_a_time(asm, X, grad):
+            if grad:
+                return np.array([gradient_E(asm, GridFunction(asm.grid, x)).values for x in X])
+            return np.array([E_value(asm, GridFunction(asm.grid, x)) for x in X])
+
+        monkeypatch.setattr(hz, "_pair_pass", one_at_a_time)
+        assert tables() == stacked
+
     def test_seed_changes_table(self, asm_ref, battery_ref):
         other = run_battery(asm_ref, CorpusSpec(seed=1, trials=60, pair_samples=4000))
         assert battery_csv(other) != battery_csv(battery_ref)
