@@ -46,7 +46,7 @@ from scipy import fft
 
 from .errors import BudgetExceededError, ValidationError
 from .grid import DomainGrid, GridFunction
-from .kernels import Kernel, exterior_weights, tail_integral, BALL_VOLUME
+from .kernels import Kernel, exterior_weights
 from .linalg import BLOCK
 from .young import YoungFunction
 
@@ -471,16 +471,3 @@ def central_gradient_norm(grid: DomainGrid, v: np.ndarray) -> np.ndarray:
         um = np.where(minus[:, ax] >= 0, v[..., minus[:, ax]], 0.0)
         comps[..., ax] = (up - um) / (2.0 * grid.spacing)
     return np.linalg.norm(comps, axis=-1)
-
-
-def F_of_gradient(asm: EnergyAssembly, u: GridFunction) -> float:
-    """Modular of the central-difference gradient magnitude."""
-    g = central_gradient_norm(u.grid, u.values)
-    return float(np.sum(asm.young.value(g)) * asm.h_pow_dim)
-
-
-def poincare_lower_bound_ok(asm: EnergyAssembly, tol: float = 1e-8) -> bool:
-    """Check the exterior weights against the equimeasurable-ball tail bound."""
-    r_om = (asm.grid.volume / BALL_VOLUME[asm.grid.dim]) ** (1.0 / asm.grid.dim)
-    bound = tail_integral(asm.kernel, r_om)
-    return bool(np.all(asm.exterior >= bound - tol))

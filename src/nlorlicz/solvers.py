@@ -5,11 +5,15 @@ nonexistence-exponent ratio, integrability scaling).
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
 step solved by a dense factor or by conjugate gradients as _relaxed_newton
-describes.  The superlinear (mountain-pass) solve runs the loop on the
-peaks of rays, the local minimax method of Li and Zhou, and the eigenvalue
-solve on the unit-modular set, with every trial point renormalized.  The
-convergence metric is the pointwise operator residual (gradient max-norm
-divided by the cell volume), scaled by the data size.
+describes.  The Dirichlet and eigenvalue steps take their matrix from the
+relaxed curvature of E alone.  The two reaction solves subtract the
+reaction's curvature f'(u) h^N from it and solve each step by truncated
+conjugate gradients, preconditioned by the solve of E's matrix, so that
+their steps are second order.  The superlinear (mountain-pass) solve runs
+the loop on the peaks of rays, the local minimax method of Li and Zhou,
+and the eigenvalue solve on the unit-modular set, with every trial point
+renormalized.  The convergence metric is the pointwise operator residual
+(gradient max-norm divided by the cell volume), scaled by the data size.
 """
 
 from __future__ import annotations
@@ -84,10 +88,14 @@ class ReactionSpec:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     condition_report: Optional[dict] = None
+    # f', optional: the reaction solves take second-order steps with it
+    # and the steps of E alone without it
+    df: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def power_reaction(m: float) -> ReactionSpec:
-    """f(t) = t^(m-1) on t > 0, zero elsewhere; G(t) = t^m / m."""
+    """f(t) = t^(m-1) on t > 0, zero elsewhere; G(t) = t^m / m and
+    f'(t) = (m-1) t^(m-2) on t > 0, zero elsewhere."""
     if m <= 1.0:
         raise ValidationError("power reaction needs exponent m > 1")
 
@@ -99,7 +107,11 @@ def power_reaction(m: float) -> ReactionSpec:
         t = np.asarray(t, dtype=float)
         return np.where(t > 0.0, np.where(t > 0.0, t, 1.0) ** m / m, 0.0)
 
-    return ReactionSpec(f=f, G=G, name="power", params={"m": m})
+    def df(t, m=m):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.0, (m - 1.0) * np.where(t > 0.0, t, 1.0) ** (m - 2.0), 0.0)
+
+    return ReactionSpec(f=f, G=G, name="power", params={"m": m}, df=df)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +132,10 @@ _PCG_MIN_GROWTH = 2.0
 # Newton, and the floor of the forcing term of the others
 _PCG_RTOL = 1e-13
 _FORCING_CAP = 0.01
+# most CG steps of a reaction solve's truncated step (_cg_direction): the
+# steps preconditioned by the factor took 1 to 12, those on the circulant
+# up to 20 near the end of a |s|^3 solve at n = 512
+_TRUNCATED_CG_CAP = 20
 
 
 def _quadratic_diagonal(asm: EnergyAssembly) -> np.ndarray:
@@ -197,36 +213,51 @@ def _circulant(asm: EnergyAssembly):
     return (top, 1.0 / symbol) if np.all(symbol > 0.0) else None
 
 
-def _pcg(apply, b: np.ndarray, precondition, rtol: float) -> np.ndarray:
-    """Preconditioned conjugate gradients for H d = b from d = 0, with
-    apply(v) = H v for symmetric positive definite H: stops when
-    ||b - H d||_2 <= rtol ||b||_2, or after b.size steps.
+def _pcg(apply, b: np.ndarray, precondition, rtol: float, cap: Optional[int] = None):
+    """Preconditioned conjugate gradients for A d = b from d = 0, with
+    apply(v) = A v for symmetric A.
 
-    Every iterate minimizes d.Hd/2 - b.d over a subspace that holds it, so
-    b.d = d.Hd > 0: each one is a descent direction, however early the
-    solve stops.  Every dot product is np.sum(x * y), a reduction in a fixed
-    order, so the bits do not depend on thread counts."""
+    Without cap, A is positive definite and the solve stops when
+    ||b - A d||_2 <= rtol ||b||_2, or after b.size steps.  With cap it is
+    the truncated CG of Steihaug (SIAM J. Numer. Anal. 20, 1983) for an A
+    that may be indefinite: it stops when r.M^-1 r, the residual in the
+    preconditioner's norm, falls to rtol^2 of its start, after cap steps,
+    or at the first search direction p with p.Ap <= 0.  That last stop
+    returns the iterate so far, or at the first step the preconditioned
+    b itself.
+
+    Every iterate minimizes d.Ad/2 - b.d over a subspace on which A is
+    positive definite, so b.d = d.Ad > 0: each one is a descent direction,
+    however early the solve stops, and so is M^-1 b.  Every dot product is
+    np.sum(x * y), a reduction in a fixed order, so the bits do not depend
+    on thread counts."""
     d = np.zeros_like(b)
     r = b.copy()
     p = z = precondition(r)
     rz = float(np.sum(r * z))
-    goal = rtol * rtol * float(np.sum(b * b))
-    for _ in range(b.size):
+    goal = rtol * rtol * (float(np.sum(b * b)) if cap is None else rz)
+    for k in range(b.size if cap is None else cap):
         q = apply(p)
-        a = rz / float(np.sum(p * q))
+        pq = float(np.sum(p * q))
+        if cap is not None and pq <= 0.0:
+            return d if k else z
+        a = rz / pq
         d += a * p
         r -= a * q
-        if float(np.sum(r * r)) <= goal:
+        if cap is None and float(np.sum(r * r)) <= goal:
             break
         z = precondition(r)
         rz, rz_old = float(np.sum(r * z)), rz
+        if cap is not None and rz <= goal:
+            break
         p = z + (rz / rz_old) * p
     return d
 
 
 def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
-                  circulant, rtol: float) -> np.ndarray:
-    """The Newton direction -H^-1 g by _pcg, with H = _newton_matrix.
+                  rtol: float, circulant=None, L=None, D=None, tangent: bool = False):
+    """The Newton direction by _pcg, with H = _newton_matrix; returns it
+    with the factor L it used (None on the circulant).
 
     For a polynomial psi (young.even_terms, |s|^2 included) H v comes from
     energy._even_newton_product, with no n x n matrix; at degree 2 that is
@@ -235,10 +266,20 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
     default optimize=False, which runs numpy's own loop and never calls
     BLAS.  So it starts no threads, and its bits do not depend on the BLAS
     thread count: a BLAS H @ v of order 700 gave other bits at 2 and 3
-    OpenBLAS threads than at 1.  The preconditioner is S C^-1 S with C from _circulant and
-    S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C."""
-    top, inverse = circulant
+    OpenBLAS threads than at 1.  The preconditioner M is S C^-1 S with C
+    from the circulant of _circulant and S = sqrt(2 max d0 / diag H), which
+    gives S H S the diagonal of C; without the circulant it is the tiled
+    Cholesky factor L of H, factored here when L is None.
+
+    Without D the direction is -H^-1 g, solved to rtol.  With D it is the
+    truncated (capped) _pcg on H - diag(D), the Newton matrix of E minus
+    a reaction's curvature, stopped at rtol in M's norm or at
+    _TRUNCATED_CG_CAP steps.  With tangent as well the steps stay
+    H-orthogonal to the ray through x: the preconditioner is P M^-1 P^T
+    with P z = z - x (Hx . z) / (x . Hx), the projected PCG of Gould,
+    Hribar and Nocedal (SIAM J. Sci. Comput. 23, 2001)."""
     if asm.young.even_terms is not None:
+        H = None
         diag, apply = _even_newton_product(asm, x, _curvature_shift(asm.young, eps))
     else:
         H = _newton_matrix(asm, x, eps)
@@ -246,20 +287,46 @@ def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
 
         def apply(v):
             return np.einsum("ij,j->i", H, v)
-    s = np.sqrt(top / diag)
-    return _pcg(apply, -g, lambda r: s * _lattice_filter(asm, s * r, inverse), rtol)
+    if circulant is not None:
+        top, inverse = circulant
+        s = np.sqrt(top / diag)
+
+        def solve(r):
+            return s * _lattice_filter(asm, s * r, inverse)
+    else:
+        if L is None:
+            L = _newton_matrix(asm, x, eps) if H is None else H.copy()
+            cholesky_inplace(L)
+
+        def solve(r):
+            return cholesky_solve(L, r)
+    if D is None:
+        return _pcg(apply, -g, solve, rtol), L
+    precondition = solve
+    if tangent:
+        Hx = apply(x)
+        xHx = float(np.sum(x * Hx))
+
+        def precondition(r):
+            z = solve(r - Hx * (float(np.sum(x * r)) / xHx))
+            return z - x * (float(np.sum(Hx * z)) / xHx)
+    return _pcg(lambda v: apply(v) - D * v, -g, precondition, rtol,
+                cap=_TRUNCATED_CG_CAP), L
 
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
-                    retract=None, one_step: bool = False):
+                    retract=None, one_step: bool = False, curvature=None,
+                    tangent: bool = False):
     """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
     Each step solves H d = -gradient(x) with H = _newton_matrix, the relaxed
-    curvature of E alone, which stays positive definite whatever the data or
-    reaction term adds.  Its pair weights are young.curvature, the larger of
-    psi'' and the secant weight psi'(t)/t: where psi' is concave (growth
-    below 2) the secant weight contracts a near-zero difference in one step,
-    where the plain Newton weight maps t to -t (p = 1.5) or farther out.
+    curvature of E, which stays positive definite whatever the data or
+    reaction term adds; with curvature the step also takes in the
+    reaction's curvature (below).  H's pair weights are young.curvature,
+    the larger of psi'' and the secant weight psi'(t)/t: where psi' is
+    concave (growth below 2) the secant weight contracts a near-zero
+    difference in one step, where the plain Newton weight maps t to -t
+    (p = 1.5) or farther out.
     eps starts at 1 and follows the iterate: after every accepted step it
     becomes min(kappa eps, max|x|), with kappa = _EPS_DECAY after a step at
     unit length and 1/2 after a shortened one.  No pair difference exceeds
@@ -280,9 +347,21 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     gradient is the gradient of value after retract (the eigen solve), or
     when retract maximizes value and its first-order condition holds at x
     (the mountain pass).
+    curvature(x) gives the diagonal D = f'(x) h^N of a reaction term's
+    curvature, so that the objective's Hessian is H - diag(D).  Each step is
+    then the truncated Newton-CG step of _cg_direction on H - diag(D),
+    preconditioned by the solve of H that the step would take without
+    curvature, to the forcing term below; with tangent its CG iterates stay
+    H-orthogonal to the ray through x (the mountain pass).  At negative
+    curvature on CG's first direction the step is the preconditioned
+    gradient, which on the factor is the step of H alone.  The steps of H
+    alone converge at first order (for the sublinear t^(m-1) the error
+    falls by a factor of about m - 1 per step), the full steps at second
+    order: the benchmark's mountain pass at 1D n = 128 went from 52 steps
+    to 4, and its sublinear solve at n = 256 from 24 to 5.
 
-    The step solver is chosen once, before the first step, and kept for
-    every step.  Preconditioned CG (_cg_direction, with the circulant of
+    The step solver of H is chosen once, before the first step, and kept
+    for every step.  Preconditioned CG (_cg_direction, with the circulant of
     _circulant) runs from _PCG_MIN_NODES nodes and growth q >=
     _PCG_MIN_GROWTH up, where the circulant exists and a factor would serve
     a single solve: psi is not quadratic, or the caller sets one_step.
@@ -326,16 +405,18 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         g_sq = float(np.sum(g * g))
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-        if circulant is not None:
-            forcing = 0.0 if quadratic else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
-            d = _cg_direction(asm, x, eps, g, circulant, max(_PCG_RTOL, forcing))
-        else:
+        if circulant is None and curvature is None:
             if L is None:
                 L = _newton_matrix(asm, x, eps)
                 cholesky_inplace(L)
             d = cholesky_solve(L, -g)
-            if not quadratic:
-                L = None  # free the n x n buffer before the line search
+        else:
+            forcing = (0.0 if one_step and quadratic
+                       else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)))
+            d, L = _cg_direction(asm, x, eps, g, max(_PCG_RTOL, forcing), circulant, L,
+                                 None if curvature is None else curvature(x), tangent)
+        if not quadratic:
+            L = None  # free the n x n buffer before the line search
         slope = float(g @ d)
         t = 1.0
         for _ in range(60):
@@ -602,7 +683,9 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
 
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N: converged when
-    max|Lu - f(u)| <= tol * (1 + max|f(u)|)."""
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|); and x -> f'(x) h^N, the
+    curvature the reaction takes off the Hessian of E, or None when the
+    reaction has no df."""
     hN = asm.h_pow_dim
 
     def value(x):
@@ -615,7 +698,10 @@ def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float)
         scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
-    return value, gradient, stop
+    def curvature(x):
+        return reaction.df(x) * hN
+
+    return value, gradient, stop, None if reaction.df is None else curvature
 
 
 def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e-7,
@@ -623,6 +709,11 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
     """Minimize E(v) - integral of G(v) by relaxed Newton steps
     (_relaxed_newton) from a positive unit-norm bump.
 
+    With reaction.df each step is a truncated Newton-CG step on the relaxed
+    Hessian of E minus diag(f'(u) h^N), preconditioned by the solve of E's
+    matrix; without it the step matrix is the relaxed curvature of E alone,
+    which converges at first order (the error falls by a factor of about
+    m - 1 per step for t^(m-1)).
     Replaces the minimizer by its absolute value when that does not increase
     the objective, and records the negative-level witness that certifies a
     nontrivial solution in the lower range.  A collapse to zero is flagged
@@ -633,9 +724,10 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
         asm.young, reaction, dim=asm.grid.dim, alpha_order=asm.kernel.alpha_order
     )
     reaction.condition_report = report_cond
-    value, gradient, stop = _reaction_objective(asm, reaction, tol)
+    value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)
     x0 = (start or _bump_start(asm)).values
-    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter)
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
+                                           curvature=curvature)
 
     u = GridFunction(asm.grid, x)
     obj = info["objective_history"][-1]
@@ -705,6 +797,11 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     The iterate lives on the peaks of rays (_ray_peak).  Each step is a
     relaxed Newton step (_relaxed_newton) whose trial points are moved back
     to the peak of their ray, so the line search lowers the peak level.
+    With reaction.df the step is a truncated Newton-CG step on the relaxed
+    Hessian of E minus diag(f'(u) h^N), restricted to directions that are
+    orthogonal to the ray in the inner product of E's matrix H (the
+    objective peaks along the ray, so its curvature there is negative);
+    without df the step matrix is H alone.
     For homogeneous psi (p = q) E is p-homogeneous, so a ray's slope costs one
     gradient pass however many scales the peak search tries, and that pass
     also gives E and its gradient at the peak: gradient_E(t y) =
@@ -725,7 +822,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     reaction.condition_report = report_cond
     admissibility = {"condition_report": report_cond,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
-    value, gradient, stop = _reaction_objective(asm, reaction, tol)
+    value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)
     hN = asm.h_pow_dim
     homogeneous, p = asm.young.homogeneous, asm.young.p
     # the last ray: its peak scale t and point x = t y; for homogeneous psi
@@ -787,7 +884,8 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
         )
 
     x, iters, conv, info = _relaxed_newton(asm, peak_value, peak_gradient, x0, stop,
-                                           max_iter, retract=peak)
+                                           max_iter, retract=peak, curvature=curvature,
+                                           tangent=True)
     u = GridFunction(g, x)
     eta = info["objective_history"][-1]
     return SolveReport(

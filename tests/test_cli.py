@@ -26,6 +26,47 @@ def _sections(young, problem, n):
     return {"young": young, "problem": problem, "grid": grid}
 
 
+# the solves of TestDeterminism's thread-count check, by case id
+_THREAD_CASES = {
+    "dirichlet_p15": _sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 256),
+    "superlinear_m3": _sections({"family": "power", "p": 2.0},
+                                {"type": "superlinear", "reaction_m": 3.0}, 256),
+    "eigen_p2": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 512),
+    "eigen_p15": _sections({"family": "power", "p": 1.5}, {"type": "eigen"}, 256),
+    # growth below 2 factors a fresh matrix at every step
+    "dirichlet_p15_512": _sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 512),
+    "dirichlet_log": _sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                               _DIRICHLET_BUMP, 256),
+    # the benchmark's 2D solve: log kernel on the 24-ball
+    "dirichlet_ball": {"kernel": {"family": "log", "beta": 1.0},
+                       "young": {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
+                       "grid": {"shape": "ball", "n_per_axis": 24, "bounds": [0.0, 0.0, 1.0]},
+                       "problem": _DIRICHLET_BUMP},
+    # kept-factor solves at the largest size the tests run
+    "eigen_p2_2048": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 2048),
+    # conjugate-gradient steps: by FFT with no matrix, and on the built
+    # matrix through np.einsum; at n = 700 a BLAS H @ v is threaded and
+    # moves in its last bits
+    "dirichlet_p2_2048": _sections({"family": "power", "p": 2.0}, _DIRICHLET_BUMP, 2048),
+    "dirichlet_log_512": _sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                                   _DIRICHLET_BUMP, 512),
+    "dirichlet_log_700": _sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                                   _DIRICHLET_BUMP, 700),
+    # matrix-free CG steps for an even polynomial psi: batched FFTs
+    "dirichlet_power_sum_512": _sections(
+        {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]}, _DIRICHLET_BUMP, 512),
+    # |s|^2 spelled as a power sum: the quadratic one-step CG solve
+    "dirichlet_power_sum_p2_512": _sections({"family": "power_sum", "terms": [[1.0, 2.0]]},
+                                            _DIRICHLET_BUMP, 512),
+    # truncated CG steps of a reaction solve: preconditioned by the kept
+    # factor, and by the circulant on the einsum product
+    "sublinear_m15": _sections({"family": "power", "p": 2.0},
+                               {"type": "sublinear", "reaction_m": 1.5}, 256),
+    "sublinear_p3_m2_512": _sections({"family": "power", "p": 3.0},
+                                     {"type": "sublinear", "reaction_m": 2.0}, 512),
+}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     for key, value in overrides.items():
@@ -395,71 +436,48 @@ class TestDeterminism:
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("sections", [
-        pytest.param(_sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 256),
-                     id="dirichlet_p15"),
-        pytest.param(_sections({"family": "power", "p": 2.0},
-                               {"type": "superlinear", "reaction_m": 3.0}, 256),
-                     id="superlinear_m3"),
-        pytest.param(_sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 512),
-                     id="eigen_p2"),
-        pytest.param(_sections({"family": "power", "p": 1.5}, {"type": "eigen"}, 256),
-                     id="eigen_p15"),
-        # growth below 2 factors a fresh matrix at every step
-        pytest.param(_sections({"family": "power", "p": 1.5}, _DIRICHLET_BUMP, 512),
-                     id="dirichlet_p15_512"),
-        pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
-                               _DIRICHLET_BUMP, 256),
-                     id="dirichlet_log"),
-        # the benchmark's 2D solve: log kernel on the 24-ball
-        pytest.param({"kernel": {"family": "log", "beta": 1.0},
-                      "young": {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
-                      "grid": {"shape": "ball", "n_per_axis": 24, "bounds": [0.0, 0.0, 1.0]},
-                      "problem": _DIRICHLET_BUMP},
-                     id="dirichlet_ball"),
-        # kept-factor solves at the largest size the tests run
-        pytest.param(_sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 2048),
-                     id="eigen_p2_2048"),
-        # conjugate-gradient steps: by FFT with no matrix, and on the built
-        # matrix through np.einsum; at n = 700 a BLAS H @ v is threaded and
-        # moves in its last bits
-        pytest.param(_sections({"family": "power", "p": 2.0}, _DIRICHLET_BUMP, 2048),
-                     id="dirichlet_p2_2048"),
-        pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
-                               _DIRICHLET_BUMP, 512),
-                     id="dirichlet_log_512"),
-        pytest.param(_sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
-                               _DIRICHLET_BUMP, 700),
-                     id="dirichlet_log_700"),
-        # matrix-free CG steps for an even polynomial psi: batched FFTs
-        pytest.param(_sections({"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
-                               _DIRICHLET_BUMP, 512),
-                     id="dirichlet_power_sum_512"),
-        # |s|^2 spelled as a power sum: the quadratic one-step CG solve
-        pytest.param(_sections({"family": "power_sum", "terms": [[1.0, 2.0]]},
-                               _DIRICHLET_BUMP, 512),
-                     id="dirichlet_power_sum_p2_512"),
-    ])
-    def test_dirichlet_bytes_identical_across_blas_threads(self, tmp_path, sections):
+    @pytest.fixture(scope="class")
+    def solve_digests(self, tmp_path_factory):
+        # one interpreter per BLAS thread count runs every case of
+        # _THREAD_CASES and prints "<id> <converged> <digest>" per case: the
+        # digest is of solution.csv and report.json
+        script = (
+            "import hashlib, json, sys\n"
+            "from pathlib import Path\n"
+            "from nlorlicz.cli import main\n"
+            "root = Path(sys.argv[1])\n"
+            "for case, cfg in json.loads(sys.argv[2]).items():\n"
+            "    out = root / case\n"
+            "    cfg['output_dir'] = str(out)\n"
+            "    path = root / (case + '.json')\n"
+            "    path.write_text(json.dumps(cfg))\n"
+            "    assert main(['run', str(path)]) == 0, case\n"
+            "    data = [(out / name).read_bytes() for name in ('solution.csv', 'report.json')]\n"
+            "    print(case, json.loads(data[1])['converged'],\n"
+            "          hashlib.sha256(b''.join(data)).hexdigest())\n"
+        )
+        configs = {}
+        for case, sections in _THREAD_CASES.items():
+            cfg = json.loads(json.dumps(BASE))
+            cfg.update(sections)
+            configs[case] = cfg
+        digests = {}
+        for threads in ("1", "3"):
+            root = tmp_path_factory.mktemp(f"threads_{threads}")
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script, str(root),
+                                   json.dumps(configs)], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            digests[threads] = {case: (conv, digest) for case, conv, digest in
+                                (line.split() for line in proc.stdout.decode().splitlines())}
+        return digests
+
+    @pytest.mark.parametrize("case", list(_THREAD_CASES))
+    def test_dirichlet_bytes_identical_across_blas_threads(self, solve_digests, case):
         # the Newton solves factor a dense matrix and solve with the whole
         # factor, or run CG on it; LAPACK's Cholesky and a BLAS matrix-vector
         # product change their last bits with the BLAS thread count
-        outputs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"out_{threads}"
-            cfg = json.loads(json.dumps(BASE))
-            cfg.update(sections)
-            cfg["output_dir"] = str(out)
-            path = tmp_path / f"cfg_{threads}.json"
-            path.write_text(json.dumps(cfg))
-            env = dict(os.environ, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "nlorlicz.cli", "run", str(path)],
-                capture_output=True, env=env,
-            )
-            assert proc.returncode == 0, proc.stderr.decode()
-            outputs.append([(out / name).read_bytes()
-                            for name in ("solution.csv", "report.json")])
-        assert json.loads(outputs[0][1])["converged"]
-        assert outputs[0] == outputs[1]
+        one, three = solve_digests["1"][case], solve_digests["3"][case]
+        assert one[0] == "True", f"{case} did not converge"
+        assert one == three, f"{case}: outputs differ between 1 and 3 BLAS threads"
