@@ -437,9 +437,10 @@ def sobolev_embedding_check(asm: EnergyAssembly, r: float, spec: CorpusSpec,
     """Calibrate/validate the embedding norm bound at exponent r, with
     shrinking-bump sharpness probes.
 
-    For r at most the critical exponent the ratio stays bounded and the
-    held-out functions must respect 1.05 times the calibrated constant; above
-    it the probe ratio must grow monotonically over three dyadic rescalings.
+    For r at most the critical exponent the held-out functions must respect
+    1.05 times the calibrated constant, and the probe ratios are reported;
+    above it the probe ratio must grow monotonically over three dyadic
+    rescalings.
     """
     digest = digest or config_digest(asm, spec.seed)
     alpha = asm.kernel.alpha_order
@@ -476,9 +477,8 @@ def sobolev_embedding_check(asm: EnergyAssembly, r: float, spec: CorpusSpec,
 
     C = float(np.max(norms[3:-10] / E[3:-10]))
     lhs = norms[-10:]
-    margins = list((1.05 * C * E[-10:] - lhs) / np.maximum(1.0, lhs))
-    margins += [(max(ratios) - rr) / max(ratios) for rr in ratios]  # boundedness
-    return _result("sobolev_r_star", 13, margins, digest, tol,
+    margins = (1.05 * C * E[-10:] - lhs) / np.maximum(1.0, lhs)
+    return _result("sobolev_r_star", 10, margins, digest, tol,
                    extras={"constant": C, "probe_ratios": ratios, "r": r})
 
 

@@ -4,16 +4,12 @@ nonexistence-exponent ratio, integrability scaling).
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
-step solved by a dense factor or by conjugate gradients as _relaxed_newton
-describes.  The Dirichlet and eigenvalue steps take their matrix from the
-relaxed curvature of E alone.  The two reaction solves subtract the
-reaction's curvature f'(u) h^N from it and solve each step by truncated
-conjugate gradients, preconditioned by the solve of E's matrix, so that
-their steps are second order.  The superlinear (mountain-pass) solve runs
-the loop on the peaks of rays, the local minimax method of Li and Zhou,
-and the eigenvalue solve on the unit-modular set, with every trial point
-renormalized.  The convergence metric is the pointwise operator residual
-(gradient max-norm divided by the cell volume), scaled by the data size.
+step solved by the rule that _relaxed_newton's docstring states.  The
+superlinear (mountain-pass) solve runs the loop on the peaks of rays, the
+local minimax method of Li and Zhou, and the eigenvalue solve on the
+unit-modular set, with every trial point renormalized.  The convergence
+metric is the pointwise operator residual (gradient max-norm divided by the
+cell volume), scaled by the data size.
 """
 
 from __future__ import annotations
@@ -132,10 +128,13 @@ _PCG_MIN_GROWTH = 2.0
 # Newton, and the floor of the forcing term of the others
 _PCG_RTOL = 1e-13
 _FORCING_CAP = 0.01
-# most CG steps of a reaction solve's truncated step (_cg_direction): the
-# steps preconditioned by the factor took 1 to 12, those on the circulant
-# up to 20 near the end of a |s|^3 solve at n = 512
-_TRUNCATED_CG_CAP = 20
+# most CG products of one Newton step (_pcg).  Measured per-step counts at
+# 1D alpha = 0.5: 3 to 19 for Dirichlet steps on the circulant, 1 to 12 for
+# reaction steps on the factor and up to 20 on the circulant (|s|^3 at
+# n = 256 and 512).  It binds on the last Dirichlet steps from alpha = 1 up,
+# which took 26 to 43 uncapped; the step counts held but at p = 2, n = 2048,
+# alpha = 1.9, whose one step of 38 became two of 20
+_CG_CAP = 20
 
 
 def _quadratic_diagonal(asm: EnergyAssembly) -> np.ndarray:
@@ -213,105 +212,108 @@ def _circulant(asm: EnergyAssembly):
     return (top, 1.0 / symbol) if np.all(symbol > 0.0) else None
 
 
-def _pcg(apply, b: np.ndarray, precondition, rtol: float, cap: Optional[int] = None):
-    """Preconditioned conjugate gradients for A d = b from d = 0, with
-    apply(v) = A v for symmetric A.
+def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
+    """Truncated preconditioned conjugate gradients for A d = b from d = 0:
+    the truncated CG of Steihaug (SIAM J. Numer. Anal. 20, 1983), with
+    apply(v) = A v for a symmetric A that may be indefinite and
+    solve(r) = M^-1 r for a positive definite M.
 
-    Without cap, A is positive definite and the solve stops when
-    ||b - A d||_2 <= rtol ||b||_2, or after b.size steps.  With cap it is
-    the truncated CG of Steihaug (SIAM J. Numer. Anal. 20, 1983) for an A
-    that may be indefinite: it stops when r.M^-1 r, the residual in the
-    preconditioner's norm, falls to rtol^2 of its start, after cap steps,
-    or at the first search direction p with p.Ap <= 0.  That last stop
-    returns the iterate so far, or at the first step the preconditioned
-    b itself.
+    With tangent = (x, Hx) the iterates stay in the subspace Hx . d = 0:
+    the preconditioner is P M^-1 P^T with P z = z - x (Hx . z) / (x . Hx),
+    the projected PCG of Gould, Hribar and Nocedal (SIAM J. Sci. Comput. 23,
+    2001).  Without it P is the identity.  The solve stops when the
+    projected residual falls to ||P^T (b - A d)||_2 <= rtol ||P^T b||_2,
+    after _CG_CAP products, or at the first search direction p with
+    p.Ap <= 0.  That last stop returns the iterate so far, or at the first
+    direction the preconditioned b itself.
 
     Every iterate minimizes d.Ad/2 - b.d over a subspace on which A is
     positive definite, so b.d = d.Ad > 0: each one is a descent direction,
-    however early the solve stops, and so is M^-1 b.  Every dot product is
-    np.sum(x * y), a reduction in a fixed order, so the bits do not depend
-    on thread counts."""
+    however early the solve stops, and so is P M^-1 P^T b.  Every dot
+    product is np.sum(x * y), a reduction in a fixed order, so the bits do
+    not depend on thread counts."""
+    if tangent is not None:
+        x, Hx = tangent
+        xHx = float(np.sum(x * Hx))
+
+    def project(r):  # P^T r
+        return r if tangent is None else r - Hx * (float(np.sum(x * r)) / xHx)
+
+    def lift(z):  # P z
+        return z if tangent is None else z - x * (float(np.sum(Hx * z)) / xHx)
+
     d = np.zeros_like(b)
-    r = b.copy()
-    p = z = precondition(r)
+    r = b
+    w = project(r)
+    goal = rtol * rtol * float(np.sum(w * w))
+    p = z = lift(solve(w))
     rz = float(np.sum(r * z))
-    goal = rtol * rtol * (float(np.sum(b * b)) if cap is None else rz)
-    for k in range(b.size if cap is None else cap):
+    for k in range(_CG_CAP):
         q = apply(p)
         pq = float(np.sum(p * q))
-        if cap is not None and pq <= 0.0:
+        if pq <= 0.0:
             return d if k else z
         a = rz / pq
         d += a * p
-        r -= a * q
-        if cap is None and float(np.sum(r * r)) <= goal:
+        r = r - a * q  # not in place: solve and project may return r itself
+        w = project(r)
+        if float(np.sum(w * w)) <= goal:
             break
-        z = precondition(r)
+        z = lift(solve(w))
         rz, rz_old = float(np.sum(r * z)), rz
-        if cap is not None and rz <= goal:
-            break
         p = z + (rz / rz_old) * p
     return d
 
 
-def _cg_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
-                  rtol: float, circulant=None, L=None, D=None, tangent: bool = False):
-    """The Newton direction by _pcg, with H = _newton_matrix; returns it
-    with the factor L it used (None on the circulant).
+def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
+                      rtol: float, circulant=None, L=None, D=None, tangent: bool = False):
+    """The direction of one step of _relaxed_newton, whose docstring states
+    the step rule, with the factor L it used (None on the circulant): the
+    solve of (H - diag(D)) d = -g by _pcg to rtol, with its iterates
+    H-orthogonal to x when tangent is set.  The only place that builds and
+    factors H = _newton_matrix(asm, x, eps).
 
-    For a polynomial psi (young.even_terms, |s|^2 included) H v comes from
-    energy._even_newton_product, with no n x n matrix; at degree 2 that is
-    2 (d0 v - W v) with W v by FFT.  Otherwise H is built and freed on
-    return.  A built H is applied by np.einsum with its
-    default optimize=False, which runs numpy's own loop and never calls
-    BLAS.  So it starts no threads, and its bits do not depend on the BLAS
-    thread count: a BLAS H @ v of order 700 gave other bits at 2 and 3
-    OpenBLAS threads than at 1.  The preconditioner M is S C^-1 S with C
-    from the circulant of _circulant and S = sqrt(2 max d0 / diag H), which
-    gives S H S the diagonal of C; without the circulant it is the tiled
-    Cholesky factor L of H, factored here when L is None.
+    The product: for a polynomial psi (young.even_terms, |s|^2 included)
+    H v comes from energy._even_newton_product, with no n x n matrix; at
+    degree 2 that is 2 (d0 v - W v) with W v by FFT.  Otherwise H is built
+    and freed on return, and applied by np.einsum with its default
+    optimize=False, which runs numpy's own loop and never calls BLAS.  So it
+    starts no threads, and its bits do not depend on the BLAS thread count:
+    a BLAS H @ v of order 700 gave other bits at 2 and 3 OpenBLAS threads
+    than at 1.  A built H that is also factored is copied first.
 
-    Without D the direction is -H^-1 g, solved to rtol.  With D it is the
-    truncated (capped) _pcg on H - diag(D), the Newton matrix of E minus
-    a reaction's curvature, stopped at rtol in M's norm or at
-    _TRUNCATED_CG_CAP steps.  With tangent as well the steps stay
-    H-orthogonal to the ray through x: the preconditioner is P M^-1 P^T
-    with P z = z - x (Hx . z) / (x . Hx), the projected PCG of Gould,
-    Hribar and Nocedal (SIAM J. Sci. Comput. 23, 2001)."""
+    The preconditioner M: S C^-1 S with C from the circulant of _circulant
+    and S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C;
+    without the circulant the tiled Cholesky factor L of H, factored here
+    when L is None.  With neither D nor the circulant, M is the factor of
+    this very H, and the direction is cholesky_solve(L, -g), with no
+    product."""
+    H = None
+    if circulant is None and L is None:
+        H = _newton_matrix(asm, x, eps)
+        L = H.copy() if D is not None and asm.young.even_terms is None else H
+        cholesky_inplace(L)
+    if circulant is None and D is None:
+        return cholesky_solve(L, -g), L
     if asm.young.even_terms is not None:
-        H = None
         diag, apply = _even_newton_product(asm, x, _curvature_shift(asm.young, eps))
     else:
-        H = _newton_matrix(asm, x, eps)
+        if H is None:
+            H = _newton_matrix(asm, x, eps)
         diag = H.diagonal()
 
         def apply(v):
             return np.einsum("ij,j->i", H, v)
-    if circulant is not None:
+    if circulant is None:
+        solve = functools.partial(cholesky_solve, L)
+    else:
         top, inverse = circulant
         s = np.sqrt(top / diag)
 
         def solve(r):
             return s * _lattice_filter(asm, s * r, inverse)
-    else:
-        if L is None:
-            L = _newton_matrix(asm, x, eps) if H is None else H.copy()
-            cholesky_inplace(L)
-
-        def solve(r):
-            return cholesky_solve(L, r)
-    if D is None:
-        return _pcg(apply, -g, solve, rtol), L
-    precondition = solve
-    if tangent:
-        Hx = apply(x)
-        xHx = float(np.sum(x * Hx))
-
-        def precondition(r):
-            z = solve(r - Hx * (float(np.sum(x * r)) / xHx))
-            return z - x * (float(np.sum(Hx * z)) / xHx)
-    return _pcg(lambda v: apply(v) - D * v, -g, precondition, rtol,
-                cap=_TRUNCATED_CG_CAP), L
+    product = apply if D is None else (lambda v: apply(v) - D * v)
+    return _pcg(product, -g, solve, rtol, (x, apply(x)) if tangent else None), L
 
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
@@ -319,10 +321,9 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                     tangent: bool = False):
     """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
-    Each step solves H d = -gradient(x) with H = _newton_matrix, the relaxed
-    curvature of E, which stays positive definite whatever the data or
-    reaction term adds; with curvature the step also takes in the
-    reaction's curvature (below).  H's pair weights are young.curvature,
+    H = _newton_matrix is the relaxed curvature of E, which stays positive
+    definite whatever the data or reaction term adds; the step rule below
+    says how each step solves with it.  H's pair weights are young.curvature,
     the larger of psi'' and the secant weight psi'(t)/t: where psi' is
     concave (growth below 2) the secant weight contracts a near-zero
     difference in one step, where the plain Newton weight maps t to -t
@@ -347,41 +348,42 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     gradient is the gradient of value after retract (the eigen solve), or
     when retract maximizes value and its first-order condition holds at x
     (the mountain pass).
-    curvature(x) gives the diagonal D = f'(x) h^N of a reaction term's
-    curvature, so that the objective's Hessian is H - diag(D).  Each step is
-    then the truncated Newton-CG step of _cg_direction on H - diag(D),
-    preconditioned by the solve of H that the step would take without
-    curvature, to the forcing term below; with tangent its CG iterates stay
-    H-orthogonal to the ray through x (the mountain pass).  At negative
-    curvature on CG's first direction the step is the preconditioned
-    gradient, which on the factor is the step of H alone.  The steps of H
-    alone converge at first order (for the sublinear t^(m-1) the error
-    falls by a factor of about m - 1 per step), the full steps at second
-    order: the benchmark's mountain pass at 1D n = 128 went from 52 steps
-    to 4, and its sublinear solve at n = 256 from 24 to 5.
-
-    The step solver of H is chosen once, before the first step, and kept
-    for every step.  Preconditioned CG (_cg_direction, with the circulant of
-    _circulant) runs from _PCG_MIN_NODES nodes and growth q >=
-    _PCG_MIN_GROWTH up, where the circulant exists and a factor would serve
-    a single solve: psi is not quadratic, or the caller sets one_step.
-    Below growth 2 the CG steps made a p = 1.5 solve about 3 times slower,
-    and below 256 nodes they were no faster than the factor.  With one_step
-    and quadratic psi the objective is quadratic (E minus a linear term), so
-    the exact Newton step is the solution: each step is solved to a
-    relative residual of _PCG_RTOL without building H.  Otherwise every CG
-    step solves inexactly, to the Eisenstat-Walker forcing term
-    ||g_k|| / ||g_0||, capped at _FORCING_CAP (SIAM J. Sci. Comput. 17,
-    1996); any CG iterate is a descent direction, so the line search is the
-    same.  It builds H, except for the polynomial psi of young.even_terms,
-    |s|^2 included, whose H v is a few convolutions
-    (energy._even_newton_product).  Every other solve runs on the tiled Cholesky
-    factor of H.  When psi is quadratic, H is the same at every x and eps,
-    so it is built and factored once and the factor is kept for the rest of
-    this call.
-    Otherwise each step builds and factors a fresh H and frees it before the
-    energy passes of the line search.  The bits of neither solver depend on
-    the BLAS thread count.
+    The step rule.  Each step solves (H - diag(D)) d = -gradient(x) by
+    _pcg, the one conjugate-gradient routine, on the product and
+    preconditioner that _newton_direction picks.  D = curvature(x) =
+    f'(x) h^N is a reaction's curvature, so that H - diag(D) is the
+    objective's Hessian; without curvature (Dirichlet and eigen) D = 0.
+    With tangent the CG iterates stay H-orthogonal to the ray through x
+    (the mountain pass, whose objective peaks along the ray).  Every step is
+    truncated: CG stops at a projected residual of rtol, after _CG_CAP
+    products, or at negative curvature, and any iterate is a descent
+    direction, so the line search is the same.
+    - rtol is the Eisenstat-Walker forcing term ||g_k|| / ||g_0||, capped
+      at _FORCING_CAP (SIAM J. Sci. Comput. 17, 1996) and floored at
+      _PCG_RTOL.  With one_step and quadratic psi the objective is
+      quadratic (E minus a linear term), so rtol is _PCG_RTOL: the step is
+      exact Newton and usually the solution, unless _CG_CAP cuts it.
+    - The preconditioner M is chosen once, before the first step, and kept
+      for every step.  It is the circulant of _circulant from
+      _PCG_MIN_NODES nodes and growth q >= _PCG_MIN_GROWTH up, where the
+      circulant exists and a factor would serve a single solve: psi is not
+      quadratic, or the caller sets one_step.  Below growth 2 CG steps made
+      a p = 1.5 solve about 3 times slower, and below 256 nodes they were
+      no faster than the factor.  Otherwise M is the tiled Cholesky factor
+      of H.  When psi is quadratic, H is the same at every x and eps, so it
+      is built and factored once and kept for the rest of this call;
+      otherwise each step builds and factors a fresh H and frees it before
+      the energy passes of the line search.  Without curvature, M is then
+      the factor of the step's own H and the step is its solve, with no CG
+      product.
+    - At negative curvature on CG's first direction the step is the
+      preconditioned gradient, which on the factor is the step of H alone.
+      The steps of H alone converge at first order (for the sublinear
+      t^(m-1) the error falls by a factor of about m - 1 per step), those
+      with the curvature at second order: the benchmark's mountain pass at
+      1D n = 128 went from 52 steps to 4, and its sublinear solve at
+      n = 256 from 24 to 5.
+    The bits of the steps do not depend on the BLAS thread count.
 
     Returns (x, steps, converged, info) with the objective history and
     whether the line search failed."""
@@ -405,15 +407,9 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         g_sq = float(np.sum(g * g))
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-        if circulant is None and curvature is None:
-            if L is None:
-                L = _newton_matrix(asm, x, eps)
-                cholesky_inplace(L)
-            d = cholesky_solve(L, -g)
-        else:
-            forcing = (0.0 if one_step and quadratic
-                       else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)))
-            d, L = _cg_direction(asm, x, eps, g, max(_PCG_RTOL, forcing), circulant, L,
+        forcing = (0.0 if one_step and quadratic
+                   else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)))
+        d, L = _newton_direction(asm, x, eps, g, max(_PCG_RTOL, forcing), circulant, L,
                                  None if curvature is None else curvature(x), tangent)
         if not quadratic:
             L = None  # free the n x n buffer before the line search
@@ -464,14 +460,10 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     seeded coordinate directions, where the interaction form is the gradient
     entry at that node.
 
-    The method is a relaxed Newton iteration (_relaxed_newton), after the
+    The method is a relaxed Newton iteration (_relaxed_newton, whose
+    docstring states the step rule and the relaxation schedule), after the
     relaxed Kacanov iteration of Diening, Fornasier, Tomasi and Wank
-    (Numer. Math. 145, 2020), which picks its step solver as it describes;
-    the objective is quadratic when psi is, so a CG solve of the quadratic
-    problem takes one step.  After every step the relaxation eps of the
-    pair differences falls by 1/8 (1/2 after a shortened step) and is capped
-    at max|u|, so the steps do not wait for eps to reach the solution's
-    scale.
+    (Numer. Math. 145, 2020).
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim
@@ -709,11 +701,8 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
     """Minimize E(v) - integral of G(v) by relaxed Newton steps
     (_relaxed_newton) from a positive unit-norm bump.
 
-    With reaction.df each step is a truncated Newton-CG step on the relaxed
-    Hessian of E minus diag(f'(u) h^N), preconditioned by the solve of E's
-    matrix; without it the step matrix is the relaxed curvature of E alone,
-    which converges at first order (the error falls by a factor of about
-    m - 1 per step for t^(m-1)).
+    The steps take in the reaction's curvature f'(u) h^N when reaction.df
+    is given; _relaxed_newton's docstring states the step rule.
     Replaces the minimizer by its absolute value when that does not increase
     the objective, and records the negative-level witness that certifies a
     nontrivial solution in the lower range.  A collapse to zero is flagged
@@ -797,11 +786,11 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     The iterate lives on the peaks of rays (_ray_peak).  Each step is a
     relaxed Newton step (_relaxed_newton) whose trial points are moved back
     to the peak of their ray, so the line search lowers the peak level.
-    With reaction.df the step is a truncated Newton-CG step on the relaxed
-    Hessian of E minus diag(f'(u) h^N), restricted to directions that are
-    orthogonal to the ray in the inner product of E's matrix H (the
-    objective peaks along the ray, so its curvature there is negative);
-    without df the step matrix is H alone.
+    The steps keep to directions orthogonal to the ray in the inner product
+    of E's Newton matrix (the objective peaks along the ray, so its
+    curvature there is negative), and take in the reaction's curvature
+    f'(u) h^N when reaction.df is given; _relaxed_newton's docstring states
+    the step rule.
     For homogeneous psi (p = q) E is p-homogeneous, so a ray's slope costs one
     gradient pass however many scales the peak search tries, and that pass
     also gives E and its gradient at the peak: gradient_E(t y) =

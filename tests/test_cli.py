@@ -64,6 +64,10 @@ _THREAD_CASES = {
                                {"type": "sublinear", "reaction_m": 1.5}, 256),
     "sublinear_p3_m2_512": _sections({"family": "power", "p": 3.0},
                                      {"type": "sublinear", "reaction_m": 2.0}, 512),
+    # the projected CG of the mountain pass on the circulant, with the
+    # einsum product
+    "superlinear_p3_m4_256": _sections({"family": "power", "p": 3.0},
+                                       {"type": "superlinear", "reaction_m": 4.0}, 256),
 }
 
 

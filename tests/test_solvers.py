@@ -188,18 +188,19 @@ class TestRelaxedNewton:
             assert rep.iterations == 1
             assert np.max(np.abs(rep.solution.values - ref.values)) < 1e-12
 
-    @pytest.mark.parametrize("objective, p", [
-        pytest.param("dirichlet", 1.5, id="1.5"),
-        pytest.param("dirichlet", 3.0, id="3.0"),
-        pytest.param("sublinear", 1.5, id="sublinear-1.5"),
-        pytest.param("peak", 2.0, id="peak-2.0"),
-        pytest.param("sublinear+df", 1.5, id="sublinear-1.5-df"),
-        pytest.param("peak+df", 2.0, id="peak-2.0-df"),
+    @pytest.mark.parametrize("objective, p, steps", [
+        pytest.param("dirichlet", 1.5, 5, id="1.5"),
+        pytest.param("dirichlet", 3.0, 5, id="3.0"),
+        pytest.param("sublinear", 1.5, 5, id="sublinear-1.5"),
+        pytest.param("peak", 2.0, 5, id="peak-2.0"),
+        pytest.param("sublinear+df", 1.5, 5, id="sublinear-1.5-df"),
+        pytest.param("peak+df", 2.0, 4, id="peak-2.0-df"),
     ])
-    def test_objective_never_increases(self, objective, p):
+    def test_objective_never_increases(self, objective, p, steps):
         # the Dirichlet objective, the sublinear objective (m = 1.2) and the
         # mountain-pass peak level (m = 3) go through the same step loop,
-        # with the steps of E alone and (+df) with the reaction's curvature
+        # with the steps of E alone and (+df) with the reaction's curvature;
+        # each takes at least `steps` steps, so the history has some length
         from nlorlicz.energy import E_value, gradient_E
         from nlorlicz.solvers import _ray_peak, _reaction_objective, _relaxed_newton
 
@@ -232,7 +233,7 @@ class TestRelaxedNewton:
                                            retract=retract, curvature=curvature,
                                            tangent=retract is not None)
         hist = info["objective_history"]
-        assert conv and len(hist) > 5
+        assert conv and len(hist) > steps
         # up to the rounding of the objective itself
         ulp = 4.0 * np.finfo(float).eps
         assert all(b <= a + ulp * abs(a) for a, b in zip(hist, hist[1:]))
@@ -438,6 +439,116 @@ class TestNewtonMatrix:
         assert peak <= 2 * n * n * 8  # H itself, plus 8 MB
 
 
+class TestPCG:
+    """solvers._pcg, the one conjugate-gradient routine of the Newton steps,
+    on small dense systems."""
+
+    @staticmethod
+    def _spd(n, lo, hi, seed):
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        return (Q * np.geomspace(lo, hi, n)) @ Q.T
+
+    @staticmethod
+    def _run(A, b, solve, rtol, tangent=None):
+        # the solve, with every search direction it applied A to
+        from nlorlicz.solvers import _pcg
+
+        directions = []
+
+        def apply(v):
+            directions.append(v.copy())
+            return A @ v
+
+        return _pcg(apply, b, solve, rtol, tangent), directions
+
+    @staticmethod
+    def _iterate(A, b, directions):
+        # CG's iterate after these directions: the minimizer of
+        # d.Ad/2 - b.d over their span
+        P = np.array(directions).T
+        return P @ np.linalg.solve(P.T @ A @ P, P.T @ b)
+
+    def test_stops_at_the_first_iterate_within_rtol(self):
+        n, rtol = 12, 1e-6
+        A = self._spd(n, 1.0, 30.0, 1) + np.diag(np.linspace(1.0, 50.0, n))
+        b = np.random.default_rng(2).standard_normal(n)
+        jacobi = A.diagonal().copy()
+        d, directions = self._run(A, b, lambda r: r / jacobi, rtol)
+        goal = rtol * np.linalg.norm(b)
+        assert 1 < len(directions) < n
+        assert np.linalg.norm(b - A @ d) <= goal
+        for k in range(1, len(directions)):
+            assert np.linalg.norm(b - A @ self._iterate(A, b, directions[:k])) > goal
+
+    def test_exact_preconditioner_takes_one_product(self):
+        A = self._spd(10, 1.0, 1e3, 3)
+        b = np.random.default_rng(4).standard_normal(10)
+        d, directions = self._run(A, b, lambda r: np.linalg.solve(A, r), 1e-10)
+        assert len(directions) == 1
+        assert np.allclose(d, np.linalg.solve(A, b), rtol=1e-10, atol=0.0)
+
+    def test_negative_curvature_at_once_returns_the_preconditioned_b(self):
+        A = self._spd(8, 1.0, 10.0, 5) - 20.0 * np.eye(8)
+        b = np.random.default_rng(6).standard_normal(8)
+        scale = np.abs(A.diagonal())
+
+        def solve(r):
+            return r / scale
+
+        d, directions = self._run(A, b, solve, 1e-8)
+        z = solve(b)
+        assert float(z @ A @ z) <= 0.0
+        assert len(directions) == 1 and np.array_equal(d, z)
+
+    def test_negative_curvature_later_returns_a_descent_iterate(self):
+        n = 12
+        Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
+        A = (Q * np.concatenate([[-20.0], np.geomspace(1.0, 30.0, n - 1)])) @ Q.T
+        b = Q @ np.ones(n)
+        d, directions = self._run(A, b, lambda r: r, 1e-12)
+        last = directions[-1]
+        assert len(directions) > 1
+        assert float(last @ A @ last) <= 0.0
+        assert float(b @ d) > 0.0
+        assert np.allclose(d, self._iterate(A, b, directions[:-1]), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_at_most_cap_products(self, tangent):
+        from nlorlicz.solvers import _CG_CAP
+
+        n = 60
+        A = self._spd(n, 1.0, 1e6, 8)
+        b = np.random.default_rng(9).standard_normal(n)
+        x = np.random.default_rng(10).random(n)
+        d, directions = self._run(A, b, lambda r: r, 1e-14,
+                                  (x, A @ x) if tangent else None)
+        assert len(directions) == _CG_CAP
+        assert float(b @ d) > 0.0
+
+    def test_tangent_iterates_stay_orthogonal(self):
+        # H-orthogonal to x, as the mountain pass asks of its steps; the
+        # residual off the subspace cannot reach rtol, the projected one does
+        n, rtol = 12, 1e-8
+        H = self._spd(n, 1.0, 20.0, 11) + 5.0 * np.eye(n)
+        A = H - np.diag(np.linspace(0.0, 2.0, n))
+        x = np.random.default_rng(12).random(n) + 0.5
+        b = np.random.default_rng(13).standard_normal(n)
+        Hx = H @ x
+        d, directions = self._run(A, b, lambda r: r / H.diagonal(), rtol, (x, Hx))
+        for p in [*directions, d]:
+            assert abs(float(Hx @ p)) <= 1e-12 * np.linalg.norm(Hx) * np.linalg.norm(p)
+
+        def project(r):
+            return r - Hx * (float(x @ r) / float(x @ Hx))
+
+        assert len(directions) < n
+        assert np.linalg.norm(project(b - A @ d)) <= rtol * np.linalg.norm(project(b))
+        # the least residual over the subspace: a basis of {v : Hx . v = 0}
+        basis = np.linalg.svd(Hx[None, :])[2][1:].T
+        c = np.linalg.lstsq(A @ basis, b, rcond=None)[0]
+        assert np.linalg.norm(b - A @ basis @ c) > 1e3 * rtol * np.linalg.norm(b)
+
+
 class TestConjugateGradientSteps:
     """Newton steps by preconditioned CG: from 256 nodes and growth 2 up,
     wherever the dense factor would serve one solve only."""
@@ -531,28 +642,31 @@ class TestConjugateGradientSteps:
 
     def test_multi_step_quadratic_solves_factor_at_the_first_step(self, frac05_1d, y_p2,
                                                                   monkeypatch):
-        # only the one-step quadratic Dirichlet solve runs CG on H: the eigen
-        # and sublinear solves factor H at their first step and keep the
-        # factor, which preconditions the sublinear solve's truncated CG on
+        # only the one-step quadratic Dirichlet solve runs CG on H alone: the
+        # eigen and sublinear solves factor H at their first step and keep
+        # the factor.  The eigen steps are its solves, with no CG; it
+        # preconditions the sublinear solve's one CG per step on
         # H - diag(f'(u) h^N)
         import nlorlicz.solvers as solvers
 
         pcg = solvers._pcg
+        cg_calls = []
 
-        def refuse(*args, cap=None):
-            if cap is None:
-                raise AssertionError("CG step")
-            return pcg(*args, cap=cap)
+        def counted(*args, **kwargs):
+            cg_calls.append(1)
+            return pcg(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_pcg", refuse)
+        monkeypatch.setattr(solvers, "_pcg", counted)
         calls = self._count_factors(monkeypatch)
         asm = assemble(make_grid("interval", 512, (-1.0, 1.0)), frac05_1d, y_p2)
         rep = solve_eigen(asm)
         assert rep.converged and rep.iterations > 1 and calls == [512]
+        assert cg_calls == []
         calls.clear()
         asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
         rep = solve_sublinear(asm, power_reaction(1.5))
         assert rep.converged and rep.iterations > 1 and calls == [256]
+        assert len(cg_calls) == rep.iterations
 
     def test_even_powers_step_without_a_matrix(self, frac05_1d, monkeypatch):
         # from 256 nodes up a power-sum 2 + 4 solve runs matrix-free CG
@@ -679,6 +793,32 @@ class TestStepCounts:
         rep = solve_dirichlet(asm, self._bump(asm))
         assert rep.converged
         assert rep.iterations <= 6
+
+    @pytest.mark.parametrize("young, n, alpha, steps", [
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), 1024, 1.0, 6,
+                     id="log_perturbed-1024-alpha1"),
+        pytest.param(make_young("power", p=3.0), 512, 1.5, 7, id="power-3-512-alpha1.5"),
+    ])
+    def test_capped_cg_keeps_the_count(self, young, n, alpha, steps, monkeypatch):
+        # strong kernels, where the last steps' CG solves run into _CG_CAP
+        # (42 and 43 products uncapped)
+        import nlorlicz.solvers as solvers
+
+        pcg, products = solvers._pcg, []
+
+        def counted(apply, *args, **kwargs):
+            def counted_apply(v):
+                products[-1] += 1
+                return apply(v)
+            products.append(0)
+            return pcg(counted_apply, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_pcg", counted)
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)),
+                       make_kernel("fractional", dim=1, alpha=alpha), young)
+        rep = solve_dirichlet(asm, self._bump(asm))
+        assert rep.converged and rep.iterations <= steps
+        assert max(products) == solvers._CG_CAP
 
     @pytest.mark.parametrize("problem, p, n, steps", [
         ("dirichlet", 1.5, 64, 27),
