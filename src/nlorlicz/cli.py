@@ -72,6 +72,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _check_keys(section: dict, allowed: set, where: str, required: set = frozenset()):
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -92,8 +94,8 @@ def load_config(path: str) -> dict:
         raise ValidationError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     for key in ("kernel", "young", "grid", "problem"):
-        if key not in cfg:
-            raise ValidationError(f"config is missing the {key!r} section")
+        if not isinstance(cfg.get(key), dict):
+            raise ValidationError(f"config needs a {key!r} section, a JSON object")
     if cfg.get("spec_version", SPEC_VERSION) != SPEC_VERSION:
         raise ValidationError(f"unsupported spec_version {cfg['spec_version']}")
     for key, families in (("kernel", _KERNEL_KEYS), ("young", _YOUNG_KEYS)):
@@ -116,9 +118,9 @@ def load_config(path: str) -> dict:
         if not cfg["problem"].get("values"):
             raise ValidationError("sweep needs a non-empty 'values' list")
         inner = cfg["problem"].get("inner")
-        if not inner or inner.get("type") not in (_PROBLEM_TYPES - {"sweep", "battery"}):
-            raise ValidationError("sweep needs an 'inner' problem section")
         _check_keys(inner, _PROBLEM_KEYS, "problem.inner")
+        if inner.get("type") not in (_PROBLEM_TYPES - {"sweep", "battery"}):
+            raise ValidationError("sweep needs an 'inner' problem section")
         parameter = cfg["problem"].get("parameter", "reaction_m")
         if parameter == "reaction_m":
             if inner["type"] not in ("sublinear", "superlinear"):
@@ -135,15 +137,22 @@ def load_config(path: str) -> dict:
 
 
 def _parts(cfg: dict):
-    """The kernel, Young function and grid of a config, not yet assembled."""
+    """The kernel, Young function and grid of a config, not yet assembled.
+    A value that does not convert to its parameter's type is a
+    ValidationError."""
     kspec = dict(cfg["kernel"])
     yspec = dict(cfg["young"])
     gspec = dict(cfg["grid"])
     grid_dim = 1 if gspec["shape"] == "interval" else 2
-    kern = make_kernel(kspec.pop("family"), dim=grid_dim, **kspec)
-    yng = make_young(yspec.pop("family"), **yspec)
-    bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
-    return kern, yng, make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
+    try:
+        kern = make_kernel(kspec.pop("family"), dim=grid_dim, **kspec)
+        yng = make_young(yspec.pop("family"), **yspec)
+        bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
+        return kern, yng, make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad config value: {exc}") from exc
 
 
 def _build(cfg: dict):

@@ -45,9 +45,11 @@ class Kernel:
     ``alpha_order`` is the exponent of a fractional lower bound near the
     origin when one exists (None when the kernel has no such bound, e.g. the
     alternating dyadic example).  ``regular_v`` records whether the kernel is
-    nonincreasing near the origin up to a constant; it gates no operation
-    here but is reported, and the symmetrization battery only asserts for
-    radially nonincreasing kernels.
+    nonincreasing near the origin up to a constant; it is metadata only: no
+    operation reads it and no output (report, battery row or sweep row)
+    carries it.  ``monotone`` says whether the profile is radially
+    nonincreasing; the symmetrization battery asserts only for such kernels,
+    and poincare_constant scans non-monotone profiles for their minimum.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]

@@ -83,7 +83,6 @@ class ReactionSpec:
     G: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    condition_report: Optional[dict] = None
     # f', optional: the reaction solves take second-order steps with it
     # and the steps of E alone without it
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -712,7 +711,6 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
     report_cond = check_reaction_conditions(
         asm.young, reaction, dim=asm.grid.dim, alpha_order=asm.kernel.alpha_order
     )
-    reaction.condition_report = report_cond
     value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)
     x0 = (start or _bump_start(asm)).values
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
@@ -808,7 +806,6 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     report_cond = check_reaction_conditions(
         asm.young, reaction, dim=g.dim, alpha_order=asm.kernel.alpha_order
     )
-    reaction.condition_report = report_cond
     admissibility = {"condition_report": report_cond,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)

@@ -232,6 +232,26 @@ class TestRun:
         assert not (tmp_path / "out").exists()
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"kernel": 5}, "'kernel' section"),
+        ({"problem": [1]}, "'problem' section"),
+        ({"solver": 5}, "solver must be a JSON object"),
+        ({"problem": {"type": "sweep", "values": [1.5], "inner": [1]}},
+         "problem.inner must be a JSON object"),
+        ({"grid": {"shape": "interval", "n_per_axis": "abc"}}, "'abc'"),
+        ({"grid": {"shape": "interval", "n_per_axis": 16, "bounds": "ab"}}, "bad config value"),
+        ({"kernel": {"family": "fractional", "alpha": "x"}}, "'x'"),
+        ({"young": {"family": "power_sum", "terms": 5}}, "bad config value"),
+    ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
+            "bounds-str", "alpha-str", "terms-int"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, overrides, message):
+        # a section that is not a JSON object, or a value that does not
+        # convert to its parameter's type, is a config error, not a crash
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
     def test_optional_keys_may_be_left_out(self, tmp_path):
         # log_perturbed's c defaults to 1 and the grid's bounds to the unit domain
         path, _ = write_config(tmp_path, young={"family": "log_perturbed", "p": 2.0, "r": 1.0},

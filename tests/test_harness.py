@@ -253,3 +253,86 @@ class TestSobolevCheck:
         asm = assemble(g1d_small, make_kernel("log", dim=1, beta=1.0), y_p2)
         res = sobolev_embedding_check(asm, 1.5, CorpusSpec(seed=0))
         assert res.note == "skipped: condition (alpha) fails"
+
+
+# the two grids of the mutation table: the benchmark's 24^2 box at p = 2
+# and a 1D interval at p = 1.5, both under the fractional alpha = 0.5 kernel
+_MUTATION_GRIDS = {
+    "box24-p2": (("box", 24, (-1.0, 1.0, -1.0, 1.0)), 2.0),
+    "interval128-p15": (("interval", 128, (-1.0, 1.0)), 1.5),
+}
+
+
+def _mutated(asm, mutation):
+    import dataclasses
+
+    young = asm.young
+    if mutation == "lambda_zero":
+        return dataclasses.replace(asm, exterior=np.zeros_like(asm.exterior))
+    if mutation == "lambda_x0.01":
+        return dataclasses.replace(asm, exterior=0.01 * asm.exterior)
+    if mutation == "deriv_x0.8":
+        young = dataclasses.replace(young, deriv=lambda s: 0.8 * asm.young.deriv(s))
+    elif mutation == "value_x1.2":
+        young = dataclasses.replace(young, value=lambda s: 1.2 * asm.young.value(s))
+    return dataclasses.replace(asm, young=young)
+
+
+@pytest.fixture(scope="module", params=list(_MUTATION_GRIDS))
+def mutation_asm(request):
+    (shape, n, bounds), p = _MUTATION_GRIDS[request.param]
+    grid = make_grid(shape, n, bounds)
+    asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                   make_young("power", p=p))
+    return request.param, asm
+
+
+class TestMutations:
+    """Faults planted in an assembly, and the asserted property that
+    catches each.  The quadratic route of the box never calls psi or psi',
+    so its psi mutations are not listed, and neither is W assembled at the
+    wrong alpha, which no property catches yet."""
+
+    SPEC = CorpusSpec(seed=1, trials=10)
+    CAUGHT_BY = {
+        "box24-p2": {
+            "lambda_zero": {"poincare"},
+            "lambda_x0.01": {"poincare"},
+        },
+        "interval128-p15": {
+            "lambda_zero": {"poincare"},
+            "lambda_x0.01": {"poincare"},
+            "deriv_x0.8": {"equiv_Ee", "stroock_varopoulos"},
+            "value_x1.2": {"equiv_Ee"},
+        },
+    }
+
+    def test_unmutated_battery_passes(self, mutation_asm):
+        _, asm = mutation_asm
+        failed = [r for r in run_battery(asm, self.SPEC) if not r.passed]
+        assert not failed, [f"{r.name}: {r.note} {r.worst_margin}" for r in failed]
+
+    def test_each_mutation_fails_its_property(self, mutation_asm):
+        grid_id, asm = mutation_asm
+        missed = {}
+        for mutation, props in self.CAUGHT_BY[grid_id].items():
+            rows = {r.name: r for r in run_battery(_mutated(asm, mutation), self.SPEC)}
+            caught = {name for name in props
+                      if not rows[name].passed and not rows[name].report_only
+                      and not rows[name].note.startswith("error")}
+            if caught != props:
+                missed[mutation] = sorted(props - caught)
+        assert not missed, missed
+
+    def test_battery_makes_no_newton_step(self, mutation_asm, monkeypatch):
+        # the battery is pure evaluation: a property that ran a solve would
+        # reach the Newton loop and carry an error row
+        import nlorlicz.solvers as solvers
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the battery reached the Newton loop")
+
+        monkeypatch.setattr(solvers, "_relaxed_newton", no_solve)
+        rows = {r.name: r for r in run_battery(mutation_asm[1], self.SPEC)}
+        assert not [r.note for r in rows.values() if r.note.startswith("error")]
+        assert rows["pohozaev"].trials == 1

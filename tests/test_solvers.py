@@ -1417,3 +1417,14 @@ class TestReports:
         import json
 
         json.dumps(doc)  # must be serializable
+
+    @pytest.mark.parametrize("solve, m", [(solve_sublinear, 1.5), (mountain_pass_search, 3.0)],
+                             ids=["sublinear", "mountain_pass"])
+    def test_reaction_solves_leave_the_reaction_unchanged(self, asm16, solve, m):
+        # the condition report goes to the report's extras, not into the
+        # caller's ReactionSpec
+        reaction = power_reaction(m)
+        before = dict(vars(reaction))
+        rep = solve(asm16, reaction, tol=1e-6)
+        assert vars(reaction) == before
+        assert "condition_report" in rep.extras
