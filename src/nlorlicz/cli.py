@@ -64,6 +64,10 @@ _PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
 _SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
 _PROBLEM_TYPES = {"dirichlet", "sublinear", "superlinear", "eigen", "battery",
                   "sweep"}
+# the scalars of each section, with the type each must convert to
+_SOLVER_SCALARS = {"tol": float, "max_iter": int, "pair_budget": int}
+_PROBLEM_SCALARS = {"reaction_m": float, "trials": int, "r": float}
+_DATA_SCALARS = {"radius": float, "height": float, "amplitude": float, "value": float}
 
 
 def _fail(code: int, message: str) -> int:
@@ -115,7 +119,8 @@ def load_config(path: str) -> dict:
     if ptype in ("sublinear", "superlinear") and "reaction_m" not in cfg["problem"]:
         raise ValidationError(f"{ptype} needs a 'reaction_m' exponent")
     if ptype == "sweep":
-        if not cfg["problem"].get("values"):
+        values = cfg["problem"].get("values")
+        if not values or not isinstance(values, list):
             raise ValidationError("sweep needs a non-empty 'values' list")
         inner = cfg["problem"].get("inner")
         _check_keys(inner, _PROBLEM_KEYS, "problem.inner")
@@ -133,7 +138,38 @@ def load_config(path: str) -> dict:
                 raise ValidationError(f"{inner['type']} needs a 'reaction_m' exponent")
         else:
             raise ValidationError(f"unknown sweep parameter {parameter!r}")
+    _check_scalars(cfg)
     return cfg
+
+
+def _check_scalars(cfg: dict):
+    """Raise a ValidationError unless every scalar of the config converts to
+    the type that the runs convert it to: the seed, the solver settings, each
+    problem's numbers and data fields (a sweep's inner problem included)
+    and a sweep's values.  Checked before anything runs or is written."""
+    def present(where, section, kinds):
+        return [(f"{where}.{key}", section[key], kind)
+                for key, kind in kinds.items() if key in section]
+
+    problem = cfg["problem"]
+    checks = [("seed", cfg.get("seed", 0), int)]
+    checks += present("solver", cfg.get("solver", {}), _SOLVER_SCALARS)
+    sections = {"problem": problem}
+    if problem["type"] == "sweep":
+        sections["problem.inner"] = problem["inner"]
+        checks += [("problem.values", value, float) for value in problem["values"]]
+    for where, section in sections.items():
+        data = section.get("data", {})
+        if not isinstance(data, dict):
+            raise ValidationError(f"{where}.data must be a JSON object")
+        checks += present(where, section, _PROBLEM_SCALARS)
+        checks += present(f"{where}.data", data, _DATA_SCALARS)
+    for where, value, kind in checks:
+        try:
+            kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"bad config value: {where} = {value!r} is not "
+                                  f"{'an integer' if kind is int else 'a number'}") from None
 
 
 def _parts(cfg: dict):

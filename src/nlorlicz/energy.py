@@ -14,14 +14,22 @@ which carry the zero condition on the complement, come from the ray formula
 (the integral over directions of the kernel mass beyond the boundary) in
 one vectorized pass over all nodes; see kernels.lambda_exterior.
 
+Apart from the dense references of oracles.py, this module is the only one
+that evaluates anything on the pairs or on the FFT lattice: the energy and
+its gradient, and the relaxed Newton matrix of
+the solvers (newton_matrix) with its matrix-free product for even
+polynomial psi (even_newton_product) and its circulant preconditioner
+(circulant_preconditioner).  Every elementwise pair sum, of psi, psi' or
+the relaxed curvature, is one walk over one triangle of the pairs
+(_pair_blocks) in row blocks of linalg.BLOCK rows, so its temporaries are
+BLOCK x n and never n x n, and every sum runs in a fixed order.
+
 E_value and gradient_E are thin calls to one pair pass, _pair_pass.  The
 pass also takes a stack (k, n) of node vectors, as the battery evaluates its
 corpora: the quadratic route filters the whole stack with one FFT pair, the
-others run row by row, and each row keeps the bits of its own call.  It walks
-row blocks of linalg.BLOCK rows, so its temporaries are BLOCK x n and never
-n x n, and every sum runs in a fixed order.  young.value is even and
-young.deriv odd (make_young checks both), so the pass evaluates them on one
-triangle of the pairs only: a block's column sums give the rows below it
+others run row by row, and each row keeps the bits of its own call.
+young.value is even and young.deriv odd (make_young checks both), so the
+triangle walk is enough: a block's column sums give the rows below it
 their terms, with the gradient's sign flipped.  For the
 quadratic Young function (young.quadratic) the energy is a quadratic form in
 the graph Laplacian diag(rowsum W) - W.  Since w_ij depends only on the
@@ -271,6 +279,22 @@ def _binomial(poly: tuple, fold: bool = False) -> np.ndarray:
     return T
 
 
+def _pair_blocks(asm: EnergyAssembly, x: np.ndarray, phi):
+    """The one walk over the pairs of every elementwise pair sum: for each
+    row block k:e of linalg.BLOCK rows, (k, e, block) with the fresh array
+    block = phi(x[k:e, None] - x[None, k:]) * W[k:e, k:], which the caller
+    may overwrite.  It covers one triangle of the pairs, columns k:n only:
+    a pair (i, j) with j < k has the difference of (j, i) with the sign
+    flipped and, W being bitwise symmetric, its weight, so for an even or
+    odd phi the caller reads it off an earlier block's columns."""
+    n = x.shape[0]
+    for k in range(0, n, BLOCK):
+        e = min(k + BLOCK, n)
+        block = phi(x[k:e, None] - x[None, k:])
+        block *= asm.weights[k:e, k:]
+        yield k, e, block
+
+
 def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     """The energy at the node values x, or its gradient when grad is set.
 
@@ -280,9 +304,9 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     stack through one batched stencil product; the other routes run row
     by row.
 
-    In general the pair sums run over row blocks k:e of BLOCK rows.  Each
-    block calls young.value (or young.deriv) on the differences against
-    columns k:n only and weights them in place.  Its row sums go to rows k:e;
+    In general the pair sums run over the row blocks k:e of the triangle
+    walk (_pair_blocks), which calls young.value (or young.deriv) on the
+    differences against columns k:n only.  A block's row sums go to rows k:e;
     psi is even and psi' odd, so its column sums over columns e:n are the
     terms of rows e:n against rows k:e, added for the energy and subtracted
     for the gradient.  That is about n(n+1)/2 evaluations of psi instead of
@@ -329,7 +353,7 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     64 nodes (1D, and the 8 x 8 box) the FFT route was the slower by 4 to
     50%.
     """
-    young, W, hN = asm.young, asm.weights, asm.h_pow_dim
+    young, hN = asm.young, asm.h_pow_dim
     if young.quadratic:
         z = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
         Lz = asm.rowsum * z - _stencil_product(asm, z)
@@ -349,14 +373,9 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
         zp = _powers(x - x.sum() / x.size, T.shape[1] - 1)
         rows = np.einsum("be,en,bn->n", T, zp, _powers_product(asm, zp, T.shape[0] - 1))
     else:
-        psi = young.deriv if grad else young.value
         sign = -1.0 if grad else 1.0
-        n = x.shape[0]
-        rows = np.zeros(n)
-        for k in range(0, n, BLOCK):
-            e = min(k + BLOCK, n)
-            block = psi(x[k:e, None] - x[None, k:])
-            block *= W[k:e, k:]
+        rows = np.zeros(x.shape[0])
+        for k, e, block in _pair_blocks(asm, x, young.deriv if grad else young.value):
             rows[k:e] += block.sum(axis=1)
             rows[e:] += sign * block[:, e - k:].sum(axis=0)
     if grad:
@@ -364,11 +383,65 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     return 0.5 * float(np.sum(rows)) + float(np.sum(young.value(x) * asm.exterior)) * hN
 
 
-def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, shift: float):
-    """(diag H, v -> H v) with no n x n matrix, for the weighted graph
-    Laplacian H at an even polynomial psi (young.even_terms) whose pair
-    weights are w_ij (c(|x_i - x_j|) + shift) and whose diagonal adds
-    Lambda_i h^N (c(|x_i|) + shift), with c = young.curvature.
+def _curvature_shift(young: YoungFunction, eps: float) -> float:
+    """c(eps) - c(0) for the even polynomial psi of young.even_terms, where
+    c is young.curvature."""
+    return sum(c * d * (d - 1) * eps ** (d - 2) for d, c in young.even_terms if d > 2)
+
+
+def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
+    """The relaxed Newton matrix of E at the node values x: the weighted
+    graph Laplacian with pair weights w_ij c(max(|x_i - x_j|, eps)) plus the
+    diagonal Lambda_i h^N c(max(|x_i|, eps)), where c is young.curvature.
+    For the even polynomial psi of young.even_terms the relaxed weight is
+    c(t) + c(eps) - c(0) instead: a polynomial in t, between c(max(t, eps))
+    and twice that, which even_newton_product applies with no matrix.
+
+    The weights come from the triangle walk of the energy (_pair_blocks):
+    each row block k:e is written into rows k:e, columns k:n, and mirrored
+    into columns k:e of the rows below, so c is evaluated on about n(n+1)/2
+    pairs instead of n^2, with the lower half of each diagonal tile as the
+    only repeats.  Rows k:e are then complete and each diagonal entry is the
+    sum of its whole row, as a full-square build sums it, plus the exterior
+    term, so H has the same bits.  Built into a single n x n buffer, so the
+    temporaries stay at block x n.
+
+    For quadratic psi c is 2 everywhere, so H is read off W: -2W with the
+    diagonal 2 (rowsum + Lambda h^N).  Doubling is exact, so these are the
+    bits of the curvature build."""
+    young = asm.young
+    if young.quadratic:
+        H = -2.0 * asm.weights
+        np.fill_diagonal(H, 2.0 * (asm.rowsum + asm.exterior * asm.h_pow_dim))
+        return H
+    if young.even_terms is None:
+        def relaxed(t):
+            return young.curvature(np.maximum(t, eps, out=t))
+    else:
+        shift = _curvature_shift(young, eps)
+
+        def relaxed(t):
+            return young.curvature(t) + shift
+    n = x.shape[0]
+    H = np.empty((n, n))
+    diag = np.empty(n)
+    for k, e, block in _pair_blocks(asm, x, lambda d: relaxed(np.abs(d, out=d))):
+        rows = H[k:e]
+        rows[:, k:] = block
+        H[e:, k:e] = block[:, e - k:].T
+        diag[k:e] = rows.sum(axis=1)
+        np.negative(rows, out=rows)
+    diag += relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim
+    np.fill_diagonal(H, diag)
+    return H
+
+
+def even_newton_product(asm: EnergyAssembly, x: np.ndarray, eps: float):
+    """(diag H, v -> H v) with no n x n matrix, for H = newton_matrix(asm, x,
+    eps) at an even polynomial psi (young.even_terms): pair weights
+    w_ij (c(|x_i - x_j|) + shift) and the diagonal adding
+    Lambda_i h^N (c(|x_i|) + shift), with c = young.curvature and
+    shift = c(eps) - c(0).
 
     The weight r(t) = c(t) + shift is a polynomial in t = z_i - z_j, with
     z = x - mean(x).  By the binomial theorem (_binomial) sum_j w_ij r(t) v_j
@@ -377,6 +450,7 @@ def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, shift: float):
     product of v, z v, ..., z^M v (M the degree of r), and the diagonal is
     read off rowsum and W z, ..., W z^M."""
     young = asm.young
+    shift = _curvature_shift(young, eps)
     T = _binomial(tuple((d - 2, c * d * (d - 1)) for d, c in young.even_terms))
     zp = _powers(x - x.sum() / x.size, len(T) - 1)
     P = np.einsum("be,en->bn", T, zp)
@@ -387,6 +461,31 @@ def _even_newton_product(asm: EnergyAssembly, x: np.ndarray, shift: float):
     def apply(v):
         return diag * v - np.einsum("bn,bn->n", P, _stencil_product(asm, zp * v))
     return diag, apply
+
+
+def circulant_preconditioner(asm: EnergyAssembly):
+    """The circulant preconditioner of the Newton matrices, or None where
+    there is none: a function that takes diag H and returns the solve
+    r -> S C^-1 S r, with S = sqrt(2 max d0 / diag H).
+
+    C is the circulant on the padded lattice of asm.stencil with symbol
+    2 (max d0 - s^), where d0 = rowsum + Lambda h^N and s^ is the stencil's
+    transform (Chan and Ng, SIAM Review 38, 1996): the quadratic Newton
+    matrix 2 (diag(d0) - W) with its diagonal raised to the largest entry
+    and its rows extended over the whole lattice.  S gives S H S the
+    diagonal of C.  The symbol's least value was at least 1.2e-3 of
+    2 max d0 for every kernel family on intervals, boxes and balls; where it
+    is not positive, C is no preconditioner and the result is None."""
+    top = 2.0 * float(np.max(asm.rowsum + asm.exterior * asm.h_pow_dim))
+    symbol = top - 2.0 * asm.stencil[2]
+    if not np.all(symbol > 0.0):
+        return None
+    inverse = 1.0 / symbol
+
+    def preconditioner(diag):
+        s = np.sqrt(top / diag)
+        return lambda r: s * _lattice_filter(asm, s * r, inverse)
+    return preconditioner
 
 
 def E_value(asm: EnergyAssembly, u: GridFunction) -> float:

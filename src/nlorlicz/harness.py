@@ -207,12 +207,15 @@ def _prop_young_inequality(asm, spec, rng, digest, tol):
     b = rng.uniform(-10.0, 10.0, spec.pair_samples)
     # the tolerance on this residual is absolute, so no normalization
     margins = asm.young.value(a) + conj.phi_raw(b) - a * b
-    # equality witnesses at b = deriv(|a|) sign(a)
+    # equality witnesses at b = deriv(|a|) sign(a): the inequality is an
+    # equality there, so each gap counts as the margin -|gap| (0 - |gap|,
+    # so that a zero gap is +0)
     aw = rng.uniform(-3.0, 3.0, 100)
     bw = asm.young.deriv(aw)
-    eq_gap = float(np.max(np.abs(asm.young.value(aw) + conj.phi_raw(bw) - aw * bw)))
-    return _result("young_inequality", spec.pair_samples, margins, digest, tol,
-                   extras={"equality_gap": eq_gap})
+    gaps = np.abs(asm.young.value(aw) + conj.phi_raw(bw) - aw * bw)
+    return _result("young_inequality", spec.pair_samples + aw.size,
+                   np.concatenate([margins, 0.0 - gaps]), digest, tol,
+                   extras={"equality_gap": float(np.max(gaps))})
 
 
 def _prop_luxemburg_sandwich(asm, spec, rng, digest, tol):

@@ -4,7 +4,11 @@ nonexistence-exponent ratio, integrability scaling).
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
-step solved by the rule that _relaxed_newton's docstring states.  The
+step solved by the rule that _relaxed_newton's docstring states.  This
+module holds the step rule only (_pcg, _newton_direction and
+_relaxed_newton): the Newton matrix, its matrix-free product and the
+circulant preconditioner come from energy.py, which alone evaluates on the
+pairs and on the FFT lattice.  The
 superlinear (mountain-pass) solve runs the loop on the peaks of rays, the
 local minimax method of Li and Zhou, and the eigenvalue solve on the
 unit-modular set, with every trial point renormalized.  The convergence
@@ -23,19 +27,20 @@ from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
-    _even_newton_product,
-    _lattice_filter,
     E_value,
     F_value,
     apply_operator,
+    circulant_preconditioner,
+    even_newton_product,
     gradient_E,
     interaction,
     luxemburg_norm_of,
+    newton_matrix,
 )
 from .errors import ValidationError
 from .grid import GridFunction, bump
 from .kernels import scaling_profile
-from .linalg import BLOCK, cholesky_inplace, cholesky_solve
+from .linalg import cholesky_inplace, cholesky_solve
 from .young import (
     YoungFunction,
     calibrate_singular_constant,
@@ -136,81 +141,6 @@ _FORCING_CAP = 0.01
 _CG_CAP = 20
 
 
-def _quadratic_diagonal(asm: EnergyAssembly) -> np.ndarray:
-    """rowsum + Lambda h^N: half the diagonal of the quadratic Newton matrix."""
-    return asm.rowsum + asm.exterior * asm.h_pow_dim
-
-
-def _curvature_shift(young: YoungFunction, eps: float) -> float:
-    """c(eps) - c(0) for the even polynomial psi of young.even_terms, where
-    c is young.curvature."""
-    return sum(c * d * (d - 1) * eps ** (d - 2) for d, c in young.even_terms if d > 2)
-
-
-def _newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
-    """Weighted graph Laplacian with pair weights w_ij * c(max(|x_i - x_j|, eps))
-    plus the diagonal Lambda_i h^N c(max(|x_i|, eps)), where c is
-    young.curvature.  For the even polynomial psi of young.even_terms the
-    relaxed weight is c(t) + c(eps) - c(0) instead: a polynomial in t,
-    between c(max(t, eps)) and twice that, which energy._even_newton_product
-    applies with no matrix.
-
-    |x_i - x_j| and w_ij are bitwise symmetric, so each row block k:e
-    evaluates c only on columns k:n and copies columns e:n into columns k:e
-    of the rows below: about n(n+1)/2 pairs instead of n^2, with the lower
-    half of each diagonal tile as the only repeats.  Rows k:e are then
-    complete and are summed whole, as a full-square build sums them, so H
-    has the same bits.  Built into a single n x n buffer, so the temporaries
-    stay at block x n.
-
-    For quadratic psi c is 2 everywhere, so H is read off W: -2W with the
-    diagonal 2 (rowsum + Lambda h^N).  Doubling is exact, so these are the
-    bits of the curvature build."""
-    young = asm.young
-    if young.quadratic:
-        H = -2.0 * asm.weights
-        np.fill_diagonal(H, 2.0 * _quadratic_diagonal(asm))
-        return H
-    if young.even_terms is None:
-        def relaxed(t):
-            return young.curvature(np.maximum(t, eps, out=t))
-    else:
-        shift = _curvature_shift(young, eps)
-
-        def relaxed(t):
-            return young.curvature(t) + shift
-    n = x.shape[0]
-    H = np.empty((n, n))
-    diag = np.empty(n)
-    for k in range(0, n, BLOCK):
-        e = min(k + BLOCK, n)
-        rows = H[k:e]
-        np.multiply(relaxed(np.abs(x[k:e, None] - x[None, k:])), asm.weights[k:e, k:],
-                    out=rows[:, k:])
-        H[e:, k:e] = rows[:, e:].T
-        diag[k:e] = rows.sum(axis=1)
-        np.negative(rows, out=rows)
-    diag += relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim
-    np.fill_diagonal(H, diag)
-    return H
-
-
-def _circulant(asm: EnergyAssembly):
-    """The circulant preconditioner's scale 2 max d0 and inverse symbol.
-
-    C is the circulant on asm.stencil's padded lattice with symbol
-    2 (max d0 - s^), where d0 = _quadratic_diagonal and s^ is the stencil's
-    transform (Chan and Ng, SIAM Review 38, 1996): the quadratic Newton
-    matrix 2 (diag(d0) - W) with its diagonal raised to the largest entry
-    and its rows extended over the whole lattice.  The symbol's least value
-    was at least 1.2e-3 of 2 max d0 for every kernel family on intervals,
-    boxes and balls; where it is not positive, C is no preconditioner and
-    the result is None."""
-    top = 2.0 * float(np.max(_quadratic_diagonal(asm)))
-    symbol = top - 2.0 * asm.stencil[2]
-    return (top, 1.0 / symbol) if np.all(symbol > 0.0) else None
-
-
 def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
     """Truncated preconditioned conjugate gradients for A d = b from d = 0:
     the truncated CG of Steihaug (SIAM J. Numer. Anal. 20, 1983), with
@@ -269,11 +199,11 @@ def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndar
     """The direction of one step of _relaxed_newton, whose docstring states
     the step rule, with the factor L it used (None on the circulant): the
     solve of (H - diag(D)) d = -g by _pcg to rtol, with its iterates
-    H-orthogonal to x when tangent is set.  The only place that builds and
-    factors H = _newton_matrix(asm, x, eps).
+    H-orthogonal to x when tangent is set.  H = energy.newton_matrix(asm, x,
+    eps), and this is the only place that builds and factors it.
 
     The product: for a polynomial psi (young.even_terms, |s|^2 included)
-    H v comes from energy._even_newton_product, with no n x n matrix; at
+    H v comes from energy.even_newton_product, with no n x n matrix; at
     degree 2 that is 2 (d0 v - W v) with W v by FFT.  Otherwise H is built
     and freed on return, and applied by np.einsum with its default
     optimize=False, which runs numpy's own loop and never calls BLAS.  So it
@@ -281,36 +211,25 @@ def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndar
     a BLAS H @ v of order 700 gave other bits at 2 and 3 OpenBLAS threads
     than at 1.  A built H that is also factored is copied first.
 
-    The preconditioner M: S C^-1 S with C from the circulant of _circulant
-    and S = sqrt(2 max d0 / diag H), which gives S H S the diagonal of C;
-    without the circulant the tiled Cholesky factor L of H, factored here
-    when L is None.  With neither D nor the circulant, M is the factor of
-    this very H, and the direction is cholesky_solve(L, -g), with no
-    product."""
+    The preconditioner M: the circulant of energy.circulant_preconditioner,
+    scaled to diag H, when the caller passes it; without it the tiled
+    Cholesky factor L of H, factored here when L is None.  With neither D
+    nor the circulant, M is the factor of this very H, and the direction is
+    cholesky_solve(L, -g), with no product."""
     H = None
     if circulant is None and L is None:
-        H = _newton_matrix(asm, x, eps)
+        H = newton_matrix(asm, x, eps)
         L = H.copy() if D is not None and asm.young.even_terms is None else H
         cholesky_inplace(L)
     if circulant is None and D is None:
         return cholesky_solve(L, -g), L
     if asm.young.even_terms is not None:
-        diag, apply = _even_newton_product(asm, x, _curvature_shift(asm.young, eps))
+        diag, apply = even_newton_product(asm, x, eps)
     else:
         if H is None:
-            H = _newton_matrix(asm, x, eps)
-        diag = H.diagonal()
-
-        def apply(v):
-            return np.einsum("ij,j->i", H, v)
-    if circulant is None:
-        solve = functools.partial(cholesky_solve, L)
-    else:
-        top, inverse = circulant
-        s = np.sqrt(top / diag)
-
-        def solve(r):
-            return s * _lattice_filter(asm, s * r, inverse)
+            H = newton_matrix(asm, x, eps)
+        diag, apply = H.diagonal(), functools.partial(np.einsum, "ij,j->i", H)
+    solve = functools.partial(cholesky_solve, L) if circulant is None else circulant(diag)
     product = apply if D is None else (lambda v: apply(v) - D * v)
     return _pcg(product, -g, solve, rtol, (x, apply(x)) if tangent else None), L
 
@@ -320,7 +239,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                     tangent: bool = False):
     """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
-    H = _newton_matrix is the relaxed curvature of E, which stays positive
+    H = energy.newton_matrix is the relaxed curvature of E, which stays positive
     definite whatever the data or reaction term adds; the step rule below
     says how each step solves with it.  H's pair weights are young.curvature,
     the larger of psi'' and the secant weight psi'(t)/t: where psi' is
@@ -363,7 +282,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
       quadratic (E minus a linear term), so rtol is _PCG_RTOL: the step is
       exact Newton and usually the solution, unless _CG_CAP cuts it.
     - The preconditioner M is chosen once, before the first step, and kept
-      for every step.  It is the circulant of _circulant from
+      for every step.  It is energy.circulant_preconditioner from
       _PCG_MIN_NODES nodes and growth q >= _PCG_MIN_GROWTH up, where the
       circulant exists and a factor would serve a single solve: psi is not
       quadratic, or the caller sets one_step.  Below growth 2 CG steps made
@@ -394,7 +313,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     circulant = None
     if (x.size >= _PCG_MIN_NODES and asm.young.q >= _PCG_MIN_GROWTH
             and (one_step or not quadratic)):
-        circulant = _circulant(asm)
+        circulant = circulant_preconditioner(asm)
     g0_sq = float(np.sum(g * g))
     L = None
     it = 0

@@ -242,8 +242,28 @@ class TestRun:
         ({"grid": {"shape": "interval", "n_per_axis": 16, "bounds": "ab"}}, "bad config value"),
         ({"kernel": {"family": "fractional", "alpha": "x"}}, "'x'"),
         ({"young": {"family": "power_sum", "terms": 5}}, "bad config value"),
+        ({"seed": "x"}, "seed = 'x'"),
+        ({"solver": {"tol": "x"}}, "solver.tol = 'x'"),
+        ({"solver": {"max_iter": "x"}}, "solver.max_iter = 'x'"),
+        ({"solver": {"pair_budget": "x"}}, "solver.pair_budget = 'x'"),
+        ({"problem": {"type": "sublinear", "reaction_m": "x"}}, "problem.reaction_m = 'x'"),
+        ({"problem": {"type": "battery", "trials": "x"}}, "problem.trials = 'x'"),
+        ({"problem": {"type": "eigen", "r": "x"}}, "problem.r = 'x'"),
+        ({"problem": {"type": "dirichlet", "data": {"kind": "bump", "radius": "x"}}},
+         "problem.data.radius = 'x'"),
+        ({"problem": {"type": "dirichlet", "data": "bump"}}, "problem.data must be a JSON object"),
+        ({"problem": {"type": "sweep", "values": [1.5, "x"],
+                      "inner": {"type": "sublinear", "reaction_m": 2.0}}},
+         "problem.values = 'x'"),
+        ({"problem": {"type": "sweep", "values": 5,
+                      "inner": {"type": "sublinear", "reaction_m": 2.0}}}, "'values' list"),
+        ({"problem": {"type": "sweep", "parameter": "kernel_alpha", "values": [0.5],
+                      "inner": {"type": "sublinear", "reaction_m": "x"}}},
+         "problem.inner.reaction_m = 'x'"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
-            "bounds-str", "alpha-str", "terms-int"])
+            "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
+            "pair_budget-str", "reaction_m-str", "trials-str", "r-str", "radius-str",
+            "data-str", "values-item-str", "values-int", "inner-reaction_m-str"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, overrides, message):
         # a section that is not a JSON object, or a value that does not
         # convert to its parameter's type, is a config error, not a crash

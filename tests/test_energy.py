@@ -514,15 +514,14 @@ class TestEvenPowerPass:
     def test_degree_two_newton_product_is_exact(self, grid, kernel):
         # at p = 2 the polynomial product is the quadratic Newton product
         # 2 (d0 v - W v), d0 = rowsum + Lambda h^N, bit for bit
-        from nlorlicz.energy import _even_newton_product, _powers, _powers_product
-        from nlorlicz.solvers import _curvature_shift
+        from nlorlicz.energy import _powers, _powers_product, even_newton_product
 
         grid = make_grid(*grid)
         young = make_young("power", p=2.0)
         asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
         rng = np.random.default_rng(3)
         x, v = rng.standard_normal((2, grid.n_nodes))
-        diag, apply = _even_newton_product(asm, x, _curvature_shift(young, 0.25))
+        diag, apply = even_newton_product(asm, x, 0.25)
         d0 = asm.rowsum + asm.exterior * asm.h_pow_dim
         assert diag.tobytes() == (2.0 * d0).tobytes()
         assert apply(v).tobytes() == (2.0 * (d0 * v - _stencil_product(asm, v))).tobytes()

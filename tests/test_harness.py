@@ -289,21 +289,24 @@ def mutation_asm(request):
 
 class TestMutations:
     """Faults planted in an assembly, and the asserted property that
-    catches each.  The quadratic route of the box never calls psi or psi',
-    so its psi mutations are not listed, and neither is W assembled at the
-    wrong alpha, which no property catches yet."""
+    catches each.  The quadratic route of the box evaluates psi and psi' on
+    no pair, so only young_inequality's equality witnesses catch its psi
+    mutations.  W assembled at the wrong alpha is not listed: no property
+    catches it yet."""
 
     SPEC = CorpusSpec(seed=1, trials=10)
     CAUGHT_BY = {
         "box24-p2": {
             "lambda_zero": {"poincare"},
             "lambda_x0.01": {"poincare"},
+            "deriv_x0.8": {"young_inequality"},
+            "value_x1.2": {"young_inequality"},
         },
         "interval128-p15": {
             "lambda_zero": {"poincare"},
             "lambda_x0.01": {"poincare"},
-            "deriv_x0.8": {"equiv_Ee", "stroock_varopoulos"},
-            "value_x1.2": {"equiv_Ee"},
+            "deriv_x0.8": {"equiv_Ee", "stroock_varopoulos", "young_inequality"},
+            "value_x1.2": {"equiv_Ee", "young_inequality"},
         },
     }
 

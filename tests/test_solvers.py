@@ -145,7 +145,7 @@ class TestRelaxedNewton:
         import nlorlicz.solvers as solvers
 
         steps, directions = [], []
-        build, solve = solvers._newton_matrix, solvers.cholesky_solve
+        build, solve = solvers.newton_matrix, solvers.cholesky_solve
 
         def recorded_build(asm, x, eps):
             steps.append((x, eps))
@@ -155,7 +155,7 @@ class TestRelaxedNewton:
             directions.append(solve(L, b))
             return directions[-1]
 
-        monkeypatch.setattr(solvers, "_newton_matrix", recorded_build)
+        monkeypatch.setattr(solvers, "newton_matrix", recorded_build)
         monkeypatch.setattr(solvers, "cholesky_solve", recorded_solve)
         asm, f = self._bump_problem(1.5, 64)
         rep = solve_dirichlet(asm, f)
@@ -319,7 +319,7 @@ class TestNewtonMatrix:
         from dataclasses import replace
 
         from nlorlicz.linalg import BLOCK
-        from nlorlicz.solvers import _newton_matrix
+        from nlorlicz.energy import newton_matrix
 
         n = 200
         young = make_young("power", p=1.5)
@@ -331,36 +331,50 @@ class TestNewtonMatrix:
 
         asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
                        replace(young, curvature=counted))
-        _newton_matrix(asm, random_function(asm.grid, seed=3).values, 1e-3)
+        newton_matrix(asm, random_function(asm.grid, seed=3).values, 1e-3)
         # the upper triangle, the lower halves of the diagonal tiles and the
         # n exterior terms; a full-square build passes n^2 + n
         tiles = [min(BLOCK, n - k) for k in range(0, n, BLOCK)]
         assert sum(sizes) <= n * (n + 1) // 2 + sum(b * (b - 1) // 2 for b in tiles) + n
 
-    @pytest.mark.parametrize("family, params", [
-        pytest.param("power", {"p": 1.5}, id="power-1.5"),
-        # read off W, with no curvature evaluated
-        pytest.param("power", {"p": 2.0}, id="power-2"),
-        pytest.param("log_perturbed", {"p": 2.0, "r": 1.0}, id="log_perturbed-2-1"),
+    # p = 2 is read off W, with no curvature evaluated; the power sum takes
+    # the even route, whose relaxed weight is c(t) + c(eps) - c(0)
+    @pytest.mark.parametrize("grid, family, params", [
+        pytest.param(grid, family, params, id=prefix + name)
+        for prefix, grid in (("", ("interval", 200, (-1.0, 1.0))),
+                             ("box-", ("box", 16, (-1.0, 1.0, -1.0, 1.0))))
+        for family, params, name in (
+            ("power", {"p": 1.5}, "power-1.5"),
+            ("power", {"p": 2.0}, "power-2"),
+            ("log_perturbed", {"p": 2.0, "r": 1.0}, "log_perturbed-2-1"),
+            ("power_sum", {"terms": [[0.5, 2.0], [0.5, 4.0]]}, "power_sum-2+4"),
+        )
     ])
-    def test_bits_of_the_full_square_build(self, frac05_1d, family, params):
-        from nlorlicz.solvers import _newton_matrix
+    def test_bits_of_the_full_square_build(self, grid, family, params):
+        from nlorlicz.energy import newton_matrix
 
-        n, eps = 200, 1e-3
-        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
+        eps = 1e-3
+        grid = make_grid(*grid)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
                        make_young(family, **params))
         young = asm.young
         x = random_function(asm.grid, seed=4).values
         x[::7] = x[0]  # equal pairs, which sit on the eps floor
 
-        def c(t):
-            return np.maximum(young.deriv2(t), young.deriv(t) / t)
+        if family == "power_sum":
+            # c(t) = 1 + 6 t^2, so c(eps) - c(0) = 6 eps^2; equal pairs take c(0)
+            def relaxed(t):
+                return young.curvature(t) + 6.0 * eps ** 2
+        else:
+            def relaxed(t):
+                t = np.maximum(t, eps)
+                return np.maximum(young.deriv2(t), young.deriv(t) / t)
 
-        Wc = c(np.maximum(np.abs(x[:, None] - x[None, :]), eps)) * asm.weights
+        Wc = relaxed(np.abs(x[:, None] - x[None, :])) * asm.weights
         ref = -Wc
         np.fill_diagonal(ref, Wc.sum(axis=1)
-                         + c(np.maximum(np.abs(x), eps)) * asm.exterior * asm.h_pow_dim)
-        assert _newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
+                         + relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim)
+        assert newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("grid, kernel, tol", [
         pytest.param(("interval", 16, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}), 1e-12,
@@ -387,9 +401,8 @@ class TestNewtonMatrix:
     def test_matrix_free_product_of_even_powers(self, grid, kernel, tol, young):
         # the relaxed weight c(t) + c(eps) - c(0) is a polynomial in t, so
         # H v needs no matrix
-        from nlorlicz.energy import _even_newton_product
+        from nlorlicz.energy import even_newton_product, newton_matrix
         from nlorlicz.grid import bump
-        from nlorlicz.solvers import _curvature_shift, _newton_matrix
 
         grid = make_grid(*grid)
         asm = assemble(grid, make_kernel(kernel[0], dim=grid.dim, **kernel[1]), young)
@@ -397,14 +410,14 @@ class TestNewtonMatrix:
         v = random_function(grid, seed=8).values
         for x in (b, b + 0.3, random_function(grid, seed=9).values):
             for eps in (1.0, 1e-3, 1e-9):
-                H = _newton_matrix(asm, x, eps)
-                diag, apply = _even_newton_product(asm, x, _curvature_shift(young, eps))
+                H = newton_matrix(asm, x, eps)
+                diag, apply = even_newton_product(asm, x, eps)
                 ref = H @ v
                 assert np.max(np.abs(apply(v) - ref)) <= tol * np.max(np.abs(ref))
                 assert np.max(np.abs(diag - H.diagonal())) <= tol * np.max(H.diagonal())
 
     def test_even_powers_relax_by_a_polynomial(self, frac05_1d):
-        from nlorlicz.solvers import _newton_matrix
+        from nlorlicz.energy import newton_matrix
 
         young = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
         asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d, young)
@@ -413,7 +426,7 @@ class TestNewtonMatrix:
         t = np.abs(x[:, None] - x[None, :])
         c = young.curvature
         relaxed = c(t) + c(np.array(eps)) - c(np.array(0.0))
-        H = _newton_matrix(asm, x, eps)
+        H = newton_matrix(asm, x, eps)
         off = ~np.eye(x.size, dtype=bool)
         assert np.allclose(-H[off], (relaxed * asm.weights)[off], rtol=1e-14, atol=0.0)
         # between the weights c(max(t, eps)) of the other psi and twice them
@@ -424,7 +437,7 @@ class TestNewtonMatrix:
     def test_no_temporaries_beyond_the_matrix(self, frac05_1d):
         import tracemalloc
 
-        from nlorlicz.solvers import _newton_matrix
+        from nlorlicz.energy import newton_matrix
 
         n = 1024
         asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
@@ -432,7 +445,7 @@ class TestNewtonMatrix:
         x = random_function(asm.grid, seed=1).values
         tracemalloc.start()
         try:
-            _newton_matrix(asm, x, 1e-3)
+            newton_matrix(asm, x, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -687,7 +700,7 @@ class TestConjugateGradientSteps:
         def refuse(*args):
             raise AssertionError("built the Newton matrix")
 
-        monkeypatch.setattr(solvers, "_newton_matrix", refuse)
+        monkeypatch.setattr(solvers, "newton_matrix", refuse)
         n = 256
         asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
                        replace(young, value=counted(young.value), deriv=counted(young.deriv),
@@ -711,7 +724,7 @@ class TestConjugateGradientSteps:
         assert young.quadratic and young.homogeneous
         asm = assemble(grid, frac05_1d, young)
         ref = assemble(grid, frac05_1d, make_young("power", p=2.0))
-        monkeypatch.setattr(solvers, "_newton_matrix", refuse)
+        monkeypatch.setattr(solvers, "newton_matrix", refuse)
         rep, rep2 = (solve_dirichlet(a, self._bump(grid)) for a in (asm, ref))
         monkeypatch.undo()
         monkeypatch.setattr(young_module, "luxemburg_norm", refuse)
@@ -730,11 +743,11 @@ class TestConjugateGradientSteps:
 
         asm = assemble(make_grid("interval", 256, (-1.0, 1.0)), frac05_1d, y_p2)
         index, shape, transform = asm.stencil
-        assert solvers._circulant(asm) is not None
+        assert solvers.circulant_preconditioner(asm) is not None
         steep = replace(asm)
         steep.__dict__["stencil"] = (index, shape, 2.0 * transform)
-        assert solvers._circulant(steep) is None
-        monkeypatch.setattr(solvers, "_circulant", lambda asm: None)
+        assert solvers.circulant_preconditioner(steep) is None
+        monkeypatch.setattr(solvers, "circulant_preconditioner", lambda asm: None)
         calls = self._count_factors(monkeypatch)
         rep = solve_dirichlet(asm, self._bump(asm.grid))
         assert rep.converged and calls == [256]
@@ -1341,14 +1354,14 @@ class TestEvaluationCounts:
     def test_quadratic_matrix_factored_once(self, asm_quad, frac05_1d, monkeypatch):
         # at p = 2 the Newton matrix does not depend on the iterate: one
         # build and one factorization per solve, however many steps it takes
-        calls = self._count(monkeypatch, ("_newton_matrix", "cholesky_inplace"))
+        calls = self._count(monkeypatch, ("newton_matrix", "cholesky_inplace"))
         for solve in (lambda: solve_sublinear(asm_quad, power_reaction(1.5)),
                       lambda: mountain_pass_search(asm_quad, power_reaction(3.0)),
                       lambda: solve_eigen(asm_quad)):
             calls.update(dict.fromkeys(calls, 0))
             rep = solve()
             assert rep.converged and rep.iterations > 1
-            assert calls == {"_newton_matrix": 1, "cholesky_inplace": 1}
+            assert calls == {"newton_matrix": 1, "cholesky_inplace": 1}
         # any other psi builds and factors a fresh matrix at every step
         from nlorlicz.grid import bump
 
