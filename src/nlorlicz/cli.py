@@ -28,8 +28,15 @@ import numpy as np
 from . import __version__
 from .energy import PAIR_BUDGET, assemble
 from .errors import NlorliczError, ValidationError
-from .grid import GridFunction, bump, make_grid, random_function, to_csv
-from .harness import CorpusSpec, battery_csv, config_digest, parts_digest, run_battery
+from .grid import CSV_HEADERS, GridFunction, bump, make_grid, random_function, to_csv
+from .harness import (
+    BATTERY_CSV_HEADER,
+    CorpusSpec,
+    battery_csv,
+    config_digest,
+    parts_digest,
+    run_battery,
+)
 from .kernels import make_kernel, poincare_constant
 from .oracles import (
     dense_dirichlet_solve,
@@ -60,13 +67,13 @@ _GRID_KEYS = {"shape", "n_per_axis", "bounds"}
 _REQUIRED_KEYS = {**_KERNEL_KEYS, **_YOUNG_KEYS, "log_perturbed": {"p", "r"},
                   "grid": {"shape", "n_per_axis"}}
 _PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
-                 "inner", "r"}
+                 "inner"}
 _SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
 _PROBLEM_TYPES = {"dirichlet", "sublinear", "superlinear", "eigen", "battery",
                   "sweep"}
 # the scalars of each section, with the type each must convert to
 _SOLVER_SCALARS = {"tol": float, "max_iter": int, "pair_budget": int}
-_PROBLEM_SCALARS = {"reaction_m": float, "trials": int, "r": float}
+_PROBLEM_SCALARS = {"reaction_m": float, "trials": int}
 _DATA_SCALARS = {"radius": float, "height": float, "amplitude": float, "value": float}
 
 
@@ -228,17 +235,21 @@ def _report_json(cfg, asm, rep, extra=None) -> str:
 
 
 def _run_problem(cfg: dict, asm, ptype: str, problem: dict):
+    """The solve of one problem, with the solver section's tol and max_iter
+    as written; absent, they are 1e-6 and 3000 for superlinear problems and
+    1e-8 and 20000 for the others."""
     solver = cfg.get("solver", {})
-    tol = float(solver.get("tol", 1e-6 if ptype == "superlinear" else 1e-8))
-    max_iter = int(solver.get("max_iter", 20000))
+    superlinear = ptype == "superlinear"
+    tol = float(solver.get("tol", 1e-6 if superlinear else 1e-8))
+    max_iter = int(solver.get("max_iter", 3000 if superlinear else 20000))
     if ptype == "dirichlet":
         return solve_dirichlet(asm, _problem_data(cfg, asm), tol=tol, max_iter=max_iter)
     if ptype == "sublinear":
         return solve_sublinear(asm, power_reaction(float(problem["reaction_m"])),
-                               tol=max(tol, 1e-8), max_iter=max_iter)
+                               tol=tol, max_iter=max_iter)
     if ptype == "superlinear":
         return mountain_pass_search(asm, power_reaction(float(problem["reaction_m"])),
-                                    tol=tol, max_iter=min(max_iter, 3000))
+                                    tol=tol, max_iter=max_iter)
     if ptype == "eigen":
         return solve_eigen(asm, tol=tol, max_iter=max_iter)
     raise ValidationError(f"unhandled problem type {ptype!r}")
@@ -342,6 +353,11 @@ def _sweep_point(args):
     return index, row
 
 
+_SWEEP_COLUMNS = ("index", "parameter", "value", "converged", "objective",
+                  "residual_inf", "energy_E", "integral_F", "lambda1",
+                  "pohozaev_ratio", "error")
+
+
 def cmd_sweep(config_path: str) -> int:
     cfg = load_config(config_path)
     if cfg["problem"]["type"] != "sweep":
@@ -362,13 +378,10 @@ def cmd_sweep(config_path: str) -> int:
             index, row = _sweep_point(job)
             rows[index] = row
 
-    cols = ["index", "parameter", "value", "converged", "objective",
-            "residual_inf", "energy_E", "integral_F", "lambda1",
-            "pohozaev_ratio", "error"]
-    lines = [",".join(cols)]
+    lines = [",".join(_SWEEP_COLUMNS)]
     for i in sorted(rows):
         row = rows[i]
-        lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
+        lines.append(",".join(_csv_cell(row.get(c)) for c in _SWEEP_COLUMNS))
     _write(out / "sweep.csv", "\n".join(lines) + "\n")
     bad = [r for r in rows.values() if r.get("error")]
     if bad:
@@ -407,13 +420,6 @@ def cmd_oracle(config_path: str) -> int:
     return 0
 
 
-_CSV_HEADERS = {
-    "battery.csv": "property,trials,failures,worst_margin,config_digest",
-    "sweep.csv": "index,parameter,value,converged,objective,residual_inf,"
-                 "energy_E,integral_F,lambda1,pohozaev_ratio,error",
-}
-
-
 def cmd_schema_check(directory: str) -> int:
     root = Path(directory)
     if not root.is_dir():
@@ -429,11 +435,12 @@ def cmd_schema_check(directory: str) -> int:
             problems.append(f"{path}: missing or wrong spec_version")
     for path in sorted(root.rglob("*.csv")):
         head = path.read_text().splitlines()[0] if path.read_text() else ""
-        expected = _CSV_HEADERS.get(path.name)
+        expected = {"battery.csv": BATTERY_CSV_HEADER,
+                    "sweep.csv": ",".join(_SWEEP_COLUMNS)}.get(path.name)
         if expected and head != expected:
             problems.append(f"{path}: unexpected header {head!r}")
         if path.name.startswith("solution") or path.name.startswith("oracle_"):
-            if head not in ("x,value", "x,y,value"):
+            if head not in CSV_HEADERS.values():
                 problems.append(f"{path}: unexpected header {head!r}")
     for msg in problems:
         print(f"error: {msg}", file=sys.stderr)

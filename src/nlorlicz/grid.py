@@ -195,10 +195,14 @@ def indicator_function(grid: DomainGrid, seed: int, fraction: float = 0.3,
     return GridFunction(grid=grid, values=vals)
 
 
+# to_csv's header line, by grid dimension
+CSV_HEADERS = {1: "x,value", 2: "x,y,value"}
+
+
 def to_csv(u: GridFunction) -> str:
     """Serialize in the documented row-major CSV layout."""
     g = u.grid
-    header = "x,value\n" if g.dim == 1 else "x,y,value\n"
+    header = CSV_HEADERS[g.dim] + "\n"
     row = ",".join(["%.17g"] * (g.dim + 1)) + "\n"
     table = np.column_stack([g.nodes, u.values])
     return header + (row * len(table)) % tuple(table.ravel().tolist())

@@ -111,7 +111,7 @@ class PropertyResult:
 
     @property
     def passed(self) -> bool:
-        return self.report_only or self.failures == 0 or self.note.startswith("skipped")
+        return self.report_only or self.failures == 0
 
 
 def config_digest(asm: EnergyAssembly, seed: int) -> str:
@@ -570,8 +570,11 @@ def run_battery(asm: EnergyAssembly, spec: Optional[CorpusSpec] = None,
     return results
 
 
+BATTERY_CSV_HEADER = "property,trials,failures,worst_margin,config_digest"
+
+
 def battery_csv(results: list[PropertyResult]) -> str:
-    lines = ["property,trials,failures,worst_margin,config_digest"]
+    lines = [BATTERY_CSV_HEADER]
     for r in results:
         lines.append(
             f"{r.name},{r.trials},{r.failures},{r.worst_margin:.17g},{r.config_digest}"

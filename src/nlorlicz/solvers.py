@@ -5,10 +5,12 @@ nonexistence-exponent ratio, integrability scaling).
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
 step solved by the rule that _relaxed_newton's docstring states.  This
-module holds the step rule only (_pcg, _newton_direction and
-_relaxed_newton): the Newton matrix, its matrix-free product and the
-circulant preconditioner come from energy.py, which alone evaluates on the
-pairs and on the FFT lattice.  The
+module holds the step rule (_pcg, _newton_direction and _relaxed_newton)
+and one pass cache (_passes), through which every solve takes its E and
+gradient_E passes and its report (_report, or the eigen solve's own) reads
+them: the Newton matrix, its matrix-free product and the circulant
+preconditioner come from energy.py, which alone evaluates on the pairs and
+on the FFT lattice.  The
 superlinear (mountain-pass) solve runs the loop on the peaks of rays, the
 local minimax method of Li and Zhou, and the eigenvalue solve on the
 unit-modular set, with every trial point renormalized.  The convergence
@@ -29,7 +31,6 @@ from .energy import (
     EnergyAssembly,
     E_value,
     F_value,
-    apply_operator,
     circulant_preconditioner,
     even_newton_product,
     gradient_E,
@@ -364,6 +365,48 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
             eps = nxt
 
 
+def _last_pass(fn):
+    """fn of node values x, remembering its last point: a call at a point
+    with the same bytes as the last one returns the last result, the same
+    object, which callers must not write to."""
+    last = [None, None]
+
+    def call(x):
+        key = x.tobytes()
+        if key != last[0]:
+            last[:] = key, fn(x)
+        return last[1]
+    return call
+
+
+def _passes(asm: EnergyAssembly):
+    """The pass cache of one solve: E(x) and gradient_E(x) of node values x,
+    each through _last_pass, so that a solve's report reads the loop's last
+    passes at its solution instead of repeating them.  E_value and
+    gradient_E are looked up in this module at each call."""
+    grid = asm.grid
+    return (_last_pass(lambda x: E_value(asm, GridFunction(grid, x))),
+            _last_pass(lambda x: gradient_E(asm, GridFunction(grid, x)).values))
+
+
+def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, rhs,
+            **extras) -> SolveReport:
+    """The report at u = x of a solve of E'(u) / h^N = rhs: residual_inf is
+    max|E'(u) / h^N - rhs|, and E and E' come off the solve's passes."""
+    E, gE = passes
+    u = GridFunction(asm.grid, x)
+    return SolveReport(
+        solution=u,
+        objective=objective,
+        residual_inf=float(np.max(np.abs(gE(x) / asm.h_pow_dim - rhs))),
+        iterations=iters,
+        converged=converged,
+        energy_E=E(x),
+        integral_F=F_value(asm, u),
+        extras={**extras, "line_search_failure": info["line_search_failure"]},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet problem with fixed data
 # ---------------------------------------------------------------------------
@@ -385,51 +428,25 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     ``iterations`` counts Newton steps.
     """
     hN = asm.h_pow_dim
-    grid = asm.grid
     fv = f.values
     scale = 1.0 + float(np.max(np.abs(fv)))
-    # the last E and gradient_E passes, with the iterate they were taken at
-    last = {}
+    E, gE = passes = _passes(asm)
 
     def value(x):
-        last["E"] = x, E_value(asm, GridFunction(grid, x))
-        return last["E"][1] - float(fv @ x) * hN
+        return E(x) - float(fv @ x) * hN
 
     def gradient(x):
-        last["gE"] = x, gradient_E(asm, GridFunction(grid, x)).values
-        return last["gE"][1] - fv * hN
+        return gE(x) - fv * hN
 
     def stop(x, g):
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
-    x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(grid.n_nodes),
-                                           stop, max_iter, one_step=True)
-    u = GridFunction(grid, x)
-    # the loop's passes at x, unless a failed line search took others since
-    at, gE = last["gE"]
-    if at is not x:
-        gE = gradient_E(asm, u).values
-    at, E = last["E"]
-    if at is not x:
-        E = E_value(asm, u)
-    resid = float(np.max(np.abs(gE / hN - fv)))
-    n = grid.n_nodes
+    n = asm.grid.n_nodes
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(n), stop,
+                                           max_iter, one_step=True)
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
-    weak = float(np.max(np.abs(gE[nodes] - fv[nodes] * hN)))
-    return SolveReport(
-        solution=u,
-        objective=E - float(fv @ x) * hN,
-        residual_inf=resid,
-        iterations=iters,
-        converged=conv,
-        energy_E=E,
-        integral_F=F_value(asm, u),
-        extras={
-            "problem": "dirichlet",
-            "weak_form_residual": weak,
-            "line_search_failure": info["line_search_failure"],
-        },
-    )
+    return _report(asm, passes, x, iters, conv, info, value(x), fv, problem="dirichlet",
+                   weak_form_residual=float(np.max(np.abs(gradient(x)[nodes]))))
 
 
 @dataclass(frozen=True)
@@ -593,16 +610,18 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
 
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N: converged when
-    max|Lu - f(u)| <= tol * (1 + max|f(u)|); and x -> f'(x) h^N, the
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|); x -> f'(x) h^N, the
     curvature the reaction takes off the Hessian of E, or None when the
-    reaction has no df."""
+    reaction has no df; and the passes (_passes) that value and gradient
+    go through."""
     hN = asm.h_pow_dim
+    E, gE = passes = _passes(asm)
 
     def value(x):
-        return E_value(asm, GridFunction(asm.grid, x)) - float(np.sum(reaction.G(x))) * hN
+        return E(x) - float(np.sum(reaction.G(x))) * hN
 
     def gradient(x):
-        return gradient_E(asm, GridFunction(asm.grid, x)).values - reaction.f(x) * hN
+        return gE(x) - reaction.f(x) * hN
 
     def stop(x, g):
         scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
@@ -611,7 +630,7 @@ def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float)
     def curvature(x):
         return reaction.df(x) * hN
 
-    return value, gradient, stop, None if reaction.df is None else curvature
+    return value, gradient, stop, None if reaction.df is None else curvature, passes
 
 
 def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e-7,
@@ -630,39 +649,19 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
     report_cond = check_reaction_conditions(
         asm.young, reaction, dim=asm.grid.dim, alpha_order=asm.kernel.alpha_order
     )
-    value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)
+    value, gradient, stop, curvature, passes = _reaction_objective(asm, reaction, tol)
     x0 = (start or _bump_start(asm)).values
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
                                            curvature=curvature)
-
-    u = GridFunction(asm.grid, x)
     obj = info["objective_history"][-1]
-    u_abs = GridFunction(asm.grid, np.abs(x))
-    obj_abs = value(u_abs.values)
+    x_abs = np.abs(x)
+    obj_abs = value(x_abs)
     if obj_abs <= obj + 1e-15 * (1.0 + abs(obj)):
-        u, obj = u_abs, obj_abs
-    E = E_value(asm, u)
-
-    fv = reaction.f(u.values)
-    resid = float(np.max(np.abs(apply_operator(asm, u).values - fv)))
-    sup = float(np.max(np.abs(u.values)))
-    trivial = sup <= 1e-9 and abs(obj) <= 1e-12
-    return SolveReport(
-        solution=u,
-        objective=obj,
-        residual_inf=resid,
-        iterations=iters,
-        converged=conv,
-        energy_E=E,
-        integral_F=F_value(asm, u),
-        extras={
-            "problem": "sublinear",
-            "trivial_solution": trivial,
-            "negative_level": obj < 0.0,
-            "condition_report": report_cond,
-            "line_search_failure": info["line_search_failure"],
-        },
-    )
+        x, obj = x_abs, obj_abs
+    trivial = float(np.max(np.abs(x))) <= 1e-9 and abs(obj) <= 1e-12
+    return _report(asm, passes, x, iters, conv, info, obj, reaction.f(x),
+                   problem="sublinear", trivial_solution=trivial, negative_level=obj < 0.0,
+                   condition_report=report_cond)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     )
     admissibility = {"condition_report": report_cond,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
-    value, gradient, stop, curvature = _reaction_objective(asm, reaction, tol)
+    value, gradient, stop, curvature, passes = _reaction_objective(asm, reaction, tol)
     hN = asm.h_pow_dim
     homogeneous, p = asm.young.homogeneous, asm.young.p
     # the last ray: its peak scale t and point x = t y; for homogeneous psi
@@ -791,25 +790,10 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     x, iters, conv, info = _relaxed_newton(asm, peak_value, peak_gradient, x0, stop,
                                            max_iter, retract=peak, curvature=curvature,
                                            tangent=True)
-    u = GridFunction(g, x)
     eta = info["objective_history"][-1]
-    return SolveReport(
-        solution=u,
-        objective=eta,
-        residual_inf=float(np.max(np.abs(apply_operator(asm, u).values - reaction.f(x)))),
-        iterations=iters,
-        converged=conv,
-        energy_E=E_value(asm, u),
-        integral_F=F_value(asm, u),
-        extras={
-            "problem": "superlinear",
-            "eta": eta,
-            "eta_initial": eta_initial,
-            "no_mountain_geometry": False,
-            "line_search_failure": info["line_search_failure"],
-            **admissibility,
-        },
-    )
+    return _report(asm, passes, x, iters, conv, info, eta, reaction.f(x),
+                   problem="superlinear", eta=eta, eta_initial=eta_initial,
+                   no_mountain_geometry=False, **admissibility)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +824,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     hN = asm.h_pow_dim
     g = asm.grid
     state = {}
-    # the last E_value pass, with the iterate it was taken at
-    last = {}
+    E, gE = _passes(asm)
 
     def normalize(x):
         u = GridFunction(g, x)
@@ -850,15 +833,11 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
             raise ValidationError("eigen iteration collapsed to zero")
         return x / k
 
-    def value(x):
-        last["E"] = x, E_value(asm, GridFunction(g, x))
-        return last["E"][1]
-
     def gradient(x):
         dpsi = asm.young.deriv(x)
-        gE = gradient_E(asm, GridFunction(g, x)).values
-        lam = float(gE @ x) / (float(dpsi @ x) * hN)
-        r = gE - lam * hN * dpsi
+        gEx = gE(x)
+        lam = float(gEx @ x) / (float(dpsi @ x) * hN)
+        r = gEx - lam * hN * dpsi
         state.update(x=x, lam=lam, resid=float(np.max(np.abs(r))) / hN,
                      scale=1.0 + abs(lam) * float(np.max(np.abs(dpsi))))
         return r
@@ -869,31 +848,28 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
         return state["resid"] <= tol * state["scale"]
 
     x0 = normalize((start or _bump_start(asm)).values)
-    x, iters, converged, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
+    x, iters, converged, info = _relaxed_newton(asm, E, gradient, x0, stop, max_iter,
                                                 retract=normalize)
     if state["x"] is not x:
         gradient(x)  # a failed line search left the state at a rejected trial
     lam, resid = state["lam"], state["resid"]
-    # the loop's pass at x, unless a failed line search took others since;
-    # E is even, so the pass also holds at -x
-    at, E = last["E"]
-    if at is not x:
-        E = E_value(asm, GridFunction(g, x))
+    # E is even, so the loop's pass at x also holds at -x
+    Ex = E(x)
     if float(np.sum(x)) < 0.0:
         x = -x
     u = GridFunction(g, x)
     F = F_value(asm, u)
     return SolveReport(
         solution=u,
-        objective=E / F,
+        objective=Ex / F,
         residual_inf=resid,
         iterations=iters,
         converged=converged,
-        energy_E=E,
+        energy_E=Ex,
         integral_F=F,
         extras={
             "problem": "eigen",
-            "lambda1": E / F,
+            "lambda1": Ex / F,
             "lambda_weak": lam,
             "min_value": float(np.min(x)),
             "line_search_failure": info["line_search_failure"],

@@ -248,7 +248,7 @@ class TestRun:
         ({"solver": {"pair_budget": "x"}}, "solver.pair_budget = 'x'"),
         ({"problem": {"type": "sublinear", "reaction_m": "x"}}, "problem.reaction_m = 'x'"),
         ({"problem": {"type": "battery", "trials": "x"}}, "problem.trials = 'x'"),
-        ({"problem": {"type": "eigen", "r": "x"}}, "problem.r = 'x'"),
+        ({"problem": {"type": "eigen", "r": 3.0}}, "unknown keys in problem: ['r']"),
         ({"problem": {"type": "dirichlet", "data": {"kind": "bump", "radius": "x"}}},
          "problem.data.radius = 'x'"),
         ({"problem": {"type": "dirichlet", "data": "bump"}}, "problem.data must be a JSON object"),
@@ -262,15 +262,37 @@ class TestRun:
          "problem.inner.reaction_m = 'x'"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
             "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
-            "pair_budget-str", "reaction_m-str", "trials-str", "r-str", "radius-str",
+            "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown", "radius-str",
             "data-str", "values-item-str", "values-int", "inner-reaction_m-str"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, overrides, message):
-        # a section that is not a JSON object, or a value that does not
-        # convert to its parameter's type, is a config error, not a crash
+        # a section that is not a JSON object, a value that does not
+        # convert to its parameter's type, or a key that no run reads, is a
+        # config error, not a crash
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ptype, solve", [("sublinear", "solve_sublinear"),
+                                              ("superlinear", "mountain_pass_search")])
+    def test_solver_settings_reach_the_solve_as_written(self, tmp_path, monkeypatch,
+                                                         ptype, solve):
+        # tol and max_iter pass to the reaction solves unclamped; the stand-in
+        # solve stops the run once it has recorded them
+        import nlorlicz.cli as cli
+        from nlorlicz.errors import ValidationError
+
+        seen = {}
+
+        def record(asm, reaction, tol, max_iter):
+            seen.update(tol=tol, max_iter=max_iter)
+            raise ValidationError("recorded")
+
+        monkeypatch.setattr(cli, solve, record)
+        path, _ = write_config(tmp_path, problem={"type": ptype, "reaction_m": 2.0},
+                               solver={"tol": 1e-10, "max_iter": 5000})
+        assert main(["run", str(path)]) == 2
+        assert seen == {"tol": 1e-10, "max_iter": 5000}
 
     def test_optional_keys_may_be_left_out(self, tmp_path):
         # log_perturbed's c defaults to 1 and the grid's bounds to the unit domain

@@ -218,8 +218,8 @@ class TestRelaxedNewton:
                 return np.max(np.abs(g)) / hN <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
         else:
             m = 1.2 if objective.startswith("sublinear") else 3.0
-            value, gradient, stop, curvature = _reaction_objective(asm, power_reaction(m),
-                                                                   1e-8)
+            value, gradient, stop, curvature, _ = _reaction_objective(
+                asm, power_reaction(m), 1e-8)
             x0 = f.values
         if not objective.endswith("+df"):
             curvature = None
@@ -1350,6 +1350,48 @@ class TestEvaluationCounts:
         rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
         assert rep.converged and abs(rep.iterations - 4) <= 1
         assert calls["gradient_E"] <= 60 and calls["E_value"] <= 15
+
+    @pytest.mark.parametrize("case", [
+        "dirichlet-1.5", "sublinear-2-m1.5", "superlinear-2-m3", "superlinear-log-m3",
+        "eigen-1.5"])
+    def test_no_pass_repeats(self, frac05_1d, case, monkeypatch):
+        # a solve and its report take E_value and gradient_E at a point at
+        # most once each: the report reads the loop's last passes.  Only the
+        # non-homogeneous mountain pass repeats gradient points, across the
+        # slope searches of its rays
+        import nlorlicz.solvers as solvers
+        from nlorlicz.grid import bump
+
+        points = {"E_value": [], "gradient_E": []}
+
+        def recorded(name):
+            fn = getattr(solvers, name)
+
+            def wrapper(asm, u):
+                points[name].append(u.values.tobytes())
+                return fn(asm, u)
+            return wrapper
+
+        young = (make_young("log_perturbed", p=2.0, r=1.0) if "log" in case
+                 else make_young("power", p=float(case.split("-")[1])))
+        grid = make_grid("interval", 64, (-1.0, 1.0))
+        asm = assemble(grid, frac05_1d, young)
+        for name in points:
+            monkeypatch.setattr(solvers, name, recorded(name))
+        if case.startswith("dirichlet"):
+            rep = solve_dirichlet(asm, bump(grid, grid.center, 0.5, 1.0))
+        elif case.startswith("sublinear"):
+            rep = solve_sublinear(asm, power_reaction(1.5))
+        elif case.startswith("superlinear"):
+            rep = mountain_pass_search(asm, power_reaction(3.0))
+        else:
+            rep = solve_eigen(asm)
+        assert rep.converged
+        assert points["E_value"] and points["gradient_E"]
+        repeats = {name: len(keys) - len(set(keys)) for name, keys in points.items()}
+        if case == "superlinear-log-m3":
+            del repeats["gradient_E"]
+        assert repeats == dict.fromkeys(repeats, 0)
 
     def test_quadratic_matrix_factored_once(self, asm_quad, frac05_1d, monkeypatch):
         # at p = 2 the Newton matrix does not depend on the iterate: one
