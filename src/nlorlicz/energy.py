@@ -24,10 +24,13 @@ the relaxed curvature, is one walk over one triangle of the pairs
 (_pair_blocks) in row blocks of linalg.BLOCK rows, so its temporaries are
 BLOCK x n and never n x n, and every sum runs in a fixed order.
 
-E_value and gradient_E are thin calls to one pair pass, _pair_pass.  The
-pass also takes a stack (k, n) of node vectors, as the battery evaluates its
-corpora: the quadratic route filters the whole stack with one FFT pair, the
-others run row by row, and each row keeps the bits of its own call.
+E_value, gradient_E and E_and_gradient are thin calls to one pass, _pass,
+which makes E, its gradient or both from one evaluation, each with the same
+bits however it was asked: the solvers take both at once.  _pair_pass, the
+pass of one of the two, also takes a stack (k, n) of node vectors, as the
+battery evaluates its corpora: the quadratic route filters the whole stack
+with one FFT pair, the others run row by row, and each row keeps the bits
+of its own call.
 young.value is even and young.deriv odd (make_young checks both), so the
 triangle walk is enough: a block's column sums give the rows below it
 their terms, with the gradient's sign flipped.  For the
@@ -281,51 +284,63 @@ def _binomial(poly: tuple, fold: bool = False) -> np.ndarray:
 
 def _pair_blocks(asm: EnergyAssembly, x: np.ndarray, phi):
     """The one walk over the pairs of every elementwise pair sum: for each
-    row block k:e of linalg.BLOCK rows, (k, e, block) with the fresh array
-    block = phi(x[k:e, None] - x[None, k:]) * W[k:e, k:], which the caller
-    may overwrite.  It covers one triangle of the pairs, columns k:n only:
-    a pair (i, j) with j < k has the difference of (j, i) with the sign
-    flipped and, W being bitwise symmetric, its weight, so for an even or
-    odd phi the caller reads it off an earlier block's columns."""
+    row block k:e of linalg.BLOCK rows, (k, e, blocks) with the fresh arrays
+    blocks = phi(x[k:e, None] - x[None, k:]), a tuple, each multiplied by
+    W[k:e, k:], which the caller may overwrite.  It covers one triangle of
+    the pairs, columns k:n only: a pair (i, j) with j < k has the difference
+    of (j, i) with the sign flipped and, W being bitwise symmetric, its
+    weight, so for an even or odd phi the caller reads it off an earlier
+    block's columns."""
     n = x.shape[0]
     for k in range(0, n, BLOCK):
         e = min(k + BLOCK, n)
-        block = phi(x[k:e, None] - x[None, k:])
-        block *= asm.weights[k:e, k:]
-        yield k, e, block
+        blocks = phi(x[k:e, None] - x[None, k:])
+        for block in blocks:
+            block *= asm.weights[k:e, k:]
+        yield k, e, blocks
 
 
 def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
-    """The energy at the node values x, or its gradient when grad is set.
-
+    """The energy at the node values x, or its gradient when grad is set:
     x is one vector (n,), which gives a float or an (n,) gradient, or a
     stack (k, n), which gives k energies or a (k, n) stack of gradients.
     Each row has the bits of its own call.  The quadratic route takes the
     stack through one batched stencil product; the other routes run row
-    by row.
+    by row.  The pass is _pass, asked for one of the two."""
+    if x.ndim > 1 and not asm.young.quadratic:
+        rows = [_pair_pass(asm, row, grad) for row in x]
+        return np.reshape(rows, x.shape if grad else len(x))
+    return _pass(asm, x, not grad, grad)[1 if grad else 0]
+
+
+def _pass(asm: EnergyAssembly, x: np.ndarray, energy: bool, grad: bool):
+    """(E, gradient) at the node values x, each where asked and None where
+    not; one vector, or for quadratic psi a stack.  Asked for both, it
+    makes one pass, and each of the two has the bits it has alone.
 
     In general the pair sums run over the row blocks k:e of the triangle
-    walk (_pair_blocks), which calls young.value (or young.deriv) on the
-    differences against columns k:n only.  A block's row sums go to rows k:e;
-    psi is even and psi' odd, so its column sums over columns e:n are the
-    terms of rows e:n against rows k:e, added for the energy and subtracted
-    for the gradient.  That is about n(n+1)/2 evaluations of psi instead of
-    n^2.  A row's terms are summed in pieces, one per block, so E and the
-    gradient differ from a whole-matrix row sum by rounding (about 1e-16
-    relative), and their bits do not depend on the thread count.
+    walk (_pair_blocks), which calls young.value, young.deriv or, for both,
+    young.value_and_deriv on the differences against columns k:n only.  A
+    block's row sums go to rows k:e; psi is even and psi' odd, so its
+    column sums over columns e:n are the terms of rows e:n against rows
+    k:e, added for the energy and subtracted for the gradient.  That is
+    about n(n+1)/2 evaluations of psi instead of n^2.  A row's terms are
+    summed in pieces, one per block, so E and the gradient differ from a
+    whole-matrix row sum by rounding (about 1e-16 relative), and their bits
+    do not depend on the thread count.
 
     For the quadratic Young function no elementwise psi is needed: with the
     graph Laplacian L = diag(rowsum) - W, the energy is x . Lx + the
-    exterior part and the gradient 2 (Lx + x Lambda h^N).  L is blind to
-    constants (W @ 1 = rowsum), so the pass works on z = x - mean(x), with
-    x . Lx = z . Lz.  W @ z is the convolution of z, scattered onto the
-    padded lattice (zero off the domain), with the offset stencil
-    (_stencil_product): one real FFT, a product with the stencil's
-    transform and one inverse FFT.  Its componentwise error against the
-    dense product was at most 2.1e-15 (|W| |x|) on intervals, boxes and a
-    ball at alpha = 0.5 and 1.5.  The FFT's rounding scales with the
-    transform's largest terms, and z has no zero-frequency term, where the
-    stencil's transform peaks: with x itself, E near the mountain-pass
+    exterior part and the gradient 2 (Lx + x Lambda h^N), both read off one
+    Lz.  L is blind to constants (W @ 1 = rowsum), so the pass works on
+    z = x - mean(x), with x . Lx = z . Lz.  W @ z is the convolution of z,
+    scattered onto the padded lattice (zero off the domain), with the
+    offset stencil (_stencil_product): one real FFT, a product with the
+    stencil's transform and one inverse FFT.  Its componentwise error
+    against the dense product was at most 2.1e-15 (|W| |x|) on intervals,
+    boxes and a ball at alpha = 0.5 and 1.5.  The FFT's rounding scales with
+    the transform's largest terms, and z has no zero-frequency term, where
+    the stencil's transform peaks: with x itself, E near the mountain-pass
     solution at 1D n = 128 scattered 1.8 ulp (standard deviation) about
     its value, with z 0.7 ulp, as with the dense product.  The energy
     loses accuracy to cancellation in rowsum * z^2 - z * (W @ z): against
@@ -338,11 +353,12 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     binomial theorem turns the pair sums into sums over j of a polynomial
     in z times W z^j (_binomial), again with z = x - mean(x): no psi is
     evaluated on the pairs.  The energy needs W z^j up to j = max d / 2
-    (z^e . W z^j = z^j . W z^e) and the gradient up to max d - 1, each as
-    one batched stencil product (_lattice_filter).  The error is
-    cancellation among the terms, which grows with d and with the kernel's
-    singularity.  Against the triangle pass, on the test grids and at
-    alpha = 1.5, 1D n = 2048, on a bump, a shifted bump and random data,
+    (z^e . W z^j = z^j . W z^e) and the gradient up to max d - 1, so both
+    together take the gradient's one batched stencil product
+    (_lattice_filter), whose rows have the bits of a shorter batch.  The
+    error is cancellation among the terms, which grows with d and with the
+    kernel's singularity.  Against the triangle pass, on the test grids and
+    at alpha = 1.5, 1D n = 2048, on a bump, a shifted bump and random data,
     the energy agreed to 2.8e-12 relative and the gradient to 2.4e-11 of
     max|gradient|, both worst at p = 6 and alpha = 1.5; at degrees 8 and
     10 the gradient reached 5.4e-11 and 9.4e-11, so they keep the triangle
@@ -354,33 +370,45 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     50%.
     """
     young, hN = asm.young, asm.h_pow_dim
+    E = G = None
     if young.quadratic:
         z = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
         Lz = asm.rowsum * z - _stencil_product(asm, z)
         ext = x * asm.exterior * hN
+        if energy:
+            E = np.sum(z * Lz, axis=-1) + np.sum(x * ext, axis=-1)
+            E = E if x.ndim > 1 else float(E)
         if grad:
-            return 2.0 * (Lz + ext)
-        E = np.sum(z * Lz, axis=-1) + np.sum(x * ext, axis=-1)
-        return E if x.ndim > 1 else float(E)
-    if x.ndim > 1:
-        rows = [_pair_pass(asm, row, grad) for row in x]
-        return np.reshape(rows, x.shape if grad else len(x))
+            G = 2.0 * (Lz + ext)
+        return E, G
+    if energy and grad:
+        phi = young.value_and_deriv
+    else:
+        phi = (lambda s: (young.value(s),)) if energy else (lambda s: (young.deriv(s),))
     if young.even_terms is not None and x.size >= _EVEN_MIN_NODES:
+        top = max(d for d, _ in young.even_terms)
+        zp = _powers(x - x.sum() / x.size, top if energy else top - 1)
+        Wz = _powers_product(asm, zp, top - 1 if grad else top // 2)
+        rows = []
+        if energy:
+            T = _binomial(young.even_terms, fold=True)
+            rows.append(np.einsum("be,en,bn->n", T, zp, Wz[:len(T)]))
         if grad:
             T = _binomial(tuple((d - 1, c * d) for d, c in young.even_terms))
-        else:
-            T = _binomial(young.even_terms, fold=True)
-        zp = _powers(x - x.sum() / x.size, T.shape[1] - 1)
-        rows = np.einsum("be,en,bn->n", T, zp, _powers_product(asm, zp, T.shape[0] - 1))
+            rows.append(np.einsum("be,en,bn->n", T, zp[:top], Wz))
     else:
-        sign = -1.0 if grad else 1.0
-        rows = np.zeros(x.shape[0])
-        for k, e, block in _pair_blocks(asm, x, young.deriv if grad else young.value):
-            rows[k:e] += block.sum(axis=1)
-            rows[e:] += sign * block[:, e - k:].sum(axis=0)
+        signs = [1.0] * energy + [-1.0] * grad
+        rows = np.zeros((len(signs), x.shape[0]))
+        for k, e, blocks in _pair_blocks(asm, x, phi):
+            for row, sign, block in zip(rows, signs, blocks):
+                row[k:e] += block.sum(axis=1)
+                row[e:] += sign * block[:, e - k:].sum(axis=0)
+    nodes = phi(x)
+    if energy:
+        E = 0.5 * float(np.sum(rows[0])) + float(np.sum(nodes[0] * asm.exterior)) * hN
     if grad:
-        return rows + young.deriv(x) * asm.exterior * hN
-    return 0.5 * float(np.sum(rows)) + float(np.sum(young.value(x) * asm.exterior)) * hN
+        G = rows[-1] + nodes[-1] * asm.exterior * hN
+    return E, G
 
 
 def _curvature_shift(young: YoungFunction, eps: float) -> float:
@@ -425,7 +453,7 @@ def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     n = x.shape[0]
     H = np.empty((n, n))
     diag = np.empty(n)
-    for k, e, block in _pair_blocks(asm, x, lambda d: relaxed(np.abs(d, out=d))):
+    for k, e, (block,) in _pair_blocks(asm, x, lambda d: (relaxed(np.abs(d, out=d)),)):
         rows = H[k:e]
         rows[:, k:] = block
         H[e:, k:e] = block[:, e - k:].T
@@ -499,6 +527,16 @@ def gradient_E(asm: EnergyAssembly, u: GridFunction) -> GridFunction:
     """Exact gradient of E_value with respect to the node values."""
     _check(asm, u)
     return GridFunction(grid=asm.grid, values=_pair_pass(asm, u.values, grad=True))
+
+
+def E_and_gradient(asm: EnergyAssembly, u: GridFunction) -> tuple[float, GridFunction]:
+    """(E_value(u), gradient_E(u)) from one pass, with the bits of the two
+    calls: one triangle walk with young.value_and_deriv, one Lz for
+    quadratic psi, or one batched stencil product for even polynomial psi
+    (_pass)."""
+    _check(asm, u)
+    E, G = _pass(asm, u.values, True, True)
+    return E, GridFunction(grid=asm.grid, values=G)
 
 
 def interaction(asm: EnergyAssembly, u: GridFunction, phi: GridFunction) -> float:

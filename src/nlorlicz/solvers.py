@@ -6,14 +6,15 @@ All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
 step solved by the rule that _relaxed_newton's docstring states.  This
 module holds the step rule (_pcg, _newton_direction and _relaxed_newton)
-and one pass cache (_passes), through which every solve takes its E and
-gradient_E passes and its report (_report, or the eigen solve's own) reads
-them: the Newton matrix, its matrix-free product and the circulant
-preconditioner come from energy.py, which alone evaluates on the pairs and
-on the FFT lattice.  The
+and one pass cache (_Passes), through which every solve takes E and its
+gradient, both from one joint pass per point, and its report (_report, or
+the eigen solve's own) reads them: the joint pass, the Newton matrix, its
+matrix-free product and the circulant preconditioner come from energy.py,
+which alone evaluates on the pairs and on the FFT lattice.  The
 superlinear (mountain-pass) solve runs the loop on the peaks of rays, the
-local minimax method of Li and Zhou, and the eigenvalue solve on the
-unit-modular set, with every trial point renormalized.  The convergence
+local minimax method of Li and Zhou, and the eigenvalue solve takes Newton
+steps on its Lagrangian on the unit-modular set, with every trial point
+renormalized.  The convergence
 metric is the pointwise operator residual (gradient max-norm divided by the
 cell volume), scaled by the data size.
 """
@@ -29,6 +30,7 @@ from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
+    E_and_gradient,
     E_value,
     F_value,
     circulant_preconditioner,
@@ -129,8 +131,7 @@ _EPS_DECAY = 0.125
 # in CHANGES.md
 _PCG_MIN_NODES = 256
 _PCG_MIN_GROWTH = 2.0
-# relative residual of the CG solve of a quadratic step, which is exact
-# Newton, and the floor of the forcing term of the others
+# the floor of the CG solves' forcing term (_relaxed_newton)
 _PCG_RTOL = 1e-13
 _FORCING_CAP = 0.01
 # most CG products of one Newton step (_pcg).  Measured per-step counts at
@@ -148,9 +149,9 @@ def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
     apply(v) = A v for a symmetric A that may be indefinite and
     solve(r) = M^-1 r for a positive definite M.
 
-    With tangent = (x, Hx) the iterates stay in the subspace Hx . d = 0:
-    the preconditioner is P M^-1 P^T with P z = z - x (Hx . z) / (x . Hx),
-    the projected PCG of Gould, Hribar and Nocedal (SIAM J. Sci. Comput. 23,
+    With tangent = (x, c) the iterates stay in the subspace c . d = 0: the
+    preconditioner is P M^-1 P^T with P z = z - x (c . z) / (x . c), the
+    projected PCG of Gould, Hribar and Nocedal (SIAM J. Sci. Comput. 23,
     2001).  Without it P is the identity.  The solve stops when the
     projected residual falls to ||P^T (b - A d)||_2 <= rtol ||P^T b||_2,
     after _CG_CAP products, or at the first search direction p with
@@ -163,14 +164,14 @@ def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
     product is np.sum(x * y), a reduction in a fixed order, so the bits do
     not depend on thread counts."""
     if tangent is not None:
-        x, Hx = tangent
-        xHx = float(np.sum(x * Hx))
+        x, c = tangent
+        xc = float(np.sum(x * c))
 
     def project(r):  # P^T r
-        return r if tangent is None else r - Hx * (float(np.sum(x * r)) / xHx)
+        return r if tangent is None else r - c * (float(np.sum(x * r)) / xc)
 
     def lift(z):  # P z
-        return z if tangent is None else z - x * (float(np.sum(Hx * z)) / xHx)
+        return z if tangent is None else z - x * (float(np.sum(c * z)) / xc)
 
     d = np.zeros_like(b)
     r = b
@@ -196,12 +197,13 @@ def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
 
 
 def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndarray,
-                      rtol: float, circulant=None, L=None, D=None, tangent: bool = False):
+                      rtol: float, circulant=None, L=None, D=None, tangent=None):
     """The direction of one step of _relaxed_newton, whose docstring states
     the step rule, with the factor L it used (None on the circulant): the
-    solve of (H - diag(D)) d = -g by _pcg to rtol, with its iterates
-    H-orthogonal to x when tangent is set.  H = energy.newton_matrix(asm, x,
-    eps), and this is the only place that builds and factors it.
+    solve of (H - diag(D)) d = -g by _pcg to rtol, with its iterates in the
+    subspace c . d = 0 for c = tangent(x, apply), where apply(v) = H v.
+    H = energy.newton_matrix(asm, x, eps), and this is the only place that
+    builds and factors it.
 
     The product: for a polynomial psi (young.even_terms, |s|^2 included)
     H v comes from energy.even_newton_product, with no n x n matrix; at
@@ -216,7 +218,7 @@ def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndar
     scaled to diag H, when the caller passes it; without it the tiled
     Cholesky factor L of H, factored here when L is None.  With neither D
     nor the circulant, M is the factor of this very H, and the direction is
-    cholesky_solve(L, -g), with no product."""
+    cholesky_solve(L, -g), with no product and no tangent."""
     H = None
     if circulant is None and L is None:
         H = newton_matrix(asm, x, eps)
@@ -227,17 +229,15 @@ def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndar
     if asm.young.even_terms is not None:
         diag, apply = even_newton_product(asm, x, eps)
     else:
-        if H is None:
-            H = newton_matrix(asm, x, eps)
+        H = newton_matrix(asm, x, eps) if H is None else H
         diag, apply = H.diagonal(), functools.partial(np.einsum, "ij,j->i", H)
     solve = functools.partial(cholesky_solve, L) if circulant is None else circulant(diag)
     product = apply if D is None else (lambda v: apply(v) - D * v)
-    return _pcg(product, -g, solve, rtol, (x, apply(x)) if tangent else None), L
+    return _pcg(product, -g, solve, rtol, None if tangent is None else (x, tangent(x, apply))), L
 
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
-                    retract=None, one_step: bool = False, curvature=None,
-                    tangent: bool = False):
+                    retract=None, curvature=None, tangent=None):
     """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
 
     H = energy.newton_matrix is the relaxed curvature of E, which stays positive
@@ -269,39 +269,40 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     (the mountain pass).
     The step rule.  Each step solves (H - diag(D)) d = -gradient(x) by
     _pcg, the one conjugate-gradient routine, on the product and
-    preconditioner that _newton_direction picks.  D = curvature(x) =
-    f'(x) h^N is a reaction's curvature, so that H - diag(D) is the
-    objective's Hessian; without curvature (Dirichlet and eigen) D = 0.
-    With tangent the CG iterates stay H-orthogonal to the ray through x
-    (the mountain pass, whose objective peaks along the ray).  Every step is
-    truncated: CG stops at a projected residual of rtol, after _CG_CAP
-    products, or at negative curvature, and any iterate is a descent
-    direction, so the line search is the same.
+    preconditioner that _newton_direction picks.  D = curvature(x, eps) is
+    the curvature that the objective takes off E's, so that H - diag(D) is
+    the objective's Hessian: a reaction's f'(x) h^N, or the eigen solve's
+    lambda psi''(max(|x|, eps)) h^N, relaxed at eps as H is; without
+    curvature (Dirichlet) D = 0.  With tangent the CG iterates stay in the
+    subspace c . d = 0, c = tangent(x, apply) with apply(v) = H v: H x for
+    the mountain pass, whose objective peaks along the ray through x, and
+    the constraint's gradient psi'(x) h^N for the eigen solve, which makes
+    its steps Newton steps on the Lagrangian.  Every step is truncated: CG
+    stops at a projected residual of rtol, after _CG_CAP products, or at
+    negative curvature, and any iterate is a descent direction, so the line
+    search is the same.
     - rtol is the Eisenstat-Walker forcing term ||g_k|| / ||g_0||, capped
       at _FORCING_CAP (SIAM J. Sci. Comput. 17, 1996) and floored at
-      _PCG_RTOL.  With one_step and quadratic psi the objective is
-      quadratic (E minus a linear term), so rtol is _PCG_RTOL: the step is
-      exact Newton and usually the solution, unless _CG_CAP cuts it.
+      _PCG_RTOL.
     - The preconditioner M is chosen once, before the first step, and kept
       for every step.  It is energy.circulant_preconditioner from
       _PCG_MIN_NODES nodes and growth q >= _PCG_MIN_GROWTH up, where the
-      circulant exists and a factor would serve a single solve: psi is not
-      quadratic, or the caller sets one_step.  Below growth 2 CG steps made
-      a p = 1.5 solve about 3 times slower, and below 256 nodes they were
-      no faster than the factor.  Otherwise M is the tiled Cholesky factor
-      of H.  When psi is quadratic, H is the same at every x and eps, so it
-      is built and factored once and kept for the rest of this call;
-      otherwise each step builds and factors a fresh H and frees it before
-      the energy passes of the line search.  Without curvature, M is then
-      the factor of the step's own H and the step is its solve, with no CG
-      product.
+      circulant exists.  Below growth 2 CG steps made a p = 1.5 solve about
+      3 times slower, and below 256 nodes they were no faster than the
+      factor.  Otherwise M is the tiled Cholesky factor of H.  When psi is
+      quadratic, H is the same at every x and eps, so it is built and
+      factored once and kept for the rest of this call; otherwise each step
+      builds and factors a fresh H and frees it before the energy passes of
+      the line search.  Without curvature, M is then the factor of the
+      step's own H and the step is its solve, with no CG product.
     - At negative curvature on CG's first direction the step is the
       preconditioned gradient, which on the factor is the step of H alone.
       The steps of H alone converge at first order (for the sublinear
       t^(m-1) the error falls by a factor of about m - 1 per step), those
       with the curvature at second order: the benchmark's mountain pass at
-      1D n = 128 went from 52 steps to 4, and its sublinear solve at
-      n = 256 from 24 to 5.
+      1D n = 128 went from 52 steps to 4, its sublinear solve at n = 256
+      from 24 to 5, and the eigen solve at 1D n = 512 from 178 steps to 6
+      at p = 4 and from 26 to 8 at p = 2.
     The bits of the steps do not depend on the BLAS thread count.
 
     Returns (x, steps, converged, info) with the objective history and
@@ -310,11 +311,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     J, g = value(x), gradient(x)
     eps = 1.0
     info = {"line_search_failure": False, "objective_history": [J]}
-    quadratic = asm.young.quadratic
-    circulant = None
-    if (x.size >= _PCG_MIN_NODES and asm.young.q >= _PCG_MIN_GROWTH
-            and (one_step or not quadratic)):
-        circulant = circulant_preconditioner(asm)
+    circulant = (circulant_preconditioner(asm) if x.size >= _PCG_MIN_NODES
+                 and asm.young.q >= _PCG_MIN_GROWTH else None)
     g0_sq = float(np.sum(g * g))
     L = None
     it = 0
@@ -326,11 +324,10 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         g_sq = float(np.sum(g * g))
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-        forcing = (0.0 if one_step and quadratic
-                   else min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)))
+        forcing = min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
         d, L = _newton_direction(asm, x, eps, g, max(_PCG_RTOL, forcing), circulant, L,
-                                 None if curvature is None else curvature(x), tangent)
-        if not quadratic:
+                                 None if curvature is None else curvature(x, eps), tangent)
+        if not asm.young.quadratic:
             L = None  # free the n x n buffer before the line search
         slope = float(g @ d)
         t = 1.0
@@ -365,43 +362,44 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
             eps = nxt
 
 
-def _last_pass(fn):
-    """fn of node values x, remembering its last point: a call at a point
-    with the same bytes as the last one returns the last result, the same
-    object, which callers must not write to."""
-    last = [None, None]
+class _Passes:
+    """The pass cache of one solve: x -> (E(x), gradient_E(x)) of node values
+    x, both from one energy.E_and_gradient pass (looked up in this module at
+    each call).  It remembers its last point by the bytes of x, so that a
+    step's value and gradient at one point, and a report at the solution,
+    share one pass.  With keep set it remembers every point until the
+    caller empties memory: the mountain pass keeps the passes of the ray it
+    searches.  A hit returns the same objects, which callers must not write
+    to.  A class and not a closure: a closure that reads its own
+    attributes is a reference cycle, which holds the assembly until the
+    garbage collector runs."""
 
-    def call(x):
+    def __init__(self, asm: EnergyAssembly):
+        self.asm, self.memory, self.keep = asm, {}, False
+
+    def __call__(self, x):
         key = x.tobytes()
-        if key != last[0]:
-            last[:] = key, fn(x)
-        return last[1]
-    return call
-
-
-def _passes(asm: EnergyAssembly):
-    """The pass cache of one solve: E(x) and gradient_E(x) of node values x,
-    each through _last_pass, so that a solve's report reads the loop's last
-    passes at its solution instead of repeating them.  E_value and
-    gradient_E are looked up in this module at each call."""
-    grid = asm.grid
-    return (_last_pass(lambda x: E_value(asm, GridFunction(grid, x))),
-            _last_pass(lambda x: gradient_E(asm, GridFunction(grid, x)).values))
+        if key not in self.memory:
+            if not self.keep:
+                self.memory.clear()
+            E, G = E_and_gradient(self.asm, GridFunction(self.asm.grid, x))
+            self.memory[key] = E, G.values
+        return self.memory[key]
 
 
 def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, rhs,
             **extras) -> SolveReport:
     """The report at u = x of a solve of E'(u) / h^N = rhs: residual_inf is
     max|E'(u) / h^N - rhs|, and E and E' come off the solve's passes."""
-    E, gE = passes
+    E, gE = passes(x)
     u = GridFunction(asm.grid, x)
     return SolveReport(
         solution=u,
         objective=objective,
-        residual_inf=float(np.max(np.abs(gE(x) / asm.h_pow_dim - rhs))),
+        residual_inf=float(np.max(np.abs(gE / asm.h_pow_dim - rhs))),
         iterations=iters,
         converged=converged,
-        energy_E=E(x),
+        energy_E=E,
         integral_F=F_value(asm, u),
         extras={**extras, "line_search_failure": info["line_search_failure"]},
     )
@@ -430,20 +428,20 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     hN = asm.h_pow_dim
     fv = f.values
     scale = 1.0 + float(np.max(np.abs(fv)))
-    E, gE = passes = _passes(asm)
+    passes = _Passes(asm)
 
     def value(x):
-        return E(x) - float(fv @ x) * hN
+        return passes(x)[0] - float(fv @ x) * hN
 
     def gradient(x):
-        return gE(x) - fv * hN
+        return passes(x)[1] - fv * hN
 
     def stop(x, g):
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
     n = asm.grid.n_nodes
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(n), stop,
-                                           max_iter, one_step=True)
+                                           max_iter)
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
     return _report(asm, passes, x, iters, conv, info, value(x), fv, problem="dirichlet",
                    weak_form_residual=float(np.max(np.abs(gradient(x)[nodes]))))
@@ -610,24 +608,24 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
 
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N: converged when
-    max|Lu - f(u)| <= tol * (1 + max|f(u)|); x -> f'(x) h^N, the
+    max|Lu - f(u)| <= tol * (1 + max|f(u)|); (x, eps) -> f'(x) h^N, the
     curvature the reaction takes off the Hessian of E, or None when the
-    reaction has no df; and the passes (_passes) that value and gradient
+    reaction has no df; and the passes (_Passes) that value and gradient
     go through."""
     hN = asm.h_pow_dim
-    E, gE = passes = _passes(asm)
+    passes = _Passes(asm)
 
     def value(x):
-        return E(x) - float(np.sum(reaction.G(x))) * hN
+        return passes(x)[0] - float(np.sum(reaction.G(x))) * hN
 
     def gradient(x):
-        return gE(x) - reaction.f(x) * hN
+        return passes(x)[1] - reaction.f(x) * hN
 
     def stop(x, g):
         scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
         return float(np.max(np.abs(g))) / hN <= tol * scale
 
-    def curvature(x):
+    def curvature(x, eps):
         return reaction.df(x) * hN
 
     return value, gradient, stop, None if reaction.df is None else curvature, passes
@@ -689,7 +687,11 @@ def _ray_peak(slope) -> Optional[float]:
                 break
     else:
         return None
-    return brentq(slope, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    # brentq's wrapper of its function is a reference cycle, which would
+    # hold a slope, and through it the solve, until the garbage collector
+    # runs: the slope goes in args, and the function holds nothing
+    return brentq(lambda t, slope: slope(t), lo, hi, args=(slope,), xtol=1e-15,
+                  rtol=4.0 * np.finfo(float).eps)
 
 
 def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
@@ -710,7 +712,10 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     For homogeneous psi (p = q) E is p-homogeneous, so a ray's slope costs one
     gradient pass however many scales the peak search tries, and that pass
     also gives E and its gradient at the peak: gradient_E(t y) =
-    t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p.  There is no
+    t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p.  For any
+    other psi each slope the search takes at a scale t is one joint pass of
+    E and its gradient at t y, and the solve keeps the ray's passes, so the
+    peak reads the pass the search took there.  There is no
     mountain-pass geometry when the endpoint's ray has no peak, peaks
     beyond the endpoint, or peaks at a level <= 1e-12.  ``eta`` is the
     final peak level and ``eta_initial`` the level of the endpoint ray's
@@ -727,37 +732,30 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     admissibility = {"condition_report": report_cond,
                      "outside_admissible_range": report_cond["rho_clause2_ok"] is False}
     value, gradient, stop, curvature, passes = _reaction_objective(asm, reaction, tol)
+    # the passes of a ray's search stay until the next ray's, so its peak
+    # reads the pass the search took there
+    passes.keep = True
     hN = asm.h_pow_dim
     homogeneous, p = asm.young.homogeneous, asm.young.p
-    # the last ray: its peak scale t and point x = t y; for homogeneous psi
-    # also gradient_E(y) and gradient_E(y) . y
-    ray = {"x": None}
-
-    def ray_slope(y):
-        # E is p-homogeneous for homogeneous psi, so gradient_E(t y) =
-        # t^(p-1) gradient_E(y) and only the reaction term depends on t
-        if homogeneous:
-            gE = gradient_E(asm, GridFunction(g, y)).values
-            gy = float(gE @ y)
-            ray.update(gE=gE, gy=gy)
-            return lambda t: t ** (p - 1.0) * gy - float(reaction.f(t * y) @ y) * hN
-        return lambda t: float(gradient(t * y) @ y)
+    ray = {"x": None}  # the last ray's peak scale t and point x = t y
 
     def peak(y):
-        t = _ray_peak(ray_slope(y))
+        if ray["x"] is not None:
+            # a new ray; the first is the endpoint's, which its search shares
+            passes.memory.clear()
+        if homogeneous:
+            # E is p-homogeneous, so gradient_E(t y) = t^(p-1) gradient_E(y)
+            # and only the reaction term depends on t
+            gE = gradient_E(asm, GridFunction(g, y)).values
+            gy = float(gE @ y)
+            t = _ray_peak(lambda t: t ** (p - 1.0) * gy - float(reaction.f(t * y) @ y) * hN)
+        else:
+            t = _ray_peak(lambda t: float(gradient(t * y) @ y))
         ray.update(t=t, x=None if t is None else t * y)
+        if homogeneous and t is not None:
+            # the peak's pass: E(t y) = t^p E(y) = t^p gradient_E(y) . y / p (Euler)
+            passes.memory[ray["x"].tobytes()] = t ** p * gy / p, t ** (p - 1.0) * gE
         return ray["x"]
-
-    def peak_value(x):
-        # at a ray's peak E(t y) = t^p E(y) = t^p gradient_E(y) . y / p (Euler)
-        if not homogeneous or x is not ray["x"]:
-            return value(x)
-        return ray["t"] ** p * ray["gy"] / p - float(np.sum(reaction.G(x))) * hN
-
-    def peak_gradient(x):
-        if not homogeneous or x is not ray["x"]:
-            return gradient(x)
-        return ray["t"] ** (p - 1.0) * ray["gE"] - reaction.f(x) * hN
 
     if endpoint is None:
         base = bump(g, g.center, 0.6 * g.inradius, 1.0).values
@@ -774,7 +772,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     x0 = peak(endpoint.values)
     if x0 is not None and ray["t"] >= 1.0:
         x0 = None
-    eta_initial = 0.0 if x0 is None else peak_value(x0)
+    eta_initial = 0.0 if x0 is None else value(x0)
     if eta_initial <= 1e-12:
         return SolveReport(
             solution=GridFunction(g, np.zeros(g.n_nodes)),
@@ -786,11 +784,17 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
             integral_F=0.0,
             extras={"problem": "superlinear", "no_mountain_geometry": True, **admissibility},
         )
+    if homogeneous:
+        # the loop starts from a pass at x0, and the report reads one at its
+        # point; the trial points read their peaks' closed forms
+        passes.memory.clear()
 
-    x, iters, conv, info = _relaxed_newton(asm, peak_value, peak_gradient, x0, stop,
-                                           max_iter, retract=peak, curvature=curvature,
-                                           tangent=True)
+    x, iters, conv, info = _relaxed_newton(asm, value, gradient, x0, stop, max_iter,
+                                           retract=peak, curvature=curvature,
+                                           tangent=lambda x, H: H(x))
     eta = info["objective_history"][-1]
+    if homogeneous:
+        passes.memory.clear()
     return _report(asm, passes, x, iters, conv, info, eta, reaction.f(x),
                    problem="superlinear", eta=eta, eta_initial=eta_initial,
                    no_mountain_geometry=False, **admissibility)
@@ -811,20 +815,26 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     step gradient is r = gradient_E - lambda * gradient_F with the Lagrange
     multiplier lambda = gradient_E . v / gradient_F . v: the projection of
     gradient_E onto the tangent directions along v, which is the exact
-    gradient of E after renormalization.  Converged means
-    max|r| / h^N <= tol * (1 + |lambda| max|psi'(v)|).  With the relaxed
-    Hessian of E as the matrix the steps are preconditioned inverse
-    iteration (Knyazev and Neymeyr, Linear Algebra Appl. 358, 2003; Hein and
-    Buhler, NIPS 2010).  For quadratic psi the unit step is exact inverse
-    iteration, and the one factor serves the whole solve.  ``iterations``
-    counts Newton steps.  ``lambda_weak`` is the multiplier and ``lambda1``
-    = E/F; the eigenfunction is reported with nonnegative sign.  Each step
-    costs one gradient pass, which also yields lambda and the residual, and
-    the report reuses the loop's last energy pass."""
+    gradient of E after renormalization, and the gradient of the Lagrangian
+    E - lambda (F - 1).  Converged means
+    max|r| / h^N <= tol * (1 + |lambda| max|psi'(v)|).  The steps are
+    Newton steps on the Lagrangian restricted to the tangent space of
+    F = 1, by projected PCG (Gould, Hribar and Nocedal, SIAM J. Sci.
+    Comput. 23, 2001): the curvature lambda psi''(max(|v|, eps)) h^N is
+    taken off the relaxed Hessian of E, and the CG iterates keep
+    gradient_F . d = 0.  Where psi has no deriv2 the steps take no
+    curvature and converge at first order, as the nonlinear inverse
+    iteration they replace (Hein and Buhler, NIPS 2010) does.
+    ``iterations`` counts Newton steps.  ``lambda_weak`` is
+    the multiplier and ``lambda1`` = E/F; the eigenfunction is reported
+    with nonnegative sign.  Each point costs one joint pass of E and its
+    gradient, which also yields lambda and the residual, and the report
+    reuses the loop's last pass."""
     hN = asm.h_pow_dim
     g = asm.grid
+    young = asm.young
     state = {}
-    E, gE = _passes(asm)
+    passes = _Passes(asm)
 
     def normalize(x):
         u = GridFunction(g, x)
@@ -834,27 +844,31 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
         return x / k
 
     def gradient(x):
-        dpsi = asm.young.deriv(x)
-        gEx = gE(x)
+        dpsi = young.deriv(x)
+        gEx = passes(x)[1]
         lam = float(gEx @ x) / (float(dpsi @ x) * hN)
         r = gEx - lam * hN * dpsi
-        state.update(x=x, lam=lam, resid=float(np.max(np.abs(r))) / hN,
+        state.update(x=x, lam=lam, dpsi=dpsi, resid=float(np.max(np.abs(r))) / hN,
                      scale=1.0 + abs(lam) * float(np.max(np.abs(dpsi))))
         return r
 
+    # the loop calls stop, curvature and tangent on the point it has just
+    # accepted, whose gradient was the last gradient call
     def stop(x, r):
-        # gradient(x) was the last gradient call: the loop calls stop on the
-        # point it has just accepted
         return state["resid"] <= tol * state["scale"]
 
+    def curvature(x, eps):  # lambda F''(x), relaxed at eps as H is
+        return state["lam"] * young.deriv2(np.maximum(np.abs(x), eps)) * hN
+
     x0 = normalize((start or _bump_start(asm)).values)
-    x, iters, converged, info = _relaxed_newton(asm, E, gradient, x0, stop, max_iter,
-                                                retract=normalize)
+    x, iters, converged, info = _relaxed_newton(
+        asm, lambda x: passes(x)[0], gradient, x0, stop, max_iter, retract=normalize,
+        curvature=curvature if young.deriv2 else None, tangent=lambda x, H: state["dpsi"] * hN)
     if state["x"] is not x:
         gradient(x)  # a failed line search left the state at a rejected trial
     lam, resid = state["lam"], state["resid"]
     # E is even, so the loop's pass at x also holds at -x
-    Ex = E(x)
+    Ex = passes(x)[0]
     if float(np.sum(x)) < 0.0:
         x = -x
     u = GridFunction(g, x)

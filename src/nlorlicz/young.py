@@ -51,7 +51,9 @@ class YoungFunction:
     is in {2, 4, 6}: the pair passes and the Newton product are then exact
     convolutions (energy._pair_pass).  ``quadratic`` (every degree is 2)
     and ``homogeneous`` (p == q, value = |s|^p) are read off these fields
-    and select every closed form; ``family`` is a label only.
+    and select every closed form; ``family`` is a label only.  ``joint``,
+    optional, gives (value(s), deriv(s)) with the bits of the two calls and
+    shares their work (value_and_deriv).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -63,6 +65,14 @@ class YoungFunction:
     params: dict = field(default_factory=dict)
     deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     power_terms: Optional[tuple] = None
+    joint: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def value_and_deriv(self, s):
+        """(value(s), deriv(s)), bit for bit: one joint call where the
+        family has one, else the two calls."""
+        if self.joint is None:
+            return self.value(s), self.deriv(s)
+        return self.joint(s)
 
     @functools.cached_property
     def even_terms(self) -> Optional[tuple]:
@@ -289,6 +299,18 @@ def make_young(family: str, **params) -> YoungFunction:
             out = np.where(a > 0.0, out, 0.0) * np.sign(s)
             return out if out.ndim else float(out)
 
+        def joint(s, t0=t0, c=c, p=p, r=r):
+            # value and deriv from one |s| and one log1p, in their own terms
+            s = np.asarray(s, dtype=float)
+            a = t0 * np.abs(s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                L = np.log1p(a)
+                v = c * a ** p * L ** r
+                d = t0 * c * a ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * a / (1.0 + a))
+            pos = a > 0.0
+            v, d = np.where(pos, v, 0.0), np.where(pos, d, 0.0) * np.sign(s)
+            return (v, d) if v.ndim else (float(v), float(d))
+
         def curvature_pair(a, t0=t0, c=c, p=p, r=r):
             # deriv2 and deriv(t)/t at a = t0 t > 0, from the same two powers:
             # deriv(t)/t = t0^2 c a^(p-2) (p L + r g) L^(r-2) L
@@ -323,6 +345,7 @@ def make_young(family: str, **params) -> YoungFunction:
             q=min(p, p + r),
             family="log_perturbed",
             params={"p": p, "r": r, "c": c, "arg_scale": t0},
+            joint=joint,
         )
 
     elif family == "custom":

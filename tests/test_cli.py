@@ -42,8 +42,13 @@ _THREAD_CASES = {
                        "young": {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]},
                        "grid": {"shape": "ball", "n_per_axis": 24, "bounds": [0.0, 0.0, 1.0]},
                        "problem": _DIRICHLET_BUMP},
-    # kept-factor solves at the largest size the tests run
+    # quadratic eigen solves: projected CG on the circulant at the largest
+    # size the tests run, and on the kept factor below 256 nodes, its only
+    # route left
     "eigen_p2_2048": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 2048),
+    "eigen_p2_128": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 128),
+    # projected CG with the tangent psi'(u) h^N on the matrix-free product
+    "eigen_p4_256": _sections({"family": "power", "p": 4.0}, {"type": "eigen"}, 256),
     # conjugate-gradient steps: by FFT with no matrix, and on the built
     # matrix through np.einsum; at n = 700 a BLAS H @ v is threaded and
     # moves in its last bits
@@ -55,11 +60,11 @@ _THREAD_CASES = {
     # matrix-free CG steps for an even polynomial psi: batched FFTs
     "dirichlet_power_sum_512": _sections(
         {"family": "power_sum", "terms": [[0.5, 2.0], [0.5, 4.0]]}, _DIRICHLET_BUMP, 512),
-    # |s|^2 spelled as a power sum: the quadratic one-step CG solve
+    # |s|^2 spelled as a power sum: the quadratic CG solve on the circulant
     "dirichlet_power_sum_p2_512": _sections({"family": "power_sum", "terms": [[1.0, 2.0]]},
                                             _DIRICHLET_BUMP, 512),
-    # truncated CG steps of a reaction solve: preconditioned by the kept
-    # factor, and by the circulant on the einsum product
+    # truncated CG steps of a reaction solve on the circulant: with the FFT
+    # product, and with the einsum product
     "sublinear_m15": _sections({"family": "power", "p": 2.0},
                                {"type": "sublinear", "reaction_m": 1.5}, 256),
     "sublinear_p3_m2_512": _sections({"family": "power", "p": 3.0},

@@ -577,6 +577,57 @@ class TestStackedPairPass:
         assert _pair_pass(asm, empty, True).shape == empty.shape
 
 
+class TestJointPass:
+    """E_and_gradient gives E_value and gradient_E, bit for bit, from one
+    pass on every route: one filter pair for quadratic psi, one batched
+    stencil product for even polynomial psi from _EVEN_MIN_NODES nodes up,
+    and one triangle walk below it and for every other psi."""
+
+    @pytest.mark.parametrize("grid, young, route", [
+        (("interval", 64, (-1.0, 1.0)), ("power", {"p": 2.0}), "quadratic"),
+        (("box", 12, (-1.0, 1.0, -1.0, 1.0)), ("power", {"p": 2.0}), "quadratic"),
+        (("ball", 16, (0.0, 0.0, 1.0)), ("power", {"p": 2.0}), "quadratic"),
+        (("interval", 300, (-1.0, 1.0)), ("power", {"p": 4.0}), "even"),
+        (("interval", 128, (-1.0, 1.0)), ("power_sum", {"terms": [(0.5, 2.0), (0.5, 6.0)]}),
+         "even"),
+        (("ball", 16, (0.0, 0.0, 1.0)), ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}),
+         "even"),
+        (("interval", 64, (-1.0, 1.0)), ("power", {"p": 4.0}), "triangle"),
+        (("interval", 300, (-1.0, 1.0)), ("log_perturbed", {"p": 2.0, "r": 1.0}), "triangle"),
+        (("box", 8, (-1.0, 1.0, -1.0, 1.0)), ("log_perturbed", {"p": 2.0, "r": -0.5}),
+         "triangle"),
+        (("interval", 200, (-1.0, 1.0)), ("power", {"p": 1.5}), "triangle"),
+        (("interval", 64, (-1.0, 1.0)), ("custom", {}), "triangle"),
+    ])
+    def test_bits_of_the_two_passes(self, monkeypatch, grid, young, route):
+        from nlorlicz import energy
+        from nlorlicz.energy import E_and_gradient
+
+        grid = make_grid(*grid)
+        if young[0] == "custom":
+            young = make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                               deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s))
+        else:
+            young = make_young(young[0], **young[1])
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5), young)
+        even = young.even_terms is not None and grid.n_nodes >= energy._EVEN_MIN_NODES
+        assert route == ("quadratic" if young.quadratic else "even" if even else "triangle")
+        calls = []
+        filt = energy._lattice_filter
+        monkeypatch.setattr(energy, "_lattice_filter", lambda *a: calls.append(1) or filt(*a))
+        rng = np.random.default_rng(5)
+        points = [rng.uniform(-1.0, 1.0, grid.n_nodes), np.zeros(grid.n_nodes),
+                  bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values]
+        points[0][::4] = 0.0
+        for x in points:
+            u = gf(asm, x)
+            calls.clear()
+            E, G = E_and_gradient(asm, u)
+            assert len(calls) == (route != "triangle")
+            assert E == E_value(asm, u)
+            assert G.values.tobytes() == gradient_E(asm, u).values.tobytes()
+
+
 class TestInequalities:
     def test_kato_simple(self, asm_sum):
         for seed in range(200):

@@ -20,7 +20,7 @@ from nlorlicz import (
     run_battery,
     sv_delta,
 )
-from nlorlicz.young import clarkson_conditions, gamma_plus_deriv
+from nlorlicz.young import _CHECK_GRID, clarkson_conditions, gamma_plus_deriv
 
 S_GRID = np.logspace(-4.0, 4.0, 1000)
 
@@ -175,6 +175,21 @@ class TestConstruction:
                 value=lambda s: np.abs(s),
                 deriv=lambda s: np.sign(s).astype(float),
             )
+
+
+@pytest.mark.parametrize("fn", FAMILIES + [
+    pytest.param(make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                            deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s)), id="custom"),
+], ids=lambda f: f"{f.family}-p{f.p:.3g}")
+def test_joint_evaluator_has_the_bits_of_value_and_deriv(fn):
+    # on the construction-time check grid, both signs and 0, and on scalars
+    # and 2D arrays: the pair walk calls it on blocks of differences
+    grid = np.concatenate([-_CHECK_GRID[::-1], [0.0], _CHECK_GRID])
+    for s in (grid, grid.reshape(3, -1)[:, ::-1], np.array(0.0), np.array(-2.5)):
+        v, d = fn.value_and_deriv(s)
+        assert type(v) is type(fn.value(s)) and type(d) is type(fn.deriv(s))
+        assert np.asarray(v).tobytes() == np.asarray(fn.value(s)).tobytes()
+        assert np.asarray(d).tobytes() == np.asarray(fn.deriv(s)).tobytes()
 
 
 class TestGammaBounds:
