@@ -548,7 +548,7 @@ def interaction(asm: EnergyAssembly, u: GridFunction, phi: GridFunction) -> floa
     of the pair sum fold onto the row sums of the gradient.
     """
     _check(asm, phi)
-    return float(gradient_E(asm, u).values @ phi.values)
+    return float(np.sum(gradient_E(asm, u).values * phi.values))
 
 
 def apply_operator(asm: EnergyAssembly, u: GridFunction) -> GridFunction:

@@ -160,7 +160,7 @@ def _stack(asm, spec, rng, kinds):
 def _dots(G, Phi):
     """interaction(u_i, phi_i) from the gradient rows G_i = gradient_E(u_i):
     one dot product per row, so each keeps the bits of interaction."""
-    return np.array([g @ phi for g, phi in zip(G, Phi)])
+    return np.array([np.sum(g * phi) for g, phi in zip(G, Phi)])
 
 
 def _modular(asm, X):

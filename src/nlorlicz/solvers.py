@@ -5,18 +5,24 @@ nonexistence-exponent ratio, integrability scaling).
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
 step solved by the rule that _relaxed_newton's docstring states.  This
-module holds the step rule (_pcg, _newton_direction and _relaxed_newton)
-and one pass cache (_Passes), through which every solve takes E and its
-gradient, both from one joint pass per point, and its report (_report, or
-the eigen solve's own) reads them: the joint pass, the Newton matrix, its
-matrix-free product and the circulant preconditioner come from energy.py,
-which alone evaluates on the pairs and on the FFT lattice.  The
-superlinear (mountain-pass) solve runs the loop on the peaks of rays, the
-local minimax method of Li and Zhou, and the eigenvalue solve takes Newton
-steps on its Lagrangian on the unit-modular set, with every trial point
-renormalized.  The convergence
-metric is the pointwise operator residual (gradient max-norm divided by the
-cell volume), scaled by the data size.
+module holds the step rule (_pcg, _newton_direction and _relaxed_newton),
+one objective builder (_reaction_objective) and one pass cache (_Passes),
+through which every solve takes E and its gradient, both from one joint
+pass per point, and its report (_report, or the eigen solve's own) reads
+them: the joint pass, the Newton matrix, its matrix-free product and the
+circulant preconditioner come from energy.py, which alone evaluates on the
+pairs and on the FFT lattice.  The Dirichlet solve is the reaction
+objective with a reaction f(x) that does not depend on u.  The superlinear
+(mountain-pass) solve runs the loop on the peaks of rays, the local minimax
+method of Li and Zhou, and the eigenvalue solve takes Newton steps on its
+Lagrangian on the unit-modular set, with every trial point renormalized.
+Neither keeps state beside the pass cache: the eigen multiplier and a ray's
+peak scale are computed from the passes they need, which are cache hits at
+an accepted point.  The convergence metric is the pointwise operator
+residual (gradient max-norm divided by the cell volume), scaled by the data
+size.  Every dot product over the nodes is np.sum(a * b), a reduction in a
+fixed order: a BLAS dot of more than 10 000 elements is threaded and
+changes its last bits with the thread count.
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ class SolveReport:
 
 @dataclass
 class ReactionSpec:
-    """Reaction term f with its antiderivative; zero for negative arguments
-    (the problems seek nonnegative solutions)."""
+    """Reaction term f with its antiderivative G.  f may depend on u (the
+    power reactions, zero for negative arguments, as the reaction problems
+    seek nonnegative solutions) or only on x (solve_dirichlet's data)."""
 
     f: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
@@ -329,7 +336,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                                  None if curvature is None else curvature(x, eps), tangent)
         if not asm.young.quadratic:
             L = None  # free the n x n buffer before the line search
-        slope = float(g @ d)
+        slope = float(np.sum(g * d))
         t = 1.0
         for _ in range(60):
             x_new = x + t * d if retract is None else retract(x + t * d)
@@ -366,13 +373,17 @@ class _Passes:
     """The pass cache of one solve: x -> (E(x), gradient_E(x)) of node values
     x, both from one energy.E_and_gradient pass (looked up in this module at
     each call).  It remembers its last point by the bytes of x, so that a
-    step's value and gradient at one point, and a report at the solution,
-    share one pass.  With keep set it remembers every point until the
-    caller empties memory: the mountain pass keeps the passes of the ray it
-    searches.  A hit returns the same objects, which callers must not write
-    to.  A class and not a closure: a closure that reads its own
-    attributes is a reference cycle, which holds the assembly until the
-    garbage collector runs."""
+    step's value and gradient at one point, the stop rule, curvature and
+    tangent at the point the loop has just accepted (the eigen multiplier
+    among them), and a report at the solution share one pass; a report
+    after a failed line search, whose last pass was at a rejected trial
+    point, takes a fresh one.  With keep set it remembers every point until
+    the caller empties memory: the mountain pass keeps the passes of the
+    ray it searches, so a slope its peak search takes twice, and the peak
+    itself, cost no second pass.  A hit returns the same objects, which
+    callers must not write to.  A class and not a closure: a closure that
+    reads its own attributes is a reference cycle, which holds the assembly
+    until the garbage collector runs."""
 
     def __init__(self, asm: EnergyAssembly):
         self.asm, self.memory, self.keep = asm, {}, False
@@ -412,7 +423,9 @@ def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, r
 
 def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
                     max_iter: int = 20000) -> SolveReport:
-    """Minimize the convex functional E(v) - <f, v> from the zero start.
+    """Minimize the convex functional E(v) - <f, v> from the zero start: the
+    reaction objective (_reaction_objective) of the reaction f(x), which
+    does not depend on u, with G(x, v) = f(x) v and no curvature.
 
     Converged means the pointwise residual max|Lu - f| is below
     tol * (1 + max|f|).  The weak form is re-verified a posteriori on 20
@@ -425,20 +438,9 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     (Numer. Math. 145, 2020).
     ``iterations`` counts Newton steps.
     """
-    hN = asm.h_pow_dim
     fv = f.values
-    scale = 1.0 + float(np.max(np.abs(fv)))
-    passes = _Passes(asm)
-
-    def value(x):
-        return passes(x)[0] - float(fv @ x) * hN
-
-    def gradient(x):
-        return passes(x)[1] - fv * hN
-
-    def stop(x, g):
-        return float(np.max(np.abs(g))) / hN <= tol * scale
-
+    value, gradient, stop, _, passes = _reaction_objective(
+        asm, ReactionSpec(f=lambda x: fv, G=lambda x: fv * x), tol)
     n = asm.grid.n_nodes
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(n), stop,
                                            max_iter)
@@ -607,7 +609,8 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
 
 
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
-    """value, gradient and stop rule of E(v) - sum G(v) h^N: converged when
+    """value, gradient and stop rule of E(v) - sum G(v) h^N, for a reaction
+    f(u) or, in solve_dirichlet, data f(x) with G(v) = f(x) v: converged when
     max|Lu - f(u)| <= tol * (1 + max|f(u)|); (x, eps) -> f'(x) h^N, the
     curvature the reaction takes off the Hessian of E, or None when the
     reaction has no df; and the passes (_Passes) that value and gradient
@@ -671,9 +674,9 @@ def _ray_peak(slope) -> Optional[float]:
     """The scale t > 0 where the objective peaks on a ray: the root of its
     slope t -> d/dt J(t y) where it changes sign from + to -, bracketed by
     doubling or halving from t = 1 and refined by brentq.  None when 60
-    doublings or halvings find no sign change."""
-    slope = functools.lru_cache(maxsize=None)(slope)
-
+    doublings or halvings find no sign change.  A slope the search takes
+    twice costs no second pass: mountain_pass_search keeps the ray's passes,
+    or sums the slope in closed form for homogeneous psi."""
     lo = hi = 1.0
     rising = slope(1.0) > 0.0
     for _ in range(60):
@@ -737,25 +740,24 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     passes.keep = True
     hN = asm.h_pow_dim
     homogeneous, p = asm.young.homogeneous, asm.young.p
-    ray = {"x": None}  # the last ray's peak scale t and point x = t y
 
-    def peak(y):
-        if ray["x"] is not None:
-            # a new ray; the first is the endpoint's, which its search shares
-            passes.memory.clear()
-        if homogeneous:
-            # E is p-homogeneous, so gradient_E(t y) = t^(p-1) gradient_E(y)
-            # and only the reaction term depends on t
-            gE = gradient_E(asm, GridFunction(g, y)).values
-            gy = float(gE @ y)
-            t = _ray_peak(lambda t: t ** (p - 1.0) * gy - float(reaction.f(t * y) @ y) * hN)
-        else:
-            t = _ray_peak(lambda t: float(gradient(t * y) @ y))
-        ray.update(t=t, x=None if t is None else t * y)
-        if homogeneous and t is not None:
+    def scale(y):  # the peak scale t of the ray through y, or None
+        if not homogeneous:
+            return _ray_peak(lambda t: float(np.sum(gradient(t * y) * y)))
+        # E is p-homogeneous, so gradient_E(t y) = t^(p-1) gradient_E(y)
+        # and only the reaction term depends on t
+        gE = gradient_E(asm, GridFunction(g, y)).values
+        gy = float(np.sum(gE * y))
+        t = _ray_peak(lambda t: t ** (p - 1.0) * gy - float(np.sum(reaction.f(t * y) * y)) * hN)
+        if t is not None:
             # the peak's pass: E(t y) = t^p E(y) = t^p gradient_E(y) . y / p (Euler)
-            passes.memory[ray["x"].tobytes()] = t ** p * gy / p, t ** (p - 1.0) * gE
-        return ray["x"]
+            passes.memory[(t * y).tobytes()] = t ** p * gy / p, t ** (p - 1.0) * gE
+        return t
+
+    def peak(y):  # the retract: a new ray, whose search keeps its own passes
+        passes.memory.clear()
+        t = scale(y)
+        return None if t is None else t * y
 
     if endpoint is None:
         base = bump(g, g.center, 0.6 * g.inradius, 1.0).values
@@ -769,9 +771,10 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     if value(endpoint.values) >= 0.0:
         raise ValidationError("endpoint must have negative level")
 
-    x0 = peak(endpoint.values)
-    if x0 is not None and ray["t"] >= 1.0:
-        x0 = None
+    # the endpoint's ray keeps the passes so far: a non-homogeneous search
+    # starts at t = 1, the pass of the endpoint's level
+    t = scale(endpoint.values)
+    x0 = None if t is None or t >= 1.0 else t * endpoint.values
     eta_initial = 0.0 if x0 is None else value(x0)
     if eta_initial <= 1e-12:
         return SolveReport(
@@ -833,7 +836,6 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     hN = asm.h_pow_dim
     g = asm.grid
     young = asm.young
-    state = {}
     passes = _Passes(asm)
 
     def normalize(x):
@@ -843,30 +845,31 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
             raise ValidationError("eigen iteration collapsed to zero")
         return x / k
 
-    def gradient(x):
-        dpsi = young.deriv(x)
-        gEx = passes(x)[1]
-        lam = float(gEx @ x) / (float(dpsi @ x) * hN)
-        r = gEx - lam * hN * dpsi
-        state.update(x=x, lam=lam, dpsi=dpsi, resid=float(np.max(np.abs(r))) / hN,
-                     scale=1.0 + abs(lam) * float(np.max(np.abs(dpsi))))
-        return r
+    # the multiplier lambda(x), psi'(x) and the gradient r(x) of the
+    # Lagrangian, from the pass at x: at the point the loop has just
+    # accepted, that is the pass its line search took
+    def lagrangian(x):
+        dpsi, gE = young.deriv(x), passes(x)[1]
+        lam = float(np.sum(gE * x)) / (float(np.sum(dpsi * x)) * hN)
+        return lam, dpsi, gE - lam * hN * dpsi
 
-    # the loop calls stop, curvature and tangent on the point it has just
-    # accepted, whose gradient was the last gradient call
     def stop(x, r):
-        return state["resid"] <= tol * state["scale"]
+        lam, dpsi, _ = lagrangian(x)
+        scale = 1.0 + abs(lam) * float(np.max(np.abs(dpsi)))
+        return float(np.max(np.abs(r))) / hN <= tol * scale
 
     def curvature(x, eps):  # lambda F''(x), relaxed at eps as H is
-        return state["lam"] * young.deriv2(np.maximum(np.abs(x), eps)) * hN
+        return lagrangian(x)[0] * young.deriv2(np.maximum(np.abs(x), eps)) * hN
 
     x0 = normalize((start or _bump_start(asm)).values)
     x, iters, converged, info = _relaxed_newton(
-        asm, lambda x: passes(x)[0], gradient, x0, stop, max_iter, retract=normalize,
-        curvature=curvature if young.deriv2 else None, tangent=lambda x, H: state["dpsi"] * hN)
-    if state["x"] is not x:
-        gradient(x)  # a failed line search left the state at a rejected trial
-    lam, resid = state["lam"], state["resid"]
+        asm, lambda x: passes(x)[0], lambda x: lagrangian(x)[2], x0, stop, max_iter,
+        retract=normalize, curvature=curvature if young.deriv2 else None,
+        tangent=lambda x, H: lagrangian(x)[1] * hN)
+    # the pass at x is the loop's last unless a failed line search left it
+    # at a rejected trial point
+    lam, _, r = lagrangian(x)
+    resid = float(np.max(np.abs(r))) / hN
     # E is even, so the loop's pass at x also holds at -x
     Ex = passes(x)[0]
     if float(np.sum(x)) < 0.0:

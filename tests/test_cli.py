@@ -73,6 +73,12 @@ _THREAD_CASES = {
     # einsum product
     "superlinear_p3_m4_256": _sections({"family": "power", "p": 3.0},
                                        {"type": "superlinear", "reaction_m": 4.0}, 256),
+    # above 10 000 elements OpenBLAS threads a dot product, which then
+    # changes its last bits with the thread count: the solves' node sums
+    # must not go through BLAS
+    "eigen_p2_12000": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 12000),
+    "superlinear_m3_12000": _sections({"family": "power", "p": 2.0},
+                                      {"type": "superlinear", "reaction_m": 3.0}, 12000),
 }
 
 
@@ -325,6 +331,19 @@ class TestRun:
         )
         assert main(["run", str(path2)]) == 0
 
+    def test_failed_line_search_exit_3_and_downgrade(self, tmp_path):
+        # p = 1.05 Dirichlet on the bump stops at step 0: no step of the
+        # first direction passes the line search
+        young = {"family": "power", "p": 1.05}
+        path, _ = write_config(tmp_path, young=young, problem=_DIRICHLET_BUMP)
+        assert main(["run", str(path)]) == 3
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["iterations"] == 0 and rep["extras"]["line_search_failure"]
+        path2, _ = write_config(tmp_path, name="c2.json", young=young,
+                                problem=_DIRICHLET_BUMP,
+                                solver={"allow_nonconverged": True})
+        assert main(["run", str(path2)]) == 0
+
 
 class TestSweep:
     def test_sweep_rows_and_resume(self, tmp_path):
@@ -481,6 +500,27 @@ class TestDeterminism:
             )
             assert proc.returncode == 0, proc.stderr.decode()
             digests.append((out / "battery.csv").read_bytes())
+        assert digests[0] == digests[1]
+
+    def test_battery_bytes_identical_across_blas_threads_at_12000(self, tmp_path):
+        # above 10 000 elements OpenBLAS threads a dot product, which then
+        # changes its last bits with the thread count: interaction and the
+        # battery's stacked dots must sum in a fixed order
+        digests = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out_{threads}"
+            cfg = json.loads(json.dumps(BASE))
+            cfg["grid"]["n_per_axis"] = 12000
+            cfg["problem"] = {"type": "battery", "trials": 6}
+            cfg["output_dir"] = str(out)
+            path = tmp_path / f"cfg_{threads}.json"
+            path.write_text(json.dumps(cfg))
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "nlorlicz.cli", "run", str(path)],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            digests.append([(out / name).read_bytes()
+                            for name in ("battery.csv", "battery.json")])
         assert digests[0] == digests[1]
 
     def test_convolution_bits_identical_across_blas_threads(self):

@@ -99,6 +99,18 @@ class TestDirichlet:
         assert rep.converged
         assert rep.residual_inf <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
 
+    def test_failed_line_search_is_a_classified_stop(self, g1d_small, frac05_1d):
+        # at p = 1.05 on the bump no step along the first direction passes
+        # the line search: the solve stops at once and says why
+        from nlorlicz.grid import bump
+
+        asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.05))
+        rep = solve_dirichlet(asm, bump(g1d_small, g1d_small.center, 0.5, 1.0))
+        assert not rep.converged
+        assert rep.iterations == 0
+        assert rep.extras["line_search_failure"] is True
+        assert np.isfinite(rep.residual_inf) and rep.residual_inf > 0.0
+
     def test_descent_monotone(self, asm16):
         # nonincreasing objective is part of the line-search contract
         from nlorlicz.oracles import _descent
@@ -1099,6 +1111,47 @@ class TestMountainPass:
         assert rep.extras["no_mountain_geometry"]
         assert not rep.converged
 
+    @pytest.mark.parametrize("height, peak", [
+        # the endpoint's ray peaks beyond the endpoint, at t near 107
+        pytest.param(0.02, (100.0, 120.0), id="peak-beyond-endpoint"),
+        # the slope along the endpoint's ray stays negative: no peak
+        pytest.param(0.01, None, id="no-peak"),
+    ])
+    def test_no_geometry_exits(self, frac05_1d, y_p2, height, peak, monkeypatch):
+        # f = 1.5 t^0.5 + 4 t^3 is sublinear near zero and superlinear far
+        # out, so a small endpoint's ray first falls and then rises
+        import nlorlicz.solvers as solvers
+        from nlorlicz.grid import bump
+
+        def f(t):
+            t = np.maximum(np.asarray(t, dtype=float), 0.0)
+            return 1.5 * t ** 0.5 + 4.0 * t ** 3
+
+        def G(t):
+            t = np.maximum(np.asarray(t, dtype=float), 0.0)
+            return t ** 1.5 + t ** 4
+
+        grid = make_grid("interval", 16, (-1.0, 1.0))
+        asm = assemble(grid, frac05_1d, y_p2)
+        endpoint = GridFunction(grid, height * bump(grid, grid.center,
+                                                    0.6 * grid.inradius, 1.0).values)
+        scales = []
+        ray_peak = solvers._ray_peak
+
+        def recorded(slope):
+            scales.append(ray_peak(slope))
+            return scales[-1]
+
+        monkeypatch.setattr(solvers, "_ray_peak", recorded)
+        rep = mountain_pass_search(asm, ReactionSpec(f=f, G=G), endpoint=endpoint)
+        if peak is None:
+            assert scales == [None]
+        else:
+            assert len(scales) == 1 and peak[0] < scales[0] < peak[1]
+        assert rep.extras["no_mountain_geometry"] is True
+        assert rep.residual_inf == float("inf")
+        assert rep.iterations == 0 and not rep.converged
+
 
 class TestEigen:
     def test_matches_dense_eigendecomposition(self, asm_quad):
@@ -1195,6 +1248,38 @@ class TestEigen:
         rep = solve_eigen(asm, **kwargs)
         assert rep.converged
         assert rep.extras["lambda1"] == pytest.approx(lam, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("young, max_iter", [
+        pytest.param(("power", {"p": 2.0}), 20000, id="power-2"),
+        pytest.param(("power", {"p": 1.5}), 20000, id="power-1.5"),
+        pytest.param(("power", {"p": 1.5}), 2, id="power-1.5-cut"),
+        pytest.param(("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), 20000,
+                     id="power_sum-2+4"),
+    ])
+    def test_report_ignores_a_gradient_after_the_loop(self, frac05_1d, young, max_iter,
+                                                      monkeypatch):
+        # a gradient taken at a rejected trial point after the step loop
+        # returns, as a failed line search leaves it, does not reach the
+        # report: the report reads the returned point's own pass
+        import nlorlicz.solvers as solvers
+
+        asm = assemble(make_grid("interval", 64, (-1.0, 1.0)), frac05_1d,
+                       make_young(young[0], **young[1]))
+        plain = solve_eigen(asm, max_iter=max_iter)
+        relaxed_newton = solvers._relaxed_newton
+
+        def wrapped(asm, value, gradient, x0, stop, max_iter, retract=None, **kwargs):
+            out = relaxed_newton(asm, value, gradient, x0, stop, max_iter, retract=retract,
+                                 **kwargs)
+            x = out[0]
+            gradient(retract(x + 0.1 * np.roll(x, 1)))
+            return out
+
+        monkeypatch.setattr(solvers, "_relaxed_newton", wrapped)
+        rep = solve_eigen(asm, max_iter=max_iter)
+        assert rep.converged is (max_iter > 2)
+        assert rep.solution.values.tobytes() == plain.solution.values.tobytes()
+        assert rep.to_dict() == plain.to_dict()
 
     def test_grid_refinement_stability(self, frac05_1d, y_p2):
         # the discrete eigenvalue moves by well under 5% between n and 2n
