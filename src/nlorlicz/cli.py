@@ -74,7 +74,8 @@ _PROBLEM_TYPES = {"dirichlet", "sublinear", "superlinear", "eigen", "battery",
 # the scalars of each section, with the type each must convert to
 _SOLVER_SCALARS = {"tol": float, "max_iter": int, "pair_budget": int}
 _PROBLEM_SCALARS = {"reaction_m": float, "trials": int}
-_DATA_SCALARS = {"radius": float, "height": float, "amplitude": float, "value": float}
+# the scalars each data kind reads, besides "kind"; every one is a number
+_DATA_KEYS = {"bump": ("radius", "height"), "random": ("amplitude",), "constant": ("value",)}
 
 
 def _fail(code: int, message: str) -> int:
@@ -153,14 +154,20 @@ def _check_scalars(cfg: dict):
     """Raise a ValidationError unless every scalar of the config converts to
     the type that the runs convert it to: the seed, the solver settings, each
     problem's numbers and data fields (a sweep's inner problem included)
-    and a sweep's values.  Checked before anything runs or is written."""
+    and a sweep's values; unless allow_nonconverged, when present, is a JSON
+    boolean; or when a data section has a key its kind does not read.
+    Checked before anything runs or is written."""
     def present(where, section, kinds):
         return [(f"{where}.{key}", section[key], kind)
                 for key, kind in kinds.items() if key in section]
 
     problem = cfg["problem"]
+    solver = cfg.get("solver", {})
+    if not isinstance(solver.get("allow_nonconverged", False), bool):
+        raise ValidationError("bad config value: solver.allow_nonconverged = "
+                              f"{solver['allow_nonconverged']!r} is not true or false")
     checks = [("seed", cfg.get("seed", 0), int)]
-    checks += present("solver", cfg.get("solver", {}), _SOLVER_SCALARS)
+    checks += present("solver", solver, _SOLVER_SCALARS)
     sections = {"problem": problem}
     if problem["type"] == "sweep":
         sections["problem.inner"] = problem["inner"]
@@ -169,8 +176,12 @@ def _check_scalars(cfg: dict):
         data = section.get("data", {})
         if not isinstance(data, dict):
             raise ValidationError(f"{where}.data must be a JSON object")
+        kind = data.get("kind", "bump")
+        if not isinstance(kind, str) or kind not in _DATA_KEYS:
+            raise ValidationError(f"unknown data kind {kind!r}")
+        _check_keys(data, {"kind", *_DATA_KEYS[kind]}, f"{where}.data ({kind})")
         checks += present(where, section, _PROBLEM_SCALARS)
-        checks += present(f"{where}.data", data, _DATA_SCALARS)
+        checks += present(f"{where}.data", data, dict.fromkeys(_DATA_KEYS[kind], float))
     for where, value, kind in checks:
         try:
             kind(value)
@@ -205,6 +216,7 @@ def _build(cfg: dict):
 
 
 def _problem_data(cfg: dict, asm) -> GridFunction:
+    """The problem's data, of a kind that load_config has checked."""
     data = cfg["problem"].get("data", {"kind": "bump"})
     kind = data.get("kind", "bump")
     if kind == "bump":
@@ -214,10 +226,7 @@ def _problem_data(cfg: dict, asm) -> GridFunction:
     if kind == "random":
         return random_function(asm.grid, int(cfg.get("seed", 0)),
                                data.get("amplitude", 1.0))
-    if kind == "constant":
-        return GridFunction(asm.grid,
-                            np.full(asm.grid.n_nodes, float(data.get("value", 1.0))))
-    raise ValidationError(f"unknown data kind {kind!r}")
+    return GridFunction(asm.grid, np.full(asm.grid.n_nodes, float(data.get("value", 1.0))))
 
 
 def _write(path: Path, text: str):

@@ -58,7 +58,7 @@ from scipy import fft
 from .errors import BudgetExceededError, ValidationError
 from .grid import DomainGrid, GridFunction
 from .kernels import Kernel, exterior_weights
-from .linalg import BLOCK
+from .linalg import BLOCK, dot
 from .young import YoungFunction
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -405,7 +405,7 @@ def _pass(asm: EnergyAssembly, x: np.ndarray, energy: bool, grad: bool):
                 row[e:] += sign * block[:, e - k:].sum(axis=0)
     nodes = phi(x)
     if energy:
-        E = 0.5 * float(np.sum(rows[0])) + float(np.sum(nodes[0] * asm.exterior)) * hN
+        E = 0.5 * float(np.sum(rows[0])) + dot(nodes[0], asm.exterior) * hN
     if grad:
         G = rows[-1] + nodes[-1] * asm.exterior * hN
     return E, G
@@ -548,7 +548,7 @@ def interaction(asm: EnergyAssembly, u: GridFunction, phi: GridFunction) -> floa
     of the pair sum fold onto the row sums of the gradient.
     """
     _check(asm, phi)
-    return float(np.sum(gradient_E(asm, u).values * phi.values))
+    return dot(gradient_E(asm, u).values, phi.values)
 
 
 def apply_operator(asm: EnergyAssembly, u: GridFunction) -> GridFunction:

@@ -35,6 +35,7 @@ from .energy import (EnergyAssembly, F_value, _pair_pass, central_gradient_norm,
 from .grid import (GridFunction, bump, bump_values, decreasing_rearrangement,
                    indicator_function)
 from .kernels import poincare_constant
+from .linalg import dot
 from .solvers import power_reaction, pohozaev_check
 from .young import (
     calibrate_singular_constant,
@@ -160,7 +161,7 @@ def _stack(asm, spec, rng, kinds):
 def _dots(G, Phi):
     """interaction(u_i, phi_i) from the gradient rows G_i = gradient_E(u_i):
     one dot product per row, so each keeps the bits of interaction."""
-    return np.array([np.sum(g * phi) for g, phi in zip(G, Phi)])
+    return np.array([dot(g, phi) for g, phi in zip(G, Phi)])
 
 
 def _modular(asm, X):

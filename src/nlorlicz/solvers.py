@@ -6,29 +6,32 @@ All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
 step solved by the rule that _relaxed_newton's docstring states.  This
 module holds the step rule (_pcg, _newton_direction and _relaxed_newton),
-one objective builder (_reaction_objective) and one pass cache (_Passes),
-through which every solve takes E and its gradient, both from one joint
-pass per point, and its report (_report, or the eigen solve's own) reads
-them: the joint pass, the Newton matrix, its matrix-free product and the
-circulant preconditioner come from energy.py, which alone evaluates on the
-pairs and on the FFT lattice.  The Dirichlet solve is the reaction
-objective with a reaction f(x) that does not depend on u.  The superlinear
+one objective builder (_reaction_objective), one pass cache (_Passes) and
+one report builder (_report).  Every solve takes E and its gradient through
+the pass cache, both from one joint pass per point, and its report reads
+them there: the joint pass, the Newton matrix, its matrix-free product and
+the circulant preconditioner come from energy.py, which alone evaluates on
+the pairs and on the FFT lattice.  The four objectives are E(v) minus a
+reaction term, the cases of Lu = f that the paper treats: f = f(x) for the
+Dirichlet solve, f = f(u) for the sublinear and superlinear solves, and the
+generalized eigenvalue problem f(u) = lambda(u) psi'(u).  The superlinear
 (mountain-pass) solve runs the loop on the peaks of rays, the local minimax
 method of Li and Zhou, and the eigenvalue solve takes Newton steps on its
 Lagrangian on the unit-modular set, with every trial point renormalized.
 Neither keeps state beside the pass cache: the eigen multiplier and a ray's
 peak scale are computed from the passes they need, which are cache hits at
-an accepted point.  The convergence metric is the pointwise operator
-residual (gradient max-norm divided by the cell volume), scaled by the data
-size.  Every dot product over the nodes is np.sum(a * b), a reduction in a
-fixed order: a BLAS dot of more than 10 000 elements is threaded and
-changes its last bits with the thread count.
+an accepted point.  The convergence metric is the pointwise residual of
+the objective (its gradient's max-norm divided by the cell volume), scaled
+by the size of f; the report's residual_inf is that same quantity.  Every
+dot product over the nodes is linalg.dot, a reduction in a fixed order: a
+BLAS dot of more than 10 000 elements is threaded and changes its last bits
+with the thread count.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +52,7 @@ from .energy import (
 from .errors import ValidationError
 from .grid import GridFunction, bump
 from .kernels import scaling_profile
-from .linalg import cholesky_inplace, cholesky_solve
+from .linalg import cholesky_inplace, cholesky_solve, dot
 from .young import (
     YoungFunction,
     calibrate_singular_constant,
@@ -92,7 +95,8 @@ class SolveReport:
 class ReactionSpec:
     """Reaction term f with its antiderivative G.  f may depend on u (the
     power reactions, zero for negative arguments, as the reaction problems
-    seek nonnegative solutions) or only on x (solve_dirichlet's data)."""
+    seek nonnegative solutions), only on x (solve_dirichlet's data), or be
+    lambda(u) psi'(u) with the eigen multiplier lambda(u) (solve_eigen)."""
 
     f: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
@@ -168,37 +172,36 @@ def _pcg(apply, b: np.ndarray, solve, rtol: float, tangent=None):
     Every iterate minimizes d.Ad/2 - b.d over a subspace on which A is
     positive definite, so b.d = d.Ad > 0: each one is a descent direction,
     however early the solve stops, and so is P M^-1 P^T b.  Every dot
-    product is np.sum(x * y), a reduction in a fixed order, so the bits do
-    not depend on thread counts."""
+    product is linalg.dot, so the bits do not depend on thread counts."""
     if tangent is not None:
         x, c = tangent
-        xc = float(np.sum(x * c))
+        xc = dot(x, c)
 
     def project(r):  # P^T r
-        return r if tangent is None else r - c * (float(np.sum(x * r)) / xc)
+        return r if tangent is None else r - c * (dot(x, r) / xc)
 
     def lift(z):  # P z
-        return z if tangent is None else z - x * (float(np.sum(c * z)) / xc)
+        return z if tangent is None else z - x * (dot(c, z) / xc)
 
     d = np.zeros_like(b)
     r = b
     w = project(r)
-    goal = rtol * rtol * float(np.sum(w * w))
+    goal = rtol * rtol * dot(w, w)
     p = z = lift(solve(w))
-    rz = float(np.sum(r * z))
+    rz = dot(r, z)
     for k in range(_CG_CAP):
         q = apply(p)
-        pq = float(np.sum(p * q))
+        pq = dot(p, q)
         if pq <= 0.0:
             return d if k else z
         a = rz / pq
         d += a * p
         r = r - a * q  # not in place: solve and project may return r itself
         w = project(r)
-        if float(np.sum(w * w)) <= goal:
+        if dot(w, w) <= goal:
             break
         z = lift(solve(w))
-        rz, rz_old = float(np.sum(r * z)), rz
+        rz, rz_old = dot(r, z), rz
         p = z + (rz / rz_old) * p
     return d
 
@@ -320,7 +323,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     info = {"line_search_failure": False, "objective_history": [J]}
     circulant = (circulant_preconditioner(asm) if x.size >= _PCG_MIN_NODES
                  and asm.young.q >= _PCG_MIN_GROWTH else None)
-    g0_sq = float(np.sum(g * g))
+    g0_sq = dot(g, g)
     L = None
     it = 0
     while True:
@@ -328,7 +331,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
             return x, it, True, info
         if it >= max_iter:
             return x, it, False, info
-        g_sq = float(np.sum(g * g))
+        g_sq = dot(g, g)
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
         forcing = min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
@@ -336,7 +339,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                                  None if curvature is None else curvature(x, eps), tangent)
         if not asm.young.quadratic:
             L = None  # free the n x n buffer before the line search
-        slope = float(np.sum(g * d))
+        slope = dot(g, d)
         t = 1.0
         for _ in range(60):
             x_new = x + t * d if retract is None else retract(x + t * d)
@@ -351,7 +354,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
                 # the Armijo margin is lost in the rounding of the energy:
                 # judge the step by the gradient's Euclidean norm instead
                 g_new = gradient(x_new)
-                if float(np.sum(g_new * g_new)) < g_sq:
+                if dot(g_new, g_new) < g_sq:
                     J_new = value(x_new)
                     break
             t *= 0.5
@@ -398,19 +401,19 @@ class _Passes:
         return self.memory[key]
 
 
-def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, rhs,
+def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, gradient,
             **extras) -> SolveReport:
-    """The report at u = x of a solve of E'(u) / h^N = rhs: residual_inf is
-    max|E'(u) / h^N - rhs|, and E and E' come off the solve's passes."""
-    E, gE = passes(x)
+    """The report at u = x of a solve whose objective has the gradient
+    gradient: residual_inf is max|gradient(x)| / h^N, the quantity that the
+    stop rules test, and E and the gradient come off the solve's passes."""
     u = GridFunction(asm.grid, x)
     return SolveReport(
         solution=u,
         objective=objective,
-        residual_inf=float(np.max(np.abs(gE / asm.h_pow_dim - rhs))),
+        residual_inf=float(np.max(np.abs(gradient(x)))) / asm.h_pow_dim,
         iterations=iters,
         converged=converged,
-        energy_E=E,
+        energy_E=passes(x)[0],
         integral_F=F_value(asm, u),
         extras={**extras, "line_search_failure": info["line_search_failure"]},
     )
@@ -445,7 +448,7 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     x, iters, conv, info = _relaxed_newton(asm, value, gradient, np.zeros(n), stop,
                                            max_iter)
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
-    return _report(asm, passes, x, iters, conv, info, value(x), fv, problem="dirichlet",
+    return _report(asm, passes, x, iters, conv, info, value(x), gradient, problem="dirichlet",
                    weak_form_residual=float(np.max(np.abs(gradient(x)[nodes]))))
 
 
@@ -610,7 +613,8 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
 
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N, for a reaction
-    f(u) or, in solve_dirichlet, data f(x) with G(v) = f(x) v: converged when
+    f(u), for data f(x) with G(v) = f(x) v (solve_dirichlet), or for
+    f(u) = lambda(u) psi'(u) with G = 0 (solve_eigen): converged when
     max|Lu - f(u)| <= tol * (1 + max|f(u)|); (x, eps) -> f'(x) h^N, the
     curvature the reaction takes off the Hessian of E, or None when the
     reaction has no df; and the passes (_Passes) that value and gradient
@@ -660,7 +664,7 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
     if obj_abs <= obj + 1e-15 * (1.0 + abs(obj)):
         x, obj = x_abs, obj_abs
     trivial = float(np.max(np.abs(x))) <= 1e-9 and abs(obj) <= 1e-12
-    return _report(asm, passes, x, iters, conv, info, obj, reaction.f(x),
+    return _report(asm, passes, x, iters, conv, info, obj, gradient,
                    problem="sublinear", trivial_solution=trivial, negative_level=obj < 0.0,
                    condition_report=report_cond)
 
@@ -715,7 +719,9 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     For homogeneous psi (p = q) E is p-homogeneous, so a ray's slope costs one
     gradient pass however many scales the peak search tries, and that pass
     also gives E and its gradient at the peak: gradient_E(t y) =
-    t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p.  For any
+    t^(p-1) gradient_E(y) and E(t y) = t^p gradient_E(y) . y / p; the
+    endpoint's ray reads that gradient off the joint pass of the endpoint's
+    level, so every point costs one pass.  For any
     other psi each slope the search takes at a scale t is one joint pass of
     E and its gradient at t y, and the solve keeps the ray's passes, so the
     peak reads the pass the search took there.  There is no
@@ -743,12 +749,14 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
 
     def scale(y):  # the peak scale t of the ray through y, or None
         if not homogeneous:
-            return _ray_peak(lambda t: float(np.sum(gradient(t * y) * y)))
+            return _ray_peak(lambda t: dot(gradient(t * y), y))
         # E is p-homogeneous, so gradient_E(t y) = t^(p-1) gradient_E(y)
-        # and only the reaction term depends on t
-        gE = gradient_E(asm, GridFunction(g, y)).values
-        gy = float(np.sum(gE * y))
-        t = _ray_peak(lambda t: t ** (p - 1.0) * gy - float(np.sum(reaction.f(t * y) * y)) * hN)
+        # and only the reaction term depends on t.  A joint pass at y (the
+        # endpoint's level) has gradient_E's bits
+        hit = passes.memory.get(y.tobytes())
+        gE = gradient_E(asm, GridFunction(g, y)).values if hit is None else hit[1]
+        gy = dot(gE, y)
+        t = _ray_peak(lambda t: t ** (p - 1.0) * gy - dot(reaction.f(t * y), y) * hN)
         if t is not None:
             # the peak's pass: E(t y) = t^p E(y) = t^p gradient_E(y) . y / p (Euler)
             passes.memory[(t * y).tobytes()] = t ** p * gy / p, t ** (p - 1.0) * gE
@@ -798,7 +806,7 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
     eta = info["objective_history"][-1]
     if homogeneous:
         passes.memory.clear()
-    return _report(asm, passes, x, iters, conv, info, eta, reaction.f(x),
+    return _report(asm, passes, x, iters, conv, info, eta, gradient,
                    problem="superlinear", eta=eta, eta_initial=eta_initial,
                    no_mountain_geometry=False, **admissibility)
 
@@ -813,85 +821,63 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     """Minimize the Rayleigh quotient E(v)/F(v) on the unit-modular set
     F(v) = 1 by relaxed Newton steps (_relaxed_newton).
 
-    Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
-    (closed form when p = q, else bisection on the scale factor).  The
-    step gradient is r = gradient_E - lambda * gradient_F with the Lagrange
-    multiplier lambda = gradient_E . v / gradient_F . v: the projection of
+    The objective is the reaction objective (_reaction_objective) of
+    f(v) = lambda(v) psi'(v) with G = 0, where the Lagrange multiplier
+    lambda(v) = gradient_E(v) . v / (psi'(v) . v h^N) is read off the pass
+    at v.  Its gradient gradient_E - lambda psi' h^N is the projection of
     gradient_E onto the tangent directions along v, which is the exact
     gradient of E after renormalization, and the gradient of the Lagrangian
-    E - lambda (F - 1).  Converged means
-    max|r| / h^N <= tol * (1 + |lambda| max|psi'(v)|).  The steps are
-    Newton steps on the Lagrangian restricted to the tangent space of
-    F = 1, by projected PCG (Gould, Hribar and Nocedal, SIAM J. Sci.
-    Comput. 23, 2001): the curvature lambda psi''(max(|v|, eps)) h^N is
+    E - lambda (F - 1).  G = 0 is exact: every point the loop sees has
+    F = 1, where the Lagrangian equals E.  So converged means
+    max|Lv - lambda psi'(v)| <= tol * (1 + max|lambda psi'(v)|).
+    Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
+    (closed form when p = q, else bisection on the scale factor).  The
+    steps are Newton steps on the Lagrangian restricted to the tangent
+    space of F = 1, by projected PCG (Gould, Hribar and Nocedal, SIAM J.
+    Sci. Comput. 23, 2001): the curvature lambda psi''(max(|v|, eps)) h^N is
     taken off the relaxed Hessian of E, and the CG iterates keep
-    gradient_F . d = 0.  Where psi has no deriv2 the steps take no
-    curvature and converge at first order, as the nonlinear inverse
-    iteration they replace (Hein and Buhler, NIPS 2010) does.
-    ``iterations`` counts Newton steps.  ``lambda_weak`` is
-    the multiplier and ``lambda1`` = E/F; the eigenfunction is reported
-    with nonnegative sign.  Each point costs one joint pass of E and its
-    gradient, which also yields lambda and the residual, and the report
-    reuses the loop's last pass."""
+    psi'(v) . d = 0.  Where psi has no deriv2 the steps take no curvature
+    and converge at first order, as the nonlinear inverse iteration they
+    replace (Hein and Buhler, NIPS 2010) does.
+    ``iterations`` counts Newton steps.  ``lambda_weak`` is the multiplier
+    and ``lambda1`` = E/F.  The eigenfunction is reported with nonnegative
+    sign, flipped after the report has read the loop's last pass: E, F, the
+    multiplier and the residual are even in v.  Each point costs one joint
+    pass of E and its gradient."""
     hN = asm.h_pow_dim
-    g = asm.grid
     young = asm.young
-    passes = _Passes(asm)
 
     def normalize(x):
-        u = GridFunction(g, x)
-        k = luxemburg_norm_of(asm, u, rel_tol=1e-14)
+        k = luxemburg_norm_of(asm, GridFunction(asm.grid, x), rel_tol=1e-14)
         if k == 0.0:
             raise ValidationError("eigen iteration collapsed to zero")
         return x / k
 
-    # the multiplier lambda(x), psi'(x) and the gradient r(x) of the
-    # Lagrangian, from the pass at x: at the point the loop has just
-    # accepted, that is the pass its line search took
-    def lagrangian(x):
-        dpsi, gE = young.deriv(x), passes(x)[1]
-        lam = float(np.sum(gE * x)) / (float(np.sum(dpsi * x)) * hN)
-        return lam, dpsi, gE - lam * hN * dpsi
+    # lambda(x) from the objective's pass at x (passes is bound below): at
+    # the point the loop has just accepted, the pass its line search took
+    def multiplier(x, dpsi):
+        return dot(passes(x)[1], x) / (dot(dpsi, x) * hN)
 
-    def stop(x, r):
-        lam, dpsi, _ = lagrangian(x)
-        scale = 1.0 + abs(lam) * float(np.max(np.abs(dpsi)))
-        return float(np.max(np.abs(r))) / hN <= tol * scale
+    def f(x):
+        dpsi = young.deriv(x)
+        return multiplier(x, dpsi) * dpsi
 
     def curvature(x, eps):  # lambda F''(x), relaxed at eps as H is
-        return lagrangian(x)[0] * young.deriv2(np.maximum(np.abs(x), eps)) * hN
+        return multiplier(x, young.deriv(x)) * young.deriv2(np.maximum(np.abs(x), eps)) * hN
 
+    value, gradient, stop, _, passes = _reaction_objective(
+        asm, ReactionSpec(f=f, G=lambda x: 0.0), tol)
     x0 = normalize((start or _bump_start(asm)).values)
-    x, iters, converged, info = _relaxed_newton(
-        asm, lambda x: passes(x)[0], lambda x: lagrangian(x)[2], x0, stop, max_iter,
-        retract=normalize, curvature=curvature if young.deriv2 else None,
-        tangent=lambda x, H: lagrangian(x)[1] * hN)
-    # the pass at x is the loop's last unless a failed line search left it
-    # at a rejected trial point
-    lam, _, r = lagrangian(x)
-    resid = float(np.max(np.abs(r))) / hN
-    # E is even, so the loop's pass at x also holds at -x
-    Ex = passes(x)[0]
-    if float(np.sum(x)) < 0.0:
-        x = -x
-    u = GridFunction(g, x)
-    F = F_value(asm, u)
-    return SolveReport(
-        solution=u,
-        objective=Ex / F,
-        residual_inf=resid,
-        iterations=iters,
-        converged=converged,
-        energy_E=Ex,
-        integral_F=F,
-        extras={
-            "problem": "eigen",
-            "lambda1": Ex / F,
-            "lambda_weak": lam,
-            "min_value": float(np.min(x)),
-            "line_search_failure": info["line_search_failure"],
-        },
-    )
+    x, iters, conv, info = _relaxed_newton(
+        asm, value, gradient, x0, stop, max_iter, retract=normalize,
+        curvature=curvature if young.deriv2 else None,
+        tangent=lambda x, H: young.deriv(x) * hN)
+    rep = _report(asm, passes, x, iters, conv, info, None, gradient, problem="eigen",
+                  lambda_weak=multiplier(x, young.deriv(x)))
+    lam1 = rep.energy_E / rep.integral_F
+    u = rep.solution if float(np.sum(x)) >= 0.0 else GridFunction(asm.grid, -x)
+    return replace(rep, solution=u, objective=lam1,
+                   extras={**rep.extras, "lambda1": lam1, "min_value": float(np.min(u.values))})
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +916,7 @@ def pohozaev_check(asm: EnergyAssembly, reaction: ReactionSpec,
         return PohozaevReport(False, "trivial solution", delta=delta)
     hN = asm.h_pow_dim
     p = asm.young.p
-    lhs = float(np.sum(u.values * reaction.f(u.values))) * hN
+    lhs = dot(u.values, reaction.f(u.values)) * hN
     rhs = N * p / (N - delta) * float(np.sum(reaction.G(u.values))) * hN
     return PohozaevReport(
         applicable=True,

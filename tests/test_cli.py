@@ -271,10 +271,25 @@ class TestRun:
         ({"problem": {"type": "sweep", "parameter": "kernel_alpha", "values": [0.5],
                       "inner": {"type": "sublinear", "reaction_m": "x"}}},
          "problem.inner.reaction_m = 'x'"),
+        ({"problem": {"type": "dirichlet", "data": {"kind": "bump", "hieght": 5.0}}},
+         "unknown keys in problem.data (bump): ['hieght']"),
+        ({"problem": {"type": "dirichlet", "data": {"kind": "random", "height": 5.0}}},
+         "unknown keys in problem.data (random): ['height']"),
+        ({"problem": {"type": "sweep", "parameter": "kernel_alpha", "values": [0.5],
+                      "inner": {"type": "dirichlet", "data": {"kind": "constant", "val": 2.0}}}},
+         "unknown keys in problem.inner.data (constant): ['val']"),
+        ({"problem": {"type": "dirichlet", "data": {"kind": "sine"}}}, "unknown data kind 'sine'"),
+        ({"problem": {"type": "dirichlet", "data": {"kind": ["bump"]}}},
+         "unknown data kind ['bump']"),
+        ({"solver": {"allow_nonconverged": "no"}}, "solver.allow_nonconverged = 'no'"),
+        ({"solver": {"allow_nonconverged": 1}}, "solver.allow_nonconverged = 1"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
             "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
             "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown", "radius-str",
-            "data-str", "values-item-str", "values-int", "inner-reaction_m-str"])
+            "data-str", "values-item-str", "values-int", "inner-reaction_m-str",
+            "data-key-unknown", "data-key-of-other-kind", "inner-data-key-unknown",
+            "data-kind-unknown", "data-kind-list", "allow_nonconverged-str",
+            "allow_nonconverged-int"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, overrides, message):
         # a section that is not a JSON object, a value that does not
         # convert to its parameter's type, or a key that no run reads, is a
@@ -330,6 +345,21 @@ class TestRun:
             solver={"max_iter": 1, "tol": 1e-14, "allow_nonconverged": True},
         )
         assert main(["run", str(path2)]) == 0
+
+    def test_nonconvergence_downgrade_needs_a_boolean(self, tmp_path, capsys):
+        # a truthy string does not downgrade the non-converged run of
+        # test_nonconvergence_exit_3_and_downgrade: it is a config error,
+        # and false keeps exit 3
+        young = {"family": "power", "p": 1.5}
+        problem = {"type": "dirichlet", "data": {"kind": "random"}}
+        path, _ = write_config(tmp_path, young=young, problem=problem,
+                               solver={"max_iter": 1, "tol": 1e-14, "allow_nonconverged": "no"})
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "allow_nonconverged" in capsys.readouterr().err
+        path2, _ = write_config(tmp_path, name="c2.json", young=young, problem=problem,
+                                solver={"max_iter": 1, "tol": 1e-14, "allow_nonconverged": False})
+        assert main(["run", str(path2)]) == 3
 
     def test_failed_line_search_exit_3_and_downgrade(self, tmp_path):
         # p = 1.05 Dirichlet on the bump stops at step 0: no step of the
