@@ -66,11 +66,11 @@ _GRID_KEYS = {"shape", "n_per_axis", "bounds"}
 # c (default 1), and a grid's shape and size (bounds have defaults)
 _REQUIRED_KEYS = {**_KERNEL_KEYS, **_YOUNG_KEYS, "log_perturbed": {"p", "r"},
                   "grid": {"shape", "n_per_axis"}}
-_PROBLEM_KEYS = {"type", "data", "reaction_m", "trials", "parameter", "values",
-                 "inner"}
+# the keys each problem type reads, besides "type"
+_PROBLEM_KEYS = {"dirichlet": {"data"}, "sublinear": {"reaction_m"},
+                 "superlinear": {"reaction_m"}, "eigen": set(), "battery": {"trials"},
+                 "sweep": {"parameter", "values", "inner"}}
 _SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
-_PROBLEM_TYPES = {"dirichlet", "sublinear", "superlinear", "eigen", "battery",
-                  "sweep"}
 # the scalars of each section, with the type each must convert to
 _SOLVER_SCALARS = {"tol": float, "max_iter": int, "pair_budget": int}
 _PROBLEM_SCALARS = {"reaction_m": float, "trials": int}
@@ -119,11 +119,11 @@ def load_config(path: str) -> dict:
             required = required - {"alpha"}  # each sweep point sets it
         _check_keys(cfg[key], {"family"} | families[family], f"{key} ({family})", required)
     _check_keys(cfg["grid"], _GRID_KEYS, "grid", _REQUIRED_KEYS["grid"])
-    _check_keys(cfg["problem"], _PROBLEM_KEYS, "problem")
-    _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
     ptype = cfg["problem"].get("type")
-    if ptype not in _PROBLEM_TYPES:
+    if ptype not in _PROBLEM_KEYS:
         raise ValidationError(f"unknown problem type {ptype!r}")
+    _check_keys(cfg["problem"], {"type"} | _PROBLEM_KEYS[ptype], "problem")
+    _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
     if ptype in ("sublinear", "superlinear") and "reaction_m" not in cfg["problem"]:
         raise ValidationError(f"{ptype} needs a 'reaction_m' exponent")
     if ptype == "sweep":
@@ -131,9 +131,11 @@ def load_config(path: str) -> dict:
         if not values or not isinstance(values, list):
             raise ValidationError("sweep needs a non-empty 'values' list")
         inner = cfg["problem"].get("inner")
-        _check_keys(inner, _PROBLEM_KEYS, "problem.inner")
-        if inner.get("type") not in (_PROBLEM_TYPES - {"sweep", "battery"}):
+        if not isinstance(inner, dict):
+            raise ValidationError("problem.inner must be a JSON object")
+        if inner.get("type") not in (set(_PROBLEM_KEYS) - {"sweep", "battery"}):
             raise ValidationError("sweep needs an 'inner' problem section")
+        _check_keys(inner, {"type"} | _PROBLEM_KEYS[inner["type"]], "problem.inner")
         parameter = cfg["problem"].get("parameter", "reaction_m")
         if parameter == "reaction_m":
             if inner["type"] not in ("sublinear", "superlinear"):

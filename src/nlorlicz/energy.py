@@ -432,16 +432,8 @@ def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     only repeats.  Rows k:e are then complete and each diagonal entry is the
     sum of its whole row, as a full-square build sums it, plus the exterior
     term, so H has the same bits.  Built into a single n x n buffer, so the
-    temporaries stay at block x n.
-
-    For quadratic psi c is 2 everywhere, so H is read off W: -2W with the
-    diagonal 2 (rowsum + Lambda h^N).  Doubling is exact, so these are the
-    bits of the curvature build."""
+    temporaries stay at block x n."""
     young = asm.young
-    if young.quadratic:
-        H = -2.0 * asm.weights
-        np.fill_diagonal(H, 2.0 * (asm.rowsum + asm.exterior * asm.h_pow_dim))
-        return H
     if young.even_terms is None:
         def relaxed(t):
             return young.curvature(np.maximum(t, eps, out=t))

@@ -7,6 +7,14 @@ worst normalized margin seen, a config digest, and a note when a property is
 skipped because its structural precondition fails for the given kernel or
 nonlinearity.  Equal seeds give bit-identical tables.
 
+A property is one function that returns margins, plus one entry of the
+table _BATTERY (name, runner, default tolerance).  A runner takes
+(asm, spec, rng) and returns (trials, margins) or (trials, margins, fields),
+where fields holds any note, report_only flag and extras; a skip is
+_skip(reason).  Margins carry no tolerance: run_battery names each row and
+scores it with _score, which counts the margins below minus the tolerance
+(sobolev_embedding_check, outside the battery, scores its row the same way).
+
 A property first draws its whole corpus, in the order the seeded draws have
 always run, and then evaluates it as stacks: rows of a (k, n) array that
 go through the pair pass together (energy._pair_pass), so a quadratic psi
@@ -47,46 +55,6 @@ from .young import (
 )
 
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
-
-#: every inequality of the calculus appears exactly once in this manifest
-BATTERY_MANIFEST = (
-    "equiv_Ee",
-    "young_inequality",
-    "luxemburg_sandwich",
-    "poincare",
-    "kato_pointwise",
-    "kato_integral",
-    "kato_simple",
-    "stroock_varopoulos",
-    "sv_power",
-    "clarkson1",
-    "clarkson3",
-    "symmetrization",
-    "gradient_bound",
-    "interpolation",
-    "sobolev_r_star",
-    "pohozaev",
-)
-
-DEFAULT_TOLERANCES = {
-    "equiv_Ee": 1e-9,
-    "young_inequality": 1e-8,
-    "luxemburg_sandwich": 1e-8,
-    "poincare": 1e-9,
-    "kato_pointwise": 1e-9,
-    "kato_integral": 1e-9,
-    "kato_simple": 1e-9,
-    "stroock_varopoulos": 1e-9,
-    "sv_power": 1e-9,
-    "clarkson1": 1e-9,
-    "clarkson3": 1e-9,
-    "symmetrization": 1e-8,
-    "gradient_bound": 0.0,
-    "interpolation": 0.0,
-    "sobolev_r_star": 0.0,
-    "pohozaev": 1e-9,
-}
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -169,40 +137,33 @@ def _modular(asm, X):
     return np.sum(asm.young.value(X), axis=-1) * asm.h_pow_dim
 
 
-def _result(name, trials, margins, digest, tol, note="", report_only=False, extras=None):
+def _skip(reason):
+    """The row of a property whose structural precondition fails."""
+    return 0, [], {"note": f"skipped: {reason}"}
+
+
+def _score(name, digest, tol, trials, margins, fields=None):
+    """The PropertyResult of a runner's row: a failure is a margin below
+    -tol, and the worst margin is the smallest (0 when there is none)."""
     margins = np.asarray(margins, dtype=float)
-    failures = int(np.sum(margins < -tol)) if margins.size else 0
-    worst = float(margins.min()) if margins.size else 0.0
-    return PropertyResult(
-        name=name,
-        trials=int(trials),
-        failures=failures,
-        worst_margin=worst,
-        config_digest=digest,
-        tolerance=tol,
-        note=note,
-        report_only=report_only,
-        extras=extras or {},
-    )
-
-
-def _skip(name, digest, tol, reason):
-    return _result(name, 0, [], digest, tol, note=f"skipped: {reason}")
+    return PropertyResult(name, int(trials), int(np.sum(margins < -tol)),
+                          float(margins.min()) if margins.size else 0.0, digest, tol,
+                          **(fields or {}))
 
 
 # --- individual properties -------------------------------------------------
 
 
-def _prop_equiv_ee(asm, spec, rng, digest, tol):
+def _prop_equiv_ee(asm, spec, rng):
     U = _stack(asm, spec, rng, ["random"] * spec.trials)
     E = _pair_pass(asm, U, grad=False)
     I = _dots(_pair_pass(asm, U, grad=True), U)
     scale = np.maximum(1.0, np.abs(I))
     margins = [(I - asm.young.q * E) / scale, (asm.young.p * E - I) / scale]
-    return _result("equiv_Ee", spec.trials, np.concatenate(margins), digest, tol)
+    return spec.trials, np.concatenate(margins)
 
 
-def _prop_young_inequality(asm, spec, rng, digest, tol):
+def _prop_young_inequality(asm, spec, rng):
     conj = complementary(asm.young)
     a = rng.uniform(-10.0, 10.0, spec.pair_samples)
     b = rng.uniform(-10.0, 10.0, spec.pair_samples)
@@ -214,12 +175,11 @@ def _prop_young_inequality(asm, spec, rng, digest, tol):
     aw = rng.uniform(-3.0, 3.0, 100)
     bw = asm.young.deriv(aw)
     gaps = np.abs(asm.young.value(aw) + conj.phi_raw(bw) - aw * bw)
-    return _result("young_inequality", spec.pair_samples + aw.size,
-                   np.concatenate([margins, 0.0 - gaps]), digest, tol,
-                   extras={"equality_gap": float(np.max(gaps))})
+    return (spec.pair_samples + aw.size, np.concatenate([margins, 0.0 - gaps]),
+            {"extras": {"equality_gap": float(np.max(gaps))}})
 
 
-def _prop_luxemburg_sandwich(asm, spec, rng, digest, tol):
+def _prop_luxemburg_sandwich(asm, spec, rng):
     margins = []
     for _ in range(spec.trials):
         u = _corpus(asm, spec, "random", rng)
@@ -230,10 +190,10 @@ def _prop_luxemburg_sandwich(asm, spec, rng, digest, tol):
         gm, gp = gamma_bounds(asm.young, norm)
         scale = max(1.0, F)
         margins += [(F - gm) / scale, (gp - F) / scale]
-    return _result("luxemburg_sandwich", spec.trials, margins, digest, tol)
+    return spec.trials, margins
 
 
-def _prop_poincare(asm, spec, rng, digest, tol):
+def _prop_poincare(asm, spec, rng):
     A = poincare_constant(asm.kernel, asm.grid)
     # the constant 1 closes the stack: its pair differences vanish, so its
     # E = sum Lambda psi(1) h^N and E / (A F) = mean(Lambda) / A, which is
@@ -244,11 +204,10 @@ def _prop_poincare(asm, spec, rng, digest, tol):
                         np.ones((1, asm.grid.n_nodes))])
     E = _pair_pass(asm, U, grad=False)
     margins = (E - A * _modular(asm, U)) / np.maximum(1.0, E)
-    return _result("poincare", spec.trials + 1, margins, digest, tol,
-                   extras={"constant": A})
+    return spec.trials + 1, margins, {"extras": {"constant": A}}
 
 
-def _prop_kato_pointwise(asm, spec, rng, digest, tol):
+def _prop_kato_pointwise(asm, spec, rng):
     # the per-node bound with the upper characteristic constant is provable
     # only when the derivative is homogeneous: for a negative difference the
     # multiplicative bound would need the lower characteristic instead, and
@@ -266,20 +225,19 @@ def _prop_kato_pointwise(asm, spec, rng, digest, tol):
     lhs, rhs = L[:len(U)], gamma_plus_deriv(asm.young, 2.0 * U) * L[len(U):]
     scale = np.maximum(1.0, np.max(np.abs(rhs), axis=-1))
     margins = np.min(rhs - lhs, axis=-1) / scale
-    return _result("kato_pointwise", spec.trials, margins, digest, tol,
-                   note=note, report_only=report_only)
+    return spec.trials, margins, {"note": note, "report_only": report_only}
 
 
-def _prop_kato_integral(asm, spec, rng, digest, tol):
+def _prop_kato_integral(asm, spec, rng):
     U = _stack(asm, spec, rng, ["nonnegative"] * spec.trials)
     Gv = gamma_plus_deriv(asm.young, 2.0 * U) * U ** 2
     lhs = _dots(_pair_pass(asm, U, grad=True), Gv)
     rhs = asm.young.q * _pair_pass(asm, U ** 2, grad=False)
     margins = (lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-    return _result("kato_integral", spec.trials, margins, digest, tol)
+    return spec.trials, margins
 
 
-def _prop_kato_simple(asm, spec, rng, digest, tol):
+def _prop_kato_simple(asm, spec, rng):
     U = _stack(asm, spec, rng, ["sign_mixed"] * spec.trials)
     Up, k = np.maximum(U, 0.0), len(U)
     G = _pair_pass(asm, np.concatenate([U, Up]), grad=True)
@@ -287,7 +245,7 @@ def _prop_kato_simple(asm, spec, rng, digest, tol):
     I = _dots(G[:k], Up)  # interaction(u, u+)
     scale = np.maximum(np.maximum(1.0, np.abs(I)), E[:k])
     margins = [(I - _dots(G[k:], Up)) / scale, (E[:k] - E[k:]) / scale]
-    return _result("kato_simple", spec.trials, np.concatenate(margins), digest, tol)
+    return spec.trials, np.concatenate(margins)
 
 
 def _sv_antiderivative(asm, t: np.ndarray) -> np.ndarray:
@@ -298,7 +256,7 @@ def _sv_antiderivative(asm, t: np.ndarray) -> np.ndarray:
     return t * 0.5 * (vals @ _GL64_W)
 
 
-def _prop_stroock_varopoulos(asm, spec, rng, digest, tol):
+def _prop_stroock_varopoulos(asm, spec, rng):
     delta = sv_delta(asm.young)
     coef = delta * asm.young.q / asm.young.p
     U = _stack(asm, spec, rng, ["nonnegative"] * spec.trials)
@@ -306,13 +264,12 @@ def _prop_stroock_varopoulos(asm, spec, rng, digest, tol):
     lhs = _dots(_pair_pass(asm, U, grad=True), G)
     rhs = coef * _pair_pass(asm, U ** 2, grad=False)
     margins = (lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-    return _result("stroock_varopoulos", spec.trials, margins, digest, tol,
-                   extras={"delta": delta})
+    return spec.trials, margins, {"extras": {"delta": delta}}
 
 
-def _prop_sv_power(asm, spec, rng, digest, tol):
+def _prop_sv_power(asm, spec, rng):
     if not asm.young.homogeneous:
-        return _skip("sv_power", digest, tol, "needs a pure-power nonlinearity")
+        return _skip("needs a pure-power nonlinearity")
     p = asm.young.p
     margins = []
     for r in (1.0, 2.0):
@@ -322,27 +279,25 @@ def _prop_sv_power(asm, spec, rng, digest, tol):
         lhs = _dots(_pair_pass(asm, U, grad=True), np.abs(U) ** (r - 1.0) * U)
         rhs = coef * _pair_pass(asm, np.abs(U) ** beta, grad=False)
         margins.append((lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
-    return _result("sv_power", spec.trials, np.concatenate(margins), digest, tol)
+    return spec.trials, np.concatenate(margins)
 
 
-def _prop_clarkson1(asm, spec, rng, digest, tol):
+def _prop_clarkson1(asm, spec, rng):
     conds = clarkson_conditions(asm.young)
     if not conds.get("sqrt_convex"):
-        return _skip("clarkson1", digest, tol,
-                     "sampled sqrt-convexity condition fails")
+        return _skip("sampled sqrt-convexity condition fails")
     a = rng.uniform(-5.0, 5.0, spec.pair_samples)
     b = rng.uniform(-5.0, 5.0, spec.pair_samples)
     left = (asm.young.deriv(a) - asm.young.deriv(b)) * (a - b)
     right = 4.0 * asm.young.value((a - b) / 2.0)
     margins = (left - right) / np.maximum(1.0, np.abs(left))
-    return _result("clarkson1", spec.pair_samples, margins, digest, tol)
+    return spec.pair_samples, margins
 
 
-def _prop_clarkson3(asm, spec, rng, digest, tol):
+def _prop_clarkson3(asm, spec, rng):
     conds = clarkson_conditions(asm.young)
     if not conds.get("power_pinch"):
-        return _skip("clarkson3", digest, tol,
-                     "needs the singular power pinch with 1 < p < 2")
+        return _skip("needs the singular power pinch with 1 < p < 2")
     c = calibrate_singular_constant(asm.young)
     a = rng.uniform(-5.0, 5.0, spec.pair_samples)
     b = rng.uniform(-5.0, 5.0, spec.pair_samples)
@@ -354,11 +309,10 @@ def _prop_clarkson3(asm, spec, rng, digest, tol):
         asm.young.value(a) + asm.young.value(b)
     ) ** ((2.0 - p) / p)
     margins = (left - right) / np.maximum(1.0, np.abs(left))
-    return _result("clarkson3", int(keep.sum()), margins, digest, tol,
-                   extras={"constant": c})
+    return keep.sum(), margins, {"extras": {"constant": c}}
 
 
-def _prop_symmetrization(asm, spec, rng, digest, tol):
+def _prop_symmetrization(asm, spec, rng):
     report_only = asm.grid.dim != 1
     note = "" if asm.grid.dim == 1 else "2D rearrangement is approximate; reported only"
     if not asm.kernel.monotone:
@@ -372,9 +326,9 @@ def _prop_symmetrization(asm, spec, rng, digest, tol):
     Us = [decreasing_rearrangement(GridFunction(asm.grid, u)).values for u in U]
     E = _pair_pass(asm, np.concatenate([U, Us]), grad=False)
     margins = (E[:len(U)] - E[len(U):]) / np.maximum(1.0, E[:len(U)])
-    return _result("symmetrization", spec.trials, margins[:spec.trials], digest, tol,
-                   note=note, report_only=report_only,
-                   extras={"bump_probe_worst": float(margins[spec.trials:].min())})
+    return spec.trials, margins[:spec.trials], {
+        "note": note, "report_only": report_only,
+        "extras": {"bump_probe_worst": float(margins[spec.trials:].min())}}
 
 
 def _training_bumps(asm):
@@ -406,26 +360,22 @@ def _bump_stack(asm, rng):
     return _pair_pass(asm, X, grad=False), _modular(asm, X), Fg
 
 
-def _prop_gradient_bound(asm, spec, rng, digest, tol):
+def _prop_gradient_bound(asm, spec, rng):
     if asm.young.q <= asm.kernel.q_star:
-        return _skip("gradient_bound", digest, tol,
-                     "needs lower growth above the singularity order")
+        return _skip("needs lower growth above the singularity order")
     E, F, Fg = _bump_stack(asm, rng)
     bound = F + Fg
     C = float(np.max(E[:-6] / bound[:-6]))
     margins = (1.05 * C * bound[-6:] - E[-6:]) / np.maximum(1.0, E[-6:])
-    return _result("gradient_bound", 6, margins, digest, tol,
-                   extras={"constant": C})
+    return 6, margins, {"extras": {"constant": C}}
 
 
-def _prop_interpolation(asm, spec, rng, digest, tol):
+def _prop_interpolation(asm, spec, rng):
     alpha = asm.kernel.alpha_order
     if alpha is None or asm.kernel.family != "fractional":
-        return _skip("interpolation", digest, tol,
-                     "needs a fractional kernel")
+        return _skip("needs a fractional kernel")
     if asm.young.q <= alpha:
-        return _skip("interpolation", digest, tol,
-                     "needs lower growth above the kernel order")
+        return _skip("needs lower growth above the kernel order")
     p, q = asm.young.p, asm.young.q
     E, F, Fg = _bump_stack(asm, rng)
     # Python floats: their pow is libm's, which numpy's array power may not be
@@ -433,8 +383,7 @@ def _prop_interpolation(asm, spec, rng, digest, tol):
                       for f, fg in zip(F.tolist(), Fg.tolist())])
     C = float(np.max(E[:-6] / shape[:-6]))
     margins = (1.05 * C * shape[-6:] - E[-6:]) / np.maximum(1.0, E[-6:])
-    return _result("interpolation", 6, margins, digest, tol,
-                   extras={"constant": C})
+    return 6, margins, {"extras": {"constant": C}}
 
 
 def _psi_r_norms(asm, X, r):
@@ -442,6 +391,34 @@ def _psi_r_norms(asm, X, r):
     libm's pow on each float."""
     sums = np.sum(asm.young.value(X) ** r, axis=-1) * asm.h_pow_dim
     return np.array([s ** (1.0 / r) for s in sums.tolist()])
+
+
+def _sobolev(asm, spec, r, r_star):
+    """The embedding check at exponent r, for the critical exponent r_star,
+    as a runner's row.  At most r_star the margins are those of the held-out
+    functions against 1.05 times the calibrated constant, and the probe
+    ratios are reported; above it the one margin is the growth of the probe
+    ratio over three dyadic rescalings."""
+    rng = np.random.default_rng([spec.seed, 777])
+    # dyadic shrinking bumps around the domain center
+    base_radius = 0.8 * asm.grid.inradius
+    X = np.array([bump(asm.grid, asm.grid.center, base_radius * s, 1.0).values
+                  for s in (1.0, 0.5, 0.25)])
+    if r <= r_star:
+        # the probes, then the training and the test functions
+        X = np.concatenate([X, _training_bumps(asm), _stack(asm, spec, rng, ["random"] * 10),
+                            _validation_bumps(asm, rng, 6),
+                            _stack(asm, spec, rng, ["random"] * 4)])
+    norms = _psi_r_norms(asm, X, r)
+    E = _pair_pass(asm, X, grad=False)
+    ratios = (norms[:3] / E[:3]).tolist()
+    if r > r_star:
+        return 3, [(ratios[2] - ratios[0]) / ratios[0]], {
+            "note": f"sharpness probe above r*={r_star:.4g}", "extras": {"ratios": ratios, "r": r}}
+    C = float(np.max(norms[3:-10] / E[3:-10]))
+    lhs = norms[-10:]
+    margins = (1.05 * C * E[-10:] - lhs) / np.maximum(1.0, lhs)
+    return 10, margins, {"extras": {"constant": C, "probe_ratios": ratios, "r": r}}
 
 
 def sobolev_embedding_check(asm: EnergyAssembly, r: float, spec: CorpusSpec,
@@ -455,116 +432,94 @@ def sobolev_embedding_check(asm: EnergyAssembly, r: float, spec: CorpusSpec,
     above it the probe ratio must grow monotonically over three dyadic
     rescalings.
     """
-    digest = digest or config_digest(asm, spec.seed)
-    alpha = asm.kernel.alpha_order
-    N = asm.grid.dim
-    if alpha is None:
-        return _skip("sobolev_r_star", digest, tol, "condition (alpha) fails")
-    if alpha >= N:
-        return _skip("sobolev_r_star", digest, tol, "needs alpha < N")
-    r_star = N / (N - alpha)
-    rng = np.random.default_rng([spec.seed, 777])
-
-    # dyadic shrinking bumps around the domain center
-    base_radius = 0.8 * asm.grid.inradius
-    X = np.array([bump(asm.grid, asm.grid.center, base_radius * s, 1.0).values
-                  for s in (1.0, 0.5, 0.25)])
-    if r <= r_star:
-        # the probes, then the training and the test functions
-        X = np.concatenate([X, _training_bumps(asm), _stack(asm, spec, rng, ["random"] * 10),
-                            _validation_bumps(asm, rng, 6),
-                            _stack(asm, spec, rng, ["random"] * 4)])
-    norms = _psi_r_norms(asm, X, r)
-    E = _pair_pass(asm, X, grad=False)
-    ratios = (norms[:3] / E[:3]).tolist()
-
-    if r > r_star:
-        ok = ratios[0] < ratios[1] < ratios[2]
-        return PropertyResult(
-            name="sobolev_r_star", trials=3, failures=0 if ok else 1,
-            worst_margin=(ratios[2] - ratios[0]) / ratios[0],
-            config_digest=digest, tolerance=tol,
-            note=f"sharpness probe above r*={r_star:.4g}",
-            extras={"ratios": ratios, "r": r},
-        )
-
-    C = float(np.max(norms[3:-10] / E[3:-10]))
-    lhs = norms[-10:]
-    margins = (1.05 * C * E[-10:] - lhs) / np.maximum(1.0, lhs)
-    return _result("sobolev_r_star", 10, margins, digest, tol,
-                   extras={"constant": C, "probe_ratios": ratios, "r": r})
-
-
-def _prop_sobolev_r_star(asm, spec, rng, digest, tol):
     alpha, N = asm.kernel.alpha_order, asm.grid.dim
     if alpha is None or alpha >= N:
-        return _skip("sobolev_r_star", digest, tol, "condition (alpha) fails")
-    return sobolev_embedding_check(asm, N / (N - alpha), spec, digest, tol)
+        row = _skip("condition (alpha) fails" if alpha is None else "needs alpha < N")
+    else:
+        row = _sobolev(asm, spec, r, N / (N - alpha))
+    result = _score("sobolev_r_star", digest or config_digest(asm, spec.seed), tol, *row)
+    if "ratios" in result.extras:  # above r*: fails unless the ratios grow
+        ratios = result.extras["ratios"]
+        result.failures = int(not ratios[0] < ratios[1] < ratios[2])
+    return result
 
 
-def _prop_pohozaev(asm, spec, rng, digest, tol):
+def _prop_sobolev_r_star(asm, spec, rng):
+    alpha, N = asm.kernel.alpha_order, asm.grid.dim
+    if alpha is None or alpha >= N:
+        return _skip("condition (alpha) fails")
+    return _sobolev(asm, spec, N / (N - alpha), N / (N - alpha))
+
+
+def _prop_pohozaev(asm, spec, rng):
     if not asm.young.homogeneous:
-        return _skip("pohozaev", digest, tol, "needs a pure-power nonlinearity")
+        return _skip("needs a pure-power nonlinearity")
     m = asm.young.p - 0.3
     if m <= 1.0:
-        return _skip("pohozaev", digest, tol, "no admissible sublinear exponent")
+        return _skip("no admissible sublinear exponent")
     # for a power reaction the ratio sum u f(u) / ((N p / (N - delta)) sum G(u))
     # is m (N - delta) / (N p) for every u >= 0 with a positive entry, so a
     # seeded nonnegative function checks it as well as a computed solution
     check = pohozaev_check(asm, power_reaction(m), _corpus(asm, spec, "nonnegative", rng))
     if not check.applicable:
-        return _skip("pohozaev", digest, tol, check.note)
+        return _skip(check.note)
     N, p = asm.grid.dim, asm.young.p
     analytic = m * (N - check.delta) / (N * p)
-    margins = [tol - abs(check.ratio - analytic) / analytic,
-               (1.0 - check.ratio) + tol]
-    return _result("pohozaev", 1, margins, digest, tol,
-                   extras={"ratio": check.ratio, "analytic": analytic,
-                           "delta": check.delta})
+    # the relative deviation from the analytic ratio (0 - |dev|, so that a
+    # zero deviation is +0), and the ratio's distance below 1
+    margins = [0.0 - abs(check.ratio - analytic) / analytic, 1.0 - check.ratio]
+    return 1, margins, {"extras": {"ratio": check.ratio, "analytic": analytic,
+                                   "delta": check.delta}}
 
 
-_PROPERTY_RUNNERS = {
-    "equiv_Ee": _prop_equiv_ee,
-    "young_inequality": _prop_young_inequality,
-    "luxemburg_sandwich": _prop_luxemburg_sandwich,
-    "poincare": _prop_poincare,
-    "kato_pointwise": _prop_kato_pointwise,
-    "kato_integral": _prop_kato_integral,
-    "kato_simple": _prop_kato_simple,
-    "stroock_varopoulos": _prop_stroock_varopoulos,
-    "sv_power": _prop_sv_power,
-    "clarkson1": _prop_clarkson1,
-    "clarkson3": _prop_clarkson3,
-    "symmetrization": _prop_symmetrization,
-    "gradient_bound": _prop_gradient_bound,
-    "interpolation": _prop_interpolation,
-    "sobolev_r_star": _prop_sobolev_r_star,
-    "pohozaev": _prop_pohozaev,
-}
+#: every inequality of the calculus appears exactly once in this table, in
+#: manifest order: its name, its runner and its default tolerance
+_BATTERY = (
+    ("equiv_Ee", _prop_equiv_ee, 1e-9),
+    ("young_inequality", _prop_young_inequality, 1e-8),
+    ("luxemburg_sandwich", _prop_luxemburg_sandwich, 1e-8),
+    ("poincare", _prop_poincare, 1e-9),
+    ("kato_pointwise", _prop_kato_pointwise, 1e-9),
+    ("kato_integral", _prop_kato_integral, 1e-9),
+    ("kato_simple", _prop_kato_simple, 1e-9),
+    ("stroock_varopoulos", _prop_stroock_varopoulos, 1e-9),
+    ("sv_power", _prop_sv_power, 1e-9),
+    ("clarkson1", _prop_clarkson1, 1e-9),
+    ("clarkson3", _prop_clarkson3, 1e-9),
+    ("symmetrization", _prop_symmetrization, 1e-8),
+    ("gradient_bound", _prop_gradient_bound, 0.0),
+    ("interpolation", _prop_interpolation, 0.0),
+    ("sobolev_r_star", _prop_sobolev_r_star, 0.0),
+    ("pohozaev", _prop_pohozaev, 1e-9),
+)
+BATTERY_MANIFEST = tuple(name for name, _, _ in _BATTERY)
+DEFAULT_TOLERANCES = {name: tol for name, _, tol in _BATTERY}
+_PROPERTY_RUNNERS = {name: runner for name, runner, _ in _BATTERY}
 
 
 def run_battery(asm: EnergyAssembly, spec: Optional[CorpusSpec] = None,
                 tolerances: Optional[dict] = None) -> list[PropertyResult]:
-    """Run every named property against seeded corpora.
+    """Run every named property against seeded corpora and score its margins.
 
-    Individual property errors are captured in their result rows; the battery
-    itself never aborts.  Deterministic for a fixed seed.
+    The rng of each property is seeded by the spec's seed and the property's
+    manifest position.  Individual property errors are captured in their
+    result rows; the battery itself never aborts.  Deterministic for a fixed
+    seed.
     """
     spec = spec or CorpusSpec()
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(tolerances or {})
+    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     digest = config_digest(asm, spec.seed)
     results = []
     for idx, name in enumerate(BATTERY_MANIFEST):
-        tol = tols[name]
         rng = np.random.default_rng([spec.seed, idx])
         try:
-            results.append(_PROPERTY_RUNNERS[name](asm, spec, rng, digest, tol))
+            row = _PROPERTY_RUNNERS[name](asm, spec, rng)
+            results.append(_score(name, digest, tols[name], *row))
         except Exception as exc:  # never abort the battery
             results.append(
                 PropertyResult(
                     name=name, trials=0, failures=1, worst_margin=float("-inf"),
-                    config_digest=digest, tolerance=tol,
+                    config_digest=digest, tolerance=tols[name],
                     note=f"error: {type(exc).__name__}: {exc}",
                 )
             )

@@ -260,6 +260,17 @@ class TestRun:
         ({"problem": {"type": "sublinear", "reaction_m": "x"}}, "problem.reaction_m = 'x'"),
         ({"problem": {"type": "battery", "trials": "x"}}, "problem.trials = 'x'"),
         ({"problem": {"type": "eigen", "r": 3.0}}, "unknown keys in problem: ['r']"),
+        ({"problem": {"type": "eigen", "reaction_m": 3.0}},
+         "unknown keys in problem: ['reaction_m']"),
+        ({"problem": {"type": "superlinear", "reaction_m": 3.0, "trials": 5}},
+         "unknown keys in problem: ['trials']"),
+        ({"problem": {"type": "sublinear", "reaction_m": 1.5, "data": {"kind": "bump"}}},
+         "unknown keys in problem: ['data']"),
+        ({"problem": {"type": "dirichlet", "values": [1.0]}},
+         "unknown keys in problem: ['values']"),
+        ({"problem": {"type": "sweep", "parameter": "kernel_alpha", "values": [0.5],
+                      "inner": {"type": "eigen", "trials": 5}}},
+         "unknown keys in problem.inner: ['trials']"),
         ({"problem": {"type": "dirichlet", "data": {"kind": "bump", "radius": "x"}}},
          "problem.data.radius = 'x'"),
         ({"problem": {"type": "dirichlet", "data": "bump"}}, "problem.data must be a JSON object"),
@@ -285,7 +296,9 @@ class TestRun:
         ({"solver": {"allow_nonconverged": 1}}, "solver.allow_nonconverged = 1"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
             "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
-            "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown", "radius-str",
+            "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown",
+            "eigen-reaction_m", "superlinear-trials", "sublinear-data", "dirichlet-values",
+            "inner-eigen-trials", "radius-str",
             "data-str", "values-item-str", "values-int", "inner-reaction_m-str",
             "data-key-unknown", "data-key-of-other-kind", "inner-data-key-unknown",
             "data-kind-unknown", "data-kind-list", "allow_nonconverged-str",

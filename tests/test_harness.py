@@ -41,10 +41,10 @@ class TestBattery:
         assert set(BATTERY_MANIFEST) == expected
         assert len(BATTERY_MANIFEST) == len(expected)
         assert [r.name for r in battery_ref] == list(BATTERY_MANIFEST)
-        # every property runs through the one runner table
-        from nlorlicz.harness import _PROPERTY_RUNNERS
+        # every property runs through the one runner table, in manifest order
+        from nlorlicz.harness import _PROPERTY_RUNNERS, DEFAULT_TOLERANCES
 
-        assert set(_PROPERTY_RUNNERS) == set(BATTERY_MANIFEST)
+        assert list(_PROPERTY_RUNNERS) == list(DEFAULT_TOLERANCES) == list(BATTERY_MANIFEST)
 
     def test_deterministic_bit_identical(self, asm_ref, battery_ref):
         again = run_battery(asm_ref, CorpusSpec(seed=0, trials=60, pair_samples=4000))
@@ -67,13 +67,16 @@ class TestBattery:
                        make_young(young[0], **young[1]))
         spec = CorpusSpec(seed=5, trials=10, pair_samples=500)
         margins = []  # every margin, not only each property's worst
-        result = hz._result
 
-        def recorded(name, trials, m, *args, **kwargs):
-            margins.append(np.asarray(m, dtype=float).tobytes())
-            return result(name, trials, m, *args, **kwargs)
+        def recorded(runner):
+            def run(*args):
+                row = runner(*args)
+                margins.append(np.asarray(row[1], dtype=float).tobytes())
+                return row
+            return run
 
-        monkeypatch.setattr(hz, "_result", recorded)
+        for name, runner in list(hz._PROPERTY_RUNNERS.items()):
+            monkeypatch.setitem(hz._PROPERTY_RUNNERS, name, recorded(runner))
 
         def tables():
             margins.clear()
@@ -222,6 +225,40 @@ class TestBattery:
         row = {r.name: r for r in results}["poincare"]
         assert row.note.startswith("error: RuntimeError")
         assert not row.passed
+
+    def test_pohozaev_fails_past_its_tolerance(self, asm_ref, monkeypatch):
+        # a ratio 1.5 tolerances off the analytic value fails the row: the
+        # margin is the relative deviation itself, with no tolerance folded in
+        import dataclasses
+
+        import nlorlicz.harness as hz
+
+        exact = hz.pohozaev_check
+
+        def off_by(asm, reaction, u):
+            check = exact(asm, reaction, u)
+            N, p, m = asm.grid.dim, asm.young.p, asm.young.p - 0.3
+            analytic = m * (N - check.delta) / (N * p)
+            return dataclasses.replace(check, ratio=analytic * (1.0 + 1.5e-9))
+
+        monkeypatch.setattr(hz, "pohozaev_check", off_by)
+        row = run_battery(asm_ref, CorpusSpec(seed=0, trials=5, pair_samples=100))[-1]
+        assert row.name == "pohozaev" and row.trials == 1
+        assert row.failures == 1 and not row.passed
+
+    def test_battery_does_not_call_the_public_sobolev_check(self, asm_ref, monkeypatch):
+        # the battery row and sobolev_embedding_check share one private body,
+        # so a traced battery times the property once
+        import nlorlicz.harness as hz
+
+        def boom(*a, **k):
+            raise RuntimeError("public sobolev check called")
+
+        monkeypatch.setattr(hz, "sobolev_embedding_check", boom)
+        results = run_battery(asm_ref, CorpusSpec(seed=0, trials=5, pair_samples=100))
+        row = {r.name: r for r in results}["sobolev_r_star"]
+        assert not row.note.startswith("error")
+        assert row.trials == 10 and row.passed
 
 
 @pytest.fixture(scope="module")

@@ -360,8 +360,8 @@ class TestNewtonMatrix:
         tiles = [min(BLOCK, n - k) for k in range(0, n, BLOCK)]
         assert sum(sizes) <= n * (n + 1) // 2 + sum(b * (b - 1) // 2 for b in tiles) + n
 
-    # p = 2 is read off W, with no curvature evaluated; the power sum takes
-    # the even route, whose relaxed weight is c(t) + c(eps) - c(0)
+    # the power sum takes the even route, whose relaxed weight is
+    # c(t) + c(eps) - c(0)
     @pytest.mark.parametrize("grid, family, params", [
         pytest.param(grid, family, params, id=prefix + name)
         for prefix, grid in (("", ("interval", 200, (-1.0, 1.0))),
@@ -398,6 +398,29 @@ class TestNewtonMatrix:
         np.fill_diagonal(ref, Wc.sum(axis=1)
                          + relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim)
         assert newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid", [("interval", 64, (-1.0, 1.0)),
+                                      ("interval", 300, (-1.0, 1.0)),
+                                      ("box", 12, (-1.0, 1.0, -1.0, 1.0)),
+                                      ("ball", 16, (0.0, 0.0, 1.0))],
+                             ids=["interval-64", "interval-300", "box-12", "ball-16"])
+    @pytest.mark.parametrize("young", [
+        pytest.param(("power", {"p": 2.0}), id="power-2"),
+        pytest.param(("power_sum", {"terms": [[0.5, 2.0], [0.5, 2.0]]}), id="power_sum-2+2"),
+    ])
+    def test_quadratic_matrix_is_twice_the_laplacian(self, grid, young):
+        # c is 2 everywhere, so the walk gives -2W with the diagonal
+        # 2 (rowsum + Lambda h^N): doubling is exact
+        from nlorlicz.energy import newton_matrix
+
+        grid = make_grid(*grid)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                       make_young(young[0], **young[1]))
+        assert asm.young.quadratic
+        ref = -2.0 * asm.weights
+        np.fill_diagonal(ref, 2.0 * (asm.rowsum + asm.exterior * asm.h_pow_dim))
+        x = random_function(grid, seed=5).values
+        assert newton_matrix(asm, x, 1e-3).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("grid, kernel, tol", [
         pytest.param(("interval", 16, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}), 1e-12,
