@@ -330,7 +330,7 @@ def _sweep_point(args):
     point_cfg["problem"] = problem
     # the config digest covers the kernel, Young function, grid and seed; the
     # point's problem and the solver section decide the rest of its row.  A
-    # finished point is found without assembling W and Lambda.
+    # finished point is found without assembling the offset weights and Lambda.
     digest = hashlib.sha256(
         json.dumps([parameter, value, parts_digest(*_parts(point_cfg), int(cfg.get("seed", 0))),
                     problem, cfg.get("solver", {})], sort_keys=True).encode()

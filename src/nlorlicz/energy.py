@@ -8,8 +8,11 @@ axis, so the assembly computes each sorted offset's weight once into one
 array of shape (m,) * N indexed by those |offsets|
 (EnergyAssembly.offset_weights), as one vectorized table with a fixed number
 of kernel profile calls whatever the grid size.  W and the FFT stencil are
-gathers from it, so w_ij = w_ji holds exactly; W is filled by row blocks
-through one flat index into the table.  The exterior weights Lambda(domain; x_i),
+gathers from it, so w_ij = w_ji holds exactly.  W is built on first read
+(EnergyAssembly.weights), by row blocks through one flat index into the
+table, and the pair budget is checked there: the quadratic and even
+polynomial FFT routes read only the stencil, its row sums and Lambda, so
+they never build it.  The exterior weights Lambda(domain; x_i),
 which carry the zero condition on the complement, come from the ray formula
 (the integral over directions of the kernel mass beyond the boundary) in
 one vectorized pass over all nodes; see kernels.lambda_exterior.
@@ -77,19 +80,51 @@ class EnergyAssembly:
     grid: DomainGrid
     kernel: Kernel
     young: YoungFunction
-    weights: np.ndarray         # (n, n) symmetric, zero diagonal
     exterior: np.ndarray        # (n,) Lambda at each node
     offset_weights: np.ndarray  # (m,) * N: pair weight at |offset| (|d_1|, ..., |d_N|)
+    pair_budget: int = PAIR_BUDGET  # most pairs W may hold
 
     @property
     def h_pow_dim(self) -> float:
         return self.grid.cell_volume
 
     @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The dense pair-weight matrix W, (n, n) symmetric with a zero
+        diagonal, built on first read; refused with BudgetExceededError,
+        before anything is allocated, when its pair count exceeds
+        pair_budget.
+
+        W is filled by row blocks, each one np.take from the flattened
+        offset weights at the flat index sum_a |l_ia - l_ja| m^(N-1-a) of the
+        pairs' lattice offsets, so its temporaries are BLOCK x n."""
+        n = self.grid.n_nodes
+        n_pairs = n * (n - 1) // 2
+        if n_pairs > self.pair_budget:
+            raise BudgetExceededError(
+                f"assembly needs {n_pairs:.3g} pairs, budget is {self.pair_budget:.3g}; "
+                "lower the resolution or raise the budget explicitly"
+            )
+        m, dim = self.offset_weights.shape[0], self.grid.dim
+        flat = self.offset_weights.reshape(-1)
+        # |l_i m^a - l_j m^a| = |l_i - l_j| m^a: the strides go on the coordinates
+        lat = _lattice_coords(self.grid).T * (m ** np.arange(dim - 1, -1, -1))[:, None]
+        W = np.empty((n, n))
+        for k in range(0, n, BLOCK):
+            index = np.abs(lat[0, k:k + BLOCK, None] - lat[0])
+            for coord in lat[1:]:
+                step = coord[k:k + BLOCK, None] - coord
+                index += np.abs(step, out=step)
+            np.take(flat, index, out=W[k:k + BLOCK], mode="clip")
+        return W
+
+    @functools.cached_property
     def rowsum(self) -> np.ndarray:
         """Row sums of the pair weights, the degrees of the graph Laplacian;
-        computed on first use."""
-        return self.weights.sum(axis=1)
+        computed on first use as W @ 1 by one stencil product, so no W is
+        built.  They agree with W's row sums to rounding (about 1e-15
+        relative)."""
+        return _stencil_product(self, np.ones(self.grid.n_nodes))
 
     @functools.cached_property
     def stencil(self) -> tuple[np.ndarray, tuple, np.ndarray]:
@@ -176,40 +211,19 @@ def _offset_weights(kern: Kernel, m: int, dim: int, h: float) -> np.ndarray:
 
 def assemble(grid: DomainGrid, kern: Kernel, young: YoungFunction,
              pair_budget: int = PAIR_BUDGET) -> EnergyAssembly:
-    """Build the offset weights, the dense pair-weight matrix and the
-    exterior weights.
+    """Build the offset weights and the exterior weights.
 
     The offset weights take a fixed number of kernel profile calls, however
-    large the grid (_offset_weights).  W is filled by row blocks, each one
-    np.take from the flattened offset weights at the flat index
-    sum_a |l_ia - l_ja| m^(N-1-a) of the pairs' lattice offsets, so its
-    temporaries are BLOCK x n.  Refuses assemblies whose pair count exceeds
-    the budget before anything is allocated.
+    large the grid (_offset_weights).  The dense pair-weight matrix W is
+    built on first read (EnergyAssembly.weights), and pair_budget is checked
+    there: the quadratic and even polynomial FFT routes never read it.
     """
     if kern.dim != grid.dim:
         raise ValidationError("kernel and grid dimensions differ")
-    n = grid.n_nodes
-    n_pairs = n * (n - 1) // 2
-    if n_pairs > pair_budget:
-        raise BudgetExceededError(
-            f"assembly needs {n_pairs:.3g} pairs, budget is {pair_budget:.3g}; "
-            "lower the resolution or raise the budget explicitly"
-        )
-    lat = _lattice_coords(grid).T
-    m, dim = int(lat.max()) + 1, grid.dim
-    offset_weights = _offset_weights(kern, m, dim, grid.spacing)
-    flat = offset_weights.reshape(-1)
-    # |l_i m^a - l_j m^a| = |l_i - l_j| m^a: the strides go on the coordinates
-    lat = lat * (m ** np.arange(dim - 1, -1, -1))[:, None]
-    W = np.empty((n, n))
-    for k in range(0, n, BLOCK):
-        index = np.abs(lat[0, k:k + BLOCK, None] - lat[0])
-        for coord in lat[1:]:
-            step = coord[k:k + BLOCK, None] - coord
-            index += np.abs(step, out=step)
-        np.take(flat, index, out=W[k:k + BLOCK], mode="clip")
-    return EnergyAssembly(grid=grid, kernel=kern, young=young, weights=W,
-                          exterior=exterior_weights(kern, grid), offset_weights=offset_weights)
+    m = int(_lattice_coords(grid).max()) + 1
+    offset_weights = _offset_weights(kern, m, grid.dim, grid.spacing)
+    return EnergyAssembly(grid=grid, kernel=kern, young=young, exterior=exterior_weights(kern, grid),
+                          offset_weights=offset_weights, pair_budget=pair_budget)
 
 
 def _check(asm: EnergyAssembly, u: GridFunction):
@@ -230,13 +244,17 @@ def _lattice_filter(asm: EnergyAssembly, x: np.ndarray, symbol: np.ndarray) -> n
     pair along the trailing axes, and each row has the bits of its own
     call."""
     index, shape, _ = asm.stencil
-    lead = x.shape[:-1]
-    lattice = np.zeros(lead + (math.prod(shape),))
+    lead, size = x.shape[:-1], math.prod(shape)
+    lattice = np.zeros(lead + (size,))
     lattice.T[index] = x.T  # the node axis is the last: index the transposes
     # s runs the transforms along the last len(s) axes; a single vector
     # skips the argument, whose handling costs microseconds per call
-    spectrum = fft.rfftn(lattice.reshape(lead + shape), s=shape if lead else None) * symbol
-    return fft.irfftn(spectrum, s=shape).reshape(lattice.shape).T[index].T
+    spectrum = fft.rfftn(lattice.reshape(lead + shape), s=shape if lead else None)
+    spectrum *= symbol
+    # the lattice freed and the spectrum overwritten: the inverse transform
+    # then reuses memory instead of growing the heap on every call
+    del lattice
+    return fft.irfftn(spectrum, s=shape, overwrite_x=True).reshape(lead + (size,)).T[index].T
 
 
 def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:

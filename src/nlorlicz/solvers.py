@@ -678,9 +678,9 @@ def _ray_peak(slope) -> Optional[float]:
     """The scale t > 0 where the objective peaks on a ray: the root of its
     slope t -> d/dt J(t y) where it changes sign from + to -, bracketed by
     doubling or halving from t = 1 and refined by brentq.  None when 60
-    doublings or halvings find no sign change.  A slope the search takes
-    twice costs no second pass: mountain_pass_search keeps the ray's passes,
-    or sums the slope in closed form for homogeneous psi."""
+    doublings or halvings find no sign change.  Each slope is taken once
+    per scale, so brentq reads the bracket ends that the bracketing took."""
+    slope = functools.cache(slope)
     lo = hi = 1.0
     rising = slope(1.0) > 0.0
     for _ in range(60):

@@ -21,6 +21,9 @@ BASE = {
 _DIRICHLET_BUMP = {"type": "dirichlet", "data": {"kind": "bump", "radius": 0.5, "height": 1.0}}
 
 
+_BOX_256 = {"shape": "box", "n_per_axis": 256, "bounds": [-1.0, 1.0, -1.0, 1.0]}
+
+
 def _sections(young, problem, n):
     grid = {"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]}
     return {"young": young, "problem": problem, "grid": grid}
@@ -339,6 +342,26 @@ class TestRun:
                                grid={"shape": "interval", "n_per_axis": 16})
         assert main(["run", str(path)]) == 0
 
+    @pytest.mark.parametrize("problem", [_DIRICHLET_BUMP, {"type": "eigen"}],
+                             ids=["dirichlet", "eigen"])
+    def test_quadratic_solves_on_a_256_box(self, tmp_path, problem):
+        # 2.1e9 pairs, past the default pair budget, which only the first
+        # build of W checks: a p = 2 solve never builds it
+        import time
+
+        path, cfg = write_config(tmp_path, grid=_BOX_256, problem=problem)
+        assert "solver" not in cfg
+        start = time.perf_counter()
+        assert main(["run", str(path)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"]
+
+    def test_pair_walk_over_the_budget_exits_3(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, grid=_BOX_256, young={"family": "power", "p": 1.5},
+                               problem=_DIRICHLET_BUMP)
+        assert main(["run", str(path)]) == 3
+        assert "2.15e+09 pairs, budget is 1e+08" in capsys.readouterr().err
+
     def test_missing_reaction_exponent_exits_2(self, tmp_path):
         path, _ = write_config(tmp_path, problem={"type": "sublinear"})
         assert main(["run", str(path)]) == 2
@@ -450,6 +473,18 @@ class TestSweep:
         assert cells[3] == "True"
         # the scaling-identity ratio for the power reaction
         assert float(cells[9]) == pytest.approx(1.5 * 0.5 / 2.0, rel=1e-3)
+
+    def test_point_over_the_budget_is_an_in_row_error(self, tmp_path):
+        # the budget is met where W is built, inside the point's solve
+        path, _ = write_config(
+            tmp_path, young={"family": "power", "p": 1.5}, solver={"pair_budget": 100},
+            problem={"type": "sweep", "parameter": "kernel_alpha",
+                     "values": [0.5], "inner": _DIRICHLET_BUMP},
+        )
+        assert main(["sweep", str(path)]) == 0
+        row = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1]
+        assert row.endswith("BudgetExceededError: assembly needs 120 pairs, budget is 100; "
+                            "lower the resolution or raise the budget explicitly")
 
     def test_kernel_alpha_sweep_with_eigen(self, tmp_path):
         path, _ = write_config(

@@ -48,8 +48,14 @@ class TestAssembly:
         assert np.all(np.diag(W) == 0.0)
 
     def test_budget_guard(self, g1d, frac05_1d, y_p2):
-        with pytest.raises(BudgetExceededError):
-            assemble(g1d, frac05_1d, y_p2, pair_budget=10)
+        # the budget is checked where W is built: assemble builds no W, and
+        # the FFT route runs over the budget
+        asm = assemble(g1d, frac05_1d, y_p2, pair_budget=10)
+        assert asm.pair_budget == 10 and "weights" not in vars(asm)
+        E_value(asm, random_function(g1d, seed=1))
+        with pytest.raises(BudgetExceededError, match="pairs, budget is 10"):
+            asm.weights
+        assert "weights" not in vars(asm)
 
     def test_near_weight_against_quadrature(self):
         # two cells of width 1 at distance 1: the weight is the kernel's cell
@@ -192,10 +198,11 @@ class TestOffsetWeights:
         tracemalloc.start()
         try:
             asm = assemble(grid, kern, make_young("power", p=2.0))
+            W = asm.weights  # built on first read
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert asm.weights.shape == (n, n)
+        assert W.shape == (n, n)
         assert peak < 2 * n * n * 8
 
 
@@ -317,6 +324,90 @@ class TestGradient:
         assert np.array_equal(gu, -gm)
 
 
+class TestWeightsOnFirstRead:
+    """W is built on first read, once, and only by the routes that walk the
+    pairs: assemble, the quadratic route and the even polynomial FFT route
+    allocate no n x n array."""
+
+    @staticmethod
+    def _peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("spec", [("interval", 2048, (-1.0, 1.0)),
+                                      ("box", 48, (-1.0, 1.0, -1.0, 1.0))],
+                             ids=["interval-2048", "box-48"])
+    def test_assemble_allocates_no_n_by_n_array(self, spec):
+        grid = make_grid(*spec)
+        kern = make_kernel("fractional", dim=grid.dim, alpha=0.5)
+        n = grid.n_nodes
+        out = []
+        peak = self._peak(lambda: out.append(assemble(grid, kern, make_young("power", p=2.0))))
+        assert peak < n * n * 8 / 8
+        assert "weights" not in vars(out[0])
+
+    def test_built_once_and_by_the_triangle_walk(self, g1d, frac05_1d):
+        asm = assemble(g1d, frac05_1d, make_young("power", p=1.5))
+        assert "weights" not in vars(asm)
+        E_value(asm, random_function(g1d, seed=2))
+        assert "weights" in vars(asm)
+        W = asm.weights
+        assert W is asm.weights and W.shape == (g1d.n_nodes,) * 2
+
+    @pytest.mark.parametrize("solve", ["dirichlet", "eigen", "sublinear"])
+    def test_quadratic_solves_allocate_no_n_by_n_array(self, frac05_1d, solve):
+        from nlorlicz import power_reaction, solve_dirichlet, solve_eigen, solve_sublinear
+
+        n = 256
+        grid = make_grid("interval", n, (-1.0, 1.0))
+        asm = assemble(grid, frac05_1d, make_young("power", p=2.0))
+        run = {"dirichlet": lambda: solve_dirichlet(asm, bump(grid, grid.center, 0.5, 1.0)),
+               "eigen": lambda: solve_eigen(asm),
+               "sublinear": lambda: solve_sublinear(asm, power_reaction(1.5))}[solve]
+        out = []
+        peak = self._peak(lambda: out.append(run()))
+        assert out[0].converged
+        assert peak < n * n * 8
+        assert "weights" not in vars(asm)
+
+    @pytest.mark.parametrize("young", [("power", {"p": 4.0}),
+                                       ("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]})],
+                             ids=["power-4", "power_sum-2+4"])
+    def test_even_polynomial_passes_allocate_no_n_by_n_array(self, frac05_1d, young):
+        from nlorlicz.energy import _EVEN_MIN_NODES, E_and_gradient, even_newton_product
+
+        for n in (_EVEN_MIN_NODES, 1024):
+            grid = make_grid("interval", n, (-1.0, 1.0))
+            asm = assemble(grid, frac05_1d, make_young(young[0], **young[1]))
+            u = random_function(grid, seed=3)
+
+            def passes():
+                E_and_gradient(asm, u)
+                even_newton_product(asm, u.values, 0.1)[1](u.values)
+            assert self._peak(passes) < n * n * 8, n
+            assert "weights" not in vars(asm)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("spec", [("interval", 64, (-1.0, 1.0)),
+                                      ("interval", 1001, (-1.0, 1.0)),
+                                      ("box", 16, (0.0, 1.0, 0.0, 1.0)),
+                                      ("box", 24, (-1.0, 1.0, -1.0, 1.0)),
+                                      ("ball", 24, (0.0, 0.0, 1.0))],
+                             ids=["interval-64", "interval-1001", "box-16", "box-24", "ball-24"])
+    def test_rowsum_is_the_row_sums_of_W(self, spec, alpha):
+        grid = make_grid(*spec)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=alpha),
+                       make_young("power", p=2.0))
+        ref = asm.weights.sum(axis=1)
+        np.testing.assert_allclose(asm.rowsum, ref, rtol=1e-14, atol=0.0)
+
+
 class TestPairPass:
     @pytest.mark.parametrize("shape", ["interval", "box", "ball"])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -418,6 +509,7 @@ class TestPairPass:
         asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
                        make_young("power", p=p))
         u = random_function(asm.grid, seed=1)
+        asm.weights  # built on first read: the passes themselves are traced
         for fn in (E_value, gradient_E):
             tracemalloc.start()
             try:
@@ -562,6 +654,7 @@ class TestStackedPairPass:
         rng = np.random.default_rng(11)
         xs = np.vstack([rng.uniform(-1.0, 1.0, (3, grid.n_nodes)),
                         bump(grid, grid.center, 0.5 * grid.inradius, 1.0).values])
+        asm.rowsum  # one stencil product on first use: the passes' filters are counted
         calls = []
         filt = energy._lattice_filter
         monkeypatch.setattr(energy, "_lattice_filter", lambda *a: calls.append(1) or filt(*a))
@@ -612,6 +705,7 @@ class TestJointPass:
         asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5), young)
         even = young.even_terms is not None and grid.n_nodes >= energy._EVEN_MIN_NODES
         assert route == ("quadratic" if young.quadratic else "even" if even else "triangle")
+        asm.rowsum  # one stencil product on first use: the passes' filters are counted
         calls = []
         filt = energy._lattice_filter
         monkeypatch.setattr(energy, "_lattice_filter", lambda *a: calls.append(1) or filt(*a))

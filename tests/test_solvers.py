@@ -410,7 +410,7 @@ class TestNewtonMatrix:
     ])
     def test_quadratic_matrix_is_twice_the_laplacian(self, grid, young):
         # c is 2 everywhere, so the walk gives -2W with the diagonal
-        # 2 (rowsum + Lambda h^N): doubling is exact
+        # 2 (W's row sums + Lambda h^N): doubling is exact
         from nlorlicz.energy import newton_matrix
 
         grid = make_grid(*grid)
@@ -418,7 +418,7 @@ class TestNewtonMatrix:
                        make_young(young[0], **young[1]))
         assert asm.young.quadratic
         ref = -2.0 * asm.weights
-        np.fill_diagonal(ref, 2.0 * (asm.rowsum + asm.exterior * asm.h_pow_dim))
+        np.fill_diagonal(ref, 2.0 * (asm.weights.sum(axis=1) + asm.exterior * asm.h_pow_dim))
         x = random_function(grid, seed=5).values
         assert newton_matrix(asm, x, 1e-3).tobytes() == ref.tobytes()
 
@@ -489,6 +489,7 @@ class TestNewtonMatrix:
         asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d,
                        make_young("log_perturbed", p=2.0, r=1.0))
         x = random_function(asm.grid, seed=1).values
+        asm.weights  # built on first read: the walk itself is traced
         tracemalloc.start()
         try:
             newton_matrix(asm, x, 1e-3)
@@ -798,6 +799,7 @@ class TestConjugateGradientSteps:
         assert solvers.circulant_preconditioner(asm) is not None
         steep = replace(asm)
         steep.__dict__["stencil"] = (index, shape, 2.0 * transform)
+        steep.__dict__["rowsum"] = asm.rowsum  # not the steep stencil's
         assert solvers.circulant_preconditioner(steep) is None
         monkeypatch.setattr(solvers, "circulant_preconditioner", lambda asm: None)
         calls = self._count_factors(monkeypatch)
@@ -1574,6 +1576,31 @@ class TestEvaluationCounts:
         rep = mountain_pass_search(asm, power_reaction(3.0), tol=1e-6)
         assert rep.converged and abs(rep.iterations - 4) <= 1
         assert calls["gradient_E"] <= 60 and calls["E_and_gradient"] <= 15
+
+    @pytest.mark.parametrize("young, m, most", [
+        pytest.param(("power", {"p": 2.0}), 3.0, 52, id="power-2-m3"),
+        pytest.param(("log_perturbed", {"p": 2.0, "r": 1.0}), 5.0, 138, id="log-m5"),
+    ])
+    def test_ray_search_takes_each_slope_once(self, frac05_1d, young, m, most, monkeypatch):
+        # brentq reads the bracket ends that the bracketing took: 48 and 130
+        # reaction calls, 59 and 152 with every slope taken afresh, for the
+        # same bytes (1D n = 128)
+        import functools
+        from dataclasses import replace
+
+        asm = assemble(make_grid("interval", 128, (-1.0, 1.0)), frac05_1d,
+                       make_young(young[0], **young[1]))
+        reaction, calls = power_reaction(m), []
+
+        def f(u):
+            calls.append(1)
+            return reaction.f(u)
+        rep = mountain_pass_search(asm, replace(reaction, f=f))
+        assert rep.converged and len(calls) <= most
+        monkeypatch.setattr(functools, "cache", lambda fn: fn)
+        fresh = mountain_pass_search(asm, reaction)
+        assert fresh.objective.hex() == rep.objective.hex()
+        assert fresh.solution.values.tobytes() == rep.solution.values.tobytes()
 
     @pytest.mark.parametrize("case", [
         "dirichlet-1.5", "sublinear-2-m1.5", "superlinear-2-m3", "superlinear-log-m3",
