@@ -6,8 +6,12 @@ Subcommands:
   oracle <config>       dense/quadrature reference outputs for the same config
   schema-check <dir>    validate previously written outputs
 
-Exit codes: 0 success, 2 config/validation error, 3 solver non-convergence
-(downgraded to a warning when the solver section sets allow_nonconverged).
+Exit codes: 0 success; 2 config/validation error, before anything is
+written: a key the config table does not list, a required key left out, a
+value not of its key's type or out of its range, an output_dir that cannot
+be written, or a bad NLORLICZ_WORKERS; 3 solver non-convergence (downgraded
+to a warning when the solver section sets allow_nonconverged).  No config
+makes the CLI exit 1: a traceback is a bug.
 Thread count for sweeps comes from NLORLICZ_WORKERS (default 1); results are
 byte-identical regardless of worker count.
 """
@@ -19,9 +23,11 @@ import concurrent.futures
 import functools
 import hashlib
 import json
+import operator
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,53 +35,121 @@ from . import __version__
 from .energy import PAIR_BUDGET, assemble
 from .errors import NlorliczError, ValidationError
 from .grid import CSV_HEADERS, GridFunction, bump, make_grid, random_function, to_csv
-from .harness import (
-    BATTERY_CSV_HEADER,
-    CorpusSpec,
-    battery_csv,
-    config_digest,
-    parts_digest,
-    run_battery,
-)
+from .harness import (BATTERY_CSV_HEADER, CorpusSpec, battery_csv, config_digest,
+                      parts_digest, run_battery)
 from .kernels import make_kernel, poincare_constant
-from .oracles import (
-    dense_dirichlet_solve,
-    dense_min_eigenvalue,
-    node_mass_consistency,
-)
-from .solvers import (
-    mountain_pass_search,
-    pohozaev_check,
-    power_reaction,
-    solve_dirichlet,
-    solve_eigen,
-    solve_sublinear,
-)
+from .oracles import dense_dirichlet_solve, dense_min_eigenvalue, node_mass_consistency
+from .solvers import (mountain_pass_search, pohozaev_check, power_reaction, solve_dirichlet,
+                      solve_eigen, solve_sublinear)
 from .young import make_young
 
 SPEC_VERSION = 1
 
-_TOP_KEYS = {"spec_version", "kernel", "young", "grid", "problem", "solver",
-             "seed", "output_dir"}
-# the keys each family reads, besides "family"
-_KERNEL_KEYS = {"fractional": {"alpha"}, "two_exponent": {"alpha_inner", "alpha_outer"},
-                "log": {"beta"}, "piecewise_dyadic": {"mu"}}
-_YOUNG_KEYS = {"power": {"p"}, "power_sum": {"terms"}, "log_perturbed": {"p", "r", "c"}}
-_GRID_KEYS = {"shape", "n_per_axis", "bounds"}
-# the keys a section must give: every key its family reads but log_perturbed's
-# c (default 1), and a grid's shape and size (bounds have defaults)
-_REQUIRED_KEYS = {**_KERNEL_KEYS, **_YOUNG_KEYS, "log_perturbed": {"p", "r"},
-                  "grid": {"shape", "n_per_axis"}}
-# the keys each problem type reads, besides "type"
-_PROBLEM_KEYS = {"dirichlet": {"data"}, "sublinear": {"reaction_m"},
-                 "superlinear": {"reaction_m"}, "eigen": set(), "battery": {"trials"},
-                 "sweep": {"parameter", "values", "inner"}}
-_SOLVER_KEYS = {"tol", "max_iter", "allow_nonconverged", "pair_budget"}
-# the scalars of each section, with the type each must convert to
-_SOLVER_SCALARS = {"tol": float, "max_iter": int, "pair_budget": int}
-_PROBLEM_SCALARS = {"reaction_m": float, "trials": int}
-# the scalars each data kind reads, besides "kind"; every one is a number
-_DATA_KEYS = {"bump": ("radius", "height"), "random": ("amplitude",), "constant": ("value",)}
+# the default of a key that the config must give
+_REQUIRED = object()
+
+
+class _Kind(NamedTuple):
+    """A type of config value: the words that name it, and its conversion,
+    which raises TypeError or ValueError on a value not of the type.  A
+    `many` kind is a non-empty list of such values.  `_check` takes a value
+    of bool or str only as it is, and a JSON boolean for no other kind."""
+
+    what: str
+    convert: Callable
+    many: bool = False
+
+
+def _integer(value) -> int:
+    # int() would cut 16.9 to 16
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _pair(value) -> tuple:
+    k, p = value
+    if isinstance(k, bool) or isinstance(p, bool):
+        raise TypeError(value)
+    return float(k), float(p)
+
+
+_INTEGER = _Kind("an integer", _integer)
+_NUMBER = _Kind("a number", float)
+_NUMBERS = _NUMBER._replace(many=True)
+_PAIRS = _Kind("a [k, p] pair", _pair, many=True)
+_BOOLEAN = _Kind("true or false", bool)
+_STRING = _Kind("a string", str)
+
+
+class _Key(NamedTuple):
+    """One key of the config: its kind (a _Kind, or for a section the table
+    of its keys), its default (_REQUIRED when it has none, None when the
+    library supplies it) and the bound its value must meet, as (words, limit)
+    with words a key of _BOUNDS."""
+
+    kind: object
+    default: object = _REQUIRED
+    bound: tuple = ()
+
+
+class _Variants(NamedTuple):
+    """A section whose keys depend on its `key`, a family, type or kind:
+    `table` maps each variant to its keys.  `default` is the variant of a
+    section that leaves the key out (None: the section must give it)."""
+
+    key: str
+    default: Optional[str]
+    table: dict
+
+
+class _PerType(dict):
+    """A default by problem type; the types it does not name take "other"."""
+
+
+_BOUNDS = {"above": operator.gt, "at least": operator.ge, "in": lambda v, limit: v in limit}
+
+_DATA = _Variants("kind", "bump", {
+    "bump": {"radius": _Key(_NUMBER, 0.5), "height": _Key(_NUMBER, 1.0)},
+    "random": {"amplitude": _Key(_NUMBER, 1.0)},
+    "constant": {"value": _Key(_NUMBER, 1.0)},
+})
+# the problems of a run that solves, which are those of a sweep point
+_SOLVES = {"dirichlet": {"data": _Key(_DATA, {})}, "sublinear": {"reaction_m": _Key(_NUMBER)},
+           "superlinear": {"reaction_m": _Key(_NUMBER)}, "eigen": {}}
+# the key that each point of a sweep sets, as (section, key), by parameter
+_SWEPT = {"reaction_m": ("problem.inner", "reaction_m"), "kernel_alpha": ("kernel", "alpha")}
+_SWEEP = {"parameter": _Key(_STRING, "reaction_m", ("in", tuple(_SWEPT))),
+          "values": _Key(_NUMBERS), "inner": _Key(_Variants("type", None, _SOLVES))}
+
+_CONFIG = _Key({
+    "spec_version": _Key(_INTEGER, SPEC_VERSION, ("in", (SPEC_VERSION,))),
+    "kernel": _Key(_Variants("family", None, {
+        "fractional": {"alpha": _Key(_NUMBER)},
+        "two_exponent": {"alpha_inner": _Key(_NUMBER), "alpha_outer": _Key(_NUMBER)},
+        "log": {"beta": _Key(_NUMBER)},
+        "piecewise_dyadic": {"mu": _Key(_NUMBER)},
+    })),
+    "young": _Key(_Variants("family", None, {
+        "power": {"p": _Key(_NUMBER)},
+        "power_sum": {"terms": _Key(_PAIRS)},
+        "log_perturbed": {"p": _Key(_NUMBER), "r": _Key(_NUMBER), "c": _Key(_NUMBER, None)},
+    })),
+    "grid": _Key({"shape": _Key(_STRING), "n_per_axis": _Key(_INTEGER),
+                  "bounds": _Key(_NUMBERS, None)}),
+    "problem": _Key(_Variants("type", None, {
+        **_SOLVES, "sweep": _SWEEP,
+        "battery": {"trials": _Key(_INTEGER, CorpusSpec.trials, ("at least", 1))},
+    })),
+    "solver": _Key({
+        "tol": _Key(_NUMBER, _PerType(superlinear=1e-6, other=1e-8), ("above", 0)),
+        "max_iter": _Key(_INTEGER, _PerType(superlinear=3000, other=20000), ("at least", 0)),
+        "allow_nonconverged": _Key(_BOOLEAN, False),
+        "pair_budget": _Key(_INTEGER, PAIR_BUDGET, ("at least", 0)),
+    }, {}),
+    "seed": _Key(_INTEGER, 0, ("at least", 0)),
+    "output_dir": _Key(_STRING, "."),
+})
 
 
 def _fail(code: int, message: str) -> int:
@@ -83,152 +157,132 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _check_keys(section: dict, allowed: set, where: str, required: set = frozenset()):
-    if not isinstance(section, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
+def _entries(kind, section: dict) -> dict:
+    """The keys of a section of this kind: for _Variants, its key and the
+    keys of the variant that the section names."""
+    if not isinstance(kind, _Variants):
+        return kind
+    variant = section.get(kind.key, kind.default)
+    return {kind.key: _Key(_STRING, kind.default), **kind.table[variant]}
+
+
+def _get(cfg: dict, *path: str):
+    """The config's value at path, such as ("solver", "tol"), converted to
+    its kind in the table, or the table's default when the config leaves it
+    out.  A section comes as written, {} when left out."""
+    value, entry = cfg, _CONFIG
+    for key in path:
+        section, entry = value, _entries(entry.kind, value)[key]
+        value = section.get(key, entry.default)
+    kind = entry.kind
+    if isinstance(value, _PerType):  # a default, which no JSON value is
+        return value.get(cfg["problem"]["type"], value["other"])
+    if key not in section or not isinstance(kind, _Kind):
+        return value
+    return tuple(map(kind.convert, value)) if kind.many else kind.convert(value)
+
+
+def _check(value, entry: _Key, where: str, swept: tuple):
+    """Raise a ValidationError unless value, the config's part at where, is
+    of entry's kind and meets its bound.  A section must hold only the keys
+    of its table (for _Variants, of its variant), each valid in turn, and
+    every key the table requires but the one that each sweep point sets:
+    swept, as (section, key)."""
+    kind, name = entry.kind, where or "config"
+    leaf, label = name.rpartition(".")[2], ""
+    if isinstance(kind, _Kind):
+        if kind.many and not (isinstance(value, list) and value):
+            raise ValidationError(
+                f"bad config value: {name} = {value!r} is not a non-empty {leaf!r} list")
+        exact = kind.convert in (bool, str)
+        for item in value if kind.many else [value]:
+            try:
+                # only bool takes a JSON boolean, and only str a string as it is
+                if isinstance(item, kind.convert if exact else bool) != exact:
+                    raise TypeError(item)
+                converted = kind.convert(item)
+                if entry.bound and not _BOUNDS[entry.bound[0]](converted, entry.bound[1]):
+                    raise ValueError(item)
+            except (TypeError, ValueError, OverflowError):
+                bound = " %s %r" % entry.bound if entry.bound else ""
+                raise ValidationError(
+                    f"bad config value: {name} = {item!r} is not {kind.what}{bound}") from None
+        return
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object (the {leaf!r} section is {value!r})")
+    if isinstance(kind, _Variants):
+        variant, variants = value.get(kind.key, kind.default), list(kind.table)
+        if variant not in variants:
+            raise ValidationError(
+                f"unknown {leaf} {kind.key} {variant!r}: {name}.{kind.key} is one of {variants}")
+        # name the variant where the section may have left it out
+        label = f" ({variant})" if kind.default else ""
+    entries = _entries(kind, value)
+    unknown = set(value) - set(entries)
     if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
+        raise ValidationError(f"unknown keys in {name}{label}: {sorted(unknown)}")
+    missing = {key for key, sub in entries.items() if sub.default is _REQUIRED} - set(value)
+    if swept[0] == where:
+        if swept[1] not in entries:
+            raise ValidationError(
+                f"the sweep sets {where}.{swept[1]}, which {name} = {value!r} does not read")
+        missing.discard(swept[1])
     if missing:
-        raise ValidationError(f"missing keys in {where}: {sorted(missing)}")
+        raise ValidationError(f"missing keys in {name}{label}: {sorted(missing)}")
+    for key, sub in entries.items():
+        if key in value:
+            _check(value[key], sub, f"{where}.{key}" if where else key, swept)
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, sweep: bool = False) -> dict:
+    """The config at path, checked against the table: a sweep config for
+    the sweep subcommand, and any other for the rest."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for key in ("kernel", "young", "grid", "problem"):
-        if not isinstance(cfg.get(key), dict):
-            raise ValidationError(f"config needs a {key!r} section, a JSON object")
-    if cfg.get("spec_version", SPEC_VERSION) != SPEC_VERSION:
-        raise ValidationError(f"unsupported spec_version {cfg['spec_version']}")
-    for key, families in (("kernel", _KERNEL_KEYS), ("young", _YOUNG_KEYS)):
-        family = cfg[key].get("family")
-        if not isinstance(family, str) or family not in families:
-            raise ValidationError(f"unknown {key} family {family!r}")
-        required = _REQUIRED_KEYS[family]
-        if cfg["problem"].get("parameter") == "kernel_alpha":
-            required = required - {"alpha"}  # each sweep point sets it
-        _check_keys(cfg[key], {"family"} | families[family], f"{key} ({family})", required)
-    _check_keys(cfg["grid"], _GRID_KEYS, "grid", _REQUIRED_KEYS["grid"])
-    ptype = cfg["problem"].get("type")
-    if ptype not in _PROBLEM_KEYS:
-        raise ValidationError(f"unknown problem type {ptype!r}")
-    _check_keys(cfg["problem"], {"type"} | _PROBLEM_KEYS[ptype], "problem")
-    _check_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
-    if ptype in ("sublinear", "superlinear") and "reaction_m" not in cfg["problem"]:
-        raise ValidationError(f"{ptype} needs a 'reaction_m' exponent")
-    if ptype == "sweep":
-        values = cfg["problem"].get("values")
-        if not values or not isinstance(values, list):
-            raise ValidationError("sweep needs a non-empty 'values' list")
-        inner = cfg["problem"].get("inner")
-        if not isinstance(inner, dict):
-            raise ValidationError("problem.inner must be a JSON object")
-        if inner.get("type") not in (set(_PROBLEM_KEYS) - {"sweep", "battery"}):
-            raise ValidationError("sweep needs an 'inner' problem section")
-        _check_keys(inner, {"type"} | _PROBLEM_KEYS[inner["type"]], "problem.inner")
-        parameter = cfg["problem"].get("parameter", "reaction_m")
-        if parameter == "reaction_m":
-            if inner["type"] not in ("sublinear", "superlinear"):
-                raise ValidationError(
-                    "reaction_m sweeps need a sublinear or superlinear inner problem")
-        elif parameter == "kernel_alpha":
-            if cfg["kernel"].get("family") != "fractional":
-                raise ValidationError("kernel_alpha sweeps need a fractional kernel")
-            if inner["type"] in ("sublinear", "superlinear") and "reaction_m" not in inner:
-                raise ValidationError(f"{inner['type']} needs a 'reaction_m' exponent")
-        else:
-            raise ValidationError(f"unknown sweep parameter {parameter!r}")
-    _check_scalars(cfg)
+    # the key that each sweep point sets, read before the config is checked
+    problem = cfg.get("problem") if isinstance(cfg, dict) else None
+    is_sweep = isinstance(problem, dict) and problem.get("type") == "sweep"
+    parameter = problem.get("parameter", _SWEEP["parameter"].default) if is_sweep else None
+    swept = _SWEPT.get(parameter, (None, None)) if isinstance(parameter, str) else (None, None)
+    _check(cfg, _CONFIG, "", swept)
+    if is_sweep != sweep:
+        raise ValidationError("sweep subcommand needs a problem of type 'sweep'" if sweep
+                              else "sweep configs go through the 'sweep' subcommand")
     return cfg
-
-
-def _check_scalars(cfg: dict):
-    """Raise a ValidationError unless every scalar of the config converts to
-    the type that the runs convert it to: the seed, the solver settings, each
-    problem's numbers and data fields (a sweep's inner problem included)
-    and a sweep's values; unless allow_nonconverged, when present, is a JSON
-    boolean; or when a data section has a key its kind does not read.
-    Checked before anything runs or is written."""
-    def present(where, section, kinds):
-        return [(f"{where}.{key}", section[key], kind)
-                for key, kind in kinds.items() if key in section]
-
-    problem = cfg["problem"]
-    solver = cfg.get("solver", {})
-    if not isinstance(solver.get("allow_nonconverged", False), bool):
-        raise ValidationError("bad config value: solver.allow_nonconverged = "
-                              f"{solver['allow_nonconverged']!r} is not true or false")
-    checks = [("seed", cfg.get("seed", 0), int)]
-    checks += present("solver", solver, _SOLVER_SCALARS)
-    sections = {"problem": problem}
-    if problem["type"] == "sweep":
-        sections["problem.inner"] = problem["inner"]
-        checks += [("problem.values", value, float) for value in problem["values"]]
-    for where, section in sections.items():
-        data = section.get("data", {})
-        if not isinstance(data, dict):
-            raise ValidationError(f"{where}.data must be a JSON object")
-        kind = data.get("kind", "bump")
-        if not isinstance(kind, str) or kind not in _DATA_KEYS:
-            raise ValidationError(f"unknown data kind {kind!r}")
-        _check_keys(data, {"kind", *_DATA_KEYS[kind]}, f"{where}.data ({kind})")
-        checks += present(where, section, _PROBLEM_SCALARS)
-        checks += present(f"{where}.data", data, dict.fromkeys(_DATA_KEYS[kind], float))
-    for where, value, kind in checks:
-        try:
-            kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"bad config value: {where} = {value!r} is not "
-                                  f"{'an integer' if kind is int else 'a number'}") from None
 
 
 def _parts(cfg: dict):
     """The kernel, Young function and grid of a config, not yet assembled.
-    A value that does not convert to its parameter's type is a
-    ValidationError."""
-    kspec = dict(cfg["kernel"])
-    yspec = dict(cfg["young"])
-    gspec = dict(cfg["grid"])
-    grid_dim = 1 if gspec["shape"] == "interval" else 2
+    A value that the library rejects is a ValidationError."""
+    kernel, young, grid = ({key: _get(cfg, name, key) for key in cfg[name]}
+                           for name in ("kernel", "young", "grid"))
     try:
-        kern = make_kernel(kspec.pop("family"), dim=grid_dim, **kspec)
-        yng = make_young(yspec.pop("family"), **yspec)
-        bounds = tuple(gspec["bounds"]) if "bounds" in gspec else None
-        return kern, yng, make_grid(gspec["shape"], int(gspec["n_per_axis"]), bounds)
-    except ValidationError:
-        raise
+        return (make_kernel(dim=1 if grid["shape"] == "interval" else 2, **kernel),
+                make_young(**young), make_grid(**grid))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad config value: {exc}") from exc
 
 
 def _build(cfg: dict):
     kern, yng, g = _parts(cfg)
-    budget = int(cfg.get("solver", {}).get("pair_budget", PAIR_BUDGET))
-    return assemble(g, kern, yng, pair_budget=budget)
+    return assemble(g, kern, yng, pair_budget=_get(cfg, "solver", "pair_budget"))
 
 
 def _problem_data(cfg: dict, asm) -> GridFunction:
-    """The problem's data, of a kind that load_config has checked."""
-    data = cfg["problem"].get("data", {"kind": "bump"})
-    kind = data.get("kind", "bump")
+    """The problem's data, with the table's defaults for its fields."""
+    field = functools.partial(_get, cfg, "problem", "data")
+    kind = field("kind")
     if kind == "bump":
-        return bump(asm.grid, asm.grid.center,
-                    data.get("radius", 0.5) * asm.grid.inradius,
-                    data.get("height", 1.0))
+        return bump(asm.grid, asm.grid.center, field("radius") * asm.grid.inradius,
+                    field("height"))
     if kind == "random":
-        return random_function(asm.grid, int(cfg.get("seed", 0)),
-                               data.get("amplitude", 1.0))
-    return GridFunction(asm.grid, np.full(asm.grid.n_nodes, float(data.get("value", 1.0))))
+        return random_function(asm.grid, _get(cfg, "seed"), field("amplitude"))
+    return GridFunction(asm.grid, np.full(asm.grid.n_nodes, field("value")))
 
 
 def _write(path: Path, text: str):
@@ -236,83 +290,57 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _report_json(cfg, asm, rep, extra=None) -> str:
-    doc = rep.to_dict()
-    doc["config_digest"] = config_digest(asm, int(cfg.get("seed", 0)))
-    doc["package_version"] = __version__
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n"
+def _write_json(path: Path, doc: dict):
+    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n")
 
 
-def _run_problem(cfg: dict, asm, ptype: str, problem: dict):
-    """The solve of one problem, with the solver section's tol and max_iter
-    as written; absent, they are 1e-6 and 3000 for superlinear problems and
-    1e-8 and 20000 for the others."""
-    solver = cfg.get("solver", {})
-    superlinear = ptype == "superlinear"
-    tol = float(solver.get("tol", 1e-6 if superlinear else 1e-8))
-    max_iter = int(solver.get("max_iter", 3000 if superlinear else 20000))
+def _stamp(cfg: dict, asm) -> dict:
+    """The fields that every JSON output of a run carries."""
+    return {"spec_version": SPEC_VERSION, "package_version": __version__,
+            "config_digest": config_digest(asm, _get(cfg, "seed"))}
+
+
+def _run_problem(cfg: dict, asm):
+    """The solve of the config's problem, with the solver section's tol and
+    max_iter, or the table's defaults for the problem type; and the fields
+    that a reaction solve adds to report.json and its sweep row, the
+    scaling-identity ratio and note."""
+    ptype = cfg["problem"]["type"]
+    tol, max_iter = _get(cfg, "solver", "tol"), _get(cfg, "solver", "max_iter")
     if ptype == "dirichlet":
-        return solve_dirichlet(asm, _problem_data(cfg, asm), tol=tol, max_iter=max_iter)
-    if ptype == "sublinear":
-        return solve_sublinear(asm, power_reaction(float(problem["reaction_m"])),
-                               tol=tol, max_iter=max_iter)
-    if ptype == "superlinear":
-        return mountain_pass_search(asm, power_reaction(float(problem["reaction_m"])),
-                                    tol=tol, max_iter=max_iter)
+        return solve_dirichlet(asm, _problem_data(cfg, asm), tol=tol, max_iter=max_iter), {}
     if ptype == "eigen":
-        return solve_eigen(asm, tol=tol, max_iter=max_iter)
-    raise ValidationError(f"unhandled problem type {ptype!r}")
-
-
-def _pohozaev_fields(asm, problem: dict, rep) -> dict:
-    """Scaling-identity ratio and note of a reaction solve, for report.json
-    and sweep rows."""
-    check = pohozaev_check(asm, power_reaction(float(problem["reaction_m"])), rep.solution)
-    return {"pohozaev_ratio": check.ratio if check.applicable else None,
-            "pohozaev_note": check.note}
+        return solve_eigen(asm, tol=tol, max_iter=max_iter), {}
+    reaction = power_reaction(_get(cfg, "problem", "reaction_m"))
+    solve = mountain_pass_search if ptype == "superlinear" else solve_sublinear
+    rep = solve(asm, reaction, tol=tol, max_iter=max_iter)
+    check = pohozaev_check(asm, reaction, rep.solution)
+    return rep, {"pohozaev_ratio": check.ratio if check.applicable else None,
+                 "pohozaev_note": check.note}
 
 
 def cmd_run(config_path: str) -> int:
     cfg = load_config(config_path)
     asm = _build(cfg)
-    out = Path(cfg.get("output_dir", "."))
+    out = Path(_get(cfg, "output_dir"))
     ptype = cfg["problem"]["type"]
-    seed = int(cfg.get("seed", 0))
 
     if ptype == "battery":
-        spec = CorpusSpec(seed=seed, trials=int(cfg["problem"].get("trials", 100)))
+        spec = CorpusSpec(seed=_get(cfg, "seed"), trials=_get(cfg, "problem", "trials"))
         results = run_battery(asm, spec)
         _write(out / "battery.csv", battery_csv(results))
-        doc = {
-            "spec_version": SPEC_VERSION,
-            "package_version": __version__,
-            "config_digest": config_digest(asm, seed),
-            "results": [vars(r) | {"passed": r.passed, "extras": None} for r in results],
-        }
-        _write(out / "battery.json", json.dumps(doc, indent=2, sort_keys=True,
-                                                default=repr) + "\n")
+        _write_json(out / "battery.json", _stamp(cfg, asm) | {"results": [
+            vars(r) | {"passed": r.passed, "extras": None} for r in results]})
         failed = [r.name for r in results if not r.passed]
-        if failed:
-            print(f"error: battery failures in {failed}", file=sys.stderr)
-            return 3
-        return 0
+        return _fail(3, f"battery failures in {failed}") if failed else 0
 
-    if ptype == "sweep":
-        return _fail(2, "sweep configs go through the 'sweep' subcommand")
-
-    rep = _run_problem(cfg, asm, ptype, cfg["problem"])
-    extra = {"problem_type": ptype,
-             "poincare_constant": poincare_constant(asm.kernel, asm.grid)}
-    if ptype in ("sublinear", "superlinear"):
-        extra.update(_pohozaev_fields(asm, cfg["problem"], rep))
+    rep, fields = _run_problem(cfg, asm)
+    doc = rep.to_dict() | _stamp(cfg, asm) | fields | {
+        "problem_type": ptype, "poincare_constant": poincare_constant(asm.kernel, asm.grid)}
     _write(out / "solution.csv", to_csv(rep.solution))
-    _write(out / "report.json", _report_json(cfg, asm, rep, extra))
-    if not rep.converged and not cfg.get("solver", {}).get("allow_nonconverged"):
-        print(f"error: solver did not converge (residual {rep.residual_inf:.3e})",
-              file=sys.stderr)
-        return 3
+    _write_json(out / "report.json", doc)
+    if not rep.converged and not _get(cfg, "solver", "allow_nonconverged"):
+        return _fail(3, f"solver did not converge (residual {rep.residual_inf:.3e})")
     return 0
 
 
@@ -320,48 +348,34 @@ def _sweep_point(args):
     """Worker for one sweep point (top level so process pools can pickle it)."""
     cfg, parameter, value, index, out_dir = args
     point_cfg = json.loads(json.dumps(cfg))
-    problem = dict(point_cfg["problem"]["inner"])
-    if parameter == "reaction_m":
-        problem["reaction_m"] = value
-    elif parameter == "kernel_alpha":
-        point_cfg["kernel"]["alpha"] = value
-    else:
-        raise ValidationError(f"unknown sweep parameter {parameter!r}")
-    point_cfg["problem"] = problem
+    section, key = _SWEPT[parameter]
+    functools.reduce(operator.getitem, section.split("."), point_cfg)[key] = value
+    problem = point_cfg["problem"] = point_cfg["problem"]["inner"]
     # the config digest covers the kernel, Young function, grid and seed; the
-    # point's problem and the solver section decide the rest of its row.  A
-    # finished point is found without assembling the offset weights and Lambda.
+    # point's problem and the solver section, as written, decide the rest of
+    # its row.  A finished point is found without assembling the offset
+    # weights and Lambda.
     digest = hashlib.sha256(
-        json.dumps([parameter, value, parts_digest(*_parts(point_cfg), int(cfg.get("seed", 0))),
-                    problem, cfg.get("solver", {})], sort_keys=True).encode()
+        json.dumps([parameter, value, parts_digest(*_parts(point_cfg), _get(cfg, "seed")),
+                    problem, _get(cfg, "solver")], sort_keys=True).encode()
     ).hexdigest()[:12]
     point_path = Path(out_dir) / f"point_{digest}.json"
     if point_path.exists():
-        row = json.loads(point_path.read_text())
-        row["recomputed"] = False
-        return index, row
+        return index, json.loads(point_path.read_text()) | {"recomputed": False}
 
     asm = _build(point_cfg)
     row = {"spec_version": SPEC_VERSION, "parameter": parameter, "value": value,
-           "index": index, "digest": digest, "recomputed": True}
+           "index": index, "digest": digest}
     try:
-        rep = _run_problem(point_cfg, asm, problem["type"], problem)
-        row.update(
-            objective=rep.objective,
-            residual_inf=rep.residual_inf,
-            converged=rep.converged,
-            energy_E=rep.energy_E,
-            integral_F=rep.integral_F,
-        )
+        rep, fields = _run_problem(point_cfg, asm)
+        row.update(fields, **{name: getattr(rep, name) for name in (
+            "objective", "residual_inf", "converged", "energy_E", "integral_F")})
         if problem["type"] == "eigen":
             row["lambda1"] = rep.extras["lambda1"]
-        if problem["type"] in ("sublinear", "superlinear"):
-            row.update(_pohozaev_fields(asm, problem, rep))
     except NlorliczError as exc:
         row.update(error=f"{type(exc).__name__}: {exc}", converged=False)
-    _write(point_path, json.dumps({k: v for k, v in row.items() if k != "recomputed"},
-                                  indent=2, sort_keys=True, default=repr) + "\n")
-    return index, row
+    _write_json(point_path, row)
+    return index, row | {"recomputed": True}
 
 
 _SWEEP_COLUMNS = ("index", "parameter", "value", "converged", "objective",
@@ -370,31 +384,24 @@ _SWEEP_COLUMNS = ("index", "parameter", "value", "converged", "objective",
 
 
 def cmd_sweep(config_path: str) -> int:
-    cfg = load_config(config_path)
-    if cfg["problem"]["type"] != "sweep":
-        return _fail(2, "sweep subcommand needs a problem of type 'sweep'")
-    out = Path(cfg.get("output_dir", "."))
+    cfg = load_config(config_path, sweep=True)
+    workers = os.environ.get("NLORLICZ_WORKERS", "1")
+    _check(workers, _Key(_INTEGER), "NLORLICZ_WORKERS", (None, None))
+    workers = _integer(workers)
+    out = Path(_get(cfg, "output_dir"))
     out.mkdir(parents=True, exist_ok=True)
-    parameter = cfg["problem"].get("parameter", "reaction_m")
-    values = cfg["problem"]["values"]
-    workers = int(os.environ.get("NLORLICZ_WORKERS", "1"))
-    jobs = [(cfg, parameter, v, i, str(out)) for i, v in enumerate(values)]
-    rows = {}
+    # each value as written, which its point's digest hashes
+    jobs = [(cfg, _get(cfg, "problem", "parameter"), v, i, str(out))
+            for i, v in enumerate(cfg["problem"]["values"])]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(_sweep_point, jobs):
-                rows[index] = row
+            rows = [row for _, row in pool.map(_sweep_point, jobs)]
     else:
-        for job in jobs:
-            index, row = _sweep_point(job)
-            rows[index] = row
-
+        rows = [row for _, row in map(_sweep_point, jobs)]
     lines = [",".join(_SWEEP_COLUMNS)]
-    for i in sorted(rows):
-        row = rows[i]
-        lines.append(",".join(_csv_cell(row.get(c)) for c in _SWEEP_COLUMNS))
+    lines += [",".join(_csv_cell(row.get(c)) for c in _SWEEP_COLUMNS) for row in rows]
     _write(out / "sweep.csv", "\n".join(lines) + "\n")
-    bad = [r for r in rows.values() if r.get("error")]
+    bad = [r for r in rows if r.get("error")]
     if bad:
         print(f"error: {len(bad)} sweep points failed (recorded in-row)",
               file=sys.stderr)
@@ -412,12 +419,9 @@ def _csv_cell(v) -> str:
 def cmd_oracle(config_path: str) -> int:
     cfg = load_config(config_path)
     asm = _build(cfg)
-    out = Path(cfg.get("output_dir", "."))
-    doc = {"spec_version": SPEC_VERSION, "package_version": __version__,
-           "config_digest": config_digest(asm, int(cfg.get("seed", 0)))}
+    out = Path(_get(cfg, "output_dir"))
     total, reference = node_mass_consistency(asm, asm.grid.n_nodes // 2)
-    doc["node_mass_total"] = total
-    doc["node_mass_reference"] = reference
+    doc = _stamp(cfg, asm) | {"node_mass_total": total, "node_mass_reference": reference}
     if asm.young.quadratic:
         lam, vec = dense_min_eigenvalue(asm)
         doc["lambda1_dense"] = lam
@@ -427,7 +431,7 @@ def cmd_oracle(config_path: str) -> int:
             _write(out / "oracle_solution.csv", to_csv(u))
     else:
         doc["note"] = "dense oracles are available for the quadratic case only"
-    _write(out / "oracle.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "oracle.json", doc)
     return 0
 
 
@@ -484,7 +488,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args.config)
         return cmd_schema_check(args.directory)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         return _fail(2, str(exc))
     except NlorliczError as exc:
         return _fail(3, str(exc))

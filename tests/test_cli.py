@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nlorlicz import cli
 from nlorlicz.cli import main
 
 BASE = {
@@ -189,6 +191,12 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_superlinear_run(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -297,6 +305,22 @@ class TestRun:
          "unknown data kind ['bump']"),
         ({"solver": {"allow_nonconverged": "no"}}, "solver.allow_nonconverged = 'no'"),
         ({"solver": {"allow_nonconverged": 1}}, "solver.allow_nonconverged = 1"),
+        # out of range: each would crash, run on, or fail to converge
+        ({"seed": -1, "problem": {"type": "dirichlet", "data": {"kind": "random"}}}, "seed = -1"),
+        ({"problem": {"type": "battery", "trials": -3}}, "problem.trials = -3"),
+        ({"problem": {"type": "battery", "trials": 0}}, "problem.trials = 0"),
+        ({"solver": {"tol": 0}}, "solver.tol = 0"),
+        ({"solver": {"tol": -1e-3}}, "solver.tol = -0.001"),
+        ({"solver": {"max_iter": -1}}, "solver.max_iter = -1"),
+        ({"solver": {"pair_budget": -1}}, "solver.pair_budget = -1"),
+        ({"spec_version": 2}, "spec_version = 2"),
+        # an integer key takes no fraction and no JSON boolean
+        ({"grid": {"shape": "interval", "n_per_axis": 16.9}}, "grid.n_per_axis = 16.9"),
+        ({"solver": {"max_iter": 2.5}}, "solver.max_iter = 2.5"),
+        ({"seed": 1.7}, "seed = 1.7"),
+        ({"seed": True}, "seed = True"),
+        ({"spec_version": True}, "spec_version = True"),
+        ({"output_dir": 5}, "output_dir = 5"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
             "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
             "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown",
@@ -305,7 +329,10 @@ class TestRun:
             "data-str", "values-item-str", "values-int", "inner-reaction_m-str",
             "data-key-unknown", "data-key-of-other-kind", "inner-data-key-unknown",
             "data-kind-unknown", "data-kind-list", "allow_nonconverged-str",
-            "allow_nonconverged-int"])
+            "allow_nonconverged-int", "seed-negative", "trials-negative", "trials-0",
+            "tol-0", "tol-negative", "max_iter-negative", "pair_budget-negative",
+            "spec_version-2", "n_per_axis-fraction", "max_iter-fraction", "seed-fraction",
+            "seed-bool", "spec_version-bool", "output_dir-int"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, overrides, message):
         # a section that is not a JSON object, a value that does not
         # convert to its parameter's type, or a key that no run reads, is a
@@ -314,6 +341,37 @@ class TestRun:
         assert main(["run", str(path)]) == 2
         assert not (tmp_path / "out").exists()
         assert message in capsys.readouterr().err
+
+    def test_numeric_strings_and_integral_values_run_as_numbers(self, tmp_path):
+        # "0.5" and 0.5 are the same radius, and 16.0, "16" and 16 the same
+        # size; each config writes the same solution
+        solutions = []
+        for name, radius, n in (("plain", 0.5, 16), ("strings", "0.5", "16"),
+                                ("integral", 0.5, 16.0)):
+            path, _ = write_config(
+                tmp_path, name=f"{name}.json", output_dir=str(tmp_path / name),
+                grid={"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]},
+                problem={"type": "dirichlet", "data": {"kind": "bump", "radius": radius}})
+            assert main(["run", str(path)]) == 0
+            solutions.append((tmp_path / name / "solution.csv").read_bytes())
+        assert solutions[0] == solutions[1] == solutions[2]
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_sweep_config_exits_2_on_other_commands(self, tmp_path, capsys, command):
+        # a kernel_alpha sweep may leave out alpha, which only its points set
+        path, _ = write_config(
+            tmp_path, kernel={"family": "fractional"},
+            problem={"type": "sweep", "parameter": "kernel_alpha", "values": [0.4],
+                     "inner": {"type": "eigen"}})
+        assert main([command, str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "'sweep' subcommand" in capsys.readouterr().err
+
+    def test_output_dir_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path, _ = write_config(tmp_path, output_dir=str(tmp_path / "file" / "out"))
+        assert main(["run", str(path)]) == 2
+        assert "Not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ptype, solve", [("sublinear", "solve_sublinear"),
                                               ("superlinear", "mountain_pass_search")])
@@ -527,6 +585,17 @@ class TestSweep:
         assert main(["sweep", str(path)]) == 0
         assert len(list(out.glob("point_*.json"))) == 6
 
+    @pytest.mark.parametrize("workers", ["abc", "1.5", ""])
+    def test_bad_worker_count_exits_2_before_writing(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        monkeypatch.setenv("NLORLICZ_WORKERS", workers)
+        path, _ = write_config(
+            tmp_path, problem={"type": "sweep", "parameter": "reaction_m", "values": [1.5],
+                               "inner": {"type": "sublinear"}})
+        assert main(["sweep", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "NLORLICZ_WORKERS" in capsys.readouterr().err
+
     def test_empty_values_rejected(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -556,6 +625,155 @@ class TestSchemaCheck:
         path, _ = write_config(tmp_path, problem={"type": "battery", "trials": 10})
         assert main(["run", str(path)]) == 0
         assert main(["schema-check", str(tmp_path / "out")]) == 0
+
+
+# a value the checks accept, for each kind of required key
+_SAMPLE = {cli._INTEGER: 4, cli._NUMBER: 1.5, cli._NUMBERS: [1.5], cli._PAIRS: [[1.0, 2.0]],
+           cli._STRING: "interval"}
+# values of the wrong type, for each kind
+_WRONG = {cli._INTEGER: ["x", 1.5, True], cli._NUMBER: ["x", True], cli._BOOLEAN: ["no", 1],
+          cli._STRING: [5], cli._NUMBERS: [5, [], ["x"]],
+          cli._PAIRS: [5, [], [[1.0]], [[True, 2.0]]]}
+# a value just outside each bound, of the bound's type
+_OUTSIDE = {"above": lambda limit: limit, "at least": lambda limit: limit - 1,
+            "in": lambda limit: max(limit) + 1 if isinstance(limit[0], int) else "x"}
+
+
+def _section(kind, variant=None) -> dict:
+    """A section of this kind (of variant, or the first, for cli._Variants)
+    that the checks accept: every required key, and no other."""
+    table, section = kind, {}
+    if isinstance(kind, cli._Variants):
+        variant = variant or next(iter(kind.table))
+        table, section = kind.table[variant], {kind.key: variant}
+        if variant == "sweep":
+            # its points set the fractional kernel's alpha, which leaves any
+            # inner problem valid
+            section["parameter"] = "kernel_alpha"
+    for key, entry in table.items():
+        if entry.default is cli._REQUIRED:
+            section[key] = (_SAMPLE[entry.kind] if isinstance(entry.kind, cli._Kind)
+                            else _section(entry.kind))
+    return section
+
+
+def _bad_values(entry) -> list:
+    if not isinstance(entry.kind, cli._Kind):
+        return [5]
+    outside = [_OUTSIDE[entry.bound[0]](entry.bound[1])] if entry.bound else []
+    return _WRONG[entry.kind] + outside
+
+
+def _malformed(kind=cli._CONFIG.kind, where="", place=lambda cfg: cfg):
+    """(dotted key, config, value) for every key of the table below a
+    section of this kind at where, and each bad value of the key: the
+    config is valid but for that value.  place(section) is a config with
+    section at where."""
+    tables = {None: kind}
+    if isinstance(kind, cli._Variants):
+        tables = kind.table
+        yield f"{where}.{kind.key}", place(dict(_section(kind), **{kind.key: 5})), 5
+    for variant, table in tables.items():
+        section = _section(kind, variant)
+        for key, entry in table.items():
+            dotted = f"{where}.{key}" if where else key
+
+            def put(value, section=section, key=key):
+                return place(dict(section, **{key: value}))
+
+            for value in _bad_values(entry):
+                yield dotted, put(value), value
+            if not isinstance(entry.kind, cli._Kind):
+                yield from _malformed(entry.kind, dotted, put)
+
+
+_MALFORMED = list(_malformed())
+
+
+def _formats_rows(kind=cli._CONFIG.kind, where="config") -> list:
+    """The rows that FORMATS.md's config table must hold for the keys below a
+    section of this kind: (section, key, type, default, range), with a
+    section's variant in parentheses.  A sweep's inner problem is not
+    repeated: it takes the problem types but sweep and battery."""
+    def default(value):
+        return "required" if value is cli._REQUIRED else "library" if value is None else (
+            tuple(sorted(value.items())) if isinstance(value, dict) else value)
+
+    tables, rows = {where: kind}, []
+    if isinstance(kind, cli._Variants):
+        tables = {f"{where} ({variant})": table for variant, table in kind.table.items()}
+        rows.append((where, kind.key, "a string", default(kind.default or cli._REQUIRED),
+                     "in " + ", ".join(kind.table)))
+    for section, table in tables.items():
+        if not table:
+            rows.append((section, "", "", "", ""))
+        for key, entry in table.items():
+            words = ("a JSON object" if not isinstance(entry.kind, cli._Kind) else
+                     f"a non-empty list, each {entry.kind.what}" if entry.kind.many
+                     else entry.kind.what)
+            bound = entry.bound and (f"{entry.bound[0]} " + (
+                ", ".join(map(str, entry.bound[1])) if entry.bound[0] == "in"
+                else str(entry.bound[1])))
+            rows.append((section, key, words, default(entry.default), bound or ""))
+            if not isinstance(entry.kind, cli._Kind) and key != "inner":
+                rows += _formats_rows(entry.kind, key if where == "config" else
+                                      f"{where}.{key}")
+    return rows
+
+
+def _documented_rows() -> list:
+    """FORMATS.md's config table, in the form of _formats_rows."""
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    text = text.split("## Experiment config", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in text.splitlines():
+        cells = [c.strip().replace("`", "") for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or cells[0] == "section":
+            continue
+        section, key, words, default, bound = cells
+        if default not in ("required", "library", ""):
+            if "," in default:  # a default by problem type
+                default = {t: json.loads(v) for t, v in (p.split() for p in default.split(", "))}
+            else:
+                default = json.loads(default)
+            if isinstance(default, dict):
+                default = tuple(sorted(default.items()))
+        rows.append((section, key, words, default, bound))
+    return rows
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("dotted, cfg, value", _MALFORMED,
+                             ids=[f"{i}-{d}={v!r}" for i, (d, _, v) in enumerate(_MALFORMED)])
+    def test_every_bad_value_of_every_key_exits_2(self, tmp_path, capsys, dotted, cfg, value):
+        # a wrong type for every key, and a value out of range for every
+        # bounded one: exit 2 naming the key, before anything is written
+        cfg = dict(cfg)
+        cfg.setdefault("output_dir", str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        assert dotted in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_key_has_a_case(self):
+        # every section, family, type and kind of the table is walked,
+        # a sweep's inner problem included
+        keys = {dotted for dotted, _, _ in _MALFORMED}
+        assert {"spec_version", "kernel.mu", "young.c", "grid.bounds", "problem.trials",
+                "problem.inner.reaction_m", "problem.inner.data.value", "solver.pair_budget",
+                "output_dir"} <= keys
+
+    def test_inner_problems_are_the_problem_types_but_sweep_and_battery(self):
+        problem = cli._CONFIG.kind["problem"].kind
+        inner = problem.table["sweep"]["inner"].kind
+        assert inner.table == {t: k for t, k in problem.table.items()
+                               if t not in ("sweep", "battery")}
+
+    def test_formats_md_lists_the_table(self):
+        # FORMATS.md's key table against the table in cli.py: every section,
+        # family, problem type and data kind, each key's type, default and range
+        assert sorted(_documented_rows(), key=repr) == sorted(_formats_rows(), key=repr)
 
 
 class TestDeterminism:
