@@ -440,16 +440,24 @@ def cmd_schema_check(directory: str) -> int:
     if not root.is_dir():
         return _fail(2, f"not a directory: {directory}")
     problems = []
-    for path in sorted(root.rglob("*.json")):
+    for path in sorted(root.rglob("*.json")) + sorted(root.rglob("*.csv")):
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            problems.append(f"{path}: invalid JSON ({exc})")
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            problems.append(f"{path}: not UTF-8")
             continue
-        if doc.get("spec_version") != SPEC_VERSION:
-            problems.append(f"{path}: missing or wrong spec_version")
-    for path in sorted(root.rglob("*.csv")):
-        head = path.read_text().splitlines()[0] if path.read_text() else ""
+        if path.suffix == ".json":
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                problems.append(f"{path}: invalid JSON ({exc})")
+                continue
+            if not isinstance(doc, dict):
+                problems.append(f"{path}: not a JSON object")
+            elif doc.get("spec_version") != SPEC_VERSION:
+                problems.append(f"{path}: missing or wrong spec_version")
+            continue
+        head = text.splitlines()[0] if text else ""
         expected = {"battery.csv": BATTERY_CSV_HEADER,
                     "sweep.csv": ",".join(_SWEEP_COLUMNS)}.get(path.name)
         if expected and head != expected:

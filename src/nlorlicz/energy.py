@@ -62,7 +62,7 @@ from .errors import BudgetExceededError, ValidationError
 from .grid import DomainGrid, GridFunction
 from .kernels import Kernel, exterior_weights
 from .linalg import BLOCK, dot
-from .young import YoungFunction
+from .young import YoungFunction, luxemburg_norm
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
@@ -578,9 +578,9 @@ def luxemburg_norm_of(asm: EnergyAssembly, u: GridFunction,
     """Luxemburg norm of a grid function under the assembly's Young function.
 
     For homogeneous psi (p = q) F(u/k) = k^(-p) F(u), so the norm is
-    F(u)^(1/p) and rel_tol is unused; otherwise it bisects on k."""
-    from .young import luxemburg_norm
-
+    F(u)^(1/p) and rel_tol is unused; otherwise it is the root of
+    F(u/k) = 1 in k (young.luxemburg_norm) to the relative tolerance
+    rel_tol."""
     if not np.any(u.values):
         return 0.0
     if asm.young.homogeneous:

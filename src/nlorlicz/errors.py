@@ -15,4 +15,4 @@ class BudgetExceededError(NlorliczError):
 
 
 class BracketingError(NlorliczError):
-    """A bisection could not bracket its root (e.g. a bounded psi)."""
+    """A root could not be bracketed (e.g. for a bounded psi or modular)."""

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .energy import (
     EnergyAssembly,
@@ -58,6 +57,7 @@ from .young import (
     calibrate_singular_constant,
     clarkson_conditions,
     gamma_bounds,
+    scale_root,
 )
 
 
@@ -676,29 +676,13 @@ def solve_sublinear(asm: EnergyAssembly, reaction: ReactionSpec, tol: float = 1e
 
 def _ray_peak(slope) -> Optional[float]:
     """The scale t > 0 where the objective peaks on a ray: the root of its
-    slope t -> d/dt J(t y) where it changes sign from + to -, bracketed by
-    doubling or halving from t = 1 and refined by brentq.  None when 60
-    doublings or halvings find no sign change.  Each slope is taken once
-    per scale, so brentq reads the bracket ends that the bracketing took."""
-    slope = functools.cache(slope)
-    lo = hi = 1.0
-    rising = slope(1.0) > 0.0
-    for _ in range(60):
-        if rising:
-            lo, hi = hi, 2.0 * hi
-            if slope(hi) <= 0.0:
-                break
-        else:
-            lo, hi = 0.5 * lo, lo
-            if slope(lo) > 0.0:
-                break
-    else:
-        return None
-    # brentq's wrapper of its function is a reference cycle, which would
-    # hold a slope, and through it the solve, until the garbage collector
-    # runs: the slope goes in args, and the function holds nothing
-    return brentq(lambda t, slope: slope(t), lo, hi, args=(slope,), xtol=1e-15,
-                  rtol=4.0 * np.finfo(float).eps)
+    slope t -> d/dt J(t y) where it changes sign from + to - (scale_root),
+    or None when 60 doublings or halvings of t = 1, each a joint pass, find
+    no sign change.  The root is refined to an absolute 1e-15: at 1e-300
+    the mountain passes moved in their last bits, and the log-perturbed one
+    took two more passes."""
+    t = scale_root(slope, steps=60, xtol=1e-15)
+    return t if 0.0 < t < np.inf else None
 
 
 def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
@@ -831,7 +815,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     F = 1, where the Lagrangian equals E.  So converged means
     max|Lv - lambda psi'(v)| <= tol * (1 + max|lambda psi'(v)|).
     Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
-    (closed form when p = q, else bisection on the scale factor).  The
+    (closed form when p = q, else young.scale_root on the scale factor).  The
     steps are Newton steps on the Lagrangian restricted to the tangent
     space of F = 1, by projected PCG (Gould, Hribar and Nocedal, SIAM J.
     Sci. Comput. 23, 2001): the curvature lambda psi''(max(|v|, eps)) h^N is

@@ -3,8 +3,10 @@
 Provides the class of normalized Young functions trapped between two powers
 (growth exponents ``q <= s*V'(s)/V(s) <= p``), their characteristic bounds
 (inf/sup of ``V(s*x)/V(x)`` over ``x``), the complementary (conjugate)
-function, Luxemburg-norm bisection, and the Clarkson-type calculus
-inequalities used by the uniqueness certificates.
+function, the Luxemburg norm, and the Clarkson-type calculus inequalities
+used by the uniqueness certificates.  One scale search, scale_root, finds
+the Luxemburg norm, the argument rescalings that normalize psi and its
+conjugate, and the peak of a ray in the mountain-pass solve.
 
 All evaluators accept numpy arrays.  Instances are immutable after
 construction and every operation here is pure.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import BracketingError, ValidationError
 
@@ -27,7 +29,8 @@ _CHECK_GRID = np.logspace(-4.0, 4.0, 1000)
 # base grid for characteristic-function extremization: 64 points per decade
 _CHAR_GRID = np.logspace(-6.0, 6.0, 64 * 12 + 1)
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the smallest relative tolerance brentq accepts
+_RTOL = 4.0 * np.finfo(float).eps
 
 # the degrees whose binomial expansion (energy._pair_pass) keeps the
 # gradient well inside 1e-10 of max|gradient| of the triangle pass: 2.4e-11
@@ -150,20 +153,43 @@ class ClarksonReport:
     c_singular: Optional[float]
 
 
-def _normalize_scale(raw_value, lo=1e-8, hi=1e8):
-    """Solve raw_value(t0) = 1 for the argument rescale t0."""
-    flo, fhi = raw_value(lo), raw_value(hi)
-    while flo > 1.0:
-        lo *= 0.5
-        flo = raw_value(lo)
-        if lo < 1e-290:
-            raise ValidationError("cannot normalize: value does not drop below 1")
-    while fhi < 1.0:
-        hi *= 2.0
-        fhi = raw_value(hi)
-        if hi > 1e290:
-            raise ValidationError("cannot normalize: value does not exceed 1")
-    return brentq(lambda t: raw_value(t) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16)
+def scale_root(g: Callable[[float], float], steps: int = 1000, xtol: float = 1e-300,
+               rtol: float = _RTOL) -> float:
+    """The scale t > 0 where g changes sign from + to -, for a g that is
+    positive below that scale and not above it: bracketed by doubling or
+    halving t from 1, at most `steps` times, and refined by brentq to
+    xtol + rtol * t.  0.0 when g is not positive down to t = 2^-steps, inf
+    when it is positive up to 2^steps.  g is taken once per scale, so
+    brentq reads the bracket ends that the bracketing took."""
+    g = functools.cache(g)
+    lo = hi = 1.0
+    rising = g(1.0) > 0.0
+    for _ in range(steps):
+        if rising:
+            lo, hi = hi, 2.0 * hi
+            if g(hi) <= 0.0:
+                break
+        else:
+            lo, hi = 0.5 * lo, lo
+            if g(lo) > 0.0:
+                break
+    else:
+        return np.inf if rising else 0.0
+    # brentq's wrapper of its function is a reference cycle, which would
+    # hold g, and through it the caller's state, until the garbage
+    # collector runs: g goes in args, and the function holds nothing
+    return brentq(lambda t, g: g(t), lo, hi, args=(g,), xtol=xtol, rtol=rtol)
+
+
+def _normalize_scale(raw_value):
+    """Solve raw_value(t0) = 1 for the argument rescale t0 of an increasing
+    raw_value (scale_root)."""
+    t0 = scale_root(lambda t: 1.0 - raw_value(t))
+    if t0 == 0.0:
+        raise ValidationError("cannot normalize: value does not drop below 1")
+    if t0 == np.inf:
+        raise ValidationError("cannot normalize: value does not exceed 1")
+    return t0
 
 
 def _validate(fn: YoungFunction, tol=1e-9):
@@ -394,30 +420,19 @@ def make_young(family: str, **params) -> YoungFunction:
 
 def _grid_extremum(vals, f, maximize: bool) -> float:
     """Extremum of a map on x > 0 from its values vals on _CHAR_GRID: the
-    grid's best, refined by golden-section search on log-x, with f the map
-    as a function of log x, between the grid's neighbours of an interior
-    extremum."""
+    grid's best, refined by Brent's bounded minimization on log-x, with f
+    the map as a function of log x, between the grid's neighbours of an
+    interior extremum."""
     idx = int(np.argmax(vals) if maximize else np.argmin(vals))
     best = float(vals[idx])
     if not 0 < idx < len(vals) - 1:
         return best
     t = np.log(_CHAR_GRID)
     sgn = -1.0 if maximize else 1.0
-    a, b = t[idx - 1], t[idx + 1]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = sgn * f(x1)
-    f2 = sgn * f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = sgn * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = sgn * f(x2)
-    refined = sgn * min(f1, f2)
+    # log x to sqrt(eps), below which the map is flat to its rounding
+    res = minimize_scalar(lambda tt: sgn * f(tt), bounds=(t[idx - 1], t[idx + 1]),
+                          method="bounded", options={"xatol": 1e-8})
+    refined = sgn * float(res.fun)
     return max(best, refined) if maximize else min(best, refined)
 
 
@@ -446,7 +461,7 @@ def gamma_bounds(fn: YoungFunction, s: float) -> tuple[float, float]:
 
     Exact powers of s when value is a sum of powers (the extremes sit at the
     ends of the x-range); computed by scanning a 64-per-decade log grid with
-    golden-section refinement otherwise.
+    Brent's bounded refinement otherwise.
     """
     return _gamma_pair(fn, s, deriv=False)
 
@@ -592,31 +607,16 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
 def luxemburg_norm(modular: Callable[[float], float], rel_tol=1e-10) -> float:
     """inf of k > 0 with modular(k) <= 1, for a nonincreasing modular map.
 
-    ``modular`` is the map k -> F(u/k) for the fixed function u.  Returns 0
-    when the modular is already below 1 for arbitrarily small k (the zero
-    function).
+    ``modular`` is the map k -> F(u/k) for the fixed function u.  The norm
+    is the root of modular(k) - 1 (scale_root), to the relative tolerance
+    rel_tol, floored at 4 eps.  Returns 0 when the modular is already at
+    most 1 for arbitrarily small k (the zero function), and raises
+    BracketingError when it stays above 1 for arbitrarily large k.
     """
-    hi = 1.0
-    for _ in range(2000):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
+    k = scale_root(lambda k: modular(k) - 1.0, rtol=max(rel_tol, _RTOL))
+    if k == np.inf:
         raise BracketingError("modular does not drop below 1")
-    lo = hi
-    for _ in range(2000):
-        lo *= 0.5
-        if modular(lo) > 1.0:
-            break
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return k
 
 
 # ---------------------------------------------------------------------------

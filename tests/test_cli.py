@@ -626,6 +626,19 @@ class TestSchemaCheck:
         assert main(["run", str(path)]) == 0
         assert main(["schema-check", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("name, content, problem", [
+        ("report.json", b"[1]", "not a JSON object"),
+        ("report.json", b'"str"', "not a JSON object"),
+        ("report.json", b'{"spec_version": 1, "note": "\xff"}', "not UTF-8"),
+        ("solution.csv", b"x,u\n0.0,\xff\n", "not UTF-8"),
+    ])
+    def test_malformed_files_are_problems(self, tmp_path, capsys, name, content, problem):
+        # each is reported by file name, with no traceback, and exits 2
+        (tmp_path / name).write_bytes(content)
+        assert main(["schema-check", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: {problem}" in err and "Traceback" not in err
+
 
 # a value the checks accept, for each kind of required key
 _SAMPLE = {cli._INTEGER: 4, cli._NUMBER: 1.5, cli._NUMBERS: [1.5], cli._PAIRS: [[1.0, 2.0]],

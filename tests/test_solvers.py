@@ -766,11 +766,11 @@ class TestConjugateGradientSteps:
         # |s|^2 spelled as a power sum is quadratic: its Dirichlet solve runs
         # matrix-free CG, its eigen solve takes the closed-form norm, and
         # both solutions are those of p = 2
+        import nlorlicz.energy as energy_module
         import nlorlicz.solvers as solvers
-        import nlorlicz.young as young_module
 
         def refuse(*args, **kwargs):
-            raise AssertionError("built or bisected")
+            raise AssertionError("built or searched")
 
         grid = make_grid("interval", 512, (-1.0, 1.0))
         young = make_young("power_sum", terms=[(1.0, 2.0)])
@@ -780,7 +780,7 @@ class TestConjugateGradientSteps:
         monkeypatch.setattr(solvers, "newton_matrix", refuse)
         rep, rep2 = (solve_dirichlet(a, self._bump(grid)) for a in (asm, ref))
         monkeypatch.undo()
-        monkeypatch.setattr(young_module, "luxemburg_norm", refuse)
+        monkeypatch.setattr(energy_module, "luxemburg_norm", refuse)
         eig, eig2 = solve_eigen(asm), solve_eigen(ref)
         for a, b in ((rep, rep2), (eig, eig2)):
             assert a.converged and a.iterations == b.iterations
@@ -1335,13 +1335,13 @@ class TestHomogeneousSpellings:
         ("log_perturbed", {"p": 3.0, "r": 0.0}),
     ])
     def test_solves_match_the_power(self, frac05_1d, spelling, monkeypatch):
+        import nlorlicz.energy as energy_module
         import nlorlicz.solvers as solvers
-        import nlorlicz.young as young_module
 
         def refuse(*args, **kwargs):
-            raise AssertionError("bisected the Luxemburg norm")
+            raise AssertionError("searched for the Luxemburg norm")
 
-        monkeypatch.setattr(young_module, "luxemburg_norm", refuse)
+        monkeypatch.setattr(energy_module, "luxemburg_norm", refuse)
         calls = []
 
         def counted(*args):
@@ -1601,6 +1601,21 @@ class TestEvaluationCounts:
         fresh = mountain_pass_search(asm, reaction)
         assert fresh.objective.hex() == rep.objective.hex()
         assert fresh.solution.values.tobytes() == rep.solution.values.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ray_without_a_peak(self, sign):
+        # a slope of one sign has no peak: the slope at t = 1 and at each of
+        # 60 doublings or halvings, each scale once
+        from nlorlicz.solvers import _ray_peak
+
+        scales = []
+
+        def slope(t):
+            scales.append(t)
+            return sign
+
+        assert _ray_peak(slope) is None
+        assert len(scales) == len(set(scales)) <= 61
 
     @pytest.mark.parametrize("case", [
         "dirichlet-1.5", "sublinear-2-m1.5", "superlinear-2-m3", "superlinear-log-m3",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlorlicz import (
+    BracketingError,
     CorpusSpec,
     ValidationError,
     assemble,
@@ -265,6 +266,30 @@ class TestGammaBounds:
         assert out[0] == 0.0
         assert out[1] == pytest.approx(gamma_bounds_deriv(fn, 0.5)[1], rel=1e-9)
 
+    def test_interior_extremum_matches_a_dense_scan(self):
+        # psi(s) = s^2 (1 + s^2) / (1 + s^2 / 100), normalized: its growth
+        # ratio rises from 2 and falls back, so gamma+(2) and gamma-(1/2)
+        # sit inside the x-range, where the grid's best is 6.5e-5 off
+        c = 2.0 / 1.01
+
+        def value(s):
+            a = np.asarray(s, dtype=float) ** 2
+            return a * (1.0 + a) / (1.0 + 0.01 * a) / c
+
+        def deriv(s):
+            s = np.asarray(s, dtype=float)
+            a = s * s
+            return (2.0 * s * ((1.0 + 2.0 * a) * (1.0 + 0.01 * a) - 0.01 * a * (1.0 + a))
+                    / (1.0 + 0.01 * a) ** 2 / c)
+
+        fn = make_young("custom", value=value, deriv=deriv)
+        x = np.logspace(-6.0, 6.0, 10 ** 6)
+        for s in (0.5, 2.0):
+            ratio = value(s * x) / value(x)
+            gm, gp = gamma_bounds(fn, s)
+            assert gm == pytest.approx(ratio.min(), rel=1e-10)
+            assert gp == pytest.approx(ratio.max(), rel=1e-10)
+
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValidationError):
             gamma_bounds(FAMILIES[0], 0.0)
@@ -304,6 +329,16 @@ class TestComplementary:
         assert conj.phi(1.0) == pytest.approx(1.0, rel=1e-14)
         a = conj.deriv_inverse(b)
         assert np.allclose(fn.deriv(a), b, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("raw, message", [
+        (lambda t: 2.0, "does not drop below 1"),
+        (lambda t: 0.5, "does not exceed 1"),
+    ])
+    def test_normalization_without_a_crossing(self, raw, message):
+        from nlorlicz.young import _normalize_scale
+
+        with pytest.raises(ValidationError, match=message):
+            _normalize_scale(raw)
 
     @pytest.mark.parametrize("fn", [
         pytest.param(make_young("power_sum", terms=[(0.5, 1.2), (0.5, 2.0)]), id="sum-1.2-2"),
@@ -366,7 +401,39 @@ class TestComplementary:
 
 class TestLuxemburgNorm:
     def test_zero_function(self):
-        assert luxemburg_norm(lambda k: 0.0) == 0.0
+        # the zero modular is below 1 at every scale: the search halves down
+        # to 2^-1000 once, taking each scale once
+        scales = []
+
+        def zero(k):
+            scales.append(k)
+            return 0.0
+
+        assert luxemburg_norm(zero) == 0.0
+        assert len(scales) == len(set(scales)) <= 1001
+
+    def test_bounded_modular_raises(self):
+        # a modular that never falls to 1 has no norm
+        with pytest.raises(BracketingError, match="does not drop below 1"):
+            luxemburg_norm(lambda k: 2.0 + 1.0 / k)
+
+    @pytest.mark.parametrize("fn", [
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log-2-1"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]), id="sum-2+4"),
+    ])
+    @pytest.mark.parametrize("norm", [0.1, 1.0, 10.0])
+    def test_few_modular_evaluations(self, fn, norm):
+        # u = norm on a set of unit measure has modular k -> psi(norm / k):
+        # bracketing from k = 1 and brentq take at most 20 of them at
+        # rel_tol 1e-14, where bisection took 48 to 55
+        calls = []
+
+        def modular(k):
+            calls.append(k)
+            return float(fn.value(np.array(norm / k)))
+
+        assert luxemburg_norm(modular, rel_tol=1e-14) == pytest.approx(norm, rel=1e-13)
+        assert len(calls) <= 20
 
     def test_constant_on_measure_closed_form(self):
         # u = c on a set of measure m with a pure power: k = c * m^(1/p)
