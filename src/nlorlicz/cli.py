@@ -286,7 +286,11 @@ def _problem_data(cfg: dict, asm) -> GridFunction:
 
 
 def _write(path: Path, text: str):
+    """Write text to path as a new file, the package's only writer.  An old
+    file is removed first: truncating one that a recent run wrote makes the
+    file system flush and then free its blocks, which stalls for tens of ms."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     path.write_text(text)
 
 
@@ -360,8 +364,14 @@ def _sweep_point(args):
                     problem, _get(cfg, "solver")], sort_keys=True).encode()
     ).hexdigest()[:12]
     point_path = Path(out_dir) / f"point_{digest}.json"
-    if point_path.exists():
-        return index, json.loads(point_path.read_text()) | {"recomputed": False}
+    try:
+        done = json.loads(point_path.read_text())
+    except (FileNotFoundError, ValueError):  # no point yet, or one cut short
+        done = None
+    # anything but this point's own row is unfinished, and is written anew
+    if (isinstance(done, dict) and done.get("spec_version") == SPEC_VERSION
+            and done.get("digest") == digest):
+        return index, done | {"recomputed": False}
 
     asm = _build(point_cfg)
     row = {"spec_version": SPEC_VERSION, "parameter": parameter, "value": value,

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -516,6 +517,27 @@ class TestSweep:
         assert main(["sweep", str(path)]) == 0
         assert (out / "sweep.csv").read_text() == lines
 
+    @pytest.mark.parametrize("content", [b"", b"[1]", b"\xff",
+                                         b'{"spec_version": 1, "digest": "000000000000"}'])
+    def test_broken_point_file_is_recomputed(self, tmp_path, content):
+        # an interrupted write leaves an empty or partial point file: the
+        # sweep recomputes that point and writes it anew
+        path, _ = write_config(
+            tmp_path,
+            grid={"shape": "interval", "n_per_axis": 24, "bounds": [-1.0, 1.0]},
+            problem={"type": "sweep", "parameter": "reaction_m",
+                     "values": [1.5, 1.8], "inner": {"type": "sublinear"}},
+        )
+        assert main(["sweep", str(path)]) == 0
+        out = tmp_path / "out"
+        sweep = (out / "sweep.csv").read_bytes()
+        points = {p: p.read_bytes() for p in sorted(out.glob("point_*.json"))}
+        broken = next(iter(points))
+        broken.write_bytes(content)
+        assert main(["sweep", str(path)]) == 0
+        assert {p: p.read_bytes() for p in points} == points
+        assert (out / "sweep.csv").read_bytes() == sweep
+
     def test_sweep_row_content(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -638,6 +660,123 @@ class TestSchemaCheck:
         assert main(["schema-check", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / name}: {problem}" in err and "Traceback" not in err
+
+
+# the method names that write a whole file, and the os.open flags that write
+_WRITE_METHODS = {"write_text", "write_bytes"}
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether the call writes a file: a write_text or write_bytes, or an
+    open with a literal write mode ("w", "a", "x" or "+") or write flags."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in _WRITE_METHODS:
+        return True
+    if name != "open":
+        return False
+    args = call.args + [kw.value for kw in call.keywords]
+    modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)
+             and set(a.value) <= set("rwxabt+")]
+    flags = {n.attr for a in args for n in ast.walk(a) if isinstance(n, ast.Attribute)}
+    return any(set(mode) & set("wax+") for mode in modes) or bool(flags & _WRITE_FLAGS)
+
+
+def _file_writes(source: str) -> list:
+    """The (function, line) of each call in source that writes a file, the
+    function by its dotted name, "" at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+_WRITES_FIXTURE = '''
+import os
+from pathlib import Path
+
+def reads(p):
+    open(p).read(), open("data.txt"), open(p, "rb"), Path(p).open(encoding="utf-8")
+
+class Out:
+    def writes(self, p):
+        open(p, "w")
+        Path(p).open(mode="a")
+        os.open(p, os.O_WRONLY | os.O_CREAT)
+        Path(p).write_bytes(b"")
+
+        def inner():
+            return open(p, "r+b")
+
+Path("x").write_text("")
+'''
+
+
+# a command and its config's overrides, by case: eigen and battery runs,
+# the oracle of a Dirichlet solve, and a sweep of two points
+_RERUNS = {
+    "run": ("run", {}),
+    "battery": ("run", {"problem": {"type": "battery", "trials": 10}}),
+    "oracle": ("oracle", {"problem": _DIRICHLET_BUMP}),
+    "sweep": ("sweep", {"problem": {"type": "sweep", "parameter": "kernel_alpha",
+                                    "values": [0.4, 0.6], "inner": {"type": "eigen"}}}),
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("case", list(_RERUNS))
+    def test_rerun_writes_fresh_files(self, tmp_path, case):
+        # a rerun replaces each output by a new file with the same bytes: a
+        # hard link to the old one keeps the old file.  A finished sweep
+        # point is loaded, not written again.
+        command, overrides = _RERUNS[case]
+        path, _ = write_config(tmp_path, **overrides)
+        argv, out = [command, str(path)], tmp_path / "out"
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        links = tmp_path / "links"
+        links.mkdir()
+        for name in first:
+            os.link(out / name, links / name)
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        fresh = {name for name in first if not os.path.samefile(out / name, links / name)}
+        assert fresh == {name for name in first if not name.startswith("point_")}
+        assert {name: (links / name).read_bytes() for name in first} == first
+
+    def test_symlink_at_an_output_is_not_written_through(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.json"
+        target.write_text("kept\n")
+        (out / "report.json").symlink_to(target)
+        assert main(["run", str(path)]) == 0
+        assert not (out / "report.json").is_symlink()
+        assert json.loads((out / "report.json").read_text())["converged"]
+        assert target.read_text() == "kept\n"
+
+    def test_write_finder_on_a_fixture(self):
+        assert _file_writes(_WRITES_FIXTURE) == [
+            ("Out.writes", 10), ("Out.writes", 11), ("Out.writes", 12), ("Out.writes", 13),
+            ("Out.writes.inner", 16), ("", 18)]
+
+    def test_the_package_has_one_writer(self):
+        # every output goes through cli._write, which replaces the old file
+        # rather than truncating it
+        package = Path(cli.__file__).parent
+        found = [(module.name, where) for module in sorted(package.glob("*.py"))
+                 for where, _ in _file_writes(module.read_text(encoding="utf-8"))]
+        assert found == [("cli.py", "_write")]
 
 
 # a value the checks accept, for each kind of required key
