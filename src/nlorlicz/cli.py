@@ -287,8 +287,12 @@ def _problem_data(cfg: dict, asm) -> GridFunction:
 
 def _write(path: Path, text: str):
     """Write text to path as a new file, the package's only writer.  An old
-    file is removed first: truncating one that a recent run wrote makes the
-    file system flush and then free its blocks, which stalls for tens of ms."""
+    file is removed first.  On ext4 (default `auto_da_alloc`), truncating a
+    file in place allocates its new blocks on close, and the next rerun's
+    truncation frees them, which stalls for tens of ms per file on a disk
+    mounted with `discard`.  A new file stays unallocated until writeback,
+    so a quick rerun frees nothing.  For a first run, or a rerun after the
+    writeback interval, paired timings showed no difference (ROADMAP)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
     path.write_text(text)

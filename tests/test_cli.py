@@ -765,6 +765,29 @@ class TestOutputs:
         assert json.loads((out / "report.json").read_text())["converged"]
         assert target.read_text() == "kept\n"
 
+    def test_read_only_output_in_a_writable_directory_is_replaced(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("old\n")
+        (out / "report.json").chmod(0o444)
+        assert main(["run", str(path)]) == 0
+        assert json.loads((out / "report.json").read_text())["converged"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write into any directory")
+    def test_existing_output_in_an_unwritable_directory_exits_2(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(path)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        out.chmod(0o555)
+        try:
+            assert main(["run", str(path)]) == 2
+        finally:
+            out.chmod(0o755)
+        assert "Permission denied" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_write_finder_on_a_fixture(self):
         assert _file_writes(_WRITES_FIXTURE) == [
             ("Out.writes", 10), ("Out.writes", 11), ("Out.writes", 12), ("Out.writes", 13),
