@@ -401,12 +401,13 @@ def cmd_sweep(config_path: str) -> int:
     cfg = load_config(config_path, sweep=True)
     workers = os.environ.get("NLORLICZ_WORKERS", "1")
     _check(workers, _Key(_INTEGER), "NLORLICZ_WORKERS", (None, None))
-    workers = _integer(workers)
     out = Path(_get(cfg, "output_dir"))
     out.mkdir(parents=True, exist_ok=True)
     # each value as written, which its point's digest hashes
     jobs = [(cfg, _get(cfg, "problem", "parameter"), v, i, str(out))
             for i, v in enumerate(cfg["problem"]["values"])]
+    # a pool starts all its processes at once (fork): no more than the points
+    workers = min(_integer(workers), len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for _, row in pool.map(_sweep_point, jobs)]
@@ -449,12 +450,50 @@ def cmd_oracle(config_path: str) -> int:
     return 0
 
 
+# the output that must lie beside each output, by file name pattern
+_PARTNERS = {"solution.csv": "report.json", "report.json": "solution.csv",
+             "battery.csv": "battery.json", "battery.json": "battery.csv",
+             "oracle_*.csv": "oracle.json"}
+
+
+def _csv_problems(name: str, text: str) -> list:
+    """The problems of a CSV output, chosen by its file name: its header, a
+    newline at its end, each data row's field count and, for the solution
+    layout (solution*.csv, oracle_*.csv), each field a number.  sweep.csv's
+    last cell, error, is free text, so its rows split at the header's
+    commas only.  Other CSV files are not checked."""
+    numeric = name.startswith(("solution", "oracle_"))
+    headers = ({BATTERY_CSV_HEADER} if name == "battery.csv"
+               else {",".join(_SWEEP_COLUMNS)} if name == "sweep.csv"
+               else set(CSV_HEADERS.values()) if numeric else None)
+    if headers is None:
+        return []
+    head, *rows = text.removesuffix("\n").split("\n")
+    if head not in headers:
+        return [f"unexpected header {head!r}"]
+    problems = [] if text.endswith("\n") else ["ends without a newline (cut short)"]
+    width = head.count(",") + 1
+    fields = [row.split(",", width - 1 if name == "sweep.csv" else -1) for row in rows]
+    for line, row in enumerate(fields, 2):
+        if len(row) != width:
+            return problems + [f"line {line}: {len(row)} fields, the header has {width}"]
+    if numeric:
+        try:
+            np.array(fields, dtype=float)
+        except ValueError as exc:
+            problems.append(f"a field is not a number ({exc})")
+    return problems
+
+
 def cmd_schema_check(directory: str) -> int:
     root = Path(directory)
     if not root.is_dir():
         return _fail(2, f"not a directory: {directory}")
     problems = []
     for path in sorted(root.rglob("*.json")) + sorted(root.rglob("*.csv")):
+        partner = next((p for pattern, p in _PARTNERS.items() if path.match(pattern)), None)
+        if partner and not (path.parent / partner).is_file():
+            problems.append(f"{path}: no {partner} beside it")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
@@ -471,14 +510,7 @@ def cmd_schema_check(directory: str) -> int:
             elif doc.get("spec_version") != SPEC_VERSION:
                 problems.append(f"{path}: missing or wrong spec_version")
             continue
-        head = text.splitlines()[0] if text else ""
-        expected = {"battery.csv": BATTERY_CSV_HEADER,
-                    "sweep.csv": ",".join(_SWEEP_COLUMNS)}.get(path.name)
-        if expected and head != expected:
-            problems.append(f"{path}: unexpected header {head!r}")
-        if path.name.startswith("solution") or path.name.startswith("oracle_"):
-            if head not in CSV_HEADERS.values():
-                problems.append(f"{path}: unexpected header {head!r}")
+        problems += [f"{path}: {msg}" for msg in _csv_problems(path.name, text)]
     for msg in problems:
         print(f"error: {msg}", file=sys.stderr)
     return 2 if problems else 0

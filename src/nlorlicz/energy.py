@@ -1,11 +1,12 @@
 """Discrete nonlocal energies, the interaction form, and the operator.
 
 The assembly precomputes pair weights w_ij = (cell average of the kernel
-over the offset cell) * h^(2N) for near pairs (offset below 3h, 5-point
-Gauss tensor quadrature) and midpoint weights J(x_j - x_i) * h^(2N) for far
-pairs.  A pair weight depends only on the |lattice offset| along each
-axis, so the assembly computes each sorted offset's weight once into one
-array of shape (m,) * N indexed by those |offsets|
+over the offset cell) * h^(2N) for near pairs (offset below 3h, the 5-point
+Gauss rule on each axis as a tensor product, one rule in every dimension)
+and midpoint weights J(x_j - x_i) * h^(2N) for far pairs.  A pair weight
+depends only on the |lattice offset| along each axis, so the assembly
+computes each sorted offset's weight once into one array of shape (m,) * N
+indexed by those |offsets|
 (EnergyAssembly.offset_weights), as one vectorized table with a fixed number
 of kernel profile calls whatever the grid size.  W and the FFT stencil are
 gathers from it, so w_ij = w_ji holds exactly.  W is built on first read
@@ -31,9 +32,10 @@ E_value, gradient_E and E_and_gradient are thin calls to one pass, _pass,
 which makes E, its gradient or both from one evaluation, each with the same
 bits however it was asked: the solvers take both at once.  _pair_pass, the
 pass of one of the two, also takes a stack (k, n) of node vectors, as the
-battery evaluates its corpora: the quadratic route filters the whole stack
-with one FFT pair, the others run row by row, and each row keeps the bits
-of its own call.
+battery evaluates its corpora: both FFT routes, quadratic and even
+polynomial psi, filter the whole stack with one batched stencil product,
+the triangle walk runs row by row, and each row keeps the bits of its own
+call.
 young.value is even and young.deriv odd (make_young checks both), so the
 triangle walk is enough: a block's column sums give the rows below it
 their terms, with the gradient's sign flipped.  For the
@@ -155,55 +157,34 @@ def _lattice_coords(grid: DomainGrid) -> np.ndarray:
     return np.rint((grid.nodes - lower) / grid.spacing).astype(np.int64)
 
 
-def _offset_weight(kern: Kernel, offset: np.ndarray, h: float) -> float:
-    """Pair weight for one nonzero lattice |offset|, given sorted: the scalar
-    form of the rules in _offset_weights."""
-    delta = offset * h
-    dist = float(np.linalg.norm(delta))
-    hN = h ** len(offset)
-    if dist >= 3.0 * h:
-        return float(kern.profile(np.array(dist))) * hN * hN
-    # near pair: average the kernel over the offset cell
-    if len(offset) == 1:
-        z = delta[0] + 0.5 * h * _GL5_X
-        avg = float(np.sum(_GL5_W * kern.profile(np.abs(z)))) * 0.5
-    else:
-        z1 = delta[0] + 0.5 * h * _GL5_X
-        z2 = delta[1] + 0.5 * h * _GL5_X
-        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
-        vals = kern.profile(np.hypot(Z1, Z2))
-        avg = float(_GL5_W @ vals @ _GL5_W) * 0.25
-    return avg * hN * hN
-
-
 def _offset_weights(kern: Kernel, m: int, dim: int, h: float) -> np.ndarray:
     """Pair weights of every lattice |offset| below m on each axis, as an
     array of shape (m,) * dim; zero at the zero offset.
 
     The sorted nonzero offsets are weighed as one (k, dim) array, and every
     offset then reads the weight of its sorted permutation.  The far pairs
-    take one profile call on all their distances; in 1D so do the near
-    pairs' 5-point rules.  The at most five near offsets in 2D keep the
-    scalar rule (_offset_weight), whose matrix products a stacked form does
-    not reproduce bit for bit.  Each weight has the bits of _offset_weight
-    wherever the kernel profile gives an array the bits it gives a 0-d
-    input."""
+    take one profile call on all their distances, and the near pairs one on
+    the nodes of their cell averages: the 5-point Gauss rule on each axis of
+    the offset cell, as a tensor product over the dim axes, built by
+    broadcasting one axis at a time."""
     indices = np.indices((m,) * dim)
     lattice = indices.reshape(dim, -1).T
     offsets = lattice[np.all(np.diff(lattice, axis=1) >= 0, axis=1)][1:]
     delta = offsets * h
-    # row by row the dot product of np.linalg.norm, so the distances keep its bits
+    # each distance has the bits of np.linalg.norm: its dot product, row by row
     dist = np.sqrt((delta[:, None, :] @ delta[:, :, None]).reshape(-1))
     hN = h ** dim
     weights = np.empty(len(offsets))
-    far = dist >= 3.0 * h
+    far, near = dist >= 3.0 * h, dist < 3.0 * h
     weights[far] = kern.profile(dist[far]) * hN * hN
-    near = np.flatnonzero(~far)
-    if dim == 1:
-        z = delta[near] + 0.5 * h * _GL5_X
-        weights[near] = np.sum(_GL5_W * kern.profile(np.abs(z)), axis=1) * 0.5 * hN * hN
-    else:
-        weights[near] = [_offset_weight(kern, offsets[i], h) for i in near]
+    # near pairs: the Gauss nodes of axis a run along axis a + 1 of r, a of w
+    z = delta[near, :, None] + 0.5 * h * _GL5_X
+    r, w = np.abs(z[:, 0]), _GL5_W
+    for a in range(1, dim):
+        r = np.hypot(r[..., None], z[:, a].reshape((-1,) + (1,) * a + (5,)))
+        w = w[..., None] * _GL5_W
+    avg = np.sum((w * kern.profile(r)).reshape(len(r), -1), axis=1) * 0.5 ** dim
+    weights[near] = avg * hN * hN
     table = np.zeros((m,) * dim)
     table[tuple(offsets.T)] = weights
     return table[tuple(np.sort(indices, axis=0))]
@@ -264,20 +245,23 @@ def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:
 
 
 def _powers(z: np.ndarray, top: int) -> np.ndarray:
-    """z^0, ..., z^top as rows, by repeated products: (-z)^j is then
-    (-1)^j z^j bit for bit, which np.power does not guarantee."""
-    zp = np.ones((top + 1, z.size))
+    """z^0, ..., z^top along a new leading axis, for z of shape (n,) or a
+    stack (k, n), by repeated products: (-z)^j is then (-1)^j z^j bit for
+    bit, which np.power does not guarantee."""
+    zp = np.ones((top + 1,) + z.shape)
     for j in range(1, top + 1):
         np.multiply(zp[j - 1], z, out=zp[j])
     return zp
 
 
 def _powers_product(asm: EnergyAssembly, zp: np.ndarray, k: int) -> np.ndarray:
-    """W @ z^j for j = 0..k, from the powers zp[j] = z^j: rowsum for j = 0,
-    the rest by one batched stencil product."""
-    if k == 0:
-        return asm.rowsum[None]
-    return np.vstack([asm.rowsum, _stencil_product(asm, zp[1:k + 1])])
+    """W @ z^j for j = 0..k, from the powers zp[j] = z^j of _powers: rowsum
+    for j = 0, the rest by one batched stencil product."""
+    Wz = np.empty((k + 1,) + zp.shape[1:])
+    Wz[0] = asm.rowsum
+    if k:
+        Wz[1:] = _stencil_product(asm, zp[1:k + 1])
+    return Wz
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,19 +306,18 @@ def _pair_pass(asm: EnergyAssembly, x: np.ndarray, grad: bool):
     """The energy at the node values x, or its gradient when grad is set:
     x is one vector (n,), which gives a float or an (n,) gradient, or a
     stack (k, n), which gives k energies or a (k, n) stack of gradients.
-    Each row has the bits of its own call.  The quadratic route takes the
-    stack through one batched stencil product; the other routes run row
-    by row.  The pass is _pass, asked for one of the two."""
-    if x.ndim > 1 and not asm.young.quadratic:
-        rows = [_pair_pass(asm, row, grad) for row in x]
-        return np.reshape(rows, x.shape if grad else len(x))
+    Each row has the bits of its own call.  The pass is _pass, asked for
+    one of the two."""
     return _pass(asm, x, not grad, grad)[1 if grad else 0]
 
 
 def _pass(asm: EnergyAssembly, x: np.ndarray, energy: bool, grad: bool):
     """(E, gradient) at the node values x, each where asked and None where
-    not; one vector, or for quadratic psi a stack.  Asked for both, it
-    makes one pass, and each of the two has the bits it has alone.
+    not; x is one vector (n,) or a stack (k, n), whose rows have the bits of
+    their own calls.  Asked for both, it makes one pass, and each of the two
+    has the bits it has alone.  The FFT routes, quadratic and even
+    polynomial psi, take a stack whole, through one batched stencil product
+    along the trailing node axis; the triangle walk goes row by row.
 
     In general the pair sums run over the row blocks k:e of the triangle
     walk (_pair_blocks), which calls young.value, young.deriv or, for both,
@@ -387,46 +370,44 @@ def _pass(asm: EnergyAssembly, x: np.ndarray, energy: bool, grad: bool):
     64 nodes (1D, and the 8 x 8 box) the FFT route was the slower by 4 to
     50%.
     """
-    young, hN = asm.young, asm.h_pow_dim
-    E = G = None
+    young, hN, n = asm.young, asm.h_pow_dim, x.shape[-1]
     if young.quadratic:
-        z = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+        z = x - x.sum(axis=-1, keepdims=True) / n
         Lz = asm.rowsum * z - _stencil_product(asm, z)
         ext = x * asm.exterior * hN
-        if energy:
-            E = np.sum(z * Lz, axis=-1) + np.sum(x * ext, axis=-1)
-            E = E if x.ndim > 1 else float(E)
-        if grad:
-            G = 2.0 * (Lz + ext)
-        return E, G
+        E = np.sum(z * Lz, axis=-1) + np.sum(x * ext, axis=-1) if energy else None
+        G = 2.0 * (Lz + ext) if grad else None
+        return (float(E) if energy and x.ndim == 1 else E), G
     if energy and grad:
         phi = young.value_and_deriv
     else:
         phi = (lambda s: (young.value(s),)) if energy else (lambda s: (young.deriv(s),))
-    if young.even_terms is not None and x.size >= _EVEN_MIN_NODES:
+    if young.even_terms is not None and n >= _EVEN_MIN_NODES:
         top = max(d for d, _ in young.even_terms)
-        zp = _powers(x - x.sum() / x.size, top if energy else top - 1)
+        zp = _powers(x - x.sum(axis=-1, keepdims=True) / n, top if energy else top - 1)
         Wz = _powers_product(asm, zp, top - 1 if grad else top // 2)
         rows = []
         if energy:
             T = _binomial(young.even_terms, fold=True)
-            rows.append(np.einsum("be,en,bn->n", T, zp, Wz[:len(T)]))
+            rows.append(np.einsum("be,e...,b...->...", T, zp, Wz[:len(T)]))
         if grad:
             T = _binomial(tuple((d - 1, c * d) for d, c in young.even_terms))
-            rows.append(np.einsum("be,en,bn->n", T, zp[:top], Wz))
+            rows.append(np.einsum("be,e...,b...->...", T, zp[:top], Wz))
     else:
         signs = [1.0] * energy + [-1.0] * grad
-        rows = np.zeros((len(signs), x.shape[0]))
-        for k, e, blocks in _pair_blocks(asm, x, phi):
-            for row, sign, block in zip(rows, signs, blocks):
-                row[k:e] += block.sum(axis=1)
-                row[e:] += sign * block[:, e - k:].sum(axis=0)
-    nodes = phi(x)
+        rows = np.zeros((len(signs),) + x.shape)
+        # a stack walks the triangle one vector at a time, each into its rows
+        for out, v in zip(rows.reshape(len(signs), -1, n).swapaxes(0, 1), x.reshape(-1, n)):
+            for k, e, blocks in _pair_blocks(asm, v, phi):
+                for row, sign, block in zip(out, signs, blocks):
+                    row[k:e] += block.sum(axis=1)
+                    row[e:] += sign * block[:, e - k:].sum(axis=0)
+    nodes, E, G = phi(x), None, None
     if energy:
-        E = 0.5 * float(np.sum(rows[0])) + dot(nodes[0], asm.exterior) * hN
+        E = 0.5 * np.sum(rows[0], axis=-1) + np.add.reduce(nodes[0] * asm.exterior, axis=-1) * hN
     if grad:
         G = rows[-1] + nodes[-1] * asm.exterior * hN
-    return E, G
+    return (float(E) if energy and x.ndim == 1 else E), G
 
 
 def _curvature_shift(young: YoungFunction, eps: float) -> float:

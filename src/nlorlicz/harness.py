@@ -17,10 +17,11 @@ scores it with _score, which counts the margins below minus the tolerance
 
 A property first draws its whole corpus, in the order the seeded draws have
 always run, and then evaluates it as stacks: rows of a (k, n) array that
-go through the pair pass together (energy._pair_pass), so a quadratic psi
-costs a few FFT pairs per property instead of one per function.  Each
-row's energy, gradient and pairing keep the bits of a single call of
-E_value, gradient_E and interaction.
+go through the pair pass together (energy._pair_pass), so on the FFT routes
+(a quadratic psi, and an even polynomial psi from energy._EVEN_MIN_NODES
+nodes up) a property costs a few batched stencil products instead of one
+per function.  Each row's energy, gradient and pairing keep the bits of a
+single call of E_value, gradient_E and interaction.
 
 The battery is pure evaluation and solves nothing.  pohozaev's rescaling
 ratio is an identity for power reactions, so it is taken on a seeded

@@ -18,6 +18,7 @@ All kernels are radial: J(z) = profile(|z|), so J(z) = J(-z) holds exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -518,20 +519,16 @@ def scaling_profile(kern: Kernel, lambda_grid: Sequence[float] = (1.01, 1.02, 1.
     if any(not (1.0 < l <= 2.0) for l in lams):
         raise ValidationError("lambda grid must lie in (1, 2]")
 
-    finite = True
-    for lam in lams:
-        base = _mu_sample(kern, lam, decades=(-6.0, 6.0))
-        wide = _mu_sample(kern, lam, decades=(-9.0, 9.0))
-        if wide > base * 1.05:
-            finite = False
-            break
-
-    mu_vals = tuple(_mu_sample(kern, lam) for lam in lams)
+    # each (lambda, window) sampled once: the finite check's base windows
+    # give mu_values, and the quotients' 1 + h are the default grid's lambdas
+    mu = functools.cache(lambda lam, decades=(-6.0, 6.0): _mu_sample(kern, lam, decades))
+    finite = not any(mu(lam, (-9.0, 9.0)) > mu(lam) * 1.05 for lam in lams)
+    mu_vals = tuple(mu(lam) for lam in lams)
 
     delta = None
     if finite:
         def dq(h):
-            return (_mu_sample(kern, 1.0 + h) - 1.0) / h
+            return (mu(1.0 + h) - 1.0) / h
 
         d1, d2, d4 = dq(0.01), dq(0.02), dq(0.04)
         e1 = 2.0 * d1 - d2

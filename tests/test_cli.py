@@ -565,6 +565,8 @@ class TestSweep:
         row = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1]
         assert row.endswith("BudgetExceededError: assembly needs 120 pairs, budget is 100; "
                             "lower the resolution or raise the budget explicitly")
+        # the error cell, last, is free text: its comma splits no field
+        assert main(["schema-check", str(tmp_path / "out")]) == 0
 
     def test_kernel_alpha_sweep_with_eigen(self, tmp_path):
         path, _ = write_config(
@@ -618,6 +620,37 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
         assert "NLORLICZ_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, pools", [([1.5, 1.8], [2]), ([1.5], [])])
+    def test_pool_is_capped_at_the_points(self, tmp_path, monkeypatch, values, pools):
+        # a pool starts all its workers at once, so it gets no more workers
+        # than points, and one point runs with no pool; the fake pool starts
+        # no process and maps in this one
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("NLORLICZ_WORKERS", "1000")
+        path, _ = write_config(
+            tmp_path,
+            grid={"shape": "interval", "n_per_axis": 24, "bounds": [-1.0, 1.0]},
+            problem={"type": "sweep", "parameter": "reaction_m", "values": values,
+                     "inner": {"type": "sublinear"}})
+        assert main(["sweep", str(path)]) == 0
+        assert seen == pools
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == len(values) + 1
+
     def test_empty_values_rejected(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -648,11 +681,36 @@ class TestSchemaCheck:
         assert main(["run", str(path)]) == 0
         assert main(["schema-check", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("problem", [{"type": "eigen"}, _DIRICHLET_BUMP])
+    def test_accepts_a_run_and_an_oracle_in_one_directory(self, tmp_path, problem):
+        # solution.csv, report.json, oracle.json and one or two oracle CSVs
+        path, _ = write_config(tmp_path, problem=problem)
+        assert main(["run", str(path)]) == 0
+        assert main(["oracle", str(path)]) == 0
+        assert main(["schema-check", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("name, content, problem", [
         ("report.json", b"[1]", "not a JSON object"),
         ("report.json", b'"str"', "not a JSON object"),
         ("report.json", b'{"spec_version": 1, "note": "\xff"}', "not UTF-8"),
         ("solution.csv", b"x,u\n0.0,\xff\n", "not UTF-8"),
+        # a solution cut mid-row, with no report beside it
+        ("solution.csv", b"x,value\n-0.9,0.12\n-0.8,0.", "ends without a newline"),
+        ("solution.csv", b"x,value\n-0.9,0.12\n-0.8,0.", "no report.json beside it"),
+        ("solution.csv", b"x,value\n-0.9,0.12\n-0.8\n", "line 3: 1 fields, the header has 2"),
+        ("solution.csv", b"x,y,value\n-0.9,0.1,0.12,3\n", "line 2: 4 fields, the header has 3"),
+        ("solution.csv", b"x,value\n-0.9,0.12\n\n", "line 3: 1 fields, the header has 2"),
+        ("solution.csv", b"x,value\n-0.9,abc\n", "a field is not a number"),
+        ("oracle_solution.csv", b"x,value\n-0.9,\n", "a field is not a number"),
+        ("oracle_eigenfunction.csv", b"x,value\n-0.9,0.1\n", "no oracle.json beside it"),
+        ("report.json", b'{"spec_version": 1}\n', "no solution.csv beside it"),
+        ("battery.json", b'{"spec_version": 1}\n', "no battery.csv beside it"),
+        ("battery.csv", b"property,trials,failures,worst_margin,config_digest\nkato,3,0\n",
+         "line 2: 3 fields, the header has 5"),
+        ("battery.csv", b"property,trials,failures,worst_margin,config_digest\n",
+         "no battery.json beside it"),
+        ("sweep.csv", b"index,parameter,value,converged,objective,residual_inf,energy_E,"
+         b"integral_F,lambda1,pohozaev_ratio,error\n0,reaction_m,1.5", "line 2: 3 fields"),
     ])
     def test_malformed_files_are_problems(self, tmp_path, capsys, name, content, problem):
         # each is reported by file name, with no traceback, and exits 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -135,20 +137,37 @@ class TestOffsetWeights:
                                             {"alpha_inner": 0.3, "alpha_outer": 0.9}),
                                            ("piecewise_dyadic", {"mu": 0.5})])
     def test_every_weight_is_the_sorted_offset_weight(self, spec, family, kw):
-        from nlorlicz.energy import _offset_weight
-
         grid = make_grid(*spec)
         kern = make_kernel(family, dim=grid.dim, **kw)
         asm = assemble(grid, kern, make_young("power", p=2.0))
-        # the scalar rule at every sorted offset, one call each
-        ref = np.zeros_like(asm.offset_weights)
-        for offset in np.ndindex(ref.shape):
-            if any(offset):
-                ref[offset] = _offset_weight(kern, np.sort(offset), grid.spacing)
-        np.testing.assert_array_equal(asm.offset_weights, ref)
+        table, h = asm.offset_weights, grid.spacing
+        hN = h ** grid.dim
+        np.testing.assert_array_equal(table, table.T)  # a weight is its sorted offset's
+        assert table[(0,) * grid.dim] == 0.0
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)
+        for offset in np.ndindex(table.shape):
+            if not any(offset):
+                continue
+            delta = [d * h for d in sorted(offset)]
+            dist = np.linalg.norm(delta)
+            if dist >= 3.0 * h:
+                # a far pair: the midpoint weight, exactly
+                assert table[offset] == kern.profile(np.array([dist]))[0] * hN * hN, offset
+                continue
+            # a near pair: the kernel's average over the offset cell, by the
+            # 5-point Gauss rule on each axis
+            nodes = [[d + 0.5 * h * x for x in gauss_x] for d in delta]
+            if grid.dim == 1:
+                r = [abs(z) for z in nodes[0]]
+                w = list(gauss_w)
+            else:
+                r = [math.hypot(z1, z2) for z1 in nodes[0] for z2 in nodes[1]]
+                w = [w1 * w2 for w1 in gauss_w for w2 in gauss_w]
+            avg = sum(wi * fi for wi, fi in zip(w, kern.profile(np.array(r)))) / 2 ** grid.dim
+            assert table[offset] == pytest.approx(avg * hN * hN, rel=1e-15, abs=0.0), offset
         lat = self._lattice(grid)
         delta = np.abs(lat[:, None, :] - lat[None, :, :])
-        np.testing.assert_array_equal(asm.weights, ref[tuple(np.moveaxis(delta, -1, 0))])
+        np.testing.assert_array_equal(asm.weights, table[tuple(np.moveaxis(delta, -1, 0))])
 
     def test_profile_calls_do_not_grow_with_the_grid(self):
         # the offset table calls the kernel profile a fixed number of times
@@ -623,7 +642,7 @@ class TestEvenPowerPass:
 
 class TestStackedPairPass:
     """_pair_pass on a (k, n) stack gives, row for row and bit for bit, the
-    k single calls, on every route."""
+    k single calls, on every route; both FFT routes take the stack whole."""
 
     @pytest.fixture(scope="class")
     def ball(self):
@@ -660,8 +679,9 @@ class TestStackedPairPass:
         monkeypatch.setattr(energy, "_lattice_filter", lambda *a: calls.append(1) or filt(*a))
         E = _pair_pass(asm, xs, grad=False)
         G = _pair_pass(asm, xs, grad=True)
-        if route == "quadratic":
-            assert len(calls) == 2  # one filter pair for each whole stack
+        # one batched filter for each whole stack on both FFT routes, none
+        # on the triangle walk
+        assert len(calls) == (0 if route == "triangle" else 2)
         assert E.shape == (len(xs),) and G.shape == xs.shape
         assert E.tolist() == [_pair_pass(asm, x, grad=False) for x in xs]
         assert G.tobytes() == np.array([_pair_pass(asm, x, grad=True) for x in xs]).tobytes()

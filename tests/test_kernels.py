@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -15,7 +17,7 @@ from nlorlicz import (
     scaling_profile,
     tail_integral,
 )
-from nlorlicz.kernels import SPHERE_MEASURE, _shell_mass
+from nlorlicz.kernels import SPHERE_MEASURE, _mu_sample, _shell_mass
 from nlorlicz.oracles import _box_inside_angle, _tail_quad
 
 
@@ -376,6 +378,30 @@ class TestScalingProfile:
         K = make_kernel("fractional", dim=1, alpha=0.5)
         with pytest.raises(ValidationError):
             scaling_profile(K, lambda_grid=(0.9, 1.1))
+
+    @pytest.mark.parametrize("family, kw, samples", [
+        ("fractional", {"alpha": 0.5}, 6),  # three lambdas in two windows
+        ("two_exponent", {"alpha_inner": 0.3, "alpha_outer": 0.9}, 6),
+        ("piecewise_dyadic", {"mu": 0.5}, 4),  # infinite at the first lambda
+    ])
+    def test_each_sample_is_taken_once(self, family, kw, samples):
+        # one _mu_sample, two profile calls, per (lambda, window) on the
+        # default grid, and the values of the uncached samples
+        K = make_kernel(family, dim=1, **kw)
+        calls = []
+
+        def profile(r):
+            calls.append(1)
+            return K.profile(r)
+
+        prof = scaling_profile(dataclasses.replace(K, profile=profile))
+        assert len(calls) == 2 * samples
+        lams = (1.01, 1.02, 1.04)
+        assert prof.mu_values == tuple(_mu_sample(K, lam) for lam in lams)
+        if prof.finite:
+            d1, d2, d4 = [(_mu_sample(K, 1.0 + h) - 1.0) / h for h in (0.01, 0.02, 0.04)]
+            e1, e2 = 2.0 * d1 - d2, 2.0 * d2 - d4
+            assert prof.delta == e1 + (e1 - e2) / 3.0
 
 
 class TestSingularityEstimate:
