@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import functools
 import hashlib
+import io
 import json
 import operator
 import os
@@ -424,11 +426,17 @@ def cmd_sweep(config_path: str) -> int:
 
 
 def _csv_cell(v) -> str:
+    """One sweep.csv cell: empty for None, 17 significant digits for a
+    float, else str(v), in double quotes with each double quote doubled
+    (RFC 4180) where it holds a comma, a double quote or a line break."""
     if v is None:
         return ""
     if isinstance(v, float):
         return f"{v:.17g}"
-    return str(v)
+    text = str(v)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_oracle(config_path: str) -> int:
@@ -459,9 +467,10 @@ _PARTNERS = {"solution.csv": "report.json", "report.json": "solution.csv",
 def _csv_problems(name: str, text: str) -> list:
     """The problems of a CSV output, chosen by its file name: its header, a
     newline at its end, each data row's field count and, for the solution
-    layout (solution*.csv, oracle_*.csv), each field a number.  sweep.csv's
-    last cell, error, is free text, so its rows split at the header's
-    commas only.  Other CSV files are not checked."""
+    layout (solution*.csv, oracle_*.csv), each field a number.  sweep.csv
+    is read by the csv module, since its error cell may be quoted
+    (_csv_cell); the others hold no quotes.  Other CSV files are not
+    checked."""
     numeric = name.startswith(("solution", "oracle_"))
     headers = ({BATTERY_CSV_HEADER} if name == "battery.csv"
                else {",".join(_SWEEP_COLUMNS)} if name == "sweep.csv"
@@ -473,13 +482,20 @@ def _csv_problems(name: str, text: str) -> list:
         return [f"unexpected header {head!r}"]
     problems = [] if text.endswith("\n") else ["ends without a newline (cut short)"]
     width = head.count(",") + 1
-    fields = [row.split(",", width - 1 if name == "sweep.csv" else -1) for row in rows]
-    for line, row in enumerate(fields, 2):
+    if name == "sweep.csv":
+        reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+        try:
+            fields = [(reader.line_num, row) for row in reader][1:]
+        except csv.Error as exc:
+            return problems + [f"line {reader.line_num}: not CSV ({exc})"]
+    else:
+        fields = [(line, row.split(",")) for line, row in enumerate(rows, 2)]
+    for line, row in fields:
         if len(row) != width:
             return problems + [f"line {line}: {len(row)} fields, the header has {width}"]
     if numeric:
         try:
-            np.array(fields, dtype=float)
+            np.array([row for _, row in fields], dtype=float)
         except ValueError as exc:
             problems.append(f"a field is not a number ({exc})")
     return problems

@@ -431,7 +431,17 @@ def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     only repeats.  Rows k:e are then complete and each diagonal entry is the
     sum of its whole row, as a full-square build sums it, plus the exterior
     term, so H has the same bits.  Built into a single n x n buffer, so the
-    temporaries stay at block x n."""
+    temporaries stay at block x n.
+
+    No walk is made when psi takes the walk (young.even_terms is None) and
+    the spread fl(max x - min x) is at most eps.  Rounding is monotone, so
+    every walked |x_i - x_j| is at most that spread, each relaxed
+    difference is eps, and the walk would write c(eps) w_ij and its row
+    sums.  H is then c(eps) W, with c(eps) from a one-entry array (c is
+    elementwise, so an entry's bits do not depend on the array around it),
+    W's row sums as its diagonal, summed over whole rows as the walk sums
+    them, and the exterior term.  This is the first step of a solve from
+    x = 0, and the next one too when that step leaves 0 <= x <= eps."""
     young = asm.young
     if young.even_terms is None:
         def relaxed(t):
@@ -442,14 +452,20 @@ def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
         def relaxed(t):
             return young.curvature(t) + shift
     n = x.shape[0]
-    H = np.empty((n, n))
-    diag = np.empty(n)
-    for k, e, (block,) in _pair_blocks(asm, x, lambda d: (relaxed(np.abs(d, out=d)),)):
-        rows = H[k:e]
-        rows[:, k:] = block
-        H[e:, k:e] = block[:, e - k:].T
-        diag[k:e] = rows.sum(axis=1)
-        np.negative(rows, out=rows)
+    if young.even_terms is None and n and x.max() - x.min() <= eps:
+        # every pair weight is c(eps)
+        H = asm.weights * relaxed(np.full(1, eps))
+        diag = H.sum(axis=1)
+        np.negative(H, out=H)
+    else:
+        H = np.empty((n, n))
+        diag = np.empty(n)
+        for k, e, (block,) in _pair_blocks(asm, x, lambda d: (relaxed(np.abs(d, out=d)),)):
+            rows = H[k:e]
+            rows[:, k:] = block
+            H[e:, k:e] = block[:, e - k:].T
+            diag[k:e] = rows.sum(axis=1)
+            np.negative(rows, out=rows)
     diag += relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim
     np.fill_diagonal(H, diag)
     return H

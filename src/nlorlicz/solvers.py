@@ -304,7 +304,11 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
       factored once and kept for the rest of this call; otherwise each step
       builds and factors a fresh H and frees it before the energy passes of
       the line search.  Without curvature, M is then the factor of the
-      step's own H and the step is its solve, with no CG product.
+      step's own H and the step is its solve, with no CG product.  For a
+      psi that is not an even polynomial, a step whose iterate spreads no
+      more than eps (max x - min x <= eps: the first step from x0 = 0,
+      say) gets its H as c(eps) W, with no walk of the curvature over the
+      pairs (energy.newton_matrix).
     - At negative curvature on CG's first direction the step is the
       preconditioned gradient, which on the factor is the step of H alone.
       The steps of H alone converge at first order (for the sublinear

@@ -217,6 +217,28 @@ def _validate(fn: YoungFunction, tol=1e-9):
         )
 
 
+def _spare(x):
+    """x as the out= buffer of a ufunc whose result may overwrite it: x
+    itself when it is an array, None (a fresh result) when it is a numpy
+    scalar, which an evaluator's 0-d input gives."""
+    return x if isinstance(x, np.ndarray) else None
+
+
+def _at_zero(out, zero, s=None):
+    """out, a log_perturbed closed form at a = t0 |s|, with its entries at
+    a = 0 (zero) set to their limit 0 and, where s is given, the sign of s
+    put on: at a > 0 by np.copysign, which has the bits of out * np.sign(s)
+    there, and at a = 0 as 0 * np.sign(s), which is +0 at s = -0.  A
+    numpy-scalar out returns a float."""
+    if np.ndim(out) == 0:
+        out = 0.0 if zero else out
+        return float(out if s is None else out * np.sign(s))
+    if s is not None:
+        np.copysign(out, s, out=out)
+    out[zero] = 0.0 if s is None else 0.0 * np.sign(s[zero])
+    return out
+
+
 def make_young(family: str, **params) -> YoungFunction:
     """Construct a Young function from one of the built-in families.
 
@@ -307,48 +329,97 @@ def make_young(family: str, **params) -> YoungFunction:
 
         t0 = _normalize_scale(lambda t: float(raw(t)))
 
-        # at a = 0 the formulas below meet 0^(r-1) = inf (r < 1) and 0 * inf;
-        # those entries are replaced by the limit 0
-        def value(s, t0=t0, c=c, p=p, r=r):
-            a = t0 * np.abs(np.asarray(s, dtype=float))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = c * a ** p * np.log1p(a) ** r
-            out = np.where(a > 0.0, out, 0.0)
-            return out if out.ndim else float(out)
-
-        def deriv(s, t0=t0, c=c, p=p, r=r):
+        # The evaluators work in place, with the operations of the plain
+        # formulas in the comments in their order, so they have those
+        # formulas' bits: a walk calls them on blocks of pair differences,
+        # and each fresh block-sized temporary costs more than the
+        # arithmetic on it.  A 0-d input is evaluated on numpy scalars.  At
+        # a = 0 the formulas meet 0^(r-1) = inf (r < 1) and 0 * inf;
+        # _at_zero puts in the limit 0.
+        def magnitude(s, t0=t0):
+            # s as floats, a = t0 |s| and the mask of a = 0
             s = np.asarray(s, dtype=float)
-            a = t0 * np.abs(s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = np.log1p(a)
-                out = t0 * c * a ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * a / (1.0 + a))
-            out = np.where(a > 0.0, out, 0.0) * np.sign(s)
-            return out if out.ndim else float(out)
+            a = np.abs(s)
+            a *= t0
+            return s, a, ~(a > 0.0)
 
-        def joint(s, t0=t0, c=c, p=p, r=r):
+        def value(s, c=c, p=p, r=r):
+            # c a^p L^r, with L = log1p(a)
+            _, a, zero = magnitude(s)
+            with np.errstate(all="ignore"):
+                out = a ** p
+                out *= c
+                L = np.log1p(a, out=_spare(a))
+                L **= r
+                out *= L
+            return _at_zero(out, zero)
+
+        def slope(a, L, t0=t0, c=c, p=p, r=r):
+            # t0 c a^(p-1) L^(r-1) (p L + r a / (1 + a)), deriv before its
+            # sign; overwrites a and L
+            out = a ** (p - 1.0)
+            out *= t0 * c
+            bracket = p * L
+            L **= r - 1.0
+            out *= L
+            ra = np.multiply(a, r, out=_spare(L))
+            a += 1.0
+            ra /= a
+            bracket += ra
+            out *= bracket
+            return out
+
+        def deriv(s):
+            s, a, zero = magnitude(s)
+            with np.errstate(all="ignore"):
+                out = slope(a, np.log1p(a))
+            return _at_zero(out, zero, s)
+
+        def joint(s, c=c, p=p, r=r):
             # value and deriv from one |s| and one log1p, in their own terms
-            s = np.asarray(s, dtype=float)
-            a = t0 * np.abs(s)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            s, a, zero = magnitude(s)
+            with np.errstate(all="ignore"):
                 L = np.log1p(a)
-                v = c * a ** p * L ** r
-                d = t0 * c * a ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * a / (1.0 + a))
-            pos = a > 0.0
-            v, d = np.where(pos, v, 0.0), np.where(pos, d, 0.0) * np.sign(s)
-            return (v, d) if v.ndim else (float(v), float(d))
+                v = a ** p
+                v *= c
+                v *= L ** r
+                d = slope(a, L)
+            return _at_zero(v, zero), _at_zero(d, zero, s)
 
         def curvature_pair(a, t0=t0, c=c, p=p, r=r):
-            # deriv2 and deriv(t)/t at a = t0 t > 0, from the same two powers:
-            # deriv(t)/t = t0^2 c a^(p-2) (p L + r g) L^(r-2) L
-            L = np.log1p(a)
-            a1 = 1.0 + a
-            g = a / a1
-            A = t0 ** 2 * c * a ** (p - 2.0)
-            Lr = L ** (r - 2.0)
-            pL, rg = p * L, r * g
-            pLrg = pL + rg
-            d2 = A * Lr * ((p - 1.0) * L * pLrg + rg * (pL + (r - 1.0) * g) + r * L * g / a1)
-            return d2, A * pLrg * (Lr * L)
+            # deriv2 and deriv(t)/t at the array a = t0 t > 0, from the same
+            # two powers: with L = log1p(a), g = a / (1 + a), A = t0^2 c
+            # a^(p-2) and B = p L + r g,
+            # deriv2 = A L^(r-2) ((p-1) L B + r g (p L + (r-1) g) + r L g / (1 + a))
+            # and deriv(t)/t = A B (L^(r-2) L).  Overwrites a; five more
+            # arrays of its shape at most
+            with np.errstate(all="ignore"):
+                L = np.log1p(a)
+                a1 = a + 1.0
+                g = a / a1
+                a **= p - 2.0
+                a *= t0 ** 2 * c  # A
+                last = r * L
+                last *= g
+                last /= a1  # r L g / (1 + a)
+                pL = np.multiply(L, p, out=a1)
+                rg = r * g
+                g *= r - 1.0
+                g += pL
+                g *= rg  # r g (p L + (r-1) g)
+                B = np.add(pL, rg, out=pL)
+                d2 = np.multiply(L, p - 1.0, out=rg)
+                d2 *= B
+                d2 += g
+                d2 += last  # the bracket of deriv2
+                np.copyto(g, L)
+                Lr = g
+                Lr **= r - 2.0
+                d2 *= np.multiply(a, Lr, out=last)
+                a *= B
+                Lr *= L
+                a *= Lr
+            return d2, a
 
         def deriv2(s, t0=t0):
             a = t0 * np.abs(np.asarray(s, dtype=float))
@@ -358,7 +429,9 @@ def make_young(family: str, **params) -> YoungFunction:
             return out if out.ndim else float(out)
 
         def curvature(t, t0=t0):
-            return np.maximum(*curvature_pair(t0 * t))
+            # a 0-d t is evaluated as a one-entry array
+            d2, d1 = curvature_pair(t0 * np.atleast_1d(t))
+            return np.maximum(d2, d1, out=d2).reshape(np.shape(t))[()]
 
         fn = YoungFunction(
             value=value,

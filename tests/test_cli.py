@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -562,11 +563,23 @@ class TestSweep:
                      "values": [0.5], "inner": _DIRICHLET_BUMP},
         )
         assert main(["sweep", str(path)]) == 0
-        row = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1]
-        assert row.endswith("BudgetExceededError: assembly needs 120 pairs, budget is 100; "
-                            "lower the resolution or raise the budget explicitly")
-        # the error cell, last, is free text: its comma splits no field
+        with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+            header, row = csv.reader(f)
+        # the error cell, last, is quoted: its comma splits no field
+        assert len(row) == len(header) == 11
+        assert row[-1] == ("BudgetExceededError: assembly needs 120 pairs, budget is 100; "
+                           "lower the resolution or raise the budget explicitly")
         assert main(["schema-check", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("value, cell", [
+        (None, ""), (1.5, "1.5"), (True, "True"), ("reaction_m", "reaction_m"),
+        ("a, b", '"a, b"'), ('say "x"', '"say ""x"""'), ("two\nlines", '"two\nlines"'),
+        ("cr\r", '"cr\r"'),
+    ])
+    def test_cells_are_quoted_as_rfc_4180_says(self, value, cell):
+        assert cli._csv_cell(value) == cell
+        if cell:
+            assert next(csv.reader([f"{cell},x"])) == [str(value), "x"]
 
     def test_kernel_alpha_sweep_with_eigen(self, tmp_path):
         path, _ = write_config(
@@ -681,6 +694,13 @@ class TestSchemaCheck:
         assert main(["run", str(path)]) == 0
         assert main(["schema-check", str(tmp_path / "out")]) == 0
 
+    def test_accepts_quoted_sweep_cells(self, tmp_path):
+        # RFC 4180: a comma, a doubled quote and a line break inside quotes
+        head = ",".join(cli._SWEEP_COLUMNS)
+        error = cli._csv_cell('Err: a, "b"\nc')
+        (tmp_path / "sweep.csv").write_text(f"{head}\n0,reaction_m,1.5,,,,,,,,{error}\n")
+        assert main(["schema-check", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("problem", [{"type": "eigen"}, _DIRICHLET_BUMP])
     def test_accepts_a_run_and_an_oracle_in_one_directory(self, tmp_path, problem):
         # solution.csv, report.json, oracle.json and one or two oracle CSVs
@@ -711,6 +731,10 @@ class TestSchemaCheck:
          "no battery.json beside it"),
         ("sweep.csv", b"index,parameter,value,converged,objective,residual_inf,energy_E,"
          b"integral_F,lambda1,pohozaev_ratio,error\n0,reaction_m,1.5", "line 2: 3 fields"),
+        # an error cell cut inside its quotes
+        ("sweep.csv", b"index,parameter,value,converged,objective,residual_inf,energy_E,"
+         b"integral_F,lambda1,pohozaev_ratio,error\n0,reaction_m,1.5,,,,,,,,\"Err: a, b\n",
+         "line 2: not CSV (unexpected end of data)"),
     ])
     def test_malformed_files_are_problems(self, tmp_path, capsys, name, content, problem):
         # each is reported by file name, with no traceback, and exits 2

@@ -315,6 +315,29 @@ def _power_25(deriv2):
                       deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s), **extra)
 
 
+def _counting(young):
+    """young with a curvature that records the shape of each argument it
+    takes, and the list of those shapes."""
+    from dataclasses import replace
+
+    shapes = []
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return young.curvature(t)
+    return replace(young, curvature=counted), shapes
+
+
+def _full_square(asm, x, relaxed):
+    """The Newton matrix built on the whole square of pairs: pair weights
+    relaxed(|x_i - x_j|) w_ij off the diagonal, negated, and their row sums
+    plus relaxed(|x_i|) Lambda_i h^N on it."""
+    Wc = relaxed(np.abs(x[:, None] - x[None, :])) * asm.weights
+    ref = -Wc
+    np.fill_diagonal(ref, Wc.sum(axis=1) + relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim)
+    return ref
+
+
 class TestNewtonMatrix:
     """The relaxed-Newton matrix: young.curvature, evaluated on one triangle
     of the pairs and mirrored."""
@@ -393,11 +416,70 @@ class TestNewtonMatrix:
                 t = np.maximum(t, eps)
                 return np.maximum(young.deriv2(t), young.deriv(t) / t)
 
-        Wc = relaxed(np.abs(x[:, None] - x[None, :])) * asm.weights
-        ref = -Wc
-        np.fill_diagonal(ref, Wc.sum(axis=1)
-                         + relaxed(np.abs(x)) * asm.exterior * asm.h_pow_dim)
-        assert newton_matrix(asm, x, eps).tobytes() == ref.tobytes()
+        assert newton_matrix(asm, x, eps).tobytes() == _full_square(asm, x, relaxed).tobytes()
+
+    @pytest.mark.parametrize("grid", [("interval", 200, (-1.0, 1.0)),
+                                      ("ball", 24, (0.0, 0.0, 1.0))],
+                             ids=["interval-200", "ball-24"])
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=1.5), id="power-1.5"),
+        pytest.param(make_young("power", p=3.0), id="power-3"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log_perturbed-2-1"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=-0.5), id="log_perturbed-2--0.5"),
+        pytest.param(_power_25(deriv2=False), id="custom"),
+    ])
+    def test_spread_within_eps_takes_no_walk(self, grid, young):
+        # every pair difference relaxes to eps, so H is c(eps) W with the
+        # walk's bits, and curvature sees no pair block
+        from nlorlicz.energy import newton_matrix
+
+        grid = make_grid(*grid)
+        counting, shapes = _counting(young)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5), counting)
+        n = grid.n_nodes
+        v = 0.2 + random_function(grid, seed=6, amplitude=0.05).values
+        spread = v.max() - v.min()
+        y = np.abs(v - 0.2)
+        # x = 0, a spread below eps, a spread of exactly eps, and y >= 0 with
+        # max y = eps, as after a unit first step
+        for x, eps in ((np.zeros(n), 1.0), (v, 2.0 * spread), (v, spread), (y, y.max())):
+            del shapes[:]
+            H = newton_matrix(asm, x, eps)
+            assert shapes == [(1,), (n,)]
+
+            def relaxed(t):
+                return young.curvature(np.maximum(t, eps))
+            assert H.tobytes() == _full_square(asm, x, relaxed).tobytes()
+
+    def test_first_step_from_zero_walks_no_pairs(self, frac05_1d):
+        # the first step of a solve from x = 0: curvature on node vectors
+        # only (c(eps), the exterior terms and the loop's overflow check of
+        # the next eps), never on a pair block
+        counting, shapes = _counting(make_young("log_perturbed", p=2.0, r=1.0))
+        n = 64
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, counting)
+        solve_dirichlet(asm, GridFunction(asm.grid, np.ones(n)), max_iter=1)
+        assert shapes and all(shape in ((1,), (n,)) for shape in shapes)
+        assert shapes.count((n,)) == 1
+
+    @pytest.mark.parametrize("young", [
+        pytest.param(make_young("power", p=1.5), id="power-1.5"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=-0.5), id="log_perturbed-2--0.5"),
+    ])
+    def test_spread_just_above_eps_walks(self, frac05_1d, young):
+        from nlorlicz.energy import newton_matrix
+
+        counting, shapes = _counting(young)
+        asm = assemble(make_grid("interval", 200, (-1.0, 1.0)), frac05_1d, counting)
+        eps = 1e-3
+        x = np.zeros(200)
+        x[7] = np.nextafter(eps, 1.0)
+        H = newton_matrix(asm, x, eps)
+        assert any(len(shape) == 2 for shape in shapes)
+
+        def relaxed(t):
+            return young.curvature(np.maximum(t, eps))
+        assert H.tobytes() == _full_square(asm, x, relaxed).tobytes()
 
     @pytest.mark.parametrize("grid", [("interval", 64, (-1.0, 1.0)),
                                       ("interval", 300, (-1.0, 1.0)),

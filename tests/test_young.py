@@ -193,6 +193,113 @@ def test_joint_evaluator_has_the_bits_of_value_and_deriv(fn):
         assert np.asarray(d).tobytes() == np.asarray(fn.deriv(s)).tobytes()
 
 
+
+def _plain_log_perturbed(fn):
+    """value, deriv, joint, deriv2 and curvature of a log_perturbed fn as
+    plain formulas, each operation on a fresh array, with a = t0 |s| and
+    L = log1p(a): the in-place evaluators keep their operations and order."""
+    t0, c, p, r = (fn.params[k] for k in ("arg_scale", "c", "p", "r"))
+
+    def value(s):
+        a = t0 * np.abs(np.asarray(s, dtype=float))
+        out = np.where(a > 0.0, c * a ** p * np.log1p(a) ** r, 0.0)
+        return out if out.ndim else float(out)
+
+    def slope(a, L):
+        return t0 * c * a ** (p - 1.0) * L ** (r - 1.0) * (p * L + r * a / (1.0 + a))
+
+    def deriv(s):
+        s = np.asarray(s, dtype=float)
+        a = t0 * np.abs(s)
+        out = np.where(a > 0.0, slope(a, np.log1p(a)), 0.0) * np.sign(s)
+        return out if out.ndim else float(out)
+
+    def joint(s):
+        s = np.asarray(s, dtype=float)
+        a = t0 * np.abs(s)
+        L = np.log1p(a)
+        v = np.where(a > 0.0, c * a ** p * L ** r, 0.0)
+        d = np.where(a > 0.0, slope(a, L), 0.0) * np.sign(s)
+        return (v, d) if v.ndim else (float(v), float(d))
+
+    def pair(a):
+        L = np.log1p(a)
+        a1 = 1.0 + a
+        g = a / a1
+        A = t0 ** 2 * c * a ** (p - 2.0)
+        Lr = L ** (r - 2.0)
+        pL, rg = p * L, r * g
+        pLrg = pL + rg
+        d2 = A * Lr * ((p - 1.0) * L * pLrg + rg * (pL + (r - 1.0) * g) + r * L * g / a1)
+        return d2, A * pLrg * (Lr * L)
+
+    def deriv2(s):
+        a = t0 * np.abs(np.asarray(s, dtype=float))
+        out = np.zeros_like(a)
+        nz = a > 0.0
+        out[nz] = pair(a[nz])[0]
+        return out if out.ndim else float(out)
+
+    def curvature(t):
+        return np.maximum(*pair(t0 * t))
+
+    return {"value": value, "deriv": deriv, "joint": joint, "deriv2": deriv2,
+            "curvature": curvature}
+
+
+def _same_bits(got, ref):
+    """got and ref are equal bit for bit, signed zeros included, where ref
+    is a number; where ref is NaN, got is NaN too, of either sign."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    nan = np.isnan(ref)
+    return (got.shape == ref.shape and np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, ref).tobytes())
+
+
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0,
+                   1e8, -1e8, 1e300, -1e300, 0.75, 0.75, -0.75, 3.0, 3.0, -3.0, -3.0])
+
+
+@pytest.mark.parametrize("p, r", [(p, r) for p in (1.5, 2.0, 3.0) for r in (-0.5, 1.0, 2.5)
+                                  if min(p, p + r) > 1.0])
+def test_log_perturbed_evaluators_keep_the_plain_bits(p, r):
+    # where a^(p-1) underflows to 0 against an overflowing L^(r-1) (p = 3,
+    # r = -0.5 at |s| <= 1e-300) the formulas read NaN: both must, and a
+    # NaN's sign is not compared
+    import warnings
+
+    fn = make_young("log_perturbed", p=p, r=r)
+    plain = _plain_log_perturbed(fn)
+    rng = np.random.default_rng(11)
+    spread = rng.choice([-1.0, 1.0], 399) * 10.0 ** rng.uniform(-12.0, 12.0, 399)
+    full = np.concatenate([_EDGES, spread])
+    arrays = [_EDGES, full, full.reshape(-1, 7), full.reshape(7, -1)[:, ::-1]]
+    for s in arrays + [np.array(v) for v in _EDGES]:
+        with np.errstate(all="ignore"):
+            ref = {name: plain[name](s) for name in ("value", "deriv", "joint", "deriv2")}
+            t = np.abs(s)[np.abs(s) > 0.0] if s.ndim else None
+            if t is not None:
+                ref["curvature"] = plain["curvature"](t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {"value": fn.value(s), "deriv": fn.deriv(s), "joint": fn.joint(s),
+                   "deriv2": fn.deriv2(s)}
+            if t is not None:
+                got["curvature"] = fn.curvature(t)
+        for name in ref:
+            if name == "joint":
+                assert all(_same_bits(g, f) for g, f in zip(got[name], ref[name])), (name, s)
+            else:
+                assert _same_bits(got[name], ref[name]), (name, s)
+        if s.ndim == 0:  # 0-d inputs return floats
+            assert type(got["value"]) is float and type(got["deriv"]) is float
+            assert type(got["deriv2"]) is float
+            assert all(type(x) is float for x in got["joint"])
+            if s > 0.0:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert isinstance(fn.curvature(s), float)
+
 class TestGammaBounds:
     def test_pure_power_homogeneity(self):
         fn = make_young("power", p=2.5)
