@@ -55,23 +55,18 @@ from .kernels import (
     tail_integral,
 )
 from .solvers import (
-    MoserReport,
     PohozaevReport,
     ReactionSpec,
     SolveReport,
-    UniquenessGap,
     check_reaction_conditions,
-    moser_integrability_report,
     mountain_pass_search,
     pohozaev_check,
     power_reaction,
     solve_dirichlet,
     solve_eigen,
     solve_sublinear,
-    uniqueness_gap,
 )
 from .young import (
-    CharacteristicBounds,
     ClarksonReport,
     ComplementaryFunction,
     YoungFunction,

@@ -264,8 +264,8 @@ def _parts(cfg: dict):
     kernel, young, grid = ({key: _get(cfg, name, key) for key in cfg[name]}
                            for name in ("kernel", "young", "grid"))
     try:
-        return (make_kernel(dim=1 if grid["shape"] == "interval" else 2, **kernel),
-                make_young(**young), make_grid(**grid))
+        g = make_grid(**grid)
+        return make_kernel(dim=g.dim, **kernel), make_young(**young), g
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad config value: {exc}") from exc
 

@@ -30,10 +30,10 @@ from scipy.special import beta as beta_fn, betainc
 from .errors import ValidationError
 from .grid import DomainGrid
 
-# unit sphere measure (N=1: two points; N=2: circle length)
-SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi}
-# unit ball volume
-BALL_VOLUME = {1: 2.0, 2: np.pi}
+# unit sphere measure omega_N = 2 pi^(N/2) / Gamma(N/2) (N=1: two points;
+# N=2: circle length) and unit ball volume omega_N / N
+SPHERE_MEASURE = {N: 2.0 * math.pi ** (N / 2) / math.gamma(N / 2) for N in (1, 2)}
+BALL_VOLUME = {N: SPHERE_MEASURE[N] / N for N in (1, 2)}
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -45,12 +45,10 @@ class Kernel:
     ``q_star`` is the analytic singularity order for the built-in families.
     ``alpha_order`` is the exponent of a fractional lower bound near the
     origin when one exists (None when the kernel has no such bound, e.g. the
-    alternating dyadic example).  ``regular_v`` records whether the kernel is
-    nonincreasing near the origin up to a constant; it is metadata only: no
-    operation reads it and no output (report, battery row or sweep row)
-    carries it.  ``monotone`` says whether the profile is radially
-    nonincreasing; the symmetrization battery asserts only for such kernels,
-    and poincare_constant scans non-monotone profiles for their minimum.
+    alternating dyadic example).  ``monotone`` says whether the profile is
+    radially nonincreasing; the symmetrization battery asserts only for such
+    kernels, and poincare_constant scans non-monotone profiles for their
+    minimum.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -59,15 +57,12 @@ class Kernel:
     family: str
     params: dict = field(default_factory=dict)
     alpha_order: Optional[float] = None
-    regular_v: bool = True
     monotone: bool = True
     breakpoints: tuple = ()
 
     def evaluate(self, z) -> np.ndarray:
         """J at displacement vectors z of shape (..., dim)."""
-        z = np.asarray(z, dtype=float)
-        r = np.abs(z[..., 0]) if self.dim == 1 else np.hypot(z[..., 0], z[..., 1])
-        return self.profile(r)
+        return self.profile(np.linalg.norm(np.asarray(z, dtype=float), axis=-1))
 
     def __hash__(self):
         return hash((self.family, self.dim, tuple(sorted(self.params.items()))))
@@ -200,7 +195,6 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             family=family,
             params={"beta": beta},
             alpha_order=None,
-            regular_v=True,
             monotone=monotone,
             breakpoints=(1.0,),
         )
@@ -217,7 +211,6 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             family=family,
             params={"mu": mu},
             alpha_order=None,
-            regular_v=False,
             monotone=False,
             breakpoints=bps,
         )
@@ -231,7 +224,6 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             family=family,
             params={"note": params.get("note", "custom radial profile")},
             alpha_order=params.get("alpha_order"),
-            regular_v=bool(params.get("regular_v", True)),
             monotone=bool(params.get("monotone", True)),
             breakpoints=tuple(params.get("breakpoints", ())),
         )
@@ -467,12 +459,10 @@ def poincare_constant(kern: Kernel, domain: DomainGrid) -> float:
     between the inradius and R."""
     delta = domain.inradius
     R = 2.0 * delta
-    mu_min = _profile_min(kern, R)
-    if kern.dim == 1:
-        annulus = 2.0 * (R - delta)
-    else:
-        annulus = np.pi * (R * R - delta * delta)
-    return mu_min * annulus
+    # powers as products: pow(x, 2) is not always the rounded x * x
+    N = kern.dim
+    annulus = BALL_VOLUME[N] * (math.prod([R] * N) - math.prod([delta] * N))
+    return _profile_min(kern, R) * annulus
 
 
 def _profile_min(kern: Kernel, R: float) -> float:

@@ -1,6 +1,5 @@
 """Variational solvers for the nonlocal Dirichlet, reaction, and eigenvalue
-problems, plus the solution-quality reports (uniqueness certificate,
-nonexistence-exponent ratio, integrability scaling).
+problems, plus the nonexistence-exponent report.
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
@@ -39,12 +38,10 @@ import numpy as np
 from .energy import (
     EnergyAssembly,
     E_and_gradient,
-    E_value,
     F_value,
     circulant_preconditioner,
     even_newton_product,
     gradient_E,
-    interaction,
     luxemburg_norm_of,
     newton_matrix,
 )
@@ -52,13 +49,7 @@ from .errors import ValidationError
 from .grid import GridFunction, bump
 from .kernels import scaling_profile
 from .linalg import cholesky_inplace, cholesky_solve, dot
-from .young import (
-    YoungFunction,
-    calibrate_singular_constant,
-    clarkson_conditions,
-    gamma_bounds,
-    scale_root,
-)
+from .young import YoungFunction, scale_root
 
 
 @dataclass
@@ -454,42 +445,6 @@ def solve_dirichlet(asm: EnergyAssembly, f: GridFunction, tol: float = 1e-8,
     nodes = np.random.default_rng(2024).choice(n, size=min(20, n), replace=False)
     return _report(asm, passes, x, iters, conv, info, value(x), gradient, problem="dirichlet",
                    weak_form_residual=float(np.max(np.abs(gradient(x)[nodes]))))
-
-
-@dataclass(frozen=True)
-class UniquenessGap:
-    """Computable uniqueness certificate for two candidate solutions."""
-
-    gap: float          # E(u1 - u2)
-    bound: Optional[float]
-    case: str
-    interaction_difference: float
-
-
-def uniqueness_gap(asm: EnergyAssembly, u1: GridFunction, u2: GridFunction) -> UniquenessGap:
-    """Bound E(u1-u2) by the interaction difference through the difference
-    inequalities.  When u1 and u2 solve the same weak problem the bound forces
-    the gap to zero."""
-    d = GridFunction(asm.grid, u1.values - u2.values)
-    gap = E_value(asm, d)
-    diff = interaction(asm, u1, d) - interaction(asm, u2, d)
-    conds = clarkson_conditions(asm.young)
-    if conds.get("sqrt_convex"):
-        c = gamma_bounds(asm.young, 2.0)[1] / 4.0
-        return UniquenessGap(gap=gap, bound=c * diff, case="difference_convexity",
-                             interaction_difference=diff)
-    if conds.get("power_pinch"):
-        c3 = calibrate_singular_constant(asm.young)
-        p = asm.young.p
-        e_sum = E_value(asm, u1) + E_value(asm, u2)
-        if e_sum == 0.0:
-            return UniquenessGap(gap=gap, bound=0.0, case="singular_exponent",
-                                 interaction_difference=diff)
-        bound = 0.5 * (2.0 * max(diff, 0.0) / c3) ** (p / 2.0) * (2.0 * e_sum) ** (1.0 - p / 2.0)
-        return UniquenessGap(gap=gap, bound=bound, case="singular_exponent",
-                             interaction_difference=diff)
-    return UniquenessGap(gap=gap, bound=None, case="condition not satisfied",
-                         interaction_difference=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -914,61 +869,4 @@ def pohozaev_check(asm: EnergyAssembly, reaction: ReactionSpec,
         ratio=lhs / rhs,
         delta=delta,
         critical_exponent=N * p / (N - delta),
-    )
-
-
-@dataclass(frozen=True)
-class MoserReport:
-    applicable: bool
-    note: str
-    m: float = float("nan")
-    norms: tuple = ()
-    fitted_exponent: float = float("nan")
-    target_exponent: float = float("nan")
-    sup_norms: tuple = ()
-    sobolev_norms: tuple = ()
-
-
-def moser_integrability_report(asm: EnergyAssembly, f: GridFunction, m: float,
-                               scales=(1.0, 2.0, 4.0, 8.0), tol: float = 1e-8) -> MoserReport:
-    """Data-to-solution integrability scaling for power-like nonlinearities.
-
-    Solves the Dirichlet problem for s*f over the given scales and fits the
-    growth exponent of the L^{m(p-1)} norm against the predicted 1/(p-1)."""
-    Y = asm.young
-    s_grid = np.logspace(-3, 3, 100)
-    pinch = Y.deriv(s_grid) / s_grid ** (Y.p - 1.0)
-    if pinch.max() / pinch.min() > 1e2:
-        return MoserReport(False, "inapplicable: nonlinearity is not power-like")
-    p = Y.p
-    if m <= p / (p - 1.0):
-        return MoserReport(False, f"inapplicable: m <= p/(p-1) = {p/(p-1.0):.4g}", m=m)
-    hN = asm.h_pow_dim
-    N = asm.grid.dim
-    alpha = asm.kernel.alpha_order
-    r_exp = m * (p - 1.0)
-    norms, sups, sobs = [], [], []
-    for s in scales:
-        rep = solve_dirichlet(asm, GridFunction(asm.grid, s * f.values), tol=tol)
-        uv = np.abs(rep.solution.values)
-        norms.append(float((np.sum(uv ** r_exp) * hN) ** (1.0 / r_exp)))
-        sups.append(float(uv.max()))
-        if alpha is not None and m < N / alpha:
-            r2 = m * (p - 1.0) * N / (N - m * alpha)
-            sobs.append(float((np.sum(uv ** r2) * hN) ** (1.0 / r2)))
-    if max(norms) == 0.0:
-        return MoserReport(True, "zero data: all norms vanish", m=m,
-                           norms=tuple(norms), fitted_exponent=float("nan"),
-                           target_exponent=1.0 / (p - 1.0),
-                           sup_norms=tuple(sups), sobolev_norms=tuple(sobs))
-    fitted = _window_exponent(np.array(scales), np.array(norms))
-    return MoserReport(
-        applicable=True,
-        note="ok",
-        m=m,
-        norms=tuple(norms),
-        fitted_exponent=fitted,
-        target_exponent=1.0 / (p - 1.0),
-        sup_norms=tuple(sups),
-        sobolev_norms=tuple(sobs),
     )

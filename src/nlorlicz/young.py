@@ -3,10 +3,10 @@
 Provides the class of normalized Young functions trapped between two powers
 (growth exponents ``q <= s*V'(s)/V(s) <= p``), their characteristic bounds
 (inf/sup of ``V(s*x)/V(x)`` over ``x``), the complementary (conjugate)
-function, the Luxemburg norm, and the Clarkson-type calculus inequalities
-used by the uniqueness certificates.  One scale search, scale_root, finds
-the Luxemburg norm, the argument rescalings that normalize psi and its
-conjugate, and the peak of a ray in the mountain-pass solve.
+function, the Luxemburg norm, and the Clarkson-type calculus inequalities.
+One scale search, scale_root, finds the Luxemburg norm, the argument
+rescalings that normalize psi and its conjugate, and the peak of a ray in
+the mountain-pass solve.
 
 All evaluators accept numpy arrays.  Instances are immutable after
 construction and every operation here is pure.
@@ -106,14 +106,6 @@ class YoungFunction:
 
     def __hash__(self):
         return hash((self.family, tuple(sorted(self.params.items())), self.p, self.q))
-
-
-@dataclass(frozen=True)
-class CharacteristicBounds:
-    """Pointwise characteristic bounds gamma-(s), gamma+(s) of a Young function."""
-
-    gamma_minus: Callable[[float], float]
-    gamma_plus: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -558,14 +550,6 @@ def gamma_plus_deriv(fn: YoungFunction, s) -> np.ndarray:
         for i in zip(*np.nonzero(s > 0)):
             out[i] = _char_extremum(fn.deriv, float(s[i]), maximize=True)
     return float(out[0]) if scalar else out
-
-
-def characteristic_bounds(fn: YoungFunction) -> CharacteristicBounds:
-    """Bundle the two characteristic maps of a Young function."""
-    return CharacteristicBounds(
-        gamma_minus=lambda s: gamma_bounds(fn, s)[0],
-        gamma_plus=lambda s: gamma_bounds(fn, s)[1],
-    )
 
 
 @functools.lru_cache(maxsize=64)

@@ -38,7 +38,6 @@ class TestConstruction:
         K = make_kernel("piecewise_dyadic", dim=1, mu=0.5)
         assert K.q_star == 0.5
         assert K.alpha_order is None
-        assert not K.regular_v
         assert not K.monotone
 
     def test_radial_symmetry_exact(self):
@@ -336,6 +335,26 @@ class TestPoincareConstant:
         A = poincare_constant(K, g)
         # the scan minimum can be no larger than the profile at R
         assert A <= float(K.profile(np.array(0.2))) * 2.0 * 0.1 + 1e-12
+
+    @pytest.mark.parametrize("shape, bounds", [
+        ("interval", (-1.0, 1.759)),
+        ("box", (-1.0, 1.759, -1.0, 1.759)),
+        ("ball", (0.0, 0.0, 1.3795)),
+    ])
+    def test_annulus_has_the_bits_of_the_squares_as_products(self, shape, bounds):
+        # inradius 1.3795: pow(1.3795, 2) is not the rounded 1.3795 * 1.3795
+        g = make_grid(shape, 8, bounds)
+        K = make_kernel("fractional", dim=g.dim, alpha=0.5)
+        d = g.inradius
+        R = 2.0 * d
+        annulus = 2.0 * (R - d) if g.dim == 1 else np.pi * (R * R - d * d)
+        assert poincare_constant(K, g) == float(K.profile(np.array(R))) * annulus
+
+    def test_sphere_and_ball_constants_are_exact(self):
+        from nlorlicz.kernels import BALL_VOLUME
+
+        assert SPHERE_MEASURE == {1: 2.0, 2: 2.0 * np.pi}
+        assert BALL_VOLUME == {1: 2.0, 2: np.pi}
 
 
 class TestScalingProfile:

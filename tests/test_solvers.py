@@ -11,7 +11,6 @@ from nlorlicz import (
     make_grid,
     make_kernel,
     make_young,
-    moser_integrability_report,
     mountain_pass_search,
     pohozaev_check,
     poincare_constant,
@@ -20,7 +19,6 @@ from nlorlicz import (
     solve_dirichlet,
     solve_eigen,
     solve_sublinear,
-    uniqueness_gap,
 )
 from nlorlicz.oracles import (
     dense_dirichlet_solve,
@@ -1045,42 +1043,6 @@ class TestStepCounts:
         assert not np.any(rep.solution.values)
 
 
-class TestUniquenessGap:
-    def test_identical_solutions(self, asm16):
-        u = random_function(asm16.grid, seed=1)
-        rep = uniqueness_gap(asm16, u, u)
-        assert rep.gap == 0.0
-        assert rep.bound == 0.0
-
-    def test_two_runs_same_data(self, asm16):
-        f = random_function(asm16.grid, seed=2)
-        u1 = solve_dirichlet(asm16, f, tol=1e-9).solution
-        u2 = solve_dirichlet(asm16, f, tol=1e-12).solution
-        rep = uniqueness_gap(asm16, u1, u2)
-        from nlorlicz.energy import E_value
-
-        assert rep.gap <= 1e-8 * (1.0 + E_value(asm16, u1))
-
-    def test_quadratic_identity(self, asm16):
-        u1 = random_function(asm16.grid, seed=3)
-        u2 = random_function(asm16.grid, seed=4)
-        rep = uniqueness_gap(asm16, u1, u2)
-        # for the quadratic function the interaction difference is exactly
-        # twice the energy of the difference
-        assert rep.interaction_difference == pytest.approx(2.0 * rep.gap, rel=1e-12)
-        assert rep.case == "difference_convexity"
-
-    @pytest.mark.parametrize("p", [1.5, 3.0])
-    def test_certificate_bounds_arbitrary_pairs(self, g1d_small, frac05_1d, p):
-        asm = assemble(g1d_small, frac05_1d, make_young("power", p=p))
-        for seed in range(20):
-            u1 = random_function(asm.grid, seed=seed)
-            u2 = random_function(asm.grid, seed=seed + 500)
-            rep = uniqueness_gap(asm, u1, u2)
-            assert rep.bound is not None
-            assert rep.gap <= rep.bound * (1.0 + 1e-6) + 1e-12
-
-
 class TestReactionConditions:
     def test_power_sublinear_exponent(self, y_p2):
         rep = check_reaction_conditions(y_p2, power_reaction(1.5), dim=1,
@@ -1503,43 +1465,6 @@ class TestPohozaev:
         assert "infinite" in check.note
 
 
-class TestMoser:
-    def test_scaling_exponent_quadratic(self, y_p2):
-        asm = assemble(make_grid("interval", 48, (-1.0, 1.0)),
-                       make_kernel("fractional", dim=1, alpha=0.75), y_p2)
-        f = GridFunction(asm.grid, np.ones(asm.grid.n_nodes))
-        rep = moser_integrability_report(asm, f, m=3.0)
-        assert rep.applicable
-        assert rep.fitted_exponent == pytest.approx(rep.target_exponent, rel=0.02)
-        assert len(rep.sobolev_norms) == 0 or min(rep.sobolev_norms) > 0.0
-
-    def test_scaling_exponent_cubic(self):
-        asm = assemble(make_grid("interval", 32, (-1.0, 1.0)),
-                       make_kernel("fractional", dim=1, alpha=0.75),
-                       make_young("power", p=3.0))
-        f = GridFunction(asm.grid, np.ones(asm.grid.n_nodes))
-        rep = moser_integrability_report(asm, f, m=3.0, tol=1e-9)
-        assert rep.applicable
-        assert rep.target_exponent == pytest.approx(0.5)
-        assert rep.fitted_exponent == pytest.approx(0.5, rel=0.02)
-
-    def test_small_m_inapplicable(self, asm_quad):
-        f = GridFunction(asm_quad.grid, np.ones(asm_quad.grid.n_nodes))
-        rep = moser_integrability_report(asm_quad, f, m=1.5)
-        assert not rep.applicable
-
-    def test_zero_data_gives_zero_norms(self, asm16):
-        f = GridFunction(asm16.grid, np.zeros(asm16.grid.n_nodes))
-        rep = moser_integrability_report(asm16, f, m=3.0)
-        assert rep.applicable
-        assert max(rep.norms) == 0.0
-        assert max(rep.sup_norms) == 0.0
-
-    def test_not_power_like_inapplicable(self, asm_sum):
-        f = GridFunction(asm_sum.grid, np.ones(asm_sum.grid.n_nodes))
-        assert not moser_integrability_report(asm_sum, f, m=3.0).applicable
-
-
 class TestEvaluationCounts:
     """The solves take E and its gradient through one joint pass per point,
     solvers.E_and_gradient; the homogeneous mountain pass also takes one
@@ -1583,13 +1508,17 @@ class TestEvaluationCounts:
         return points
 
     def test_one_pass_per_point(self, asm16, monkeypatch):
-        calls = self._count(monkeypatch, ("E_and_gradient", "E_value", "gradient_E",
-                                          "interaction"))
+        import nlorlicz.solvers as solvers
+
+        # the solves cannot take E or the interaction form apart from the
+        # joint pass: solvers does not import them
+        assert not hasattr(solvers, "E_value") and not hasattr(solvers, "interaction")
+        calls = self._count(monkeypatch, ("E_and_gradient", "gradient_E"))
         rep = solve_eigen(asm16)
         assert rep.iterations > 2
         assert calls["E_and_gradient"] <= rep.iterations + 2
         solve_dirichlet(asm16, random_function(asm16.grid, seed=12))
-        assert calls["E_value"] == calls["gradient_E"] == calls["interaction"] == 0
+        assert calls["gradient_E"] == 0
 
     @pytest.mark.parametrize("young", [
         pytest.param(make_young("power", p=2.0), id="power-2"),

@@ -1,5 +1,7 @@
-"""tools/code_lines.py on a small fixture source."""
+"""tools/code_lines.py on a small fixture source, and a dead-code scan of
+the package's modules."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -51,3 +53,54 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split() for line in out] == [
         ["10", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")], ["11", "total"]]
+
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlorlicz"
+
+
+def _dead_names(source: str) -> list:
+    """Names a module binds but never reads: each imported name, and each
+    private (single underscore) top-level function, class or constant.  A
+    name counts as read wherever it is loaded, annotations included."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        bound += [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in bound if n not in read]
+
+
+def test_dead_name_scan_on_a_fixture():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from typing import Optional\n"
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper(x: Optional[int]):\n"
+        "    return np.abs(x) + _USED\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper(0)\n"
+    )
+    assert _dead_names(source) == ["os", "_UNUSED", "_orphan"]
+
+
+def test_no_unread_imports_or_private_names():
+    dead = {p.name: _dead_names(p.read_text(encoding="utf-8"))
+            for p in sorted(_PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    assert {name: names for name, names in dead.items() if names} == {}

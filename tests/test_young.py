@@ -599,18 +599,6 @@ class TestClarkson:
         assert failures == 0
 
 
-class TestCharacteristicBundle:
-    def test_maps_agree_with_gamma_bounds(self):
-        from nlorlicz.young import characteristic_bounds
-
-        fn = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
-        ch = characteristic_bounds(fn)
-        for s in (0.5, 2.0):
-            gm, gp = gamma_bounds(fn, s)
-            assert ch.gamma_minus(s) == gm
-            assert ch.gamma_plus(s) == gp
-
-
 class TestSvDelta:
     def test_pure_power(self):
         assert sv_delta(make_young("power", p=3.0)) == pytest.approx(3.0)
