@@ -1043,6 +1043,68 @@ class TestStepCounts:
         assert not np.any(rep.solution.values)
 
 
+class TestUniquenessGap:
+    """Uniqueness of the Dirichlet solution: the difference inequalities bound
+    E(u1 - u2) by the interaction difference <L u1 - L u2, u1 - u2>, which
+    vanishes when u1 and u2 solve the same weak problem."""
+
+    @staticmethod
+    def _certificate(asm, u1, u2):
+        """(E(u1 - u2), interaction difference, bound, case)."""
+        from nlorlicz import interaction
+        from nlorlicz.young import (
+            calibrate_singular_constant,
+            clarkson_conditions,
+            gamma_bounds,
+        )
+
+        d = GridFunction(asm.grid, u1.values - u2.values)
+        gap = E_value(asm, d)
+        diff = interaction(asm, u1, d) - interaction(asm, u2, d)
+        conds = clarkson_conditions(asm.young)
+        if conds.get("sqrt_convex"):
+            return gap, diff, gamma_bounds(asm.young, 2.0)[1] / 4.0 * diff, \
+                "difference_convexity"
+        assert conds.get("power_pinch")
+        p = asm.young.p
+        e_sum = E_value(asm, u1) + E_value(asm, u2)
+        bound = 0.0 if e_sum == 0.0 else (
+            0.5 * (2.0 * max(diff, 0.0) / calibrate_singular_constant(asm.young)) ** (p / 2.0)
+            * (2.0 * e_sum) ** (1.0 - p / 2.0))
+        return gap, diff, bound, "singular_exponent"
+
+    def test_identical_solutions(self, asm16):
+        u = random_function(asm16.grid, seed=1)
+        gap, _, bound, _ = self._certificate(asm16, u, u)
+        assert gap == 0.0
+        assert bound == 0.0
+
+    def test_two_runs_same_data(self, asm16):
+        f = random_function(asm16.grid, seed=2)
+        u1 = solve_dirichlet(asm16, f, tol=1e-9).solution
+        u2 = solve_dirichlet(asm16, f, tol=1e-12).solution
+        gap, _, _, _ = self._certificate(asm16, u1, u2)
+        assert gap <= 1e-8 * (1.0 + E_value(asm16, u1))
+
+    def test_quadratic_identity(self, asm16):
+        u1 = random_function(asm16.grid, seed=3)
+        u2 = random_function(asm16.grid, seed=4)
+        gap, diff, _, case = self._certificate(asm16, u1, u2)
+        # for the quadratic function the interaction difference is exactly
+        # twice the energy of the difference
+        assert diff == pytest.approx(2.0 * gap, rel=1e-12)
+        assert case == "difference_convexity"
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_certificate_bounds_arbitrary_pairs(self, g1d_small, frac05_1d, p):
+        asm = assemble(g1d_small, frac05_1d, make_young("power", p=p))
+        for seed in range(20):
+            u1 = random_function(asm.grid, seed=seed)
+            u2 = random_function(asm.grid, seed=seed + 500)
+            gap, _, bound, _ = self._certificate(asm, u1, u2)
+            assert gap <= bound * (1.0 + 1e-6) + 1e-12
+
+
 class TestReactionConditions:
     def test_power_sublinear_exponent(self, y_p2):
         rep = check_reaction_conditions(y_p2, power_reaction(1.5), dim=1,
