@@ -25,6 +25,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import operator
 import os
 import sys
@@ -69,15 +70,23 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    # json reads NaN and Infinity, and float() reads "nan" and "inf"
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _pair(value) -> tuple:
     k, p = value
     if isinstance(k, bool) or isinstance(p, bool):
         raise TypeError(value)
-    return float(k), float(p)
+    return _number(k), _number(p)
 
 
 _INTEGER = _Kind("an integer", _integer)
-_NUMBER = _Kind("a number", float)
+_NUMBER = _Kind("a number", _number)
 _NUMBERS = _NUMBER._replace(many=True)
 _PAIRS = _Kind("a [k, p] pair", _pair, many=True)
 _BOOLEAN = _Kind("true or false", bool)

@@ -1,4 +1,10 @@
-"""Uniform cell-centered grids on bounded 1D/2D domains and grid functions.
+"""Uniform cell-centered grids on bounded domains of R^N and grid functions.
+
+A domain is a box or a ball, and its bounds have one layout per kind for
+every N: a box, the interval being the 1-D box, is (a_1, b_1, ..., a_N,
+b_N), and a ball is (c_1, ..., c_N, R).  DIMENSIONS lists the dimensions
+that the package supports, and _SHAPES gives each shape its dimension and
+its default bounds.
 
 Functions carry values on interior nodes only; the complement of the domain
 is implicitly zero everywhere (the zero-exterior convention of the nonlocal
@@ -8,6 +14,7 @@ axis is the slowest, so in 2D the y index varies fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,14 +22,30 @@ import numpy as np
 
 from .errors import ValidationError
 
+DIMENSIONS = (1, 2)
+
+# unit sphere measure omega_N = 2 pi^(N/2) / Gamma(N/2) (N=1: two points;
+# N=2: circle length) and unit ball volume omega_N / N
+SPHERE_MEASURE = {N: 2.0 * math.pi ** (N / 2) / math.gamma(N / 2) for N in DIMENSIONS}
+BALL_VOLUME = {N: SPHERE_MEASURE[N] / N for N in DIMENSIONS}
+
+# each shape's dimension and default bounds; "ball" alone has the ball layout
+_SHAPES = {"interval": (1, (-1.0, 1.0)), "box": (2, (0.0, 1.0, 0.0, 1.0)),
+           "ball": (2, (0.0, 0.0, 1.0))}
+
+
+def _box_sides(bounds: tuple) -> list:
+    """The side lengths b_i - a_i of the box layout (a_1, b_1, ..., a_N, b_N)."""
+    return [b - a for a, b in zip(bounds[0::2], bounds[1::2])]
+
 
 @dataclass(frozen=True)
 class DomainGrid:
-    """Cell-centered discretization of an interval, box, or ball."""
+    """Cell-centered discretization of a box (an interval in 1D) or a ball."""
 
     dim: int
     shape: str  # "interval" | "box" | "ball"
-    bounds: tuple  # interval: (a, b); box: (a1, b1, a2, b2); ball: (cx, cy, radius)
+    bounds: tuple  # box layout (a_1, b_1, ..., a_N, b_N); ball (c_1, ..., c_N, R)
     n_per_axis: int
     spacing: float
     nodes: np.ndarray  # (n_nodes, dim), row-major over axis indices
@@ -37,36 +60,21 @@ class DomainGrid:
 
     @property
     def center(self) -> np.ndarray:
-        if self.shape == "interval":
-            a, b = self.bounds
-            return np.array([0.5 * (a + b)])
-        if self.shape == "box":
-            a1, b1, a2, b2 = self.bounds
-            return np.array([0.5 * (a1 + b1), 0.5 * (a2 + b2)])
-        cx, cy, _ = self.bounds
-        return np.array([cx, cy])
+        if self.shape == "ball":
+            return np.array(self.bounds[:-1])
+        return 0.5 * (np.array(self.bounds[0::2]) + np.array(self.bounds[1::2]))
 
     @property
     def volume(self) -> float:
         """Measure of the continuum domain (not of the union of cells)."""
-        if self.shape == "interval":
-            a, b = self.bounds
-            return b - a
-        if self.shape == "box":
-            a1, b1, a2, b2 = self.bounds
-            return (b1 - a1) * (b2 - a2)
-        return np.pi * self.bounds[2] ** 2
+        if self.shape == "ball":
+            return BALL_VOLUME[self.dim] * self.bounds[-1] ** self.dim
+        return math.prod(_box_sides(self.bounds))
 
     @property
     def inradius(self) -> float:
         """sup over the domain of the distance to the complement."""
-        if self.shape == "interval":
-            a, b = self.bounds
-            return 0.5 * (b - a)
-        if self.shape == "box":
-            a1, b1, a2, b2 = self.bounds
-            return 0.5 * min(b1 - a1, b2 - a2)
-        return self.bounds[2]
+        return self.bounds[-1] if self.shape == "ball" else 0.5 * min(_box_sides(self.bounds))
 
     def __hash__(self):
         return hash((self.dim, self.shape, self.bounds, self.n_per_axis))
@@ -105,46 +113,45 @@ def _cell_centres(lower: tuple, h: float, n_per_axis: int) -> np.ndarray:
 
 
 def make_grid(shape: str, n_per_axis: int, bounds: Optional[tuple] = None) -> DomainGrid:
-    """Build a cell-centered grid.
+    """Build a cell-centered grid with n_per_axis cells on each axis.
 
-    shape "interval" with bounds (a, b); "box" with (a1, b1, a2, b2);
-    "ball" with (cx, cy, radius).  For balls, the nodes are the centers of
-    the bounding-box cells that fall inside the ball.
+    "interval" (N = 1) and "box" (N = 2) take the box layout (a_1, b_1, ...,
+    a_N, b_N), with equal sides; "ball" (N = 2) takes (c_1, ..., c_N, R),
+    and its nodes are the centres of the bounding box's cells that fall
+    inside the ball.  Bounds left out take the shape's default; bounds of
+    the wrong length, not finite or degenerate raise a ValidationError.
     """
     if n_per_axis < 4:
         raise ValidationError("need at least 4 nodes per axis")
-    if shape == "interval":
-        bounds = a, b = bounds if bounds is not None else (-1.0, 1.0)
-        if not b > a:
-            raise ValidationError("degenerate interval")
-        h, lower = (b - a) / n_per_axis, (a,)
-    elif shape == "box":
-        bounds = a1, b1, a2, b2 = bounds if bounds is not None else (0.0, 1.0, 0.0, 1.0)
-        if not (b1 > a1 and b2 > a2):
-            raise ValidationError("degenerate box")
-        if abs((b1 - a1) - (b2 - a2)) > 1e-12 * (b1 - a1):
-            # one spacing h for both axes keeps the pair weights a function
-            # of the lattice offset
-            raise ValidationError("box must be square (uniform spacing on both axes)")
-        h, lower = (b1 - a1) / n_per_axis, (a1, a2)
-    elif shape == "ball":
-        bounds = cx, cy, radius = bounds if bounds is not None else (0.0, 0.0, 1.0)
-        if radius <= 0.0:
-            raise ValidationError("degenerate ball")
-        h, lower = 2.0 * radius / n_per_axis, (cx - radius, cy - radius)
-    else:
+    if shape not in _SHAPES:
         raise ValidationError(f"unknown grid shape {shape!r}")
+    dim, default = _SHAPES[shape]
+    bounds = tuple(float(v) for v in (default if bounds is None else bounds))
+    ball = shape == "ball"
+    size, layout = (dim + 1, "(c_1, ..., c_N, R)") if ball else (2 * dim, "(a_1, b_1, ...)")
+    if len(bounds) != size:
+        raise ValidationError(
+            f"{shape} bounds {layout} need {size} numbers, got {len(bounds)}")
+    if not all(map(math.isfinite, bounds)):
+        raise ValidationError(f"{shape} bounds must be finite, got {bounds}")
+    if ball:
+        *centre, radius = bounds
+        sides, lower = [2.0 * radius], [c - radius for c in centre]
+    else:
+        sides, lower = _box_sides(bounds), bounds[0::2]
+    if not min(sides) > 0.0:
+        raise ValidationError(f"degenerate {shape}")
+    if max(sides) - min(sides) > 1e-12 * sides[0]:
+        # one spacing h for every axis keeps the pair weights a function of
+        # the lattice offset
+        raise ValidationError("box must be square (uniform spacing on both axes)")
+    h = sides[0] / n_per_axis
     nodes = _cell_centres(lower, h, n_per_axis)
-    if shape == "ball":
-        nodes = nodes[np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) < radius]
-    return DomainGrid(
-        dim=len(lower),
-        shape=shape,
-        bounds=tuple(float(v) for v in bounds),
-        n_per_axis=n_per_axis,
-        spacing=h,
-        nodes=nodes,
-    )
+    if ball:
+        # the hypot fold has np.hypot's bits in 2D, which np.linalg.norm has not
+        nodes = nodes[np.hypot.reduce((nodes - centre).T, axis=0, initial=0.0) < radius]
+    return DomainGrid(dim=dim, shape=shape, bounds=bounds, n_per_axis=n_per_axis,
+                      spacing=h, nodes=nodes)
 
 
 def decreasing_rearrangement(u: GridFunction) -> GridFunction:
@@ -196,7 +203,7 @@ def indicator_function(grid: DomainGrid, seed: int, fraction: float = 0.3,
 
 
 # to_csv's header line, by grid dimension
-CSV_HEADERS = {1: "x,value", 2: "x,y,value"}
+CSV_HEADERS = {N: ",".join([*"xyz"[:N], "value"]) for N in DIMENSIONS}
 
 
 def to_csv(u: GridFunction) -> str:

@@ -28,12 +28,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
 from .errors import ValidationError
-from .grid import DomainGrid
-
-# unit sphere measure omega_N = 2 pi^(N/2) / Gamma(N/2) (N=1: two points;
-# N=2: circle length) and unit ball volume omega_N / N
-SPHERE_MEASURE = {N: 2.0 * math.pi ** (N / 2) / math.gamma(N / 2) for N in (1, 2)}
-BALL_VOLUME = {N: SPHERE_MEASURE[N] / N for N in (1, 2)}
+from .grid import BALL_VOLUME, DIMENSIONS, SPHERE_MEASURE, DomainGrid
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -120,8 +115,8 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
     Rejects kernels that are integrable at the origin or have a heavy tail,
     naming the failed integral.
     """
-    if dim not in (1, 2):
-        raise ValidationError("kernel dimension must be 1 or 2")
+    if dim not in DIMENSIONS:
+        raise ValidationError(f"kernel dimension must be one of {DIMENSIONS}")
 
     if family == "fractional":
         alpha = float(params["alpha"])
@@ -396,8 +391,8 @@ def _ball_exterior(kern: Kernel, bounds, x: np.ndarray) -> np.ndarray:
     and s = sin(psi/2), the ray to the boundary point at psi has length rho,
     rho^2 = d^2 + 4 R r0 s^2, and subtends R (d + 2 r0 s^2) / rho^2 dpsi.
     The pass runs once per distinct r0."""
-    cx, cy, R = bounds
-    r_all = np.hypot(x[:, 0] - cx, x[:, 1] - cy)
+    *centre, R = bounds
+    r_all = np.hypot.reduce((x - centre).T, axis=0, initial=0.0)
     # mirror-image nodes differ in r0 by rounding only; give them one value
     _, first, inv = np.unique(np.round(r_all / R, 12), return_index=True,
                               return_inverse=True)
@@ -419,16 +414,14 @@ def _exterior(kern: Kernel, domain: DomainGrid, x: np.ndarray) -> np.ndarray:
     """Lambda at the points x of shape (m, dim); see lambda_exterior."""
     if kern.dim != domain.dim:
         raise ValidationError("kernel and domain dimensions differ")
-    if domain.dim == 1:
-        a, b = domain.bounds
-        d = np.stack([x[:, 0] - a, b - x[:, 0]])
-        _require_interior(d)
-        return 0.5 * tail_integral(kern, d).sum(axis=0)
-    if domain.shape == "box":
-        return _box_exterior(kern, domain.bounds, x)
     if domain.shape == "ball":
         return _ball_exterior(kern, domain.bounds, x)
-    raise ValidationError(f"unsupported 2D shape {domain.shape!r}")
+    if domain.dim == 2:
+        return _box_exterior(kern, domain.bounds, x)
+    a, b = domain.bounds
+    d = np.stack([x[:, 0] - a, b - x[:, 0]])
+    _require_interior(d)
+    return 0.5 * tail_integral(kern, d).sum(axis=0)
 
 
 def exterior_weights(kern: Kernel, grid: DomainGrid) -> np.ndarray:

@@ -156,12 +156,9 @@ def node_mass_consistency(asm: EnergyAssembly, i: int):
     h = g.spacing
     total = float(asm.weights[i].sum()) / asm.h_pow_dim + float(asm.exterior[i])
     node = g.nodes[i]
-    if g.dim == 1:
-        cell = make_grid("interval", 4, (node[0] - h / 2, node[0] + h / 2))
-    else:
-        cell = make_grid(
-            "box", 4, (node[0] - h / 2, node[0] + h / 2, node[1] - h / 2, node[1] + h / 2)
-        )
+    # the node's cell, in the box layout (a_1, b_1, ..., a_N, b_N)
+    bounds = np.column_stack([node - h / 2, node + h / 2]).ravel()
+    cell = make_grid("interval" if g.dim == 1 else "box", 4, tuple(bounds))
     reference = polar_lambda_exterior(asm.kernel, cell, node)
     return total, reference
 

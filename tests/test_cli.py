@@ -264,6 +264,10 @@ class TestRun:
          "problem.inner must be a JSON object"),
         ({"grid": {"shape": "interval", "n_per_axis": "abc"}}, "'abc'"),
         ({"grid": {"shape": "interval", "n_per_axis": 16, "bounds": "ab"}}, "bad config value"),
+        ({"grid": {"shape": "interval", "n_per_axis": 16, "bounds": [0.0, 1.0, 2.0]}},
+         "interval bounds (a_1, b_1, ...) need 2 numbers, got 3"),
+        ({"grid": {"shape": "ball", "n_per_axis": 16, "bounds": [0.0, 1.0]}},
+         "ball bounds (c_1, ..., c_N, R) need 3 numbers, got 2"),
         ({"kernel": {"family": "fractional", "alpha": "x"}}, "'x'"),
         ({"young": {"family": "power_sum", "terms": 5}}, "bad config value"),
         ({"seed": "x"}, "seed = 'x'"),
@@ -324,8 +328,8 @@ class TestRun:
         ({"spec_version": True}, "spec_version = True"),
         ({"output_dir": 5}, "output_dir = 5"),
     ], ids=["kernel-int", "problem-list", "solver-int", "inner-list", "n_per_axis-str",
-            "bounds-str", "alpha-str", "terms-int", "seed-str", "tol-str", "max_iter-str",
-            "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown",
+            "bounds-str", "bounds-interval-3", "bounds-ball-2", "alpha-str", "terms-int",
+            "seed-str", "tol-str", "max_iter-str", "pair_budget-str", "reaction_m-str", "trials-str", "r-unknown",
             "eigen-reaction_m", "superlinear-trials", "sublinear-data", "dirichlet-values",
             "inner-eigen-trials", "radius-str",
             "data-str", "values-item-str", "values-int", "inner-reaction_m-str",
@@ -887,10 +891,14 @@ class TestOutputs:
 # a value the checks accept, for each kind of required key
 _SAMPLE = {cli._INTEGER: 4, cli._NUMBER: 1.5, cli._NUMBERS: [1.5], cli._PAIRS: [[1.0, 2.0]],
            cli._STRING: "interval"}
-# values of the wrong type, for each kind
-_WRONG = {cli._INTEGER: ["x", 1.5, True], cli._NUMBER: ["x", True], cli._BOOLEAN: ["no", 1],
-          cli._STRING: [5], cli._NUMBERS: [5, [], ["x"]],
-          cli._PAIRS: [5, [], [[1.0]], [[True, 2.0]]]}
+# values of the wrong type, for each kind; a number must be finite, and
+# json writes and reads NaN, Infinity and -Infinity
+_NONFINITE = [float("nan"), float("inf"), -float("inf")]
+_WRONG = {cli._INTEGER: ["x", 1.5, True], cli._NUMBER: ["x", True, "nan", *_NONFINITE],
+          cli._BOOLEAN: ["no", 1], cli._STRING: [5],
+          cli._NUMBERS: [5, [], ["x"], *([v] for v in _NONFINITE), [1.5, float("nan")]],
+          cli._PAIRS: [5, [], [[1.0]], [[True, 2.0]], *([[v, 2.0]] for v in _NONFINITE),
+                       [[1.0, float("inf")]]]}
 # a value just outside each bound, of the bound's type
 _OUTSIDE = {"above": lambda limit: limit, "at least": lambda limit: limit - 1,
             "in": lambda limit: max(limit) + 1 if isinstance(limit[0], int) else "x"}

@@ -10,7 +10,8 @@ from nlorlicz import (
     make_grid,
     random_function,
 )
-from nlorlicz.grid import from_csv, to_csv
+from nlorlicz.grid import (BALL_VOLUME, CSV_HEADERS, DIMENSIONS, SPHERE_MEASURE, DomainGrid,
+                           _cell_centres, from_csv, to_csv)
 
 
 class TestMakeGrid:
@@ -55,6 +56,49 @@ class TestMakeGrid:
             make_grid("box", 8, (0.0, 2.0, 0.0, 1.0))  # not square
         with pytest.raises(ValidationError):
             make_grid("hexagon", 8)
+        # bounds of the wrong length name the shape and the count it needs
+        for shape, bounds, size in (("interval", (0.0, 1.0, 2.0), 2),
+                                    ("box", (0.0, 1.0), 4), ("ball", (0.0, 1.0), 3),
+                                    ("ball", (0.0, 0.0, 0.0, 1.0), 3)):
+            with pytest.raises(ValidationError, match=f"{shape} bounds .* need {size} numbers"):
+                make_grid(shape, 8, bounds)
+        # non-finite bounds, which gave spacing inf or a grid of no nodes
+        for shape, bounds in (("interval", (0.0, np.inf)), ("interval", (np.nan, 1.0)),
+                              ("box", (0.0, 1.0, -np.inf, 1.0)), ("ball", (0.0, 0.0, np.inf)),
+                              ("ball", (np.nan, 0.0, 1.0))):
+            with pytest.raises(ValidationError, match="finite"):
+                make_grid(shape, 8, bounds)
+
+    @pytest.mark.parametrize("n", [8, 24, 37])
+    def test_off_centre_ball_is_the_hypot_mask(self, n):
+        # the ball mask, a hypot fold over the axes, keeps np.hypot's bits on
+        # an off-centre ball of non-unit radius
+        cx, cy, R = 0.3, -0.7, 1.3795
+        ball = make_grid("ball", n, (cx, cy, R))
+        lattice = _cell_centres((cx - R, cy - R), 2.0 * R / n, n)
+        inside = np.hypot(lattice[:, 0] - cx, lattice[:, 1] - cy) < R
+        assert ball.spacing == 2.0 * R / n
+        assert np.array_equal(ball.nodes, lattice[inside])
+
+    def test_center_and_inradius_read_off_the_layouts_in_3d(self):
+        # a hand-built N = 3 box and ball: the geometry has no per-N branch
+        box_bounds = (0.0, 0.75, -1.0, -0.25, 2.0, 2.75)
+        box = DomainGrid(dim=3, shape="box", bounds=box_bounds, n_per_axis=4, spacing=0.1875,
+                         nodes=_cell_centres((0.0, -1.0, 2.0), 0.1875, 4))
+        assert box.n_nodes == 64
+        assert np.array_equal(box.center, [0.375, -0.625, 2.375])
+        assert box.inradius == 0.375
+        assert box.volume == 0.75 ** 3
+        ball = DomainGrid(dim=3, shape="ball", bounds=(0.3, -0.7, 2.0, 1.3795), n_per_axis=4,
+                          spacing=2.0 * 1.3795 / 4,
+                          nodes=_cell_centres((0.3 - 1.3795, -0.7 - 1.3795, 2.0 - 1.3795),
+                                              2.0 * 1.3795 / 4, 4))
+        assert np.array_equal(ball.center, [0.3, -0.7, 2.0])
+        assert ball.inradius == 1.3795
+
+    def test_dimension_tables_are_keyed_by_the_dimensions(self):
+        assert tuple(SPHERE_MEASURE) == tuple(BALL_VOLUME) == tuple(CSV_HEADERS) == DIMENSIONS
+        assert CSV_HEADERS == {1: "x,value", 2: "x,y,value"}
 
     def test_grid_function_validation(self):
         g = make_grid("interval", 8, (-1.0, 1.0))

@@ -29,6 +29,11 @@ class TestConstruction:
         z = np.array([[0.3, 0.4]])
         assert K.evaluate(z)[0] == pytest.approx(0.5 ** -3.0)
 
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_unsupported_dimension_rejected(self, dim):
+        with pytest.raises(ValidationError, match="kernel dimension"):
+            make_kernel("fractional", dim=dim, alpha=0.5)
+
     def test_log_kernel_zero_order(self):
         K = make_kernel("log", dim=1, beta=1.0)
         assert K.q_star == 0.0
@@ -351,10 +356,13 @@ class TestPoincareConstant:
         assert poincare_constant(K, g) == float(K.profile(np.array(R))) * annulus
 
     def test_sphere_and_ball_constants_are_exact(self):
+        from nlorlicz import grid
         from nlorlicz.kernels import BALL_VOLUME
 
         assert SPHERE_MEASURE == {1: 2.0, 2: 2.0 * np.pi}
         assert BALL_VOLUME == {1: 2.0, 2: np.pi}
+        # the tables live in grid.py and stay importable from kernels
+        assert SPHERE_MEASURE is grid.SPHERE_MEASURE and BALL_VOLUME is grid.BALL_VOLUME
 
 
 class TestScalingProfile:

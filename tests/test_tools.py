@@ -104,3 +104,38 @@ def test_no_unread_imports_or_private_names():
     dead = {p.name: _dead_names(p.read_text(encoding="utf-8"))
             for p in sorted(_PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def _dimension_lists(source: str, dimensions: tuple) -> list:
+    """Line numbers of the tuple, list and set literals whose elements are
+    exactly the integers of dimensions, in order: a restated list of the
+    supported dimensions.  Floats such as (1.0, 2.0) are not dimensions."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)
+            and tuple(e.value for e in node.elts) == dimensions]
+
+
+def test_dimension_scan_on_a_fixture():
+    source = (
+        "DIMS = (1, 2)\n"
+        "x = [1, 2]\n"
+        "y = {1, 2}\n"
+        "z = (1, 2, 3)\n"
+        "w = (2, 1)\n"
+        "v = (1, n)\n"
+        "u = (1.0, 2.0)\n"
+        "if dim not in (1, 2):\n"
+        "    pass\n"
+    )
+    assert _dimension_lists(source, (1, 2)) == [1, 2, 3, 8]
+
+
+def test_only_grid_lists_the_dimensions():
+    from nlorlicz.grid import DIMENSIONS
+
+    found = {p.name: _dimension_lists(p.read_text(encoding="utf-8"), DIMENSIONS)
+             for p in sorted(_PACKAGE.glob("*.py")) if p.name != "grid.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _dimension_lists((_PACKAGE / "grid.py").read_text(encoding="utf-8"),
+                            DIMENSIONS) != []
