@@ -38,8 +38,8 @@ from . import __version__
 from .energy import PAIR_BUDGET, assemble
 from .errors import NlorliczError, ValidationError
 from .grid import CSV_HEADERS, GridFunction, bump, make_grid, random_function, to_csv
-from .harness import (BATTERY_CSV_HEADER, CorpusSpec, battery_csv, config_digest,
-                      parts_digest, run_battery)
+from .harness import (BATTERY_CSV_HEADER, BATTERY_MANIFEST, CorpusSpec, battery_csv,
+                      config_digest, parts_digest, run_battery)
 from .kernels import make_kernel, poincare_constant
 from .oracles import dense_dirichlet_solve, dense_min_eigenvalue, node_mass_consistency
 from .solvers import (mountain_pass_search, pohozaev_check, power_reaction, solve_dirichlet,
@@ -355,7 +355,8 @@ def cmd_run(config_path: str) -> int:
 
     rep, fields = _run_problem(cfg, asm)
     doc = rep.to_dict() | _stamp(cfg, asm) | fields | {
-        "problem_type": ptype, "poincare_constant": poincare_constant(asm.kernel, asm.grid)}
+        "problem_type": ptype, "poincare_constant": poincare_constant(asm.kernel, asm.grid),
+        "n_nodes": asm.grid.n_nodes}
     _write(out / "solution.csv", to_csv(rep.solution))
     _write_json(out / "report.json", doc)
     if not rep.converged and not _get(cfg, "solver", "allow_nonconverged"):
@@ -453,7 +454,8 @@ def cmd_oracle(config_path: str) -> int:
     asm = _build(cfg)
     out = Path(_get(cfg, "output_dir"))
     total, reference = node_mass_consistency(asm, asm.grid.n_nodes // 2)
-    doc = _stamp(cfg, asm) | {"node_mass_total": total, "node_mass_reference": reference}
+    doc = _stamp(cfg, asm) | {"node_mass_total": total, "node_mass_reference": reference,
+                              "n_nodes": asm.grid.n_nodes}
     if asm.young.quadratic:
         lam, vec = dense_min_eigenvalue(asm)
         doc["lambda1_dense"] = lam
@@ -473,13 +475,15 @@ _PARTNERS = {"solution.csv": "report.json", "report.json": "solution.csv",
              "oracle_*.csv": "oracle.json"}
 
 
-def _csv_problems(name: str, text: str) -> list:
+def _csv_problems(name: str, text: str, record: Optional[dict] = None) -> list:
     """The problems of a CSV output, chosen by its file name: its header, a
     newline at its end, each data row's field count and, for the solution
-    layout (solution*.csv, oracle_*.csv), each field a number.  sweep.csv
-    is read by the csv module, since its error cell may be quoted
-    (_csv_cell); the others hold no quotes.  Other CSV files are not
-    checked."""
+    layout (solution*.csv, oracle_*.csv), each field a number and, where
+    record (the partner JSON object) is given, as many rows as its
+    n_nodes.  battery.csv's property column is the battery manifest, in
+    order.  sweep.csv is read by the csv module, since its error cell may
+    be quoted (_csv_cell); the others hold no quotes.  Other CSV files are
+    not checked."""
     numeric = name.startswith(("solution", "oracle_"))
     headers = ({BATTERY_CSV_HEADER} if name == "battery.csv"
                else {",".join(_SWEEP_COLUMNS)} if name == "sweep.csv"
@@ -507,6 +511,11 @@ def _csv_problems(name: str, text: str) -> list:
             np.array([row for _, row in fields], dtype=float)
         except ValueError as exc:
             problems.append(f"a field is not a number ({exc})")
+    if numeric and record is not None and record.get("n_nodes") != len(fields):
+        problems.append(f"{len(fields)} data rows against n_nodes {record.get('n_nodes')!r}"
+                        " (cut short?)")
+    if name == "battery.csv" and tuple(row[0] for _, row in fields) != BATTERY_MANIFEST:
+        problems.append("the property column is not the battery manifest (cut short?)")
     return problems
 
 
@@ -514,7 +523,8 @@ def cmd_schema_check(directory: str) -> int:
     root = Path(directory)
     if not root.is_dir():
         return _fail(2, f"not a directory: {directory}")
-    problems = []
+    problems, docs = [], {}
+    # the JSON files first: a solution-layout CSV is held to its partner's n_nodes
     for path in sorted(root.rglob("*.json")) + sorted(root.rglob("*.csv")):
         partner = next((p for pattern, p in _PARTNERS.items() if path.match(pattern)), None)
         if partner and not (path.parent / partner).is_file():
@@ -534,8 +544,11 @@ def cmd_schema_check(directory: str) -> int:
                 problems.append(f"{path}: not a JSON object")
             elif doc.get("spec_version") != SPEC_VERSION:
                 problems.append(f"{path}: missing or wrong spec_version")
+            else:
+                docs[path] = doc
             continue
-        problems += [f"{path}: {msg}" for msg in _csv_problems(path.name, text)]
+        record = docs.get(path.parent / partner) if partner else None
+        problems += [f"{path}: {msg}" for msg in _csv_problems(path.name, text, record)]
     for msg in problems:
         print(f"error: {msg}", file=sys.stderr)
     return 2 if problems else 0

@@ -372,8 +372,8 @@ def _prop_gradient_bound(asm, spec, rng):
 
 
 def _prop_interpolation(asm, spec, rng):
-    alpha = asm.kernel.alpha_order
-    if alpha is None or asm.kernel.family != "fractional":
+    alpha = asm.kernel.power_order
+    if alpha is None:
         return _skip("needs a fractional kernel")
     if asm.young.q <= alpha:
         return _skip("needs lower growth above the kernel order")

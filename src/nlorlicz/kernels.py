@@ -14,6 +14,10 @@ rho_x(theta) the distance from x to the boundary along theta, evaluated at
 all nodes at once; see lambda_exterior.
 
 All kernels are radial: J(z) = profile(|z|), so J(z) = J(-z) holds exactly.
+A kernel's structure is set once, in make_kernel, beside its profile: the
+closed-form tail T (Kernel.tail) where there is one, and the order alpha of
+a pure power |z|^(-N-alpha) (Kernel.power_order).  The code reads these
+fields and never the family name, which is a label only.
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ class Kernel:
     alternating dyadic example).  ``monotone`` says whether the profile is
     radially nonincreasing; the symmetrization battery asserts only for such
     kernels, and poincare_constant scans non-monotone profiles for their
-    minimum.
+    minimum.  ``tail`` is T(s) = P(s) / omega_N, the kernel mass per unit
+    angle beyond radius s, in closed form, or None when tail_integral steps
+    it numerically.  ``power_order`` is alpha for the fractional family,
+    J(z) = |z|^(-N-alpha) at every z, and None otherwise; where it is set,
+    the box's Lambda is an incomplete beta function and the battery checks
+    the interpolation inequality.  Both sit in make_kernel beside the profile
+    they integrate; ``family`` is a label only.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -54,6 +64,8 @@ class Kernel:
     alpha_order: Optional[float] = None
     monotone: bool = True
     breakpoints: tuple = ()
+    tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    power_order: Optional[float] = None
 
     def evaluate(self, z) -> np.ndarray:
         """J at displacement vectors z of shape (..., dim)."""
@@ -135,6 +147,8 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             family=family,
             params={"alpha": alpha},
             alpha_order=alpha,
+            tail=lambda s, a=alpha: s ** -a / a,
+            power_order=alpha,
         )
 
     if family == "two_exponent":
@@ -151,6 +165,10 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             r = np.asarray(r, dtype=float)
             return np.where(r <= 1.0, r ** (-N - a1), r ** (-N - a2))
 
+        def tail(s, a1=a1, a2=a2):
+            inner = -np.log(s) if a1 == 0.0 else np.expm1(-a1 * np.log(s)) / a1
+            return np.where(s < 1.0, inner + 1.0 / a2, s ** -a2 / a2)
+
         return Kernel(
             profile=profile,
             dim=dim,
@@ -159,6 +177,7 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             params={"alpha_inner": a1, "alpha_outer": a2},
             alpha_order=a1 if a1 > 0.0 else None,
             breakpoints=(1.0,),
+            tail=tail,
         )
 
     if family == "log":
@@ -180,6 +199,15 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             out[r <= 0.0] = np.inf
             return float(out[0]) if scalar else out
 
+        def tail(s, beta=beta, l2=math.log(2.0)):
+            # t = log(2/r) turns the inner part into the integral of t^beta
+            L = np.log(2.0 / np.minimum(s, 1.0))
+            if beta == -1.0:
+                inner = np.log(L / l2)
+            else:
+                inner = (L ** (beta + 1.0) - l2 ** (beta + 1.0)) / (beta + 1.0)
+            return np.where(s <= 1.0, inner + l2 ** beta, l2 ** beta / s)
+
         # nonincreasing near the origin holds up to a constant, but the
         # profile itself can rise just below r = 1 when beta < 0
         monotone = beta >= 0.0
@@ -192,6 +220,7 @@ def make_kernel(family: str, dim: int, **params) -> Kernel:
             alpha_order=None,
             monotone=monotone,
             breakpoints=(1.0,),
+            tail=tail,
         )
 
     if family == "piecewise_dyadic":
@@ -247,9 +276,9 @@ def _shell_mass(kern: Kernel, j: int) -> float:
 def _check_custom_admissible(kern: Kernel):
     """Numeric probes of the admissibility integrals for custom kernels."""
     # origin: the partial integrals over (eps, 1) must keep growing
-    s4 = sum(_shell_mass(kern, j) for j in range(0, 14))    # down to ~6e-5
-    s8 = sum(_shell_mass(kern, j) for j in range(0, 27))    # down to ~7e-9
-    s16 = sum(_shell_mass(kern, j) for j in range(0, 54))   # down to ~5e-17
+    masses = [_shell_mass(kern, j) for j in range(54)]
+    # partial integrals down to ~6e-5, ~7e-9 and ~5e-17
+    s4, s8, s16 = (sum(masses[:m]) for m in (14, 27, 54))
     if s16 - s8 <= 1e-3 * s16:
         raise ValidationError(
             "origin integral finite: partial integrals over (eps,1) stabilized "
@@ -270,31 +299,10 @@ def _check_custom_admissible(kern: Kernel):
         )
 
 
-def _tail_closed_form(kern: Kernel, s: np.ndarray):
-    """P(s) / omega_N for the families with an elementary antiderivative of
-    J(r) r^(N-1), else None."""
-    p = kern.params
-    if kern.family == "fractional":
-        return s ** -p["alpha"] / p["alpha"]
-    if kern.family == "two_exponent":
-        a1, a2 = p["alpha_inner"], p["alpha_outer"]
-        inner = -np.log(s) if a1 == 0.0 else np.expm1(-a1 * np.log(s)) / a1
-        return np.where(s < 1.0, inner + 1.0 / a2, s ** -a2 / a2)
-    if kern.family == "log":
-        # t = log(2/r) turns the inner part into the integral of t^beta
-        beta, l2 = p["beta"], math.log(2.0)
-        L = np.log(2.0 / np.minimum(s, 1.0))
-        if beta == -1.0:
-            inner = np.log(L / l2)
-        else:
-            inner = (L ** (beta + 1.0) - l2 ** (beta + 1.0)) / (beta + 1.0)
-        return np.where(s <= 1.0, inner + l2 ** beta, l2 ** beta / s)
-    return None
-
-
 def _tail_stepped(kern: Kernel, s: np.ndarray) -> np.ndarray:
-    """P(s) / omega_N without a closed form: 10-point Gauss panels up to mid,
-    summed downward, plus adaptive quadrature beyond mid.  The knots are the
+    """P(s) / omega_N without a closed form (Kernel.tail None): 10-point
+    Gauss panels up to mid, summed downward, plus adaptive quadrature beyond
+    mid.  The knots are the
     sorted s, the kernel breakpoints and a quarter-octave grid, so each panel
     covers a smooth piece of the profile no wider than a factor 2^(1/4)."""
     def density(r):
@@ -317,16 +325,14 @@ def tail_integral(kern: Kernel, s):
     """P(s): total kernel mass outside the ball of radius s, for a scalar s or
     elementwise for an array.
 
-    Exact formulas for the fractional, two-exponent and log families; other
-    kernels use Gauss panels near s and adaptive quadrature far out, to
-    ~1e-10 relative.
+    Kernels with a closed-form tail (Kernel.tail: the fractional,
+    two-exponent and log families) evaluate it; other kernels use Gauss
+    panels near s and adaptive quadrature far out, to ~1e-10 relative.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
         raise ValidationError("tail integral needs s > 0")
-    per_direction = _tail_closed_form(kern, s)
-    if per_direction is None:
-        per_direction = _tail_stepped(kern, s)
+    per_direction = _tail_stepped(kern, s) if kern.tail is None else kern.tail(s)
     out = SPHERE_MEASURE[kern.dim] * per_direction
     return float(out) if s.ndim == 0 else out
 
@@ -367,11 +373,11 @@ def _box_exterior(kern: Kernel, bounds, x: np.ndarray) -> np.ndarray:
     d = np.stack([left, left, right, right, down, down, up, up])
     l = np.stack([down, up, down, up, left, right, left, right])
     _require_interior(d)
-    if kern.family == "fractional":
+    if kern.power_order is not None:
         # T(rho) = rho^-alpha / alpha: the share is d^-alpha / alpha times the
         # integral of cos^alpha over [0, atan(l/d)], an incomplete beta
         # function in sin^2 = l^2 / (d^2 + l^2)
-        alpha = kern.params["alpha"]
+        alpha = kern.power_order
         q = 0.5 * (alpha + 1.0)
         share = (d ** -alpha / alpha * 0.5 * beta_fn(0.5, q)
                  * betainc(0.5, q, l * l / (d * d + l * l)))

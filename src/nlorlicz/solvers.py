@@ -1,5 +1,5 @@
 """Variational solvers for the nonlocal Dirichlet, reaction, and eigenvalue
-problems, plus the nonexistence-exponent report.
+problems, plus the nonexistence-exponent report (pohozaev_check).
 
 All four problems share one step loop, _relaxed_newton: relaxed Newton
 steps on a dense weighted graph Laplacian with an Armijo line search, each
@@ -824,7 +824,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
 
 
 # ---------------------------------------------------------------------------
-# nonexistence-exponent and integrability reports
+# nonexistence-exponent report
 # ---------------------------------------------------------------------------
 
 

@@ -231,11 +231,23 @@ def _at_zero(out, zero, s=None):
     return out
 
 
+def _relaxed(deriv2, slope):
+    """The relaxed-Newton pair weight max(deriv2(t), slope(t)/t) at t > 0, with
+    slope(t) = deriv(t) there; a None side is never the larger and is not
+    evaluated."""
+    if slope is None:
+        return deriv2
+    if deriv2 is None:
+        return lambda t: slope(t) / t
+    return lambda t: np.maximum(deriv2(t), slope(t) / t)
+
+
 def make_young(family: str, **params) -> YoungFunction:
     """Construct a Young function from one of the built-in families.
 
     Families:
-      power       -- |s|^p, requires p > 1
+      power       -- |s|^p, requires p > 1: the one-term power_sum, built by
+                     the same body under its own label and params
       power_sum   -- sum of k_i |s|^{p_i}, argument-rescaled to value(1) = 1
       log_perturbed -- |s|^p * log(1+|s|)^r, argument-rescaled; needs min(p, p+r) > 1
       custom      -- caller-supplied evaluators, already normalized; growth
@@ -243,65 +255,56 @@ def make_young(family: str, **params) -> YoungFunction:
 
     Raises ValidationError naming the violated class condition.
     """
-    if family == "power":
-        p = float(params["p"])
-        if p <= 1.0:
-            raise ValidationError("violates q > 1: power exponent must exceed 1")
-        fn = YoungFunction(
-            value=lambda s, p=p: np.abs(s) ** p,
-            deriv=lambda s, p=p: p * np.abs(s) ** (p - 1.0) * np.sign(s),
-            deriv2=lambda s, p=p: p * (p - 1.0) * np.abs(s) ** (p - 2.0),
-            # deriv2 is the larger exactly when p >= 2; one pow either way
-            curvature=(lambda t, p=p: p * (p - 1.0) * t ** (p - 2.0)) if p >= 2.0
-            else (lambda t, p=p: p * t ** (p - 1.0) / t),
-            p=p,
-            q=p,
-            family="power",
-            params={"p": p},
-            power_terms=((p, 1.0),),
-        )
-
-    elif family == "power_sum":
-        terms = [(float(k), float(pi)) for k, pi in params["terms"]]
+    if family in ("power", "power_sum"):
+        power = family == "power"
+        terms = ([(1.0, float(params["p"]))] if power
+                 else [(float(k), float(pi)) for k, pi in params["terms"]])
         if not terms or any(k <= 0.0 for k, _ in terms):
             raise ValidationError("power_sum needs positive coefficients")
         if any(pi <= 1.0 for _, pi in terms):
-            raise ValidationError("violates q > 1: all power_sum exponents must exceed 1")
-        ks = np.array([k for k, _ in terms])
-        ps = np.array([pi for _, pi in terms])
-
-        def raw(t):
-            return float(np.sum(ks * t ** ps))
-
-        t0 = _normalize_scale(raw)
+            raise ValidationError("violates q > 1: power exponent must exceed 1" if power
+                                  else "violates q > 1: all power_sum exponents must exceed 1")
+        ks, ps = np.array(terms).T
+        t0 = _normalize_scale(lambda t: float(np.sum(ks * t ** ps)))
         kt = ks * t0 ** ps
-        kt = kt / kt.sum()  # exact value(1) = 1
-        c1, c2 = kt * ps, kt * ps * (ps - 1.0)
+        kt = kt / kt.sum()  # exact value(1) = 1; one term gives 1.0 at t0 = 1.0
+        # exponents and coefficients as Python floats: numpy takes a float
+        # power of 2.0 or 0.5 as a square or a root, not an array of them
+        degrees = ps.tolist()
+        c0 = kt.tolist()
+        c1 = [c * d for c, d in zip(c0, degrees)]
+        c2 = [c * (d - 1.0) for c, d in zip(c1, degrees)]
 
-        def powers(t, shift, ps=ps):
-            # t^(p_i - shift) along a new leading axis, one row per term
-            return t[None] ** (ps - shift).reshape((-1,) + (1,) * np.ndim(t))
+        def series(a, shift, coefs):
+            # sum of c_i a^(p_i - shift), term by term in term order
+            out = None
+            for d, c in zip(degrees, coefs):
+                x = a ** (d - shift)
+                if c != 1.0:
+                    x *= c
+                out = x if out is None else np.add(out, x, out=_spare(out))
+            return out
 
-        def curvature(t, c1=c1, c2=c2, ps=ps):
-            # deriv(t)/t shares deriv2's powers t^(p_i - 2), and is never the
-            # larger when every p_i >= 2
-            tp = powers(t, 2.0)
-            d2 = np.einsum("i,i...->...", c2, tp)
-            if ps.min() >= 2.0:
-                return d2
-            return np.maximum(d2, np.einsum("i,i...->...", c1, tp))
+        def deriv(s):
+            out = series(np.abs(s), 1.0, c1)
+            out *= np.sign(s)
+            return out
 
         fn = YoungFunction(
-            value=lambda s, kt=kt: np.einsum("i,i...->...", kt, powers(np.abs(s), 0.0)),
-            deriv=lambda s, c1=c1: np.sign(s)
-            * np.einsum("i,i...->...", c1, powers(np.abs(s), 1.0)),
-            deriv2=lambda s, c2=c2: np.einsum("i,i...->...", c2, powers(np.abs(s), 2.0)),
-            curvature=curvature,
-            p=float(ps.max()),
-            q=float(ps.min()),
-            family="power_sum",
-            params={"terms": tuple(zip(ks.tolist(), ps.tolist())), "arg_scale": t0},
-            power_terms=tuple(zip(ps.tolist(), kt.tolist())),
+            value=lambda s: series(np.abs(s), 0.0, c0),
+            deriv=deriv,
+            deriv2=lambda s: series(np.abs(s), 2.0, c2),
+            # deriv2 is the larger exactly where every p_i >= 2, and
+            # deriv(t)/t where every p_i < 2
+            curvature=_relaxed(
+                (lambda t: series(t, 2.0, c2)) if max(degrees) >= 2.0 else None,
+                (lambda t: series(t, 1.0, c1)) if min(degrees) < 2.0 else None),
+            p=max(degrees),
+            q=min(degrees),
+            family=family,
+            params={"p": degrees[0]} if power else
+            {"terms": tuple(zip(ks.tolist(), degrees)), "arg_scale": t0},
+            power_terms=tuple(zip(degrees, c0)),
         )
 
     elif family == "log_perturbed":
@@ -454,17 +457,11 @@ def make_young(family: str, **params) -> YoungFunction:
             raise ValidationError(
                 f"violates q > 1: sampled lower growth ratio is {r.min():.6g}"
             )
-        if deriv2 is None:
-            def curvature(t):
-                return deriv(t) / t
-        else:
-            def curvature(t):
-                return np.maximum(deriv2(t), deriv(t) / t)
         fn = YoungFunction(
             value=value,
             deriv=deriv,
             deriv2=deriv2,
-            curvature=curvature,
+            curvature=_relaxed(deriv2, deriv),
             p=p_est,
             q=q_est,
             family="custom",

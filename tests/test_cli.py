@@ -713,6 +713,46 @@ class TestSchemaCheck:
         assert main(["oracle", str(path)]) == 0
         assert main(["schema-check", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("problem, name", [
+        (_DIRICHLET_BUMP, "solution.csv"),
+        (_DIRICHLET_BUMP, "oracle_solution.csv"),
+        (_DIRICHLET_BUMP, "oracle_eigenfunction.csv"),
+        ({"type": "battery", "trials": 10}, "battery.csv"),
+    ])
+    def test_a_file_cut_at_a_row_end_is_a_problem(self, tmp_path, capsys, problem, name):
+        # report.json and oracle.json record n_nodes, one row per node; the
+        # battery's rows are its manifest
+        path, _ = write_config(tmp_path, problem=problem)
+        assert main(["run", str(path)]) == 0
+        if problem["type"] == "dirichlet":
+            assert main(["oracle", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["schema-check", str(out)]) == 0
+        for _ in range(2):
+            lines = (out / name).read_text().splitlines(keepends=True)
+            (out / name).write_text("".join(lines[:-1]))
+            assert main(["schema-check", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{out / name}: " in err and "(cut short?)" in err
+            assert err.count("error: ") == 1
+
+    @pytest.mark.parametrize("n_nodes", [None, 17, "16"])
+    def test_a_report_without_the_node_count_is_a_problem(self, tmp_path, capsys, n_nodes):
+        path, _ = write_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        report = tmp_path / "out" / "report.json"
+        doc = json.loads(report.read_text())
+        assert doc["n_nodes"] == 16
+        if n_nodes is None:
+            del doc["n_nodes"]
+        else:
+            doc["n_nodes"] = n_nodes
+        report.write_text(json.dumps(doc))
+        assert main(["schema-check", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'out' / 'solution.csv'}: 16 data rows against n_nodes "
+                f"{n_nodes!r} (cut short?)") in err
+
     @pytest.mark.parametrize("name, content, problem", [
         ("report.json", b"[1]", "not a JSON object"),
         ("report.json", b'"str"', "not a JSON object"),
@@ -1107,6 +1147,30 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
+
+    def test_oracle_agrees_across_blas_threads(self, tmp_path):
+        # the dense oracles call threaded LAPACK (np.linalg.solve, eigh), so
+        # their last bits may change with the BLAS thread count: the oracle
+        # is held to 1e-12 relative, not to its bytes
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out_{threads}"
+            cfg = json.loads(json.dumps(BASE))
+            cfg.update(_sections({"family": "power", "p": 2.0}, _DIRICHLET_BUMP, 512),
+                       output_dir=str(out))
+            path = tmp_path / f"cfg_{threads}.json"
+            path.write_text(json.dumps(cfg))
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "nlorlicz.cli", "oracle", str(path)],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            lam = json.loads((out / "oracle.json").read_text())["lambda1_dense"]
+            u = np.loadtxt(out / "oracle_solution.csv", delimiter=",", skiprows=1)
+            outputs.append((lam, u))
+        (lam1, u1), (lam3, u3) = outputs
+        assert abs(lam1 - lam3) <= 1e-12 * abs(lam1)
+        assert u1.shape == u3.shape == (512, 2)
+        assert np.max(np.abs(u1 - u3)) <= 1e-12 * np.max(np.abs(u1))
 
     @pytest.fixture(scope="class")
     def solve_digests(self, tmp_path_factory):

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import beta as beta_fn, betainc
 
 from nlorlicz import (
     ValidationError,
@@ -17,7 +19,8 @@ from nlorlicz import (
     scaling_profile,
     tail_integral,
 )
-from nlorlicz.kernels import SPHERE_MEASURE, _mu_sample, _shell_mass
+from nlorlicz import kernels
+from nlorlicz.kernels import SPHERE_MEASURE, _mu_sample, _shell_mass, _tail_stepped
 from nlorlicz.oracles import _box_inside_angle, _tail_quad
 
 
@@ -77,6 +80,28 @@ class TestConstruction:
                 "custom_radial", dim=1,
                 profile=lambda r: np.exp(-np.asarray(r, dtype=float)),
             )
+
+    @pytest.mark.parametrize("profile, verdict", [
+        (lambda r: np.asarray(r, dtype=float) ** -1.5, None),
+        (lambda r: np.exp(-np.asarray(r, dtype=float)), "origin integral finite"),
+    ])
+    def test_admissibility_takes_each_shell_mass_once(self, monkeypatch, profile, verdict):
+        # the partial integrals down to 2^-14, 2^-27 and 2^-54 are prefix
+        # sums of one list of 54 shell masses
+        kern = kernels.Kernel(profile=profile, dim=1, q_star=float("nan"), family="custom")
+        calls = []
+
+        def counted(kern, j):
+            calls.append(j)
+            return _shell_mass(kern, j)
+
+        monkeypatch.setattr(kernels, "_shell_mass", counted)
+        if verdict is None:
+            kernels._check_custom_admissible(kern)
+        else:
+            with pytest.raises(ValidationError, match=verdict):
+                kernels._check_custom_admissible(kern)
+        assert calls == list(range(54))
 
     def test_admissibility_integral_numeric(self):
         # the defining integral with weight min(1, |z|^(q*+0.1)) is finite:
@@ -151,6 +176,103 @@ class TestTailIntegral:
         K = make_kernel("fractional", dim=1, alpha=0.5)
         with pytest.raises(ValidationError):
             tail_integral(K, 0.0)
+
+
+def _named_tail(kern, s):
+    """P(s) / omega_N in closed form, chosen by the family name as
+    tail_integral chose it before each kernel carried its own tail; None
+    for the families without one."""
+    p = kern.params
+    if kern.family == "fractional":
+        return s ** -p["alpha"] / p["alpha"]
+    if kern.family == "two_exponent":
+        a1, a2 = p["alpha_inner"], p["alpha_outer"]
+        inner = -np.log(s) if a1 == 0.0 else np.expm1(-a1 * np.log(s)) / a1
+        return np.where(s < 1.0, inner + 1.0 / a2, s ** -a2 / a2)
+    if kern.family == "log":
+        beta, l2 = p["beta"], math.log(2.0)
+        L = np.log(2.0 / np.minimum(s, 1.0))
+        if beta == -1.0:
+            inner = np.log(L / l2)
+        else:
+            inner = (L ** (beta + 1.0) - l2 ** (beta + 1.0)) / (beta + 1.0)
+        return np.where(s <= 1.0, inner + l2 ** beta, l2 ** beta / s)
+    return None
+
+
+def _named_fractional_box(kern, bounds, x):
+    """The fractional kernel's Lambda on a box as an incomplete beta function
+    in each half-side's angle, as _box_exterior wrote it when it chose this
+    route by the family name."""
+    a1, b1, a2, b2 = bounds
+    left, right, down, up = x[:, 0] - a1, b1 - x[:, 0], x[:, 1] - a2, b2 - x[:, 1]
+    d = np.stack([left, left, right, right, down, down, up, up])
+    l = np.stack([down, up, down, up, left, right, left, right])
+    alpha = kern.params["alpha"]
+    q = 0.5 * (alpha + 1.0)
+    share = (d ** -alpha / alpha * 0.5 * beta_fn(0.5, q)
+             * betainc(0.5, q, l * l / (d * d + l * l)))
+    return share.sum(axis=0)
+
+
+def _all_families(dim):
+    return [
+        make_kernel("fractional", dim=dim, alpha=0.5),
+        make_kernel("fractional", dim=dim, alpha=1.3),
+        make_kernel("two_exponent", dim=dim, alpha_inner=0.3, alpha_outer=0.9),
+        make_kernel("two_exponent", dim=dim, alpha_inner=0.0, alpha_outer=1.0),
+        make_kernel("two_exponent", dim=dim, alpha_inner=0.7, alpha_outer=0.7),
+        make_kernel("log", dim=dim, beta=1.0),
+        make_kernel("log", dim=dim, beta=-0.5),
+        make_kernel("log", dim=dim, beta=-1.0),
+        make_kernel("piecewise_dyadic", dim=dim, mu=0.5),
+        make_kernel("custom_radial", dim=dim,
+                    profile=lambda r, dim=dim: np.asarray(r, dtype=float) ** (-dim - 0.5)),
+    ]
+
+
+class TestKernelStructure:
+    """Each kernel carries its closed-form tail and its pure-power order,
+    set beside its profile, and they keep the bits of the formulas that
+    were once chosen by the family name."""
+
+    def test_fields_by_family(self):
+        for kern in _all_families(2):
+            assert (kern.tail is not None) == (kern.family in ("fractional", "two_exponent",
+                                                                 "log"))
+            order = kern.params["alpha"] if kern.family == "fractional" else None
+            assert kern.power_order == order
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tail_integral_keeps_its_bits(self, dim):
+        s = np.concatenate([np.logspace(-6.0, 3.0, 91), [0.999, 1.0, 1.001, 2.0]])
+        for kern in _all_families(dim):
+            closed = _named_tail(kern, s)
+            per_direction = _tail_stepped(kern, s) if closed is None else closed
+            ref = SPHERE_MEASURE[dim] * per_direction
+            assert tail_integral(kern, s).tobytes() == ref.tobytes(), kern.family
+            assert tail_integral(kern, 0.3) == float(SPHERE_MEASURE[dim] * (
+                _tail_stepped(kern, np.asarray(0.3)) if closed is None
+                else _named_tail(kern, np.asarray(0.3))))
+
+    @pytest.mark.parametrize("shape, n, bounds", [
+        ("interval", 16, (-1.0, 1.0)),
+        ("box", 8, (-1.0, 1.0, -1.0, 1.0)),
+        ("ball", 8, (0.0, 0.0, 1.0)),
+    ])
+    def test_exterior_weights_keep_their_bits(self, shape, n, bounds):
+        # the fractional box by the incomplete beta function; every other
+        # case by the ray formula on the tail the family name once chose
+        grid = make_grid(shape, n, bounds)
+        for kern in _all_families(grid.dim):
+            if shape == "box" and kern.family == "fractional":
+                ref = _named_fractional_box(kern, grid.bounds, grid.nodes)
+            else:
+                named = None if _named_tail(kern, np.ones(1)) is None else (
+                    lambda s, kern=kern: _named_tail(kern, s))
+                ref = exterior_weights(
+                    dataclasses.replace(kern, tail=named, power_order=None), grid)
+            assert exterior_weights(kern, grid).tobytes() == ref.tobytes(), kern.family
 
 
 def _box_side_reference(kern, bounds, x):

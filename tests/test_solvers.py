@@ -6,6 +6,7 @@ from nlorlicz import (
     GridFunction,
     ReactionSpec,
     assemble,
+    bump,
     check_reaction_conditions,
     gradient_E,
     make_grid,
@@ -43,6 +44,18 @@ def asm_mp(y_p2):
 
 
 class TestDirichlet:
+    def test_power_and_one_term_power_sum_take_the_same_steps(self, frac05_1d):
+        # one body builds both spellings of |s|^1.3, so the relaxed Newton
+        # weights, and with them every step, agree bit for bit
+        g = make_grid("interval", 128, (-1.0, 1.0))
+        f = bump(g, g.center, 0.5, 1.0)
+        reps = [solve_dirichlet(assemble(g, frac05_1d, y), f)
+                for y in (make_young("power", p=1.3),
+                          make_young("power_sum", terms=[(1.0, 1.3)]))]
+        assert reps[0].converged and reps[0].iterations == reps[1].iterations
+        assert reps[0].objective.hex() == reps[1].objective.hex()
+        assert reps[0].solution.values.tobytes() == reps[1].solution.values.tobytes()
+
     def test_zero_data_gives_zero(self, asm16):
         f = GridFunction(asm16.grid, np.zeros(asm16.grid.n_nodes))
         rep = solve_dirichlet(asm16, f)

@@ -139,3 +139,33 @@ def test_only_grid_lists_the_dimensions():
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert _dimension_lists((_PACKAGE / "grid.py").read_text(encoding="utf-8"),
                             DIMENSIONS) != []
+
+
+def _family_comparisons(source: str) -> list:
+    """Line numbers of the comparisons with a `.family` attribute among their
+    operands: code that branches on how a kernel or a Young function was
+    spelled, where it should read the structure the object carries."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(e, ast.Attribute) and e.attr == "family"
+                    for e in [node.left, *node.comparators])]
+
+
+def test_family_scan_on_a_fixture():
+    source = (
+        "if kern.family == 'fractional':\n"
+        "    pass\n"
+        "ok = 'log' != asm.kernel.family\n"
+        "x = y.family in ('power', 'power_sum')\n"
+        "if family == 'power':\n"
+        "    pass\n"
+        "label = [kern.family, kern.dim]\n"
+        "z = a < b < c.family\n"
+    )
+    assert _family_comparisons(source) == [1, 3, 4, 8]
+
+
+def test_no_code_branches_on_a_family_label():
+    found = {p.name: _family_comparisons(p.read_text(encoding="utf-8"))
+             for p in sorted(_PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

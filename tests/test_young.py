@@ -300,6 +300,122 @@ def test_log_perturbed_evaluators_keep_the_plain_bits(p, r):
                     warnings.simplefilter("error")
                     assert isinstance(fn.curvature(s), float)
 
+_POWERS = (1.1, 1.3, 1.5, 2.0, 3.0, 3.7, 4.0, 6.0)
+
+
+def _plain_power(p):
+    """value, deriv, deriv2 and curvature of |s|^p as the power family wrote
+    them in closed form, before it became the one-term power sum."""
+    return {
+        "value": lambda s: np.abs(s) ** p,
+        "deriv": lambda s: p * np.abs(s) ** (p - 1.0) * np.sign(s),
+        "deriv2": lambda s: p * (p - 1.0) * np.abs(s) ** (p - 2.0),
+        "curvature": (lambda t: p * (p - 1.0) * t ** (p - 2.0)) if p >= 2.0
+        else (lambda t: p * t ** (p - 1.0) / t),
+    }
+
+
+def _einsum_power_sum(fn):
+    """value, deriv, deriv2 and curvature of a power sum whose exponents are
+    all at least 2, as the power_sum family wrote them before one body built
+    every sum of powers: each term's power along a new leading axis,
+    contracted with the coefficients by einsum."""
+    ps = np.array([d for d, _ in fn.power_terms])
+    kt = np.array([c for _, c in fn.power_terms])
+    c1, c2 = kt * ps, kt * ps * (ps - 1.0)
+
+    def powers(t, shift):
+        return t[None] ** (ps - shift).reshape((-1,) + (1,) * np.ndim(t))
+
+    def series(c, t, shift):
+        return np.einsum("i,i...->...", c, powers(t, shift))
+
+    return {
+        "value": lambda s: series(kt, np.abs(s), 0.0),
+        "deriv": lambda s: np.sign(s) * series(c1, np.abs(s), 1.0),
+        "deriv2": lambda s: series(c2, np.abs(s), 2.0),
+        "curvature": lambda t: series(c2, t, 2.0),
+    }
+
+
+def _bits_inputs(with_scalars=True):
+    """The edge values, a seeded spread over 24 decades in 1-D and 2-D
+    layouts, and, with_scalars, each edge value as a 0-d array."""
+    rng = np.random.default_rng(12)
+    spread = rng.choice([-1.0, 1.0], 399) * 10.0 ** rng.uniform(-12.0, 12.0, 399)
+    full = np.concatenate([_EDGES, spread])
+    arrays = [_EDGES, full, full.reshape(-1, 7), full.reshape(7, -1)[:, ::-1]]
+    return arrays + ([np.array(v) for v in _EDGES] if with_scalars else [])
+
+
+def _evaluations(evaluators, s):
+    """Each evaluator at s, and the curvature at the nonzero |s|."""
+    with np.errstate(all="ignore"):
+        out = {name: evaluators[name](s) for name in ("value", "deriv", "deriv2")}
+        t = np.abs(s)[np.abs(s) > 0.0] if s.ndim else np.abs(s)
+        if np.all(t > 0.0):
+            out["curvature"] = evaluators["curvature"](t)
+    return out
+
+
+def _evaluators(fn):
+    return {name: getattr(fn, name) for name in ("value", "deriv", "deriv2", "curvature")}
+
+
+class TestPowerSumBits:
+    """One body builds every sum of powers, and power is its one-term case."""
+
+    @pytest.mark.parametrize("p", _POWERS)
+    def test_power_keeps_its_closed_form_bits(self, p):
+        fn, plain = make_young("power", p=p), _plain_power(p)
+        for s in _bits_inputs():
+            got, ref = _evaluations(_evaluators(fn), s), _evaluations(plain, s)
+            assert got.keys() == ref.keys()
+            for name in ref:
+                assert type(got[name]) is type(ref[name]), (name, s)
+                assert _same_bits(got[name], ref[name]), (name, s)
+
+    @pytest.mark.parametrize("p", _POWERS)
+    def test_one_term_power_sum_is_power_bit_for_bit(self, p):
+        power, one = make_young("power", p=p), make_young("power_sum", terms=[(1.0, p)])
+        assert one.params["arg_scale"] == 1.0
+        assert one.power_terms == power.power_terms == ((p, 1.0),)
+        assert (power.family, power.params) == ("power", {"p": p})
+        for s in _bits_inputs():
+            got, ref = _evaluations(_evaluators(one), s), _evaluations(_evaluators(power), s)
+            for name in ref:
+                assert type(got[name]) is type(ref[name]), (name, s)
+                assert _same_bits(got[name], ref[name]), (name, s)
+
+    @pytest.mark.parametrize("terms", [[(0.5, 2.0), (0.5, 4.0)], [(1.0, 2.5), (1.0, 3.0)],
+                                       [(2.0, 3.7), (1.0, 6.0)]])
+    def test_power_sums_of_exponents_from_2_keep_their_bits(self, terms):
+        # on arrays: a 0-d input, and a sum of three or more terms on arrays
+        # below some thousand entries, took numpy's vectorized pow in the
+        # einsum form, whose |s|^2 is not always the rounded square
+        fn = make_young("power_sum", terms=terms)
+        plain = _einsum_power_sum(fn)
+        for s in _bits_inputs(with_scalars=False):
+            got, ref = _evaluations(_evaluators(fn), s), _evaluations(plain, s)
+            for name in ref:
+                assert _same_bits(got[name], ref[name]), (name, s)
+
+    def test_relaxed_weight_reads_only_the_larger_side(self):
+        # all exponents >= 2: deriv2 alone; all < 2: deriv(t)/t alone; mixed:
+        # the larger of the two at each t
+        t = np.logspace(-6.0, 6.0, 97)
+        for terms in ([(1.0, 2.0), (1.0, 3.5)], [(1.0, 1.2), (1.0, 1.8)],
+                      [(1.0, 1.5), (1.0, 2.5)]):
+            fn = make_young("power_sum", terms=terms)
+            slope = sum(c * d * t ** (d - 1.0) for d, c in fn.power_terms) / t
+            ref = np.maximum(fn.deriv2(t), slope)
+            np.testing.assert_allclose(fn.curvature(t), ref, rtol=1e-14, atol=0.0)
+            if fn.q >= 2.0:
+                assert fn.curvature(t).tobytes() == fn.deriv2(t).tobytes()
+            if fn.p < 2.0:
+                assert fn.curvature(t).tobytes() == (fn.deriv(t) / t).tobytes()
+
+
 class TestGammaBounds:
     def test_pure_power_homogeneity(self):
         fn = make_young("power", p=2.5)
