@@ -309,8 +309,18 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _not_strict(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def _strict(doc):
+    """doc as a JSON output holds it: JSON has no NaN or Infinity, so each
+    number that is not finite, at any depth, is None (null)."""
+    return json.loads(json.dumps(doc, default=repr), parse_constant=lambda _: None)
+
+
 def _write_json(path: Path, doc: dict):
-    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n")
+    _write(path, json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _stamp(cfg: dict, asm) -> dict:
@@ -381,9 +391,9 @@ def _sweep_point(args):
     ).hexdigest()[:12]
     point_path = Path(out_dir) / f"point_{digest}.json"
     try:
-        done = json.loads(point_path.read_text())
-    except (FileNotFoundError, ValueError):  # no point yet, or one cut short
-        done = None
+        done = json.loads(point_path.read_text(), parse_constant=_not_strict)
+    except (FileNotFoundError, ValueError):  # no point yet, one cut short, or
+        done = None                          # one holding NaN or Infinity
     # anything but this point's own row is unfinished, and is written anew
     if (isinstance(done, dict) and done.get("spec_version") == SPEC_VERSION
             and done.get("digest") == digest):
@@ -400,6 +410,8 @@ def _sweep_point(args):
             row["lambda1"] = rep.extras["lambda1"]
     except NlorliczError as exc:
         row.update(error=f"{type(exc).__name__}: {exc}", converged=False)
+    # the row as its file holds it, so a resumed sweep writes the same cells
+    row = _strict(row)
     _write_json(point_path, row)
     return index, row | {"recomputed": True}
 
@@ -536,8 +548,8 @@ def cmd_schema_check(directory: str) -> int:
             continue
         if path.suffix == ".json":
             try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
+                doc = json.loads(text, parse_constant=_not_strict)
+            except ValueError as exc:  # json.JSONDecodeError among them
                 problems.append(f"{path}: invalid JSON ({exc})")
                 continue
             if not isinstance(doc, dict):

@@ -1,10 +1,13 @@
 """Independent verification routes, kept out of the production solver path.
 
 Dense linear algebra for the quadratic case (direct solve and full
-eigendecomposition), a constrained-manifold ground-state computation for the
-superlinear problem, a polar-quadrature route to the exterior weights, and a
-per-node quadrature consistency check of the assembled weights.  The
-acceptance suite diffs solver output against these.
+eigendecomposition), the superlinear problem's ground-state level by
+scipy's BFGS on the scale-invariant Nehari quotient, a polar-quadrature
+route to the exterior weights, and a per-node quadrature consistency check
+of the assembled weights.  The acceptance suite diffs solver output against
+these.  Nothing here imports the solvers, the battery, the CLI or the tiled
+linear algebra, and of the energy module only EnergyAssembly:
+tests/test_tools.py scans for it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import minimize
 
 from .energy import EnergyAssembly
-from .errors import ValidationError
+from .errors import NlorliczError, ValidationError
 from .grid import DomainGrid, GridFunction, bump, make_grid
 from .kernels import SPHERE_MEASURE, Kernel
 
@@ -53,86 +57,38 @@ def dense_min_eigenvalue(asm: EnergyAssembly):
 
 def nehari_ground_state(asm: EnergyAssembly, m: float, max_iter: int = 4000):
     """Ground-state level of E(v) - sum (v+)^m / m via the scale-invariant
-    quotient E(v) / Q(v)^(2/m); quadratic case, m > 2.
+    quotient E(v) / Q(v)^(2/m); quadratic case, m > 2.  Returns the level and
+    the quotient's minimizer (a multiple of the ground state).
 
-    Independent of the mountain-pass search: this minimizes the quotient by
-    first-order descent (_descent), with no Newton matrix and no peaks."""
+    Independent of the mountain-pass search: scipy's BFGS minimizes the
+    quotient from a bump, with no Newton matrix and no peaks, and stops at
+    max |grad| <= 1e-7 (1 + quotient at the bump).  Raises NlorliczError with
+    scipy's message when BFGS reports no success, max_iter steps included."""
     _require_quadratic(asm)
     if m <= 2.0:
         raise ValidationError("ground-state oracle needs a superquadratic exponent")
     hN = asm.h_pow_dim
     g = asm.grid
 
-    def Q(x):
+    def phi_and_grad(x):
         xp = np.maximum(x, 0.0)
-        return float(np.sum(xp ** m)) * hN
-
-    def gradQ(x):
-        xp = np.maximum(x, 0.0)
-        return m * xp ** (m - 1.0) * hN
-
-    def phi(x):
-        q = Q(x)
+        q = float(np.sum(xp ** m)) * hN
         if q <= 0.0:
-            return float("inf")
-        return _quadratic_energy(asm, x) / q ** (2.0 / m)
-
-    def gradphi(x):
-        q = Q(x)
+            return float("inf"), np.zeros_like(x)
         E = _quadratic_energy(asm, x)
-        gE = _quadratic_gradient(asm, x)
-        return gE / q ** (2.0 / m) - (2.0 / m) * E * gradQ(x) / q ** (2.0 / m + 1.0)
+        gradQ = m * xp ** (m - 1.0) * hN
+        grad = (_quadratic_gradient(asm, x) / q ** (2.0 / m)
+                - (2.0 / m) * E * gradQ / q ** (2.0 / m + 1.0))
+        return E / q ** (2.0 / m), grad
 
     x0 = bump(g, g.center, 0.6 * g.inradius, 1.0).values
-
-    def stop(x, grad):
-        return float(np.max(np.abs(grad))) <= 1e-11 * (1.0 + abs(phi(x)))
-
-    x, _, _, _ = _descent(phi, gradphi, x0, stop, max_iter)
-    phi_min = phi(x)
-    level = (1.0 - 2.0 / m) * 2.0 ** (2.0 / (m - 2.0)) * phi_min ** (m / (m - 2.0))
-    return level, GridFunction(g, x)
-
-
-def _descent(value, gradient, x0, stop, max_iter):
-    """Monotone Barzilai-Borwein descent with Armijo backtracking.
-    Returns (x, iterations, converged, info)."""
-    x = np.array(x0, dtype=float)
-    f = value(x)
-    g = gradient(x)
-    gnorm2 = float(g @ g)
-    t_init = (1.0 + float(np.linalg.norm(x))) / (1.0 + math.sqrt(gnorm2))
-    t = t_init
-    cap_lo, cap_hi = 1e-6 * t_init, 1e2 * t_init
-    info = {"line_search_failure": False, "objective_history": [f]}
-    it = 0
-    while it < max_iter:
-        if stop(x, g):
-            return x, it, True, info
-        if gnorm2 == 0.0:
-            return x, it, True, info
-        trial = min(max(t, cap_lo), cap_hi)
-        accepted = False
-        for _ in range(70):
-            x_new = x - trial * g
-            f_new = value(x_new)
-            if f_new <= f - 1e-4 * trial * gnorm2:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            info["line_search_failure"] = True
-            return x, it, False, info
-        g_new = gradient(x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        t = float(s @ s) / sy if sy > 1e-300 else trial * 2.0
-        x, f, g = x_new, f_new, g_new
-        gnorm2 = float(g @ g)
-        info["objective_history"].append(f)
-        it += 1
-    return x, it, stop(x, g), info
+    gtol = 1e-7 * (1.0 + phi_and_grad(x0)[0])
+    res = minimize(phi_and_grad, x0, jac=True, method="BFGS",
+                   options={"gtol": gtol, "maxiter": max_iter})
+    if not res.success:
+        raise NlorliczError(f"ground-state oracle: BFGS did not converge: {res.message}")
+    level = (1.0 - 2.0 / m) * 2.0 ** (2.0 / (m - 2.0)) * float(res.fun) ** (m / (m - 2.0))
+    return level, GridFunction(g, res.x)
 
 
 def _quadratic_energy(asm: EnergyAssembly, x: np.ndarray) -> float:

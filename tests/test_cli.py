@@ -685,6 +685,78 @@ class TestSweep:
         assert main(["run", str(path)]) == 2
 
 
+# a superlinear run with m < 2 finds no mountain-pass geometry: its residual
+# is not finite
+_NO_GEOMETRY = {"grid": {"shape": "interval", "n_per_axis": 32, "bounds": [-1.0, 1.0]},
+                "solver": {"allow_nonconverged": True}}
+
+
+def _strict_json(path):
+    """The JSON document at path, which may hold no NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_a_run_without_mountain_geometry_writes_null(self, tmp_path):
+        path, _ = write_config(tmp_path, problem={"type": "superlinear", "reaction_m": 1.5},
+                               **_NO_GEOMETRY)
+        assert main(["run", str(path)]) == 0
+        doc = _strict_json(tmp_path / "out" / "report.json")
+        assert doc["extras"]["no_mountain_geometry"] is True
+        assert doc["residual_inf"] is None
+        assert main(["schema-check", str(tmp_path / "out")]) == 0
+
+    def test_a_resumed_sweep_writes_the_bytes_of_a_fresh_one(self, tmp_path):
+        path, _ = write_config(tmp_path, problem={
+            "type": "sweep", "parameter": "reaction_m", "values": [1.5, 3.0],
+            "inner": {"type": "superlinear"}}, **_NO_GEOMETRY)
+        out = tmp_path / "out"
+        assert main(["sweep", str(path)]) == 0
+        fresh = (out / "sweep.csv").read_bytes()
+        rows = [_strict_json(p) for p in sorted(out.glob("point_*.json"))]
+        assert sorted(r["residual_inf"] is None for r in rows) == [False, True]
+        assert main(["schema-check", str(out)]) == 0
+        assert main(["sweep", str(path)]) == 0
+        assert (out / "sweep.csv").read_bytes() == fresh
+        # a point file holding Infinity, as a writer of non-strict JSON left
+        # it, is unfinished: it is written anew, null and all
+        point, = (q for q in out.glob("point_*.json") if "null" in q.read_text())
+        point.write_text(point.read_text().replace('"residual_inf": null',
+                                                   '"residual_inf": Infinity'))
+        assert "Infinity" in point.read_text()
+        assert main(["sweep", str(path)]) == 0
+        assert (out / "sweep.csv").read_bytes() == fresh
+        assert _strict_json(point)["residual_inf"] is None
+
+    def test_a_battery_row_that_raised_writes_null(self, tmp_path, monkeypatch):
+        from nlorlicz import harness
+
+        def fail(asm, spec, rng):
+            raise RuntimeError("no margins")
+
+        name = harness.BATTERY_MANIFEST[0]
+        monkeypatch.setitem(harness._PROPERTY_RUNNERS, name, fail)
+        path, _ = write_config(tmp_path, problem={"type": "battery", "trials": 10})
+        assert main(["run", str(path)]) == 3
+        rows = _strict_json(tmp_path / "out" / "battery.json")["results"]
+        assert [r["worst_margin"] for r in rows if r["name"] == name] == [None]
+        assert main(["schema-check", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_a_non_finite_number_is_a_problem(self, tmp_path, capsys, constant):
+        path, _ = write_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        report = tmp_path / "out" / "report.json"
+        doc = json.loads(report.read_text())
+        doc["residual_inf"] = float(constant.lower().replace("infinity", "inf"))
+        report.write_text(json.dumps(doc))
+        assert main(["schema-check", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{report}: invalid JSON ({constant} is not strict JSON)" in err
+
+
 class TestSchemaCheck:
     def test_flags_corrupted_outputs(self, tmp_path):
         out = tmp_path / "out"

@@ -21,6 +21,7 @@ from nlorlicz import (
     solve_eigen,
     solve_sublinear,
 )
+from nlorlicz.errors import NlorliczError
 from nlorlicz.oracles import (
     dense_dirichlet_solve,
     dense_min_eigenvalue,
@@ -121,25 +122,6 @@ class TestDirichlet:
         assert rep.iterations == 0
         assert rep.extras["line_search_failure"] is True
         assert np.isfinite(rep.residual_inf) and rep.residual_inf > 0.0
-
-    def test_descent_monotone(self, asm16):
-        # nonincreasing objective is part of the line-search contract
-        from nlorlicz.oracles import _descent
-        from nlorlicz.energy import E_value, gradient_E
-
-        f = random_function(asm16.grid, seed=14).values
-        hN = asm16.h_pow_dim
-
-        def value(x):
-            return E_value(asm16, GridFunction(asm16.grid, x)) - float(f @ x) * hN
-
-        def grad(x):
-            return gradient_E(asm16, GridFunction(asm16.grid, x)).values - f * hN
-
-        _, _, _, info = _descent(value, grad, np.zeros(asm16.grid.n_nodes),
-                                 lambda x, g: np.max(np.abs(g)) / hN < 1e-8, 5000)
-        hist = info["objective_history"]
-        assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 class TestRelaxedNewton:
@@ -1231,10 +1213,27 @@ class TestMountainPass:
         level, _ = nehari_ground_state(asm_mp, 4.0)
         assert rep.converged
         assert rep.extras["eta"] > 0.0
-        assert rep.extras["eta"] == pytest.approx(level, rel=1e-3)
+        assert rep.extras["eta"] == pytest.approx(level, rel=1e-9)
         assert rep.residual_inf <= 1e-6 * (1.0 + np.max(np.abs(
             power_reaction(4.0).f(rep.solution.values))))
         assert np.max(np.abs(rep.solution.values)) > 0.1
+
+    @pytest.mark.parametrize("shape, n, alpha, m", [
+        ("interval", 256, 1.5, 4.0),
+        ("box", 16, 0.5, 3.0),
+        ("ball", 20, 1.0, 3.0),  # 316 nodes
+    ])
+    def test_agrees_with_the_ground_state_oracle(self, y_p2, shape, n, alpha, m):
+        grid = make_grid(shape, n)
+        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=alpha), y_p2)
+        rep = mountain_pass_search(asm, power_reaction(m), tol=1e-10)
+        level, _ = nehari_ground_state(asm, m)
+        assert rep.converged
+        assert rep.extras["eta"] == pytest.approx(level, rel=1e-9)
+
+    def test_ground_state_oracle_says_when_it_stops_short(self, asm_mp):
+        with pytest.raises(NlorliczError, match="BFGS"):
+            nehari_ground_state(asm_mp, 4.0, max_iter=2)
 
     def test_never_raises_initial_maximum(self, asm_mp):
         rep = mountain_pass_search(asm_mp, power_reaction(4.0), tol=1e-4,

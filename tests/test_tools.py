@@ -1,5 +1,6 @@
-"""tools/code_lines.py on a small fixture source, and a dead-code scan of
-the package's modules."""
+"""tools/code_lines.py on a small fixture source, and AST scans of the
+package's modules: dead names, restated dimension lists, branches on a
+family label, and the oracles' imports of production code."""
 
 import ast
 import importlib.util
@@ -169,3 +170,54 @@ def test_no_code_branches_on_a_family_label():
     found = {p.name: _family_comparisons(p.read_text(encoding="utf-8"))
              for p in sorted(_PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_PRODUCTION = {"solvers", "harness", "cli", "linalg"}
+
+
+def _production_imports(source: str) -> list:
+    """Line numbers of the imports that tie a module to the production code
+    paths: anything from solvers, harness, cli or linalg, and any name from
+    energy but EnergyAssembly, spelled relative or from nlorlicz."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [(a.name.split(".")[1], None) for a in node.names
+                       if a.name.startswith("nlorlicz.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                   .split(".")[0] == "nlorlicz"):
+            module = (node.module or "").removeprefix("nlorlicz").lstrip(".")
+            # "from . import solvers" names the module itself
+            targets = ([(module, a.name) for a in node.names] if module
+                       else [(a.name, None) for a in node.names])
+        else:
+            continue
+        if any(m in _PRODUCTION or (m == "energy" and name != "EnergyAssembly")
+               for m, name in targets):
+            found.append(node.lineno)
+    return found
+
+
+def test_production_import_scan_on_a_fixture():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import solve\n"
+        "from .energy import EnergyAssembly\n"
+        "from .energy import EnergyAssembly, E_value\n"
+        "from .solvers import mountain_pass_search\n"
+        "from . import harness\n"
+        "from nlorlicz.linalg import dot\n"
+        "import nlorlicz.cli\n"
+        "from .grid import bump\n"
+        "from nlorlicz import energy\n"
+        "def f():\n"
+        "    from .linalg import cholesky_solve\n"
+    )
+    assert _production_imports(source) == [4, 5, 6, 7, 8, 10, 12]
+
+
+def test_oracles_import_no_production_path():
+    source = (_PACKAGE / "oracles.py").read_text(encoding="utf-8")
+    assert _production_imports(source) == []
+    assert _production_imports(source.replace(
+        "from .energy import EnergyAssembly", "from .energy import EnergyAssembly, E_value")) != []

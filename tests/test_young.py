@@ -263,20 +263,23 @@ _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-8, -1e-8, 1.0
 @pytest.mark.parametrize("p, r", [(p, r) for p in (1.5, 2.0, 3.0) for r in (-0.5, 1.0, 2.5)
                                   if min(p, p + r) > 1.0])
 def test_log_perturbed_evaluators_keep_the_plain_bits(p, r):
-    # where a^(p-1) underflows to 0 against an overflowing L^(r-1) (p = 3,
-    # r = -0.5 at |s| <= 1e-300) the formulas read NaN: both must, and a
-    # NaN's sign is not compared
+    # at 0 and from |s| = 1e-100 up; between, the single powers take over
+    # (test_log_perturbed_evaluators_take_single_powers_at_tiny_arguments),
+    # so _EDGES' 5e-324 and 1e-300 are 1e-100 and 1e-17 here.  At 0
+    # deriv2 is its limit, which the plain formula's 0 is only for p + r > 2
     import warnings
 
     fn = make_young("log_perturbed", p=p, r=r)
-    plain = _plain_log_perturbed(fn)
+    plain, limit = _plain_log_perturbed(fn), _single_powers(fn)
+    edges = np.concatenate([_EDGES[:2], [1e-100, -1e-100, 1e-17, -1e-17], _EDGES[6:]])
     rng = np.random.default_rng(11)
     spread = rng.choice([-1.0, 1.0], 399) * 10.0 ** rng.uniform(-12.0, 12.0, 399)
-    full = np.concatenate([_EDGES, spread])
-    arrays = [_EDGES, full, full.reshape(-1, 7), full.reshape(7, -1)[:, ::-1]]
-    for s in arrays + [np.array(v) for v in _EDGES]:
+    full = np.concatenate([edges, spread])
+    arrays = [edges, full, full.reshape(-1, 7), full.reshape(7, -1)[:, ::-1]]
+    for s in arrays + [np.array(v) for v in edges]:
         with np.errstate(all="ignore"):
             ref = {name: plain[name](s) for name in ("value", "deriv", "joint", "deriv2")}
+            ref["deriv2"] = np.where(s == 0.0, limit["deriv2"](s), ref["deriv2"])
             t = np.abs(s)[np.abs(s) > 0.0] if s.ndim else None
             if t is not None:
                 ref["curvature"] = plain["curvature"](t)
@@ -295,10 +298,86 @@ def test_log_perturbed_evaluators_keep_the_plain_bits(p, r):
             assert type(got["value"]) is float and type(got["deriv"]) is float
             assert type(got["deriv2"]) is float
             assert all(type(x) is float for x in got["joint"])
+            if s == 0.0:  # +0 at either zero, deriv's too
+                assert all(str(x) == "0.0" for x in (got["value"], got["deriv"], *got["joint"]))
             if s > 0.0:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert isinstance(fn.curvature(s), float)
+
+
+# the last pair has p + r near 1, so deriv2 and curvature ~ a^(p+r-2) grow
+# as a -> 0 and leave the double range below a ~ 4e-312
+_TINY_PAIRS = [(2.0, -0.5), (3.0, -0.5), (2.0, 1.0), (3.0, 1.0), (1.5, -0.49)]
+
+
+def _single_powers(fn):
+    """The log_perturbed evaluators' limits at small a = t0 |s|, where
+    log1p(a) ~ a: the single powers of a with exponent P = p + r."""
+    t0, c, p, r = (fn.params[k] for k in ("arg_scale", "c", "p", "r"))
+    P = p + r
+    return {"value": lambda s: c * (t0 * np.abs(s)) ** P,
+            "deriv": lambda s: t0 * c * P * (t0 * np.abs(s)) ** (P - 1.0) * np.sign(s),
+            "deriv2": lambda s: t0 ** 2 * c * P * (P - 1.0) * (t0 * np.abs(s)) ** (P - 2.0),
+            "curvature": lambda s: (t0 ** 2 * c * P * max(P - 1.0, 1.0)
+                                    * (t0 * np.abs(s)) ** (P - 2.0))}
+
+
+@pytest.mark.parametrize("p, r", _TINY_PAIRS)
+def test_log_perturbed_evaluators_take_single_powers_at_tiny_arguments(p, r):
+    # the two-factor forms a^(p-k) L^(r-j) over- or underflow there: at
+    # 1e-250, (2, -0.5)'s deriv read inf and (3, -0.5)'s NaN; curvature is
+    # defined for t > 0 only
+    import warnings
+
+    fn = make_young("log_perturbed", p=p, r=r)
+    limit = _single_powers(fn)
+    t = np.logspace(-320.0, -17.0, 607)
+    s = np.concatenate([t, -t])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {"value": fn.value(s), "deriv": fn.deriv(s), "deriv2": fn.deriv2(s),
+               "curvature": fn.curvature(t)}
+        joint = fn.joint(s)
+        scalars = [(fn.value(x), fn.deriv(x), fn.deriv2(x)) for x in (1e-300, -1e-300)]
+    for name, out in got.items():
+        x = t if name == "curvature" else s
+        with np.errstate(over="ignore"):
+            ref = limit[name](x)
+        # finite wherever the limit is, and that is everywhere but where
+        # a^(p+r-2) leaves the range
+        assert np.array_equal(np.isfinite(out), np.isfinite(ref)), name
+        assert np.all(np.isfinite(ref)) or (name in ("deriv2", "curvature") and p + r < 2.0)
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=np.finfo(float).tiny,
+                                   err_msg=name)
+    assert all(_same_bits(j, got[k]) for j, k in zip(joint, ("value", "deriv")))
+    for x, values in zip((1e-300, -1e-300), scalars):
+        assert all(type(v) is float for v in values)
+        assert values == tuple(float(limit[k](x)) for k in ("value", "deriv", "deriv2"))
+    # at 0 the single powers are the limits: value and deriv 0 (+0 at -0)
+    zero = np.array([0.0, -0.0])
+    assert _same_bits(fn.value(zero), [0.0, 0.0]) and _same_bits(fn.deriv(zero), [0.0, 0.0])
+    assert all(_same_bits(j, [0.0, 0.0]) for j in fn.joint(zero))
+    with np.errstate(divide="ignore"):
+        assert _same_bits(fn.deriv2(zero), limit["deriv2"](zero))
+    # and the same among other tiny entries
+    mixed = np.array([0.0, -0.0, 1e-300, -1e-300])
+    for name in ("value", "deriv", "deriv2"):
+        with np.errstate(divide="ignore"):
+            assert _same_bits(getattr(fn, name)(mixed), limit[name](mixed)), name
+
+
+@pytest.mark.parametrize("p, r", _TINY_PAIRS)
+def test_log_perturbed_keeps_the_plain_bits_down_to_1e_100(p, r):
+    fn = make_young("log_perturbed", p=p, r=r)
+    plain = _plain_log_perturbed(fn)
+    t = np.logspace(-100.0, 8.0, 1081)
+    s = np.concatenate([t, -t])
+    for name in ("value", "deriv", "deriv2"):
+        assert _same_bits(getattr(fn, name)(s), plain[name](s)), name
+    assert all(_same_bits(g, f) for g, f in zip(fn.joint(s), plain["joint"](s)))
+    assert _same_bits(fn.curvature(t), plain["curvature"](t))
+
 
 _POWERS = (1.1, 1.3, 1.5, 2.0, 3.0, 3.7, 4.0, 6.0)
 
