@@ -20,10 +20,11 @@ one vectorized pass over all nodes; see kernels.lambda_exterior.
 
 Apart from the dense references of oracles.py, this module is the only one
 that evaluates anything on the pairs or on the FFT lattice: the energy and
-its gradient, and the relaxed Newton matrix of
-the solvers (newton_matrix) with its matrix-free product for even
-polynomial psi (even_newton_product) and its circulant preconditioner
-(circulant_preconditioner).  Every elementwise pair sum, of psi, psi' or
+its gradient, the relaxed Newton matrix of the solvers (newton_matrix)
+with its matrix-free product for even polynomial psi (even_newton_product)
+and its circulant preconditioner (circulant_preconditioner), and the
+product of the quadratic energy's matrix (quadratic_form_product), from
+which the eigen solve starts.  Every elementwise pair sum, of psi, psi' or
 the relaxed curvature, is one walk over one triangle of the pairs
 (_pair_blocks) in row blocks of linalg.BLOCK rows, so its temporaries are
 BLOCK x n and never n x n, and every sum runs in a fixed order.
@@ -369,7 +370,14 @@ def _pass(asm: EnergyAssembly, x: np.ndarray, energy: bool, grad: bool):
     runs instead: at p = 6 the two met near 96 nodes on intervals, and at
     64 nodes (1D, and the 8 x 8 box) the FFT route was the slower by 4 to
     50%.
+
+    At x = 0 no route runs: E is 0.0 and the gradient +0.0, the bits every
+    route gives there, since young.value(0) = 0 and young.deriv(0) = 0
+    (make_young checks both).  A Dirichlet solve starts at x = 0.
     """
+    if not x.any():
+        E = (0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])) if energy else None
+        return E, (np.zeros(x.shape) if grad else None)
     young, hN, n = asm.young, asm.h_pow_dim, x.shape[-1]
     if young.quadratic:
         z = x - x.sum(axis=-1, keepdims=True) / n
@@ -496,6 +504,16 @@ def even_newton_product(asm: EnergyAssembly, x: np.ndarray, eps: float):
     def apply(v):
         return diag * v - np.einsum("bn,bn->n", P, _stencil_product(asm, zp * v))
     return diag, apply
+
+
+def quadratic_form_product(asm: EnergyAssembly):
+    """(d0, v -> A v) for the matrix A = diag(d0) - W of the quadratic
+    energy, E(v) = v . A v at psi = |s|^2, with d0 = rowsum + Lambda h^N:
+    W v is one stencil product, so no W is built, whatever the assembly's
+    psi.  A is positive definite, and A^-1 1 is the torsion function of the
+    domain (solvers._torsion_start)."""
+    d0 = asm.rowsum + asm.exterior * asm.h_pow_dim
+    return d0, lambda v: d0 * v - _stencil_product(asm, v)
 
 
 def circulant_preconditioner(asm: EnergyAssembly):

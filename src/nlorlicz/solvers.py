@@ -44,6 +44,7 @@ from .energy import (
     gradient_E,
     luxemburg_norm_of,
     newton_matrix,
+    quadratic_form_product,
 )
 from .errors import ValidationError
 from .grid import GridFunction, bump
@@ -306,8 +307,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
       t^(m-1) the error falls by a factor of about m - 1 per step), those
       with the curvature at second order: the benchmark's mountain pass at
       1D n = 128 went from 52 steps to 4, its sublinear solve at n = 256
-      from 24 to 5, and the eigen solve at 1D n = 512 from 178 steps to 6
-      at p = 4 and from 26 to 8 at p = 2.
+      from 24 to 5, and the eigen solve at 1D n = 512, from a bump, from
+      178 steps to 6 at p = 4 and from 26 to 8 at p = 2.
     The bits of the steps do not depend on the BLAS thread count.
 
     Returns (x, steps, converged, info) with the objective history and
@@ -570,6 +571,20 @@ def _bump_start(asm: EnergyAssembly) -> GridFunction:
     return GridFunction(g, b.values / norm)
 
 
+def _torsion_start(asm: EnergyAssembly) -> np.ndarray:
+    """The torsion function t = A^-1 h^N 1 of the quadratic energy's matrix
+    A = diag(d0) - W (energy.quadratic_form_product), by one _pcg call to
+    rtol 1e-2, preconditioned by the circulant scaled to d0, or by d0 where
+    there is no circulant.  t is the landscape function of Filoche and
+    Mayboroda (PNAS 109, 2012) and decays like the first eigenfunction,
+    as delta^(alpha/2) at the boundary for the fractional kernel (Ros-Oton
+    and Serra, J. Math. Pures Appl. 101, 2014)."""
+    d0, apply = quadratic_form_product(asm)
+    circulant = circulant_preconditioner(asm)
+    solve = (lambda r: r / d0) if circulant is None else circulant(d0)
+    return _pcg(apply, np.full(asm.grid.n_nodes, asm.h_pow_dim), solve, 1e-2)
+
+
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N, for a reaction
     f(u), for data f(x) with G(v) = f(x) v (solve_dirichlet), or for
@@ -762,7 +777,8 @@ def mountain_pass_search(asm: EnergyAssembly, reaction: ReactionSpec,
 def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
                 start: Optional[GridFunction] = None) -> SolveReport:
     """Minimize the Rayleigh quotient E(v)/F(v) on the unit-modular set
-    F(v) = 1 by relaxed Newton steps (_relaxed_newton).
+    F(v) = 1 by relaxed Newton steps (_relaxed_newton), by default from the
+    torsion function of the quadratic energy (_torsion_start), normalized.
 
     The objective is the reaction objective (_reaction_objective) of
     f(v) = lambda(v) psi'(v) with G = 0, where the Lagrange multiplier
@@ -773,12 +789,17 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
     E - lambda (F - 1).  G = 0 is exact: every point the loop sees has
     F = 1, where the Lagrangian equals E.  So converged means
     max|Lv - lambda psi'(v)| <= tol * (1 + max|lambda psi'(v)|).
-    Each trial point is renormalized to F(v) = 1 by the Luxemburg norm
-    (closed form when p = q, else young.scale_root on the scale factor).  The
-    steps are Newton steps on the Lagrangian restricted to the tangent
-    space of F = 1, by projected PCG (Gould, Hribar and Nocedal, SIAM J.
-    Sci. Comput. 23, 2001): the curvature lambda psi''(max(|v|, eps)) h^N is
-    taken off the relaxed Hessian of E, and the CG iterates keep
+    The start and each trial point are normalized to F(v) = 1 by the
+    Luxemburg norm (closed form when p = q, else young.scale_root on the
+    scale factor).  The torsion start is the landscape function, whose
+    boundary decay is the first eigenfunction's: at 1D n = 512 (fractional
+    alpha = 0.5) the solve took 3 steps from it at p = 2, against 8 from a
+    bump, 5 against 7 at p = 3, 5 against 8 for the log-perturbed (2, 1)
+    and 7 against 6 at p = 4.  The steps are Newton steps on the
+    Lagrangian restricted to the tangent space of F = 1, by projected PCG
+    (Gould, Hribar and Nocedal, SIAM J. Sci. Comput. 23, 2001): the
+    curvature lambda psi''(max(|v|, eps)) h^N is taken off the relaxed
+    Hessian of E, and the CG iterates keep
     psi'(v) . d = 0.  Where psi has no deriv2 the steps take no curvature
     and converge at first order, as the nonlinear inverse iteration they
     replace (Hein and Buhler, NIPS 2010) does.
@@ -810,7 +831,7 @@ def solve_eigen(asm: EnergyAssembly, tol: float = 1e-8, max_iter: int = 20000,
 
     value, gradient, stop, _, passes = _reaction_objective(
         asm, ReactionSpec(f=f, G=lambda x: 0.0), tol)
-    x0 = normalize((start or _bump_start(asm)).values)
+    x0 = normalize(_torsion_start(asm) if start is None else start.values)
     x, iters, conv, info = _relaxed_newton(
         asm, value, gradient, x0, stop, max_iter, retract=normalize,
         curvature=curvature if young.deriv2 else None,

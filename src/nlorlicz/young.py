@@ -193,6 +193,9 @@ def _validate(fn: YoungFunction, tol=1e-9):
         raise ValidationError("Young function evaluators returned non-finite values")
     if fn.value(np.array(0.0)) != 0.0:
         raise ValidationError("violates Young-class condition value(0) = 0")
+    if fn.deriv(np.array(0.0)) != 0.0:
+        # energy._pass returns E = 0 and a zero gradient at x = 0 on this
+        raise ValidationError("violates Young-class condition deriv(0) = 0")
     if abs(fn.value(np.array(1.0)) - 1.0) > 1e-9:
         raise ValidationError("violates normalization value(1) = 1")
     if np.any(np.abs(fn.value(-s) - v) > tol * (1.0 + v)):

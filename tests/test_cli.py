@@ -54,6 +54,13 @@ _THREAD_CASES = {
     # route left
     "eigen_p2_2048": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 2048),
     "eigen_p2_128": _sections({"family": "power", "p": 2.0}, {"type": "eigen"}, 128),
+    # eigen solves start from the torsion function, one CG solve by FFT
+    # products and the circulant (or diagonal) preconditioner, then step
+    # on fresh factors below 256 nodes and on the circulant above
+    "eigen_log_128": _sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                               {"type": "eigen"}, 128),
+    "eigen_log_512": _sections({"family": "log_perturbed", "p": 2.0, "r": 1.0},
+                               {"type": "eigen"}, 512),
     # projected CG with the tangent psi'(u) h^N on the matrix-free product
     "eigen_p4_256": _sections({"family": "power", "p": 4.0}, {"type": "eigen"}, 256),
     # conjugate-gradient steps: by FFT with no matrix, and on the built

@@ -737,9 +737,82 @@ class TestJointPass:
             u = gf(asm, x)
             calls.clear()
             E, G = E_and_gradient(asm, u)
-            assert len(calls) == (route != "triangle")
+            # at x = 0 no route runs
+            assert len(calls) == (route != "triangle" and bool(x.any()))
             assert E == E_value(asm, u)
             assert G.values.tobytes() == gradient_E(asm, u).values.tobytes()
+
+
+class TestZeroPoint:
+    """At x = 0 the pass returns E = 0.0 and a +0.0 gradient with no walk and
+    no stencil product, the bits that every route gives there."""
+
+    @staticmethod
+    def _custom():
+        return make_young("custom", value=lambda s: np.abs(s) ** 2.5,
+                          deriv=lambda s: 2.5 * np.abs(s) ** 1.5 * np.sign(s))
+
+    @pytest.mark.parametrize("young, n, route", [
+        (("power", {"p": 1.5}), 64, "triangle"),
+        (("log_perturbed", {"p": 2.0, "r": 1.0}), 64, "triangle"),
+        (("custom", {}), 64, "triangle"),
+        (("power", {"p": 2.0}), "even_min", "quadratic"),
+        (("power", {"p": 2.0}), 512, "quadratic"),
+        (("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), "even_min", "even"),
+        (("power_sum", {"terms": [(0.5, 2.0), (0.5, 4.0)]}), 512, "even"),
+    ])
+    def test_every_route_gives_zero(self, monkeypatch, young, n, route):
+        from nlorlicz import energy
+        from nlorlicz.energy import E_and_gradient
+
+        n = energy._EVEN_MIN_NODES if n == "even_min" else n
+        grid = make_grid("interval", n, (-1.0, 1.0))
+        young = self._custom() if young[0] == "custom" else make_young(young[0], **young[1])
+        asm = assemble(grid, make_kernel("fractional", dim=1, alpha=0.5), young)
+        even = young.even_terms is not None and n >= energy._EVEN_MIN_NODES
+        assert route == ("quadratic" if young.quadratic else "even" if even else "triangle")
+        # a stack with a nonzero row runs its route whole, and each row has
+        # the bits of its own call: row 0 is the route's value at 0
+        stack = np.stack([np.zeros(n), bump(grid, grid.center, 0.5, 1.0).values])
+        E_route, G_route = energy._pass(asm, stack, True, True)
+        assert E_route[0] == 0.0 and not np.any(G_route[0])
+        assert not np.any(np.signbit(G_route[0]))
+
+        def refuse(*args):
+            raise AssertionError("walked or filtered at x = 0")
+
+        monkeypatch.setattr(energy, "_pair_blocks", refuse)
+        monkeypatch.setattr(energy, "_lattice_filter", refuse)
+        for zero in (np.zeros(n), -np.zeros(n)):
+            u = gf(asm, zero)
+            E, G = E_and_gradient(asm, u)
+            assert type(E) is float and E == 0.0
+            assert E_value(asm, u) == 0.0
+            for g in (G.values, gradient_E(asm, u).values):
+                assert g.tobytes() == G_route[0].tobytes()
+        Es = energy._pair_pass(asm, np.zeros((3, n)), grad=False)
+        assert Es.shape == (3,) and not np.any(Es)
+
+
+class TestQuadraticFormProduct:
+    @pytest.mark.parametrize("grid", [
+        ("interval", 128, (-1.0, 1.0)), ("box", 12, (-1.0, 1.0, -1.0, 1.0)),
+        ("ball", 16, (0.0, 0.0, 1.0))])
+    def test_is_the_quadratic_energy_matrix(self, grid):
+        # v . A v is E at psi = |s|^2, whatever the assembly's psi, and A v
+        # agrees with the dense product
+        from nlorlicz.energy import quadratic_form_product
+
+        grid = make_grid(*grid)
+        kern = make_kernel("fractional", dim=grid.dim, alpha=0.5)
+        asm = assemble(grid, kern, make_young("power", p=3.0))
+        quad_asm = assemble(grid, kern, make_young("power", p=2.0))
+        d0, apply = quadratic_form_product(asm)
+        v = random_function(grid, seed=4).values
+        dense = (d0 * v - asm.weights @ v)
+        Av = apply(v)
+        assert np.max(np.abs(Av - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.dot(v, Av) == pytest.approx(E_value(quad_asm, gf(quad_asm, v)), rel=1e-12)
 
 
 class TestInequalities:

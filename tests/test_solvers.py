@@ -788,7 +788,9 @@ class TestConjugateGradientSteps:
         # first step and keep the factor, which preconditions one CG per
         # step on H - diag(D): D = lambda psi''(u) h^N for the eigen solve
         # and f'(u) h^N for the sublinear one.  From 256 nodes up the
-        # circulant preconditions the same CG, and nothing is factored
+        # circulant preconditions the same CG, and nothing is factored.  The
+        # eigen solve's torsion start is one more CG call, which factors
+        # nothing
         import nlorlicz.solvers as solvers
 
         pcg = solvers._pcg
@@ -802,12 +804,13 @@ class TestConjugateGradientSteps:
         calls = self._count_factors(monkeypatch)
         for n, factored in ((128, [128]), (512, [])):
             asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, y_p2)
-            for solve in (solve_eigen, lambda asm: solve_sublinear(asm, power_reaction(1.5))):
+            for solve, start_calls in ((solve_eigen, 1),
+                                       (lambda asm: solve_sublinear(asm, power_reaction(1.5)), 0)):
                 calls.clear()
                 cg_calls.clear()
                 rep = solve(asm)
                 assert rep.converged and rep.iterations > 1 and calls == factored
-                assert len(cg_calls) == rep.iterations
+                assert len(cg_calls) == rep.iterations + start_calls
 
     def test_even_powers_step_without_a_matrix(self, frac05_1d, monkeypatch):
         # from 256 nodes up a power-sum 2 + 4 solve runs matrix-free CG
@@ -1016,6 +1019,32 @@ class TestStepCounts:
         rep = solve_eigen(self._asm(young, 64))
         assert rep.converged
         assert rep.iterations <= steps
+
+    @pytest.mark.parametrize("grid, young, steps", [
+        # 3, 3, 3, 5 and 5 steps from the torsion function; 8, 8, 7, 7 and 8
+        # from the bump
+        pytest.param(("interval", 512, (-1.0, 1.0)), make_young("power", p=2.0), 4,
+                     id="power-2-512"),
+        pytest.param(("box", 24, (-1.0, 1.0, -1.0, 1.0)), make_young("power", p=2.0), 4,
+                     id="power-2-box24"),
+        pytest.param(("ball", 24, (0.0, 0.0, 1.0)), make_young("power", p=2.0), 4,
+                     id="power-2-ball24"),
+        pytest.param(("interval", 512, (-1.0, 1.0)), make_young("power", p=3.0), 6,
+                     id="power-3-512"),
+        pytest.param(("interval", 512, (-1.0, 1.0)),
+                     make_young("log_perturbed", p=2.0, r=1.0), 6, id="log_perturbed-2-1-512"),
+    ])
+    def test_eigen_starts_from_the_torsion_function(self, grid, young, steps):
+        # the default start is the torsion function; an explicit bump start
+        # finds the same eigenvalue
+        g = make_grid(*grid)
+        asm = assemble(g, make_kernel("fractional", dim=g.dim, alpha=0.5), young)
+        rep = solve_eigen(asm)
+        ref = solve_eigen(asm, start=bump(g, g.center, 0.5 * g.inradius, 1.0))
+        assert rep.converged and ref.converged
+        assert rep.iterations <= steps
+        lam, lam_ref = rep.extras["lambda1"], ref.extras["lambda1"]
+        assert abs(lam - lam_ref) <= 1e-10 * lam_ref
 
     def test_p11_count_does_not_hinge_on_the_last_bit(self):
         # p = 1.1 ends in the gradient-judged line search, where a single
@@ -1593,6 +1622,32 @@ class TestEvaluationCounts:
         assert calls["E_and_gradient"] <= rep.iterations + 2
         solve_dirichlet(asm16, random_function(asm16.grid, seed=12))
         assert calls["gradient_E"] == 0
+
+    @pytest.mark.parametrize("young, n", [
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), 512, id="log_perturbed-512"),
+        pytest.param(make_young("power", p=1.5), 64, id="power-1.5-64"),
+        pytest.param(make_young("power", p=3.0), 256, id="power-3-256"),
+    ])
+    def test_no_walk_at_the_zero_start(self, frac05_1d, young, n, monkeypatch):
+        # a Dirichlet solve starts at x = 0, where E = 0 and the gradient is
+        # 0: its pass there walks no pair, and nor does its first Newton
+        # matrix (energy.newton_matrix).  TestZeroPoint in test_energy.py
+        # covers the FFT routes
+        import nlorlicz.energy as energy
+
+        asm = assemble(make_grid("interval", n, (-1.0, 1.0)), frac05_1d, young)
+        points = self._record(monkeypatch, ("E_and_gradient",))["E_and_gradient"]
+        walked, blocks = [], energy._pair_blocks
+
+        def recorded(asm, x, phi):
+            walked.append(x.copy())
+            return blocks(asm, x, phi)
+
+        monkeypatch.setattr(energy, "_pair_blocks", recorded)
+        g = asm.grid
+        rep = solve_dirichlet(asm, bump(g, g.center, 0.5, 1.0))
+        assert rep.converged and not np.any(points[0])
+        assert walked and all(np.any(x) for x in walked)
 
     @pytest.mark.parametrize("young", [
         pytest.param(make_young("power", p=2.0), id="power-2"),

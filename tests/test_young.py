@@ -169,6 +169,16 @@ class TestConstruction:
                 deriv=lambda s: 2.5 * np.abs(s) ** 1.5,
             )
 
+    def test_custom_rejects_a_derivative_offset_at_zero(self):
+        # the energy pass takes E = 0 and a zero gradient at x = 0 with no
+        # walk, which needs psi'(0) = 0; off 0 this psi' is |s|^2.5's
+        with pytest.raises(ValidationError, match=r"deriv\(0\) = 0"):
+            make_young(
+                "custom",
+                value=lambda s: np.abs(s) ** 2.5,
+                deriv=lambda s: np.where(s == 0.0, 1e-3, 2.5 * np.abs(s) ** 1.5 * np.sign(s)),
+            )
+
     def test_custom_rejects_sublinear_growth(self):
         with pytest.raises(ValidationError, match="q > 1"):
             make_young(
