@@ -76,9 +76,13 @@ PAIR_BUDGET = int(1e8)
 _EVEN_MIN_NODES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyAssembly:
-    """Precomputed discrete form of the nonlocal energy on one grid."""
+    """Precomputed discrete form of the nonlocal energy on one grid.
+
+    Two assemblies are equal only when they are the same object, and an
+    assembly hashes by identity, so it can key a weak memo of what is
+    evaluated on it (harness._calibration)."""
 
     grid: DomainGrid
     kernel: Kernel

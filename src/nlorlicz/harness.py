@@ -21,7 +21,10 @@ go through the pair pass together (energy._pair_pass), so on the FFT routes
 (a quadratic psi, and an even polynomial psi from energy._EVEN_MIN_NODES
 nodes up) a property costs a few batched stencil products instead of one
 per function.  Each row's energy, gradient and pairing keep the bits of a
-single call of E_value, gradient_E and interaction.
+single call of E_value, gradient_E and interaction.  gradient_bound,
+interpolation and sobolev_r_star calibrate on one fixed corpus, the training
+bumps, which is built and evaluated once per assembly (_calibration) and
+shared by the three rows: their own stacks hold only their fresh draws.
 
 The battery is pure evaluation and solves nothing.  pohozaev's rescaling
 ratio is an identity for power reactions, so it is taken on a seeded
@@ -34,15 +37,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .energy import (EnergyAssembly, F_value, _pair_pass, central_gradient_norm,
+from .energy import (EnergyAssembly, F_value, _pair_pass, _pass, central_gradient_norm,
                      luxemburg_norm_of)
-from .grid import (GridFunction, bump, bump_values, decreasing_rearrangement,
-                   indicator_function)
+from .grid import GridFunction, bump_values, decreasing_rearrangement, indicator_function
 from .kernels import poincare_constant
 from .linalg import dot
 from .solvers import power_reaction, pohozaev_check
@@ -103,27 +106,27 @@ def parts_digest(kernel, young, grid, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _corpus(asm: EnergyAssembly, spec: CorpusSpec, kind: str, rng):
-    """One corpus function of the requested kind."""
+def _corpus(asm: EnergyAssembly, spec: CorpusSpec, kind: str, rng) -> np.ndarray:
+    """The node values of one corpus function of the requested kind."""
     g = asm.grid
     if kind == "random" or kind == "sign_mixed":
-        return GridFunction(g, rng.uniform(-spec.amplitude, spec.amplitude, g.n_nodes))
+        return rng.uniform(-spec.amplitude, spec.amplitude, g.n_nodes)
     if kind == "nonnegative":
-        return GridFunction(g, rng.uniform(0.0, spec.amplitude, g.n_nodes))
+        return rng.uniform(0.0, spec.amplitude, g.n_nodes)
     if kind == "bump":
         c = g.center + (rng.uniform(-0.2, 0.2, g.dim) * g.inradius)
         radius = rng.uniform(0.3, 0.7) * g.inradius
-        return bump(g, c, radius, rng.uniform(0.2, 1.0) * spec.amplitude)
+        return bump_values(g, c, radius, rng.uniform(0.2, 1.0) * spec.amplitude)
     if kind == "indicator":
         return indicator_function(g, int(rng.integers(0, 2**31)), rng.uniform(0.1, 0.5),
-                                  spec.amplitude)
+                                  spec.amplitude).values
     raise ValueError(kind)
 
 
 def _stack(asm, spec, rng, kinds):
     """Corpus functions of the given kinds, drawn in order, as the rows of a
     (len(kinds), n) stack."""
-    rows = [_corpus(asm, spec, kind, rng).values for kind in kinds]
+    rows = [_corpus(asm, spec, kind, rng) for kind in kinds]
     return np.reshape(rows, (len(kinds), asm.grid.n_nodes))
 
 
@@ -157,8 +160,8 @@ def _score(name, digest, tol, trials, margins, fields=None):
 
 def _prop_equiv_ee(asm, spec, rng):
     U = _stack(asm, spec, rng, ["random"] * spec.trials)
-    E = _pair_pass(asm, U, grad=False)
-    I = _dots(_pair_pass(asm, U, grad=True), U)
+    E, G = _pass(asm, U, True, True)
+    I = _dots(G, U)
     scale = np.maximum(1.0, np.abs(I))
     margins = [(I - asm.young.q * E) / scale, (asm.young.p * E - I) / scale]
     return spec.trials, np.concatenate(margins)
@@ -183,7 +186,7 @@ def _prop_young_inequality(asm, spec, rng):
 def _prop_luxemburg_sandwich(asm, spec, rng):
     margins = []
     for _ in range(spec.trials):
-        u = _corpus(asm, spec, "random", rng)
+        u = GridFunction(asm.grid, _corpus(asm, spec, "random", rng))
         norm = luxemburg_norm_of(asm, u)
         if norm == 0.0:
             continue
@@ -349,16 +352,42 @@ def _validation_bumps(asm, rng, count):
     for _ in range(count):
         c = asm.grid.center + rng.uniform(0.0, 0.13, asm.grid.dim) * asm.grid.inradius
         radius = rng.uniform(0.25, 0.8) * asm.grid.inradius
-        out.append(bump(asm.grid, c, radius, rng.uniform(0.3, 2.0)).values)
+        out.append(bump_values(asm.grid, c, radius, rng.uniform(0.3, 2.0)))
     return np.array(out)
+
+
+def _evaluate_bumps(asm, X):
+    """E, F and the F of the central-difference gradient of each row of X."""
+    Fg = _modular(asm, central_gradient_norm(asm.grid, X))
+    return _pair_pass(asm, X, grad=False), _modular(asm, X), Fg
+
+
+# an assembly's calibration, held no longer than the assembly: the key is
+# the assembly itself, which hashes by identity
+_CALIBRATIONS = weakref.WeakKeyDictionary()
+
+
+def _calibration(asm):
+    """(X, E, F, Fg): the training bumps X and their _evaluate_bumps, made
+    on the first call for an assembly and kept, read-only, while it lives.
+    gradient_bound, interpolation and sobolev_r_star calibrate on the same
+    rows, so a battery builds and evaluates them once."""
+    cal = _CALIBRATIONS.get(asm)
+    if cal is None:
+        X = _training_bumps(asm)
+        cal = (X, *_evaluate_bumps(asm, X))
+        for a in cal:
+            a.flags.writeable = False
+        _CALIBRATIONS[asm] = cal
+    return cal
 
 
 def _bump_stack(asm, rng):
     """E, F and the F of the central-difference gradient of the training
-    bumps and then 6 validation bumps, evaluated as one stack."""
-    X = np.concatenate([_training_bumps(asm), _validation_bumps(asm, rng, 6)])
-    Fg = _modular(asm, central_gradient_norm(asm.grid, X))
-    return _pair_pass(asm, X, grad=False), _modular(asm, X), Fg
+    bumps and then 6 validation bumps: the training rows are the assembly's
+    _calibration, the validation rows one fresh stack."""
+    fresh = _evaluate_bumps(asm, _validation_bumps(asm, rng, 6))
+    return tuple(np.concatenate([a, b]) for a, b in zip(_calibration(asm)[1:], fresh))
 
 
 def _prop_gradient_bound(asm, spec, rng):
@@ -403,15 +432,20 @@ def _sobolev(asm, spec, r, r_star):
     rng = np.random.default_rng([spec.seed, 777])
     # dyadic shrinking bumps around the domain center
     base_radius = 0.8 * asm.grid.inradius
-    X = np.array([bump(asm.grid, asm.grid.center, base_radius * s, 1.0).values
+    X = np.array([bump_values(asm.grid, asm.grid.center, base_radius * s, 1.0)
                   for s in (1.0, 0.5, 0.25)])
     if r <= r_star:
-        # the probes, then the training and the test functions
-        X = np.concatenate([X, _training_bumps(asm), _stack(asm, spec, rng, ["random"] * 10),
+        # the probes, then the training and the test functions; the training
+        # bumps and their E are the assembly's _calibration, put in after
+        # the pair pass of the rest
+        T, E_T = _calibration(asm)[:2]
+        X = np.concatenate([X, _stack(asm, spec, rng, ["random"] * 10),
                             _validation_bumps(asm, rng, 6),
                             _stack(asm, spec, rng, ["random"] * 4)])
+        X, E = np.insert(X, 3, T, axis=0), np.insert(_pair_pass(asm, X, grad=False), 3, E_T)
+    else:
+        E = _pair_pass(asm, X, grad=False)
     norms = _psi_r_norms(asm, X, r)
-    E = _pair_pass(asm, X, grad=False)
     ratios = (norms[:3] / E[:3]).tolist()
     if r > r_star:
         return 3, [(ratios[2] - ratios[0]) / ratios[0]], {
@@ -461,7 +495,8 @@ def _prop_pohozaev(asm, spec, rng):
     # for a power reaction the ratio sum u f(u) / ((N p / (N - delta)) sum G(u))
     # is m (N - delta) / (N p) for every u >= 0 with a positive entry, so a
     # seeded nonnegative function checks it as well as a computed solution
-    check = pohozaev_check(asm, power_reaction(m), _corpus(asm, spec, "nonnegative", rng))
+    u = GridFunction(asm.grid, _corpus(asm, spec, "nonnegative", rng))
+    check = pohozaev_check(asm, power_reaction(m), u)
     if not check.applicable:
         return _skip(check.note)
     N, p = asm.grid.dim, asm.young.p

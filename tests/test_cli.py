@@ -1182,16 +1182,16 @@ class TestDeterminism:
             digests.append((out / "battery.csv").read_bytes())
         assert digests[0] == digests[1]
 
-    def test_battery_bytes_identical_across_blas_threads_at_12000(self, tmp_path):
-        # above 10 000 elements OpenBLAS threads a dot product, which then
-        # changes its last bits with the thread count: interaction and the
-        # battery's stacked dots must sum in a fixed order
-        digests = []
+    @staticmethod
+    def _battery_files_at_1_and_3_blas_threads(tmp_path, grid, trials):
+        """battery.csv and battery.json of BASE's battery on grid, run at 1
+        and at 3 BLAS threads."""
+        files = []
         for threads in ("1", "3"):
             out = tmp_path / f"out_{threads}"
             cfg = json.loads(json.dumps(BASE))
-            cfg["grid"]["n_per_axis"] = 12000
-            cfg["problem"] = {"type": "battery", "trials": 6}
+            cfg["grid"] = grid
+            cfg["problem"] = {"type": "battery", "trials": trials}
             cfg["output_dir"] = str(out)
             path = tmp_path / f"cfg_{threads}.json"
             path.write_text(json.dumps(cfg))
@@ -1199,9 +1199,24 @@ class TestDeterminism:
             proc = subprocess.run([sys.executable, "-m", "nlorlicz.cli", "run", str(path)],
                                   capture_output=True, env=env)
             assert proc.returncode == 0, proc.stderr.decode()
-            digests.append([(out / name).read_bytes()
-                            for name in ("battery.csv", "battery.json")])
-        assert digests[0] == digests[1]
+            files.append([(out / name).read_bytes()
+                          for name in ("battery.csv", "battery.json")])
+        return files
+
+    def test_battery_bytes_identical_across_blas_threads_at_12000(self, tmp_path):
+        # above 10 000 elements OpenBLAS threads a dot product, which then
+        # changes its last bits with the thread count: interaction and the
+        # battery's stacked dots must sum in a fixed order
+        grid = dict(BASE["grid"], n_per_axis=12000)
+        one, three = self._battery_files_at_1_and_3_blas_threads(tmp_path, grid, 6)
+        assert one == three
+
+    def test_box_battery_bytes_identical_across_blas_threads(self, tmp_path):
+        # the benchmark's 2D battery: fractional alpha = 0.5, p = 2 on the
+        # 24^2 box, where every stack takes the quadratic FFT route
+        grid = {"shape": "box", "n_per_axis": 24, "bounds": [-1.0, 1.0, -1.0, 1.0]}
+        one, three = self._battery_files_at_1_and_3_blas_threads(tmp_path, grid, 10)
+        assert one == three
 
     def test_convolution_bits_identical_across_blas_threads(self):
         # the p = 2 pair pass computes W @ x by FFT; its bits must not

@@ -692,7 +692,8 @@ class TestStackedPairPass:
 
 class TestJointPass:
     """E_and_gradient gives E_value and gradient_E, bit for bit, from one
-    pass on every route: one filter pair for quadratic psi, one batched
+    pass on every route, and _pass asked for both on a stack gives each
+    row those bits: one filter pair for quadratic psi, one batched
     stencil product for even polynomial psi from _EVEN_MIN_NODES nodes up,
     and one triangle walk below it and for every other psi."""
 
@@ -741,6 +742,14 @@ class TestJointPass:
             assert len(calls) == (route != "triangle" and bool(x.any()))
             assert E == E_value(asm, u)
             assert G.values.tobytes() == gradient_E(asm, u).values.tobytes()
+        # a stack, as the battery asks for both: one filter for the whole
+        # stack, and each row keeps its bits
+        X = np.array(points)
+        calls.clear()
+        E, G = energy._pass(asm, X, True, True)
+        assert len(calls) == (route != "triangle")
+        assert E.tolist() == [E_value(asm, gf(asm, x)) for x in X]
+        assert G.tobytes() == _pair_pass(asm, X, True).tobytes()
 
 
 class TestZeroPoint:

@@ -63,8 +63,12 @@ class TestBattery:
         from nlorlicz import E_value, F_value, GridFunction, gradient_E, interaction
 
         grid = request.getfixturevalue(grid)
-        asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
-                       make_young(young[0], **young[1]))
+
+        def assembled():
+            return assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                            make_young(young[0], **young[1]))
+
+        asm = assembled()
         spec = CorpusSpec(seed=5, trials=10, pair_samples=500)
         margins = []  # every margin, not only each property's worst
 
@@ -78,14 +82,14 @@ class TestBattery:
         for name, runner in list(hz._PROPERTY_RUNNERS.items()):
             monkeypatch.setitem(hz._PROPERTY_RUNNERS, name, recorded(runner))
 
-        def tables():
+        def tables(asm):
             margins.clear()
             results = run_battery(asm, spec)
             assert not any(r.note.startswith("error") for r in results)
             return battery_csv(results), json.dumps([vars(r) for r in results],
                                                     sort_keys=True, default=repr), list(margins)
 
-        stacked = tables()
+        stacked = tables(asm)
         # the row-wise pairings and modulars keep the bits of the single calls
         U = np.random.default_rng(1).uniform(-1.0, 1.0, (4, grid.n_nodes))
         fs = [GridFunction(asm.grid, u) for u in U]
@@ -99,7 +103,67 @@ class TestBattery:
             return np.array([E_value(asm, GridFunction(asm.grid, x)) for x in X])
 
         monkeypatch.setattr(hz, "_pair_pass", one_at_a_time)
-        assert tables() == stacked
+        monkeypatch.setattr(hz, "_pass", lambda asm, X, energy, grad: (
+            one_at_a_time(asm, X, False) if energy else None,
+            one_at_a_time(asm, X, True) if grad else None))
+        # a fresh assembly, so that the calibration rows, kept per
+        # assembly, go through one_at_a_time too
+        assert tables(assembled()) == stacked
+
+    def test_calibration_is_evaluated_once_per_assembly(self, g1d_small, frac05_1d, y_p2,
+                                                         monkeypatch):
+        # gradient_bound, interpolation and sobolev_r_star share the training
+        # bumps: one battery builds them once and sends them once, as one
+        # stack, through the pair pass, the modular and the gradient norm; a
+        # second assembly builds them again
+        import nlorlicz.harness as hz
+
+        seen = {"built": 0, "_pair_pass": [], "_modular": [], "central_gradient_norm": []}
+        build = hz._training_bumps
+
+        def counted_build(asm):
+            seen["built"] += 1
+            return build(asm)
+
+        def recorded(name, fn):
+            def run(first, X, *args, **kwargs):
+                seen[name].append([row.tobytes() for row in np.atleast_2d(X)])
+                return fn(first, X, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(hz, "_training_bumps", counted_build)
+        for name in ("_pair_pass", "_modular", "central_gradient_norm"):
+            monkeypatch.setattr(hz, name, recorded(name, getattr(hz, name)))
+        spec = CorpusSpec(seed=0, trials=10, pair_samples=200)
+        asm = assemble(g1d_small, frac05_1d, y_p2)
+        results = run_battery(asm, spec)
+        rows = {r.name: r for r in results}
+        for name in ("gradient_bound", "interpolation", "sobolev_r_star"):
+            assert rows[name].trials > 0 and rows[name].passed, rows[name].note
+        assert seen["built"] == 1
+        training = [row.tobytes() for row in build(asm)]
+        for name in ("_pair_pass", "_modular", "central_gradient_norm"):
+            stacks = seen[name]
+            assert stacks.count(training) == 1, name
+            # no other stack holds more than one training row (sobolev's
+            # smallest probe has the node values of one training bump)
+            assert all(sum(row in training for row in rows) <= 1
+                       for rows in stacks if rows != training), name
+        assert battery_csv(run_battery(asm, spec)) == battery_csv(results)
+        assert seen["built"] == 1
+        run_battery(assemble(g1d_small, frac05_1d, y_p2), spec)
+        assert seen["built"] == 2
+
+    def test_calibration_does_not_keep_the_assembly_alive(self, g1d_small, frac05_1d, y_p2):
+        import gc
+        import weakref
+
+        asm = assemble(g1d_small, frac05_1d, y_p2)
+        run_battery(asm, CorpusSpec(seed=0, trials=5, pair_samples=100))
+        ref = weakref.ref(asm)
+        del asm
+        gc.collect()
+        assert ref() is None
 
     def test_seed_changes_table(self, asm_ref, battery_ref):
         other = run_battery(asm_ref, CorpusSpec(seed=1, trials=60, pair_samples=4000))
@@ -285,6 +349,35 @@ class TestSobolevCheck:
         assert res.failures == 0  # monotone ratio growth along shrinking bumps
         ratios = res.extras["ratios"]
         assert ratios[0] < ratios[1] < ratios[2]
+
+    def test_two_exponents_on_one_assembly_match_fresh_assemblies(self, g1d_small,
+                                                                 frac05_1d, y_p2):
+        # the second check at r <= r* reads the calibration the first one made
+        import json
+
+        spec = CorpusSpec(seed=0, trials=10)
+        asm = assemble(g1d_small, frac05_1d, y_p2)
+        shared = [sobolev_embedding_check(asm, r, spec) for r in (1.5, 2.0)]
+        fresh = [sobolev_embedding_check(assemble(g1d_small, frac05_1d, y_p2), r, spec)
+                 for r in (1.5, 2.0)]
+        assert [r.trials for r in shared] == [10, 10]
+        assert (json.dumps([vars(r) for r in shared], sort_keys=True)
+                == json.dumps([vars(r) for r in fresh], sort_keys=True))
+
+    def test_constant_is_the_largest_calibration_ratio(self, g1d, frac05_1d, y_p2):
+        # the constant is the largest ||psi(u)||_r / E(u) over the training
+        # bumps and the first 10 random draws, each taken on its own
+        import nlorlicz.harness as hz
+        from nlorlicz import E_value, GridFunction
+
+        asm = assemble(g1d, frac05_1d, y_p2)
+        rows = np.concatenate([hz._training_bumps(asm),
+                               np.random.default_rng([0, 777]).uniform(-1.0, 1.0,
+                                                                       (10, g1d.n_nodes))])
+        ratios = [hz._psi_r_norms(asm, u[None], 1.5)[0] / E_value(asm, GridFunction(g1d, u))
+                  for u in rows]
+        res = sobolev_embedding_check(asm, 1.5, CorpusSpec(seed=0))
+        assert res.extras["constant"] == max(ratios)
 
     def test_alpha_condition_required(self, g1d_small, y_p2):
         asm = assemble(g1d_small, make_kernel("log", dim=1, beta=1.0), y_p2)
