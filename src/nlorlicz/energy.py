@@ -47,8 +47,9 @@ offset stencil, and the pass computes it by FFT on the bounding lattice,
 zero-padded so that no offset wraps around (EnergyAssembly.stencil).  For
 the even polynomial Young functions (young.even_terms) the pass is a few
 such convolutions, of the powers of x - mean(x), from _EVEN_MIN_NODES
-nodes up.  The FFT runs on one thread, so in every case the results do not
-depend on thread counts.  The interaction form and the pointwise operator
+nodes up.  The FFT runs on one thread, in buffers kept per assembly
+(_fft_buffers), so in every case the results do not depend on thread
+counts.  The interaction form and the pointwise operator
 are derived from the gradient, which is exact because young.deriv is odd.
 """
 
@@ -56,6 +57,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,24 +226,69 @@ def F_value(asm: EnergyAssembly, u: GridFunction) -> float:
     return float(np.sum(asm.young.value(u.values)) * asm.h_pow_dim)
 
 
+# the buffers of _lattice_filter: per thread, a weak map from an assembly
+# to its buffers
+_FFT_BUFFERS = threading.local()
+
+
+def _fft_buffers(asm: EnergyAssembly, rows: int):
+    """(lattice, spectrum, output, block): the buffers of _lattice_filter
+    for asm on this thread, each a stack of at least `rows` rows of the
+    padded lattice's shape (the spectrum's last axis halved, plus one), and
+    the slices of the stack and of the nodes' extent on each leading
+    lattice axis.  The buffers grow to the largest stack so far and live as
+    long as the assembly.  The lattice starts at zero, and only its node
+    entries are ever written."""
+    memo = getattr(_FFT_BUFFERS, "memo", None)
+    if memo is None:
+        memo = _FFT_BUFFERS.memo = weakref.WeakKeyDictionary()
+    buffers = memo.get(asm)
+    if buffers is None or len(buffers[0]) < rows:
+        index, shape, _ = asm.stencil
+        extent = np.max(np.unravel_index(index, shape), axis=1) + 1
+        block = (slice(None),) + tuple(slice(0, int(e)) for e in extent[:-1])
+        buffers = memo[asm] = (np.zeros((rows,) + shape),
+                               np.empty((rows,) + shape[:-1] + (shape[-1] // 2 + 1,), complex),
+                               np.empty((rows,) + shape), block)
+    return buffers
+
+
 def _lattice_filter(asm: EnergyAssembly, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Each vector of x, of shape (n,) or a stack (k, n), scattered onto the
-    padded lattice of asm.stencil (zero off the domain), multiplied by symbol
-    in frequency space and gathered back.  A stack takes one rfftn/irfftn
-    pair along the trailing axes, and each row has the bits of its own
-    call."""
+    """Each vector of x, of shape (n,) or a stack (..., n), scattered onto
+    the padded lattice of asm.stencil (zero off the domain), multiplied by
+    symbol in frequency space and gathered back.  The transforms run in
+    the kept buffers of _fft_buffers, by numpy.fft with out=, along the
+    lattice axes of the whole stack: an rfft along the last axis and an fft
+    along each leading one, then an ifft along each leading axis and an
+    irfft along the last, the inverse ones unnormalized, and the gathered
+    nodes are multiplied by 1/prod(shape).  Those are scipy.fft's rfftn and
+    irfftn, pass for pass in their order, with irfftn's normalization
+    applied as pocketfft applies it, after the last pass: the bits are
+    theirs, and each row has the bits of its own call.
+
+    Each last-axis pass takes only the lines of the nodes' extent on the
+    leading axes (block): the lattice is zero beyond it, and so are the
+    first pass's lines, which are zeroed instead; the last pass's lines
+    beyond it are never gathered.  On a 2D lattice that halves both.  A
+    call allocates nothing but the gathered nodes."""
     index, shape, _ = asm.stencil
-    lead, size = x.shape[:-1], math.prod(shape)
-    lattice = np.zeros(lead + (size,))
-    lattice.T[index] = x.T  # the node axis is the last: index the transposes
-    # s runs the transforms along the last len(s) axes; a single vector
-    # skips the argument, whose handling costs microseconds per call
-    spectrum = fft.rfftn(lattice.reshape(lead + shape), s=shape if lead else None)
+    rows, size = math.prod(x.shape[:-1]), math.prod(shape)
+    lattice, spectrum, output, block = _fft_buffers(asm, rows)
+    lattice, spectrum, output = lattice[:rows], spectrum[:rows], output[:rows]
+    lattice.reshape(rows, size)[:, index] = x.reshape(rows, x.shape[-1])
+    for axis, lines in enumerate(block[1:], start=1):
+        spectrum[(slice(None),) * axis + (slice(lines.stop, None),)] = 0.0
+    # numpy's rfftn would take the leading axes in reverse order
+    np.fft.rfft(lattice[block], axis=-1, out=spectrum[block])
+    for axis in range(1, len(shape)):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
     spectrum *= symbol
-    # the lattice freed and the spectrum overwritten: the inverse transform
-    # then reuses memory instead of growing the heap on every call
-    del lattice
-    return fft.irfftn(spectrum, s=shape, overwrite_x=True).reshape(lead + (size,)).T[index].T
+    for axis in range(1, len(shape)):
+        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+    np.fft.irfft(spectrum[block], n=shape[-1], axis=-1, norm="forward", out=output[block])
+    nodes = output.reshape(rows, size)[:, index]
+    nodes *= 1.0 / size
+    return nodes.reshape(x.shape)
 
 
 def _stencil_product(asm: EnergyAssembly, x: np.ndarray) -> np.ndarray:
@@ -453,7 +501,13 @@ def newton_matrix(asm: EnergyAssembly, x: np.ndarray, eps: float) -> np.ndarray:
     elementwise, so an entry's bits do not depend on the array around it),
     W's row sums as its diagonal, summed over whole rows as the walk sums
     them, and the exterior term.  This is the first step of a solve from
-    x = 0, and the next one too when that step leaves 0 <= x <= eps."""
+    x = 0, and the next one too when that step leaves 0 <= x <= eps.
+
+    At x = 0 every pair weight and every exterior weight is c(eps), or
+    c(0) + (c(eps) - c(0)) for the even polynomial psi, so H is c(eps)
+    times the matrix diag(rowsum + Lambda h^N) - W of every eps: the first
+    relaxation of a solve from zero (solvers._zero_start_relaxation) reads
+    the direction of one eps as that of any other, rescaled."""
     young = asm.young
     if young.even_terms is None:
         def relaxed(t):

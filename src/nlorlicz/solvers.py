@@ -130,13 +130,21 @@ _ROUNDING = 1e-10
 # eps's factor after a step accepted at unit length; a shortened step halves
 # it (_relaxed_newton).  The sweep that chose it is in CHANGES.md
 _EPS_DECAY = 0.125
+# the first eps of a solve from x = 0, as a fraction of the spread of the
+# step it makes (_zero_start_relaxation).  Total steps of the 180 solves of
+# tools/step_sweep.py: 930, 912, 889, 868 and 877 at 1, 1/2, 3/8, 1/4 and
+# 1/8 (1007 from eps = 1).  Below growth 2 a smaller fraction starts
+# farther below the solution: at 0.35 and 0.3, p = 1.1 at 1D n = 64 took
+# up to 184 and 186 steps, against 179 here
+_EPS_START = 0.375
 # the CG step solve's bounds (_relaxed_newton); the measured crossovers are
 # in CHANGES.md
 _PCG_MIN_NODES = 256
 _PCG_MIN_GROWTH = 2.0
-# the floor of the CG solves' forcing term (_relaxed_newton)
-_PCG_RTOL = 1e-13
+# the bounds of the CG solves' forcing term (_relaxed_newton): its cap, and
+# its floor as a fraction of the stop bound over ||g||_2
 _FORCING_CAP = 0.01
+_FORCING_FLOOR = 0.1
 # most CG products of one Newton step (_pcg).  Measured per-step counts at
 # 1D alpha = 0.5: 3 to 19 for Dirichlet steps on the circulant, 1 to 12 for
 # reaction steps on the factor and up to 20 on the circulant (|s|^3 at
@@ -238,9 +246,36 @@ def _newton_direction(asm: EnergyAssembly, x: np.ndarray, eps: float, g: np.ndar
     return _pcg(product, -g, solve, rtol, None if tangent is None else (x, tangent(x, apply))), L
 
 
+def _zero_start_relaxation(young: YoungFunction, eps: float, d: np.ndarray):
+    """(eps0, d0): the first relaxation of a solve from x = 0 and its step,
+    from the direction d solved at eps.  At x = 0 every pair weight and
+    every exterior weight of H is c(eps) (energy.newton_matrix), so
+    d = z / c(eps) for one z that does not depend on eps.  eps0 is the root
+    of e c(e) = _EPS_START spread(z), where spread is max - min: eps0 is
+    _EPS_START times the spread of its own step d0 = z / c(eps0).  The root
+    is closed-form for homogeneous psi, c(e) = c(1) e^(p - 2), and
+    young.scale_root's otherwise; where it is not positive or c(eps0) is
+    not finite, (eps, d) stay."""
+    c = young.curvature(np.array([eps]))[0]
+    target = _EPS_START * c * float(d.max() - d.min())
+    # near p = 1 the root can underflow, and c(eps0) overflow
+    with np.errstate(all="ignore"):
+        if young.homogeneous:
+            eps0 = (target / young.curvature(np.ones(1))[0]) ** (1.0 / (young.p - 1.0))
+        else:
+            eps0 = scale_root(lambda e: target - e * young.curvature(np.array([e]))[0])
+        c0 = young.curvature(np.array([eps0]))[0] if 0.0 < eps0 < np.inf else 0.0
+    if not 0.0 < c0 < np.inf:
+        return eps, d
+    return eps0, d * (c / c0)
+
+
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
                     retract=None, curvature=None, tangent=None):
-    """Lower value(x) from x0 by relaxed Newton steps until stop(x, gradient(x)).
+    """Lower value(x) from x0 by relaxed Newton steps until stop(x, g) >= 1
+    at g = gradient(x).  stop returns b(x) / max|g|, the ratio of the stop
+    rule's bound on max|g| to max|g| (_reaction_objective); a stop that
+    returns a bool stops at True and sets no forcing floor.
 
     H = energy.newton_matrix is the relaxed curvature of E, which stays positive
     definite whatever the data or reaction term adds; the step rule below
@@ -249,7 +284,13 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     concave (growth below 2) the secant weight contracts a near-zero
     difference in one step, where the plain Newton weight maps t to -t
     (p = 1.5) or farther out.
-    eps starts at 1 and follows the iterate: after every accepted step it
+    From x0 = 0 with no curvature D (a Dirichlet solve) and a psi that is
+    not quadratic (whose H does not depend on eps), eps starts where the
+    first step puts it, _EPS_START times that step's spread
+    (_zero_start_relaxation); from any other start it starts at 1.  For
+    homogeneous psi the iterates for data c f are then c^(1/(p-1)) times
+    those for f, to rounding, and so take the same steps.  eps then follows
+    the iterate: after every accepted step it
     becomes min(kappa eps, max|x|), with kappa = _EPS_DECAY after a step at
     unit length and 1/2 after a shortened one.  No pair difference exceeds
     2 max|x|, and a wider relaxation only moves H off the curvature at x
@@ -285,7 +326,11 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     search is the same.
     - rtol is the Eisenstat-Walker forcing term ||g_k|| / ||g_0||, capped
       at _FORCING_CAP (SIAM J. Sci. Comput. 17, 1996) and floored at
-      _PCG_RTOL.
+      _FORCING_FLOOR b(x) / ||g||_2: CG then leaves a linear residual below
+      _FORCING_FLOOR b(x) at every node, the stop rule's resolution, and no
+      finer.  The bench's log-perturbed Dirichlet solve spent 18 of its 40
+      products on a last step at rtol 9.2e-7 and ended 1000 times below
+      its bound.
     - The preconditioner M is chosen once, before the first step, and kept
       for every step.  It is energy.circulant_preconditioner from
       _PCG_MIN_NODES nodes and growth q >= _PCG_MIN_GROWTH up, where the
@@ -316,6 +361,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     x = np.array(x0, dtype=float)
     J, g = value(x), gradient(x)
     eps = 1.0
+    # H - diag(D) at x = 0 is c(eps) times one matrix (_zero_start_relaxation)
+    zero_start = not x.any() and curvature is None and not asm.young.quadratic
     info = {"line_search_failure": False, "objective_history": [J]}
     circulant = (circulant_preconditioner(asm) if x.size >= _PCG_MIN_NODES
                  and asm.young.q >= _PCG_MIN_GROWTH else None)
@@ -323,16 +370,20 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     L = None
     it = 0
     while True:
-        if stop(x, g):
+        slack = stop(x, g)
+        if slack >= 1.0:
             return x, it, True, info
         if it >= max_iter:
             return x, it, False, info
         g_sq = dot(g, g)
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
-        forcing = min(_FORCING_CAP, np.sqrt(g_sq / g0_sq))
-        d, L = _newton_direction(asm, x, eps, g, max(_PCG_RTOL, forcing), circulant, L,
+        forcing = max(min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)),
+                      _FORCING_FLOOR * slack * float(np.max(np.abs(g))) / np.sqrt(g_sq))
+        d, L = _newton_direction(asm, x, eps, g, forcing, circulant, L,
                                  None if curvature is None else curvature(x, eps), tangent)
+        if zero_start and it == 0:
+            eps, d = _zero_start_relaxation(asm.young, eps, d)
         if not asm.young.quadratic:
             L = None  # free the n x n buffer before the line search
         slope = dot(g, d)
@@ -588,11 +639,17 @@ def _torsion_start(asm: EnergyAssembly) -> np.ndarray:
 def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float):
     """value, gradient and stop rule of E(v) - sum G(v) h^N, for a reaction
     f(u), for data f(x) with G(v) = f(x) v (solve_dirichlet), or for
-    f(u) = lambda(u) psi'(u) with G = 0 (solve_eigen): converged when
-    max|Lu - f(u)| <= tol * (1 + max|f(u)|); (x, eps) -> f'(x) h^N, the
-    curvature the reaction takes off the Hessian of E, or None when the
+    f(u) = lambda(u) psi'(u) with G = 0 (solve_eigen); (x, eps) -> f'(x) h^N,
+    the curvature the reaction takes off the Hessian of E, or None when the
     reaction has no df; and the passes (_Passes) that value and gradient
-    go through."""
+    go through.
+
+    The stop rule is one bound on the gradient g of the objective,
+    b(x) = tol * (1 + max|f(x)|) * h^N: converged when max|g| <= b(x), that
+    is max|Lu - f(u)| <= tol * (1 + max|f(u)|).  stop(x, g) returns the
+    ratio b(x) / max|g| (inf at g = 0), from one evaluation of f(x), and
+    _relaxed_newton reads both the verdict and its CG forcing floor off
+    it."""
     hN = asm.h_pow_dim
     passes = _Passes(asm)
 
@@ -602,9 +659,10 @@ def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float)
     def gradient(x):
         return passes(x)[1] - reaction.f(x) * hN
 
-    def stop(x, g):
-        scale = 1.0 + float(np.max(np.abs(reaction.f(x))))
-        return float(np.max(np.abs(g))) / hN <= tol * scale
+    def stop(x, g):  # b(x) / max|g|
+        bound = tol * (1.0 + float(np.max(np.abs(reaction.f(x))))) * hN
+        residual = float(np.max(np.abs(g)))
+        return bound / residual if residual else np.inf
 
     def curvature(x, eps):
         return reaction.df(x) * hN

@@ -613,6 +613,32 @@ class TestEvenPowerPass:
             batch = _lattice_filter(asm, xs, asm.stencil[2])
             assert batch.tobytes() == np.array([_stencil_product(asm, x) for x in xs]).tobytes()
 
+    def test_filter_has_the_bits_of_scipy_transforms(self):
+        # the kept buffers hold the last call's values: stacks that grow,
+        # shrink and empty, and a second symbol, keep scipy's bits
+        from scipy import fft
+
+        def reference(asm, x, symbol):
+            index, shape, _ = asm.stencil
+            lattice = np.zeros(x.shape[:-1] + (math.prod(shape),))
+            lattice[..., index] = x
+            spectrum = fft.rfftn(lattice.reshape(x.shape[:-1] + shape), s=shape) * symbol
+            out = fft.irfftn(spectrum, s=shape).reshape(lattice.shape)
+            return out[..., index]
+
+        rng = np.random.default_rng(11)
+        for grid in (make_grid("interval", 128, (-1.0, 1.0)),
+                     make_grid("box", 13, (-1.0, 1.0, -1.0, 1.0)),
+                     make_grid("ball", 24, (0.0, 0.0, 1.0))):
+            asm = assemble(grid, make_kernel("fractional", dim=grid.dim, alpha=0.5),
+                           make_young("power", p=2.0))
+            for symbol in (asm.stencil[2], 1.0 / (3.0 - asm.stencil[2])):
+                for lead in ((5,), (), (2, 3), (1,), (0,)):
+                    x = rng.standard_normal(lead + (grid.n_nodes,))
+                    got = _lattice_filter(asm, x, symbol)
+                    assert got.shape == x.shape
+                    assert got.tobytes() == reference(asm, x, symbol).tobytes()
+
     @pytest.mark.parametrize("grid, kernel", [
         pytest.param(("interval", 256, (-1.0, 1.0)), ("fractional", {"alpha": 0.5}),
                      id="interval-256"),

@@ -112,16 +112,25 @@ class TestDirichlet:
         assert rep.residual_inf <= 1e-8 * (1.0 + np.max(np.abs(f.values)))
 
     def test_failed_line_search_is_a_classified_stop(self, g1d_small, frac05_1d):
-        # at p = 1.05 on the bump no step along the first direction passes
-        # the line search: the solve stops at once and says why
+        # at p = 1.02 on the bump a step finds no decrease along its
+        # direction (after 639 steps): the solve stops there and says why
+        from nlorlicz.grid import bump
+
+        asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.02))
+        rep = solve_dirichlet(asm, bump(g1d_small, g1d_small.center, 0.5, 1.0))
+        assert not rep.converged
+        assert 0 < rep.iterations < 20000
+        assert rep.extras["line_search_failure"] is True
+        assert np.isfinite(rep.residual_inf) and rep.residual_inf > 0.0
+
+    def test_p105_converges(self, g1d_small, frac05_1d):
+        # the first step is sized by its own scale (_zero_start_relaxation);
+        # from eps = 1 no step along it passed the line search
         from nlorlicz.grid import bump
 
         asm = assemble(g1d_small, frac05_1d, make_young("power", p=1.05))
         rep = solve_dirichlet(asm, bump(g1d_small, g1d_small.center, 0.5, 1.0))
-        assert not rep.converged
-        assert rep.iterations == 0
-        assert rep.extras["line_search_failure"] is True
-        assert np.isfinite(rep.residual_inf) and rep.residual_inf > 0.0
+        assert rep.converged and not rep.extras["line_search_failure"]
 
 
 class TestRelaxedNewton:
@@ -1045,6 +1054,38 @@ class TestStepCounts:
         assert rep.iterations <= steps
         lam, lam_ref = rep.extras["lambda1"], ref.extras["lambda1"]
         assert abs(lam - lam_ref) <= 1e-10 * lam_ref
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("grid", [
+        pytest.param(("interval", 128, (-1.0, 1.0)), id="1d-128"),
+        pytest.param(("box", 16, (-1.0, 1.0, -1.0, 1.0)), id="box16"),
+    ])
+    def test_dirichlet_steps_do_not_depend_on_the_data_size(self, grid, p):
+        # for |s|^p the solution for c f is c^(1/(p-1)) times the one for f,
+        # and so is every iterate: the first relaxation comes from the first
+        # step.  From c = 1e2 up the stop rule's absolute floor barely moves
+        # its bound
+        g = make_grid(*grid)
+        asm = assemble(g, make_kernel("fractional", dim=g.dim, alpha=0.5),
+                       make_young("power", p=p))
+        f = self._bump(asm).values
+        ref, *reps = [(c, solve_dirichlet(asm, GridFunction(g, c * f)))
+                      for c in (1e2, 1e4, 1e6)]
+        u_ref = ref[1].solution.values / ref[0] ** (1.0 / (p - 1.0))
+        for c, rep in reps:
+            assert rep.converged and rep.iterations == ref[1].iterations
+            u = rep.solution.values / c ** (1.0 / (p - 1.0))
+            assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+    def test_ball_dirichlet_within_three_steps(self):
+        # the benchmark's 2D solve: log kernel, |s|^2/2 + |s|^4/2 on the
+        # 24-ball (4 steps from eps = 1)
+        g = make_grid("ball", 24, (0.0, 0.0, 1.0))
+        asm = assemble(g, make_kernel("log", dim=2, beta=1.0),
+                       make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]))
+        rep = solve_dirichlet(asm, self._bump(asm))
+        assert rep.converged
+        assert rep.iterations <= 3
 
     def test_p11_count_does_not_hinge_on_the_last_bit(self):
         # p = 1.1 ends in the gradient-judged line search, where a single

@@ -221,3 +221,22 @@ def test_oracles_import_no_production_path():
     assert _production_imports(source) == []
     assert _production_imports(source.replace(
         "from .energy import EnergyAssembly", "from .energy import EnergyAssembly, E_value")) != []
+
+
+def test_step_sweep_counts_one_solve():
+    # tools/step_sweep.py counts a solve's joint passes and CG products by
+    # wrapping solvers' names for the one call, and puts them back
+    from nlorlicz import assemble, bump, make_grid, make_kernel, make_young, solvers
+
+    spec = importlib.util.spec_from_file_location(
+        "step_sweep", Path(__file__).resolve().parents[1] / "tools" / "step_sweep.py")
+    step_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_sweep)
+    joint, pcg = solvers.E_and_gradient, solvers._pcg
+    # 256 nodes at growth 3: CG steps on the circulant
+    g = make_grid("interval", 256, (-1.0, 1.0))
+    asm = assemble(g, make_kernel("fractional", dim=1, alpha=0.5), make_young("power", p=3.0))
+    rep, passes, products = step_sweep.counted_solve(asm, bump(g, g.center, 0.5, 1.0))
+    assert rep.converged
+    assert passes >= rep.iterations + 1 and products >= rep.iterations
+    assert solvers.E_and_gradient is joint and solvers._pcg is pcg
