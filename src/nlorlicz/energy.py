@@ -137,10 +137,11 @@ class EnergyAssembly:
         return _stencil_product(self, np.ones(self.grid.n_nodes))
 
     @functools.cached_property
-    def stencil(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+    def stencil(self) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
         """The convolution form of W @ x, computed on first use: the flat
-        index of each node in the padded lattice, the padded shape, and the
-        real transform of the offset stencil.
+        index of each node in the padded lattice, the padded shape, the
+        real transform of the offset stencil, and the nodes' extent in
+        lattice cells on each axis.
 
         Each axis is padded from m lattice cells to at least 2m - 1, so the
         circular convolution never wraps an offset onto another.  The
@@ -156,7 +157,7 @@ class EnergyAssembly:
         # offsets that no pair of nodes reaches read the appended zero
         weights = np.pad(self.offset_weights, (0, 1))
         stencil = weights[np.ix_(*[np.where(o < m, o, -1) for o, m in zip(offs, ext)])]
-        return np.ravel_multi_index(tuple(lat.T), shape), shape, fft.rfftn(stencil).real
+        return np.ravel_multi_index(tuple(lat.T), shape), shape, fft.rfftn(stencil).real, ext
 
 
 def _lattice_coords(grid: DomainGrid) -> np.ndarray:
@@ -244,8 +245,7 @@ def _fft_buffers(asm: EnergyAssembly, rows: int):
         memo = _FFT_BUFFERS.memo = weakref.WeakKeyDictionary()
     buffers = memo.get(asm)
     if buffers is None or len(buffers[0]) < rows:
-        index, shape, _ = asm.stencil
-        extent = np.max(np.unravel_index(index, shape), axis=1) + 1
+        _, shape, _, extent = asm.stencil
         block = (slice(None),) + tuple(slice(0, int(e)) for e in extent[:-1])
         buffers = memo[asm] = (np.zeros((rows,) + shape),
                                np.empty((rows,) + shape[:-1] + (shape[-1] // 2 + 1,), complex),
@@ -263,15 +263,17 @@ def _lattice_filter(asm: EnergyAssembly, x: np.ndarray, symbol: np.ndarray) -> n
     irfft along the last, the inverse ones unnormalized, and the gathered
     nodes are multiplied by 1/prod(shape).  Those are scipy.fft's rfftn and
     irfftn, pass for pass in their order, with irfftn's normalization
-    applied as pocketfft applies it, after the last pass: the bits are
-    theirs, and each row has the bits of its own call.
+    applied as pocketfft applies it, after the last pass.  So the results
+    agree with theirs to rounding, bit for bit where numpy and scipy ship
+    the same pocketfft (numpy 2.4 and scipy 1.17 do), and each row has the
+    bits of its own call.
 
     Each last-axis pass takes only the lines of the nodes' extent on the
     leading axes (block): the lattice is zero beyond it, and so are the
     first pass's lines, which are zeroed instead; the last pass's lines
     beyond it are never gathered.  On a 2D lattice that halves both.  A
     call allocates nothing but the gathered nodes."""
-    index, shape, _ = asm.stencil
+    index, shape, _, _ = asm.stencil
     rows, size = math.prod(x.shape[:-1]), math.prod(shape)
     lattice, spectrum, output, block = _fft_buffers(asm, rows)
     lattice, spectrum, output = lattice[:rows], spectrum[:rows], output[:rows]

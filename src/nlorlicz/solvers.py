@@ -272,10 +272,9 @@ def _zero_start_relaxation(young: YoungFunction, eps: float, d: np.ndarray):
 
 def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: int,
                     retract=None, curvature=None, tangent=None):
-    """Lower value(x) from x0 by relaxed Newton steps until stop(x, g) >= 1
-    at g = gradient(x).  stop returns b(x) / max|g|, the ratio of the stop
-    rule's bound on max|g| to max|g| (_reaction_objective); a stop that
-    returns a bool stops at True and sets no forcing floor.
+    """Lower value(x) from x0 by relaxed Newton steps until max|g| <= stop(x)
+    at g = gradient(x): stop returns b(x), the stop rule's bound on max|g|
+    (_reaction_objective).
 
     H = energy.newton_matrix is the relaxed curvature of E, which stays positive
     definite whatever the data or reaction term adds; the step rule below
@@ -370,8 +369,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     L = None
     it = 0
     while True:
-        slack = stop(x, g)
-        if slack >= 1.0:
+        bound = stop(x)
+        if float(np.max(np.abs(g))) <= bound:
             return x, it, True, info
         if it >= max_iter:
             return x, it, False, info
@@ -379,7 +378,7 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         # differences below one ulp of the iterate are rounding noise
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
         forcing = max(min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)),
-                      _FORCING_FLOOR * slack * float(np.max(np.abs(g))) / np.sqrt(g_sq))
+                      _FORCING_FLOOR * bound / np.sqrt(g_sq))
         d, L = _newton_direction(asm, x, eps, g, forcing, circulant, L,
                                  None if curvature is None else curvature(x, eps), tangent)
         if zero_start and it == 0:
@@ -646,10 +645,9 @@ def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float)
 
     The stop rule is one bound on the gradient g of the objective,
     b(x) = tol * (1 + max|f(x)|) * h^N: converged when max|g| <= b(x), that
-    is max|Lu - f(u)| <= tol * (1 + max|f(u)|).  stop(x, g) returns the
-    ratio b(x) / max|g| (inf at g = 0), from one evaluation of f(x), and
-    _relaxed_newton reads both the verdict and its CG forcing floor off
-    it."""
+    is max|Lu - f(u)| <= tol * (1 + max|f(u)|).  stop(x) returns b(x),
+    from one evaluation of f(x), and _relaxed_newton reads both the verdict
+    and its CG forcing floor off it."""
     hN = asm.h_pow_dim
     passes = _Passes(asm)
 
@@ -659,10 +657,8 @@ def _reaction_objective(asm: EnergyAssembly, reaction: ReactionSpec, tol: float)
     def gradient(x):
         return passes(x)[1] - reaction.f(x) * hN
 
-    def stop(x, g):  # b(x) / max|g|
-        bound = tol * (1.0 + float(np.max(np.abs(reaction.f(x))))) * hN
-        residual = float(np.max(np.abs(g)))
-        return bound / residual if residual else np.inf
+    def stop(x):  # b(x)
+        return tol * (1.0 + float(np.max(np.abs(reaction.f(x))))) * hN
 
     def curvature(x, eps):
         return reaction.df(x) * hN
