@@ -484,9 +484,13 @@ def _profile_min(kern: Kernel, R: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mu_sample(kern: Kernel, lam: float, decades=(-6.0, 6.0), per_decade=64) -> float:
+# sample points per decade of _mu_sample's window
+_MU_PER_DECADE = 64
+
+
+def _mu_sample(kern: Kernel, lam: float, decades=(-6.0, 6.0)) -> float:
     span = decades[1] - decades[0]
-    z = np.logspace(decades[0], decades[1], int(span * per_decade) + 1)
+    z = np.logspace(decades[0], decades[1], int(span * _MU_PER_DECADE) + 1)
     extra = []
     for b in kern.breakpoints:
         if decades[0] <= np.log10(b) <= decades[1]:

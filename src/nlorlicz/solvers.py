@@ -283,9 +283,8 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     concave (growth below 2) the secant weight contracts a near-zero
     difference in one step, where the plain Newton weight maps t to -t
     (p = 1.5) or farther out.
-    From x0 = 0 with no curvature D (a Dirichlet solve) and a psi that is
-    not quadratic (whose H does not depend on eps), eps starts where the
-    first step puts it, _EPS_START times that step's spread
+    From x0 = 0 with no curvature D (a Dirichlet solve), eps starts where
+    the first step puts it, _EPS_START times that step's spread
     (_zero_start_relaxation); from any other start it starts at 1.  For
     homogeneous psi the iterates for data c f are then c^(1/(p-1)) times
     those for f, to rounding, and so take the same steps.  eps then follows
@@ -356,13 +355,15 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
     The bits of the steps do not depend on the BLAS thread count.
 
     Returns (x, steps, converged, info) with the objective history and
-    whether the line search failed."""
+    whether the line search failed or H did not factor; either stops the
+    loop at the last accepted iterate."""
     x = np.array(x0, dtype=float)
     J, g = value(x), gradient(x)
     eps = 1.0
     # H - diag(D) at x = 0 is c(eps) times one matrix (_zero_start_relaxation)
-    zero_start = not x.any() and curvature is None and not asm.young.quadratic
-    info = {"line_search_failure": False, "objective_history": [J]}
+    zero_start = not x.any() and curvature is None
+    info = {"line_search_failure": False, "factorization_failure": False,
+            "objective_history": [J]}
     circulant = (circulant_preconditioner(asm) if x.size >= _PCG_MIN_NODES
                  and asm.young.q >= _PCG_MIN_GROWTH else None)
     g0_sq = dot(g, g)
@@ -379,8 +380,13 @@ def _relaxed_newton(asm: EnergyAssembly, value, gradient, x0, stop, max_iter: in
         eps = max(eps, np.finfo(float).eps * float(np.max(np.abs(x))))
         forcing = max(min(_FORCING_CAP, np.sqrt(g_sq / g0_sq)),
                       _FORCING_FLOOR * bound / np.sqrt(g_sq))
-        d, L = _newton_direction(asm, x, eps, g, forcing, circulant, L,
-                                 None if curvature is None else curvature(x, eps), tangent)
+        try:
+            d, L = _newton_direction(asm, x, eps, g, forcing, circulant, L,
+                                     None if curvature is None else curvature(x, eps), tangent)
+        except np.linalg.LinAlgError:
+            # H did not factor (seen near p = 1, with eps at its ulp floor)
+            info["factorization_failure"] = True
+            return x, it, False, info
         if zero_start and it == 0:
             eps, d = _zero_start_relaxation(asm.young, eps, d)
         if not asm.young.quadratic:
@@ -461,7 +467,8 @@ def _report(asm: EnergyAssembly, passes, x, iters, converged, info, objective, g
         converged=converged,
         energy_E=passes(x)[0],
         integral_F=F_value(asm, u),
-        extras={**extras, "line_search_failure": info["line_search_failure"]},
+        extras={**extras, "line_search_failure": info["line_search_failure"],
+                "factorization_failure": info["factorization_failure"]},
     )
 
 

@@ -37,6 +37,11 @@ _RTOL = 4.0 * np.finfo(float).eps
 # at degree 6, against 5.4e-11 and 9.4e-11 at degrees 8 and 10
 _EVEN_DEGREES = (2.0, 4.0, 6.0)
 
+# the pair grid of calibrate_singular_constant: its extent and its nodes
+# per axis
+_SINGULAR_SPAN = 5.0
+_SINGULAR_NODES = 200
+
 
 @dataclass(frozen=True)
 class YoungFunction:
@@ -241,10 +246,12 @@ def _at_tiny(out, s, tiny, single, odd=False):
             lim = single(np.abs(st))
         out[mask] = lim * np.sign(st) if odd else lim
     elif n_tiny:
-        # only zeros, the one tiny value pair differences meet often (a
-        # tenth of the entries of a 512-node Dirichlet solve on a bump):
-        # their single power at 0 as one scalar, +0 for the odd deriv.  The
-        # gather above made that solve 7% slower (2-core x86 host)
+        # only zeros, the one tiny value pair differences meet often: the
+        # i = j entries of a walk's diagonal tiles (4608 of the 5802 zero
+        # differences of a 512-node log_perturbed Dirichlet solve on a
+        # bump): their single power at 0 as one scalar, +0 for the odd
+        # deriv.  With the gather above, joint on the last 48 x 48 tile of
+        # that walk took 47.5 us against 39 (2-core x86 host)
         with np.errstate(all="ignore"):
             out[mask] = single(np.float64(0.0))
     return out
@@ -628,39 +635,28 @@ def sv_delta(fn: YoungFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _deriv_inverse(fn: YoungFunction, t, iters=64):
+def _deriv_inverse(fn: YoungFunction, t):
     """Inverse of the (strictly increasing) derivative, by vectorized bisection.
 
-    Each root is bracketed in [a/2, a] by doubling or halving a from 1, then
-    bisected at geometric midpoints, so the result carries relative (not
-    absolute) accuracy however small it is; 0 where t <= 0.
+    Every root is bisected at geometric midpoints over the whole float range
+    [2^-1074, 2^1023]: 64 halvings of log(hi/lo) take hi/lo from 2^2097 to
+    within one ulp of 1, so the result carries relative (not absolute)
+    accuracy at any size.  An inf or NaN derivative (an overflowing evaluator) counts as
+    above t.  0 where t <= 0; BracketingError where t exceeds a finite
+    deriv(2^1023).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    pos = t > 0.0
-    hi = np.ones_like(t)
-    for _ in range(600):
-        need = fn.deriv(hi) < t
-        if not need.any():
-            break
-        hi[need] *= 2.0
-        if hi.max() > 1e290:
-            raise BracketingError(
-                "derivative appears bounded; cannot invert (excluded for the "
-                "admissible Young class, which has unbounded odd derivative)"
-            )
-    lo = 0.5 * hi
-    for _ in range(1100):
-        need = pos & (fn.deriv(lo) >= t)
-        if not need.any():
-            break
-        lo[need] *= 0.5
-    hi = np.minimum(hi, 2.0 * lo)
-    for _ in range(iters):
-        mid = np.sqrt(lo) * np.sqrt(hi)
-        below = fn.deriv(mid) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.where(pos, np.sqrt(lo) * np.sqrt(hi), 0.0)
+    lo = np.full_like(t, 2.0 ** -1074)
+    hi = np.full_like(t, 2.0 ** 1023)
+    with np.errstate(all="ignore"):
+        if np.any(fn.deriv(np.array([2.0 ** 1023])) < t):
+            raise BracketingError("t exceeds the derivative at the top of the float range")
+        for _ in range(64):
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            below = fn.deriv(mid) < t
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return np.where(t > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.0)
 
 
 def complementary(fn: YoungFunction) -> ComplementaryFunction:
@@ -671,8 +667,10 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
     and the rescale is p (p-1)^(-(p-1)/p).  Otherwise the raw conjugate is
     evaluated through the Legendre identity phi_raw(b) = a*b - value(a) at
     a = deriv^{-1}(|b|), with the inverse derivative obtained by monotone
-    bisection on geometric midpoints (_deriv_inverse), and the rescale by
-    root finding.
+    bisection on geometric midpoints (_deriv_inverse).  The rescale is
+    b0 = deriv(a0) for the a0 where phi_raw(deriv(a)) = a deriv(a) - value(a)
+    reaches 1; that map increases (its derivative is a deriv2(a) > 0), so a0
+    is one scalar root on scalar evaluations (_normalize_scale).
     """
     if fn.homogeneous:
         p = fn.p
@@ -698,7 +696,9 @@ def complementary(fn: YoungFunction) -> ComplementaryFunction:
         def deriv_inverse(t):
             return _deriv_inverse(fn, t)
 
-        b0 = _normalize_scale(lambda t: float(phi_raw(t)))
+        a0 = _normalize_scale(
+            lambda a: float(a * fn.deriv(np.array(a)) - fn.value(np.array(a))))
+        b0 = float(fn.deriv(np.array(a0)))
 
     def phi(b):
         return phi_raw(np.asarray(b, dtype=float) * b0)
@@ -764,15 +764,16 @@ def clarkson_conditions(fn: YoungFunction) -> dict:
 
 
 @functools.lru_cache(maxsize=64)
-def calibrate_singular_constant(fn: YoungFunction, span=5.0, n=200) -> float:
+def calibrate_singular_constant(fn: YoungFunction) -> float:
     """Constant for the singular-case Clarkson bound, fitted once per function.
 
     The inequality only asserts existence of the constant, so it is taken as
-    the infimum of left/right over an n-by-n grid of (a, b) pairs plus
+    the infimum of left/right over the n-by-n grid of (a, b) pairs on
+    [-span, span]^2 (n = _SINGULAR_NODES, span = _SINGULAR_SPAN) plus
     near-diagonal pairs (the ratio's infimum sits on the diagonal limit
     b -> a), and then validated on fresh samples by the callers.
     """
-    a = np.linspace(-span, span, n)
+    a = np.linspace(-_SINGULAR_SPAN, _SINGULAR_SPAN, _SINGULAR_NODES)
     A, B = np.meshgrid(a, a)
     A, B = A.ravel(), B.ravel()
     eps = 1e-5 * (1.0 + np.abs(a))

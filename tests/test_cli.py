@@ -482,6 +482,25 @@ class TestRun:
                                 solver={"allow_nonconverged": True})
         assert main(["run", str(path2)]) == 0
 
+    @pytest.mark.parametrize("n, p", [(24, 1.005), (96, 1.01)])
+    def test_failed_factorization_exit_3_and_downgrade(self, tmp_path, n, p):
+        # near p = 1 the Newton matrix stops factoring after some hundred
+        # steps: the run still writes its report and solution, and exits 3
+        young = {"family": "power", "p": p}
+        grid = {"shape": "interval", "n_per_axis": n, "bounds": [-1.0, 1.0]}
+        path, _ = write_config(tmp_path, young=young, grid=grid, problem=_DIRICHLET_BUMP)
+        assert main(["run", str(path)]) == 3
+        out = tmp_path / "out"
+        rep = json.loads((out / "report.json").read_text())
+        assert not rep["converged"] and rep["iterations"] > 0
+        assert rep["extras"]["factorization_failure"] is True
+        assert rep["extras"]["line_search_failure"] is False
+        assert len((out / "solution.csv").read_text().strip().splitlines()) == n + 1
+        path2, _ = write_config(tmp_path, name="c2.json", young=young, grid=grid,
+                                problem=_DIRICHLET_BUMP,
+                                solver={"allow_nonconverged": True})
+        assert main(["run", str(path2)]) == 0
+
 
 class TestSweep:
     def test_sweep_rows_and_resume(self, tmp_path):

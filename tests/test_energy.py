@@ -549,6 +549,11 @@ class TestPairPass:
             assert norm == pytest.approx(bisected, rel=1e-13)
             assert abs(F_value(asm, gf(asm, u.values / norm)) - 1.0) <= 4 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("fixture", ["asm_quad", "asm_sum"])
+    def test_zero_function_has_norm_zero(self, fixture, request):
+        asm = request.getfixturevalue(fixture)
+        assert luxemburg_norm_of(asm, gf(asm, np.zeros(asm.grid.n_nodes))) == 0.0
+
 
 EVEN_YOUNG = [
     pytest.param(make_young("power", p=4.0), id="power-4"),

@@ -145,6 +145,22 @@ class TestDirichlet:
         rep = solve_dirichlet(asm, bump(g1d_small, g1d_small.center, 0.5, 1.0))
         assert rep.converged and not rep.extras["line_search_failure"]
 
+    @pytest.mark.parametrize("n, p", [(24, 1.005), (96, 1.01)])
+    def test_failed_factorization_is_a_classified_stop(self, frac05_1d, n, p):
+        # near p = 1 eps reaches its ulp floor, where H is too
+        # ill-conditioned to factor (after 835 and 781 steps): the solve
+        # stops at its last accepted iterate and says why
+        from nlorlicz.grid import bump
+
+        grid = make_grid("interval", n, (-1.0, 1.0))
+        asm = assemble(grid, frac05_1d, make_young("power", p=p))
+        rep = solve_dirichlet(asm, bump(grid, grid.center, 0.5, 1.0))
+        assert not rep.converged and rep.iterations > 0
+        assert rep.extras["factorization_failure"] is True
+        assert rep.extras["line_search_failure"] is False
+        assert np.isfinite(rep.residual_inf) and np.isfinite(rep.objective)
+        assert np.all(np.isfinite(rep.solution.values))
+
 
 class TestRelaxedNewton:
     @staticmethod
@@ -265,6 +281,30 @@ class TestRelaxedNewton:
         # up to the rounding of the objective itself
         ulp = 4.0 * np.finfo(float).eps
         assert all(b <= a + ulp * abs(a) for a, b in zip(hist, hist[1:]))
+
+    def test_rejected_trial_point_halves_the_step(self):
+        # a retract that rejects the unit step: the line search goes on to
+        # t = 1/2, which the quadratic Dirichlet objective accepts
+        from nlorlicz.solvers import _reaction_objective, _relaxed_newton
+
+        asm, f = self._bump_problem(2.0, 64)
+        value, gradient, stop, _, _ = _reaction_objective(
+            asm, ReactionSpec(f=lambda x: f.values, G=lambda x: f.values * x), 1e-8)
+        x0 = np.zeros(asm.grid.n_nodes)
+        trials = []
+
+        def retract(y):
+            trials.append(y)
+            return None if len(trials) == 1 else y
+
+        full, steps, _, _ = _relaxed_newton(asm, value, gradient, x0, stop, 1)
+        half, steps_half, _, info = _relaxed_newton(asm, value, gradient, x0, stop, 1,
+                                                    retract=retract)
+        assert steps == steps_half == 1 and len(trials) == 2
+        assert np.array_equal(trials[0], full)
+        assert np.array_equal(half, 0.5 * full)
+        assert info["objective_history"][1] < info["objective_history"][0]
+        assert not info["line_search_failure"] and not info["factorization_failure"]
 
     def test_custom_young_without_second_derivative(self):
         # the secant weight alone is a Kacanov iteration: slower, same limit

@@ -664,6 +664,56 @@ class TestComplementary:
         t = np.logspace(-12.0, 6.0, 1001)
         assert np.max(np.abs(fn.deriv(_deriv_inverse(fn, t)) / t - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("fn", [
+        pytest.param(make_young("power_sum", terms=[(0.5, 1.1), (0.5, 1.5)]), id="sum-1.1+1.5"),
+        pytest.param(make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)]), id="sum-2+4"),
+        pytest.param(make_young("log_perturbed", p=1.2, r=0.5), id="log-1.2-0.5"),
+        pytest.param(make_young("log_perturbed", p=2.0, r=1.0), id="log-2-1"),
+    ])
+    def test_deriv_inverse_over_the_float_range(self, fn):
+        # roots from 1e-100 to 1e300, wherever deriv is finite: bracketing
+        # from 1 capped them at 2^600 (about 4e180), where deriv of the
+        # returned root was 0.004 t for log-1.2-0.5 at t = 1e40
+        from nlorlicz.young import _deriv_inverse
+
+        a = np.logspace(-100.0, 300.0, 2001)
+        with np.errstate(over="ignore"):
+            t = fn.deriv(a)
+        a, t = a[np.isfinite(t)], t[np.isfinite(t)]
+        assert a.max() > 1e100
+        root = _deriv_inverse(fn, t)
+        assert np.max(np.abs(fn.deriv(root) / t - 1.0)) <= 1e-13
+        assert np.max(np.abs(root / a - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("fn", [
+        pytest.param(make_young("power_sum", terms=[(0.5, 1.1), (0.5, 1.5)]), id="sum-1.1+1.5"),
+        pytest.param(make_young("log_perturbed", p=1.2, r=0.5), id="log-1.2-0.5"),
+    ])
+    def test_young_equality_at_a_large_root(self, fn):
+        # value(a) + phi_raw(deriv(a)) = a deriv(a); a root capped at 2^600
+        # left a gap of -17% and -33% of a deriv(a) at a = 1e185
+        a = np.array(1e185)
+        b = float(fn.deriv(a))
+        conj = complementary(fn)
+        assert float(fn.value(a)) + conj.phi_raw(b) == pytest.approx(1e185 * b, rel=1e-12)
+
+    def test_deriv_inverse_beyond_the_float_range(self):
+        # deriv(2^1023) of |s|^1.1 + |s|^1.5 is finite, about 1e154: no
+        # float root lies above it.  Where deriv overflows at the top
+        # (|s|^2 + |s|^4) that end counts as above t
+        from nlorlicz.young import _deriv_inverse
+
+        fn = make_young("power_sum", terms=[(0.5, 1.1), (0.5, 1.5)])
+        top = float(fn.deriv(np.array(2.0 ** 1023)))
+        assert np.isfinite(top)
+        assert _deriv_inverse(fn, np.array([top]))[0] == pytest.approx(2.0 ** 1023, rel=1e-15)
+        with pytest.raises(BracketingError):
+            _deriv_inverse(fn, np.array([1.0, 2.0 * top]))
+        quartic = make_young("power_sum", terms=[(0.5, 2.0), (0.5, 4.0)])
+        root = _deriv_inverse(quartic, np.array([1e300, 0.0, -1.0]))
+        assert quartic.deriv(root[:1])[0] == pytest.approx(1e300, rel=1e-13)
+        assert root[1] == root[2] == 0.0
+
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_power_conjugate_needs_no_root_finding(self, p, monkeypatch):
         import nlorlicz.young
